@@ -28,7 +28,7 @@ from .families import (
     shift_power_predicate, shift_power_profile, solve_piecewise,
     sweep_shift_power, trace_class_reps,
 )
-from .fields import Field, SubfieldEmbed, field_from_spec, make_field
+from .fields import Field, SubfieldEmbed, field_from_spec
 from .lowdeg import (
     QuarticSearch, cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly,
     quartic_3to1_search,

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainTooLarge, ZeroInput
+from .errors import DomainTooLarge, HistogramLostMass, ZeroInput
 from .fields import Field
 from .polys import LinearizedPoly, Poly
 
@@ -73,7 +73,8 @@ def histogram(f, domain=None) -> dict:
         if vals.size > _DOMAIN_CAP:
             raise DomainTooLarge(f"domain size {vals.size} exceeds 2^22")
         counts = np.bincount(vals)
-        out = {int(v): int(c) for v, c in enumerate(counts) if c}
+        hit = np.flatnonzero(counts)
+        out = dict(zip(hit.tolist(), counts[hit].tolist()))
     else:
         if len(vals) > _DOMAIN_CAP:
             raise DomainTooLarge(f"domain size {len(vals)} exceeds 2^22")
@@ -82,7 +83,8 @@ def histogram(f, domain=None) -> dict:
             out[v] = out.get(v, 0) + 1
     total = sum(out.values())
     size = vals.size if isinstance(vals, np.ndarray) else len(vals)
-    assert total == size, "histogram lost mass"
+    if total != size:
+        raise HistogramLostMass(f"histogram holds {total} preimages for a domain of {size}")
     return out
 
 

@@ -65,6 +65,14 @@ class GateExceeded(NTo1Error):
     pass
 
 
+class TraceOutsideField(NTo1Error):
+    """A trace value fell outside the field it must land in."""
+
+
+class HistogramLostMass(NTo1Error):
+    """A histogram's counts do not add up to the domain size."""
+
+
 class HypothesisViolated(NTo1Error):
     """A construction hypothesis failed; carries the hypothesis name and a witness."""
 

@@ -7,8 +7,15 @@ GF(p) elements are plain residues.
 
 The modulus, when not supplied, is the lexicographically smallest monic
 irreducible of degree m (coefficients compared low-to-high).  The primitive
-element beta is found by ascending search, so two constructions with the
-same (p, m, modulus) are identical in every detail.
+element beta, when not supplied, is found by ascending search, so two
+constructions with the same (p, m, modulus) are identical in every detail.
+
+Construction data is memoised for the life of the process, in one
+module-level table filled under one lock: the default modulus per (p, m);
+the default beta and every SubfieldEmbed's embedding and section per
+(p, m, modulus); the log/exp tables per (p, m, modulus, beta).  Every
+Field(...) call still returns a new object, but objects with the same key
+share that data, and shared arrays are read-only.
 """
 
 from __future__ import annotations
@@ -26,11 +33,36 @@ from .errors import (
     FieldTooLarge,
     NotPrime,
     ReducibleModulus,
+    SingularSystem,
+    TraceOutsideField,
     ZeroInput,
 )
 
 _PRIME_CAP = 2 ** 31
 _LOG_TABLE_CAP = 2 ** 20
+
+# Process-wide construction memo; keys by their first entry:
+#   ("modulus", p, m)                         default modulus
+#   ("beta", p, m, modulus)                   default primitive element
+#   ("tables", p, m, modulus, beta)           (log, exp), read-only
+#   ("embed", p, m, modulus, k, sub_modulus)  SubfieldEmbed data
+# A build may re-enter the memo (an embedding needs its big field's
+# tables), hence the RLock.  No build takes a Field's own lock, so locks are
+# only ever taken in the order Field._lock, then _MEMO_LOCK.
+_MEMO: dict = {}
+_MEMO_LOCK = threading.RLock()
+
+
+def _memo(key, build):
+    """The memo entry for key, built once by build() under _MEMO_LOCK."""
+    try:
+        return _MEMO[key]
+    except KeyError:
+        pass
+    with _MEMO_LOCK:
+        if key not in _MEMO:
+            _MEMO[key] = build()
+        return _MEMO[key]
 
 
 def _is_prime(p: int) -> bool:
@@ -142,8 +174,9 @@ def _is_irreducible(f, p) -> bool:
 
 def _smallest_irreducible(p: int, m: int) -> list[int]:
     # Enumerate monic candidates in lexicographic order of (c_0, c_1, ...),
-    # i.e. c_0 is the most significant digit of the counter.
-    for k in range(p ** m):
+    # i.e. c_0 is the most significant digit of the counter.  For m > 1 the
+    # candidates with c_0 = 0 are multiples of x, so the counter starts past them.
+    for k in range(p ** (m - 1) if m > 1 else 0, p ** m):
         rev = []
         t = k
         for _ in range(m):
@@ -156,9 +189,13 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
 
 
 class Field:
-    """GF(p^m) with integer-coded elements and exact table-driven arithmetic."""
+    """GF(p^m) with integer-coded elements and exact table-driven arithmetic.
 
-    def __init__(self, p: int, m: int, modulus=None):
+    modulus and beta, when given, are coefficient lists (low-to-high), as
+    in spec_dict(); beta must be primitive.
+    """
+
+    def __init__(self, p: int, m: int, modulus=None, beta=None):
         if not _is_prime(p):
             raise NotPrime(f"p={p} is not a prime below 2^31")
         if m < 1:
@@ -167,7 +204,7 @@ class Field:
         self.m = m
         self.order = p ** m
         if modulus is None:
-            modulus = _smallest_irreducible(p, m)
+            modulus = _memo(("modulus", p, m), lambda: _smallest_irreducible(p, m))
         else:
             modulus = [c % p for c in modulus]
             if len(modulus) != m + 1 or modulus[-1] != 1:
@@ -176,8 +213,13 @@ class Field:
                 raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
         self._pow_p = tuple(p ** i for i in range(m))
-        self.beta = self._find_primitive()
-        self._lock = threading.Lock()
+        if beta is None:
+            self.beta = _memo(("beta", p, m, self.modulus), self._find_primitive)
+        else:
+            self.beta = self.element(beta)
+            if not self._is_primitive(self.beta, _prime_factors(self.order - 1)):
+                raise ReducibleModulus("supplied beta is not primitive")
+        self._lock = threading.RLock()
         self._exp = None
         self._log = None
         self._digits = None
@@ -201,13 +243,15 @@ class Field:
             e >>= 1
         return result
 
-    def _find_primitive(self) -> int:
+    def _is_primitive(self, a: int, factors) -> bool:
+        """factors: the prime factors of q - 1."""
         n = self.order - 1
-        if n == 1:
-            return 1
-        factors = _prime_factors(n)
-        for cand in range(2, self.order):
-            if all(self._raw_pow(cand, n // r) != 1 for r in factors):
+        return a != 0 and all(self._raw_pow(a, n // r) != 1 for r in factors)
+
+    def _find_primitive(self) -> int:
+        factors = _prime_factors(self.order - 1)
+        for cand in range(1, self.order):
+            if self._is_primitive(cand, factors):
                 return cand
         raise ReducibleModulus("no primitive element found")  # pragma: no cover
 
@@ -243,26 +287,42 @@ class Field:
     def _ensure_tables(self):
         if self._exp is not None:
             return
-        with self._lock:
-            if self._exp is not None:
-                return
-            if self.order > _LOG_TABLE_CAP:
-                raise FieldTooLarge(f"order {self.order} exceeds the log-table gate 2^20")
-            n = self.order - 1
-            exp = np.zeros(2 * n if n else 1, dtype=np.int64)
-            log = np.full(self.order, -1, dtype=np.int64)
-            v = 1
-            for i in range(n):
-                exp[i] = v
-                log[v] = i
-                v = self._raw_mul(v, self.beta)
-            if n:
-                exp[n:] = exp[:n]
-            else:
-                exp[0] = 1
-                log[1] = 0
-            self._log = log
-            self._exp = exp
+        if self.order > _LOG_TABLE_CAP:
+            raise FieldTooLarge(f"order {self.order} exceeds the log-table gate 2^20")
+        log, exp = _memo(("tables", self.p, self.m, self.modulus, self.beta), self._build_tables)
+        self._log = log  # readers test _exp, so it is set last
+        self._exp = exp
+
+    def _build_tables(self):
+        """(log, exp) with exp[i] = exp[i + n] = beta^i for n = q - 1, and
+        log[0] = -1.
+
+        Multiplying by beta^k is GF(p)-linear on digit vectors: the m x m
+        matrix M_k whose row i holds the digits of x^i * beta^k.  So
+        exp[k:2k] = digits(exp[:k]) @ M_k mod p, and M_2k = M_k @ M_k mod p;
+        doubling k fills the table in log2(q) steps.  Entries are below p
+        and a product sums m terms, so it stays under m*(p-1)^2 <= 2^40
+        < 2^63 for every q <= 2^20, the log-table gate.
+        """
+        p, n = self.p, self.order - 1
+        pows = np.asarray(self._pow_p, dtype=np.int64)
+        step = np.array([self.coeffs(self._raw_mul(pi, self.beta)) for pi in self._pow_p],
+                        dtype=np.int64)
+        exp = np.empty(2 * n, dtype=np.int64)
+        exp[0] = 1
+        k = 1
+        while k < n:
+            t = min(k, n - k)
+            digits = (exp[:t, None] // pows) % p
+            exp[k:k + t] = ((digits @ step) % p) @ pows
+            step = (step @ step) % p
+            k += t
+        exp[n:] = exp[:n]
+        log = np.full(self.order, -1, dtype=np.int64)
+        log[exp[:n]] = np.arange(n, dtype=np.int64)
+        exp.flags.writeable = False
+        log.flags.writeable = False
+        return log, exp
 
     def exp_of(self, i: int) -> int:
         """beta^i."""
@@ -349,7 +409,8 @@ class Field:
         for _ in range(self.m):
             t = self.add(t, y)
             y = self.pow(y, self.p)
-        assert t < self.p, "trace landed outside the prime field"
+        if t >= self.p:
+            raise TraceOutsideField(f"trace {t} landed outside the prime field GF({self.p})")
         return t
 
     # -- multiplicative structure ---------------------------------------------
@@ -459,15 +520,18 @@ class Field:
         return out
 
     def trace_to_prime_table(self) -> np.ndarray:
-        # built outside the lock: the vec kernels take it for their own caches
+        # built under the lock, which the vec kernels re-enter for their caches
         if self._tr_prime is None:
-            t = self.elements_array()
-            y = self.elements_array()
-            for _ in range(self.m - 1):
-                y = self.pow_vec(y, self.p)
-                t = self.add_vec(t, y)
-            assert int(t.max(initial=0)) < self.p
-            self._tr_prime = t.astype(np.int64)
+            with self._lock:
+                if self._tr_prime is None:
+                    t = self.elements_array()
+                    y = self.elements_array()
+                    for _ in range(self.m - 1):
+                        y = self.pow_vec(y, self.p)
+                        t = self.add_vec(t, y)
+                    if int(t.max(initial=0)) >= self.p:
+                        raise TraceOutsideField(f"trace table left the prime field GF({self.p})")
+                    self._tr_prime = t.astype(np.int64)
         return self._tr_prime
 
     # -- serialization ---------------------------------------------------------
@@ -498,24 +562,10 @@ class Field:
         return hash((self.p, self.m, self.modulus))
 
 
-def make_field(p: int, m: int, modulus=None) -> Field:
-    return Field(p, m, modulus)
-
-
 def field_from_spec(spec: dict | str) -> Field:
     if isinstance(spec, str):
         spec = json.loads(spec)
-    ctx = Field(int(spec["p"]), int(spec["m"]), spec.get("modulus"))
-    beta = spec.get("beta")
-    if beta is not None:
-        b = ctx.element(beta)
-        if ctx.element_order(b) != ctx.order - 1:
-            raise ReducibleModulus("supplied beta is not primitive")
-        ctx.beta = b
-        # tables keyed to the old beta would be stale
-        ctx._exp = None
-        ctx._log = None
-    return ctx
+    return Field(int(spec["p"]), int(spec["m"]), spec.get("modulus"), spec.get("beta"))
 
 
 class SubfieldEmbed:
@@ -524,7 +574,8 @@ class SubfieldEmbed:
     The embedding sends the power-basis root of the subfield modulus to its
     smallest-index root inside the big field, so it is deterministic.  The
     section (big -> sub, defined on the subfield image) is solved once as a
-    GF(p)-linear system and cached.
+    GF(p)-linear system; root, powers and section are memoised per pair of
+    moduli, so a second embedding of the same pair costs nothing.
     """
 
     def __init__(self, big: Field, sub: Field):
@@ -537,10 +588,16 @@ class SubfieldEmbed:
         self.sub_degree = sub.m
         self.rel_degree = big.m // sub.m
         self.q_sub = sub.order
-        self._rho = self._find_root()
-        self._rho_pows = [big.pow(self._rho, i) for i in range(sub.m)]
-        self._E, self._rank = self._section_transform()
+        self._rho, self._rho_pows, self._E, self._rank = _memo(
+            ("embed", big.p, big.m, big.modulus, sub.m, sub.modulus), self._embedding)
         self._tr_table = None
+
+    def _embedding(self):
+        rho = self._find_root()
+        rho_pows = tuple(self.big.pow(rho, i) for i in range(self.sub.m))
+        E, rank = self._section_transform(rho_pows)
+        E.flags.writeable = False
+        return rho, rho_pows, E, rank
 
     def _find_root(self) -> int:
         coeffs = list(self.sub.modulus)
@@ -552,12 +609,12 @@ class SubfieldEmbed:
                 return cand
         raise ReducibleModulus("subfield modulus has no root in the big field")  # pragma: no cover
 
-    def _section_transform(self):
+    def _section_transform(self, rho_pows):
         # Row-reduce [M | I] over GF(p), M the m x k matrix of rho powers.
         p = self.big.p
         m, k = self.big.m, self.sub.m
         rows = [[0] * (k + m) for _ in range(m)]
-        for j, rp in enumerate(self._rho_pows):
+        for j, rp in enumerate(rho_pows):
             for i, d in enumerate(self.big.coeffs(rp)):
                 rows[i][j] = d
         for i in range(m):
@@ -565,7 +622,8 @@ class SubfieldEmbed:
         r = 0
         for col in range(k):
             piv = next((i for i in range(r, m) if rows[i][col]), None)
-            assert piv is not None, "embedding matrix must have full column rank"
+            if piv is None:
+                raise SingularSystem("embedding matrix must have full column rank")
             rows[r], rows[piv] = rows[piv], rows[r]
             inv = pow(rows[r][col], -1, p)
             rows[r] = [(v * inv) % p for v in rows[r]]
@@ -615,7 +673,8 @@ class SubfieldEmbed:
                 t = big.add_vec(t, y)
             dig = big._digit_matrix()[t]
             z = (dig @ self._E.T) % big.p
-            assert not np.any(z[:, self.sub.m:]), "trace left the subfield"
+            if np.any(z[:, self.sub.m:]):
+                raise TraceOutsideField(f"trace table left the embedded GF({self.sub.p}^{self.sub.m})")
             packs = np.asarray([self.sub.p ** i for i in range(self.sub.m)], dtype=np.int64)
             self._tr_table = z[:, : self.sub.m] @ packs
         return self._tr_table

@@ -273,6 +273,7 @@ class LinearizedPoly:
         self.l_coeffs = tuple(l_coeffs)
         self._sub_ctx = None
         self._coord_solver = None
+        self._rank = None
 
     def as_poly(self) -> Poly:
         return Poly(self.ctx, [(self.q_sub ** i, c) for i, c in enumerate(self.l_coeffs)])
@@ -331,14 +332,17 @@ class LinearizedPoly:
         return self._coord_solver
 
     def rank(self) -> int:
-        """Rank as a GF(q_sub)-linear map, by row reduction over GF(q_sub)."""
-        ctx = self.ctx
-        sub, coords = self._coords()
-        xbar = ctx.element([0, 1]) if ctx.m > 1 else 1
-        basis = [ctx.pow(xbar, j) if ctx.m > 1 else 1 for j in range(self.rel_degree)]
-        fmap = self.as_poly()
-        mat = [coords(fmap(bj)) for bj in basis]
-        return matrix_rank(sub, mat)
+        """Rank as a GF(q_sub)-linear map, by row reduction over GF(q_sub);
+        computed once per instance."""
+        if self._rank is None:
+            ctx = self.ctx
+            sub, coords = self._coords()
+            xbar = ctx.element([0, 1]) if ctx.m > 1 else 1
+            basis = [ctx.pow(xbar, j) if ctx.m > 1 else 1 for j in range(self.rel_degree)]
+            fmap = self.as_poly()
+            mat = [coords(fmap(bj)) for bj in basis]
+            self._rank = matrix_rank(sub, mat)
+        return self._rank
 
 
 # ----------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .families import (
     branch_case_predicate, build_branch_interpolation, build_translate_link,
     random_piecewise, solve_piecewise, sweep_shift_power,
 )
-from .fields import Field, SubfieldEmbed
+from .fields import Field, SubfieldEmbed, _is_prime
 from .lowdeg import (
     cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
 )
@@ -44,15 +44,10 @@ class RunResult:
         return f"RunResult({len(self.rows)} rows, {state})"
 
 
-def _primes(bound):
-    return [p for p in range(2, bound + 1)
-            if all(p % d for d in range(2, int(p ** 0.5) + 1))]
-
-
 def _prime_powers(bound, m_min=1):
     """(p, m, q) for every prime power q <= bound, ascending in q."""
     out = []
-    for p in _primes(bound):
+    for p in filter(_is_prime, range(2, bound + 1)):
         q, m = p, 1
         while q <= bound:
             if m >= m_min:

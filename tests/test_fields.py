@@ -1,13 +1,16 @@
 """Field arithmetic, the element codec, and subfield embeddings."""
 
 import json
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nto1 import Field, SubfieldEmbed, field_from_spec
+from nto1 import Field, SubfieldEmbed, field_from_spec, fields
 from nto1.errors import FieldMismatch, NotPrime, ReducibleModulus
 
 F9 = Field(3, 2)
@@ -22,6 +25,10 @@ def test_default_modulus_is_deterministic():
     assert Field(2, 3).modulus == (1, 0, 1, 1)
     assert F27.modulus == (1, 0, 2, 1)
     assert Field(3, 2).beta == F9.beta
+    # the search skips the multiples of x; a scan over every candidate agrees
+    for p, m in [(2, 1), (2, 5), (3, 3), (5, 2), (7, 3)]:
+        candidates = ([(k // p ** (m - 1 - i)) % p for i in range(m)] + [1] for k in range(p ** m))
+        assert Field(p, m).modulus == tuple(next(c for c in candidates if fields._is_irreducible(c, p)))
 
 
 def test_reducible_modulus_rejected():
@@ -114,6 +121,130 @@ def test_spec_roundtrip():
     assert G.beta == F25.beta
     with pytest.raises(ReducibleModulus):
         field_from_spec({"p": 5, "m": 2, "beta": [1, 0]})  # 1 is not primitive
+
+
+def _scalar_tables(F):
+    """The log/exp tables by the scalar chain v -> v * beta."""
+    n = F.order - 1
+    exp = np.zeros(2 * n, dtype=np.int64)
+    log = np.full(F.order, -1, dtype=np.int64)
+    v = 1
+    for i in range(n):
+        exp[i] = v
+        log[v] = i
+        v = F._raw_mul(v, F.beta)
+    exp[n:] = exp[:n]
+    return exp, log
+
+
+def _assert_tables_match_scalar(F):
+    F._ensure_tables()
+    exp, log = _scalar_tables(F)
+    assert np.array_equal(F._exp, exp), F
+    assert np.array_equal(F._log, log), F
+    assert F._log[0] == -1
+
+
+def test_vectorised_tables_match_scalar_chain_up_to_4096():
+    # every default field q <= 4096, which covers every frozen sweep
+    for p in filter(fields._is_prime, range(2, 4097)):
+        q, m = p, 1
+        while q <= 4096:
+            _assert_tables_match_scalar(Field(p, m))
+            q, m = q * p, m + 1
+
+
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10)])
+def test_vectorised_tables_match_scalar_chain_large(p, m):
+    _assert_tables_match_scalar(Field(p, m))
+
+
+def test_shared_tables_are_read_only():
+    F, G = Field(7, 2), Field(7, 2)
+    F.mul(2, 3)
+    G.mul(2, 3)
+    assert F is not G and F._exp is G._exp
+    with pytest.raises(ValueError):
+        F._exp[1] = 0
+    with pytest.raises(ValueError):
+        F._log[1] = 0
+
+
+def test_spec_beta_and_default_beta_keep_their_own_tables(monkeypatch):
+    monkeypatch.setattr(fields, "_MEMO", {})
+    probe = Field(13, 2)
+    beta = probe.pow(probe.beta, 5)  # gcd(5, 168) = 1: primitive, not the default
+    spec = {"p": 13, "m": 2, "beta": list(probe.coeffs(beta))}
+    probe._ensure_tables()
+    default_tables = (probe._exp.copy(), probe._log.copy())
+
+    monkeypatch.setattr(fields, "_MEMO", {})
+    before = field_from_spec(spec)
+    before.mul(2, 3)
+    default = Field(13, 2)
+    default.mul(2, 3)
+    after = field_from_spec(spec)
+    assert default.beta == probe.beta != beta
+    for F, b in ((before, beta), (default, probe.beta), (after, beta)):
+        assert F.beta == b
+        assert F.exp_of(1) == b
+        n = F.order - 1
+        assert all(F.exp_of(F.log(a)) == a for a in F.units())
+        assert all(F.log(F.exp_of(i)) == i for i in range(n))
+    assert before._exp is after._exp
+    assert before._exp is not default._exp
+    assert np.array_equal(default._exp, default_tables[0])
+    assert np.array_equal(default._log, default_tables[1])
+    respec = field_from_spec(default.spec_json())
+    respec.mul(2, 3)
+    assert respec._exp is default._exp
+    assert Field(**after.spec_dict()).spec_dict() == after.spec_dict()
+
+
+def test_cold_construction_is_thread_safe(monkeypatch):
+    xs = np.arange(3 ** 7, dtype=np.int64)
+    ys = (xs * 5 + 11) % 3 ** 7
+
+    def work(_=None):
+        F = Field(3, 7)
+        emb = SubfieldEmbed(F, Field(3, 1))
+        return F, emb, [F.mul_vec(xs, ys), F.trace_to_prime_table(), emb.trace_table()]
+
+    monkeypatch.setattr(fields, "_MEMO", {})
+    _, _, want = work()
+    keys = set(fields._MEMO)
+
+    builds = []
+    build_tables = fields.Field._build_tables
+
+    def counted(self):
+        builds.append((self.p, self.m))
+        return build_tables(self)
+
+    monkeypatch.setattr(fields.Field, "_build_tables", counted)
+    monkeypatch.setattr(fields, "_MEMO", {})
+    start = threading.Barrier(8, timeout=60)
+
+    def cold(_):
+        start.wait()
+        return work()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(cold, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 8
+    assert set(fields._MEMO) == keys
+    assert sorted(builds) == sorted(set(builds))
+    F0, emb0, _ = got[0]
+    for F, emb, results in got:
+        for a, b in zip(results, want):
+            assert np.array_equal(a, b)
+        assert F._exp is F0._exp and F._log is F0._log
+        assert emb._E is emb0._E
 
 
 class TestSubfieldEmbed:
