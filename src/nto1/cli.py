@@ -30,7 +30,7 @@ from .lowdeg import (
     cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
 )
 from .polys import Poly
-from .walsh import char_sum, phi_prime_power, phi_two, spectral_verdict, walsh_zero_table
+from .walsh import char_sum, phi_prime_power, phi_two, walsh_zero_table
 from . import verify
 
 _DEFAULT_GATE = 1 << 13
@@ -190,7 +190,7 @@ def cmd_walsh(args):
         gadget = phi_prime_power(ctx.p, ctx.m, args.k)
     table = walsh_zero_table(f, ctx)
     cs = char_sum(f, gadget, ctx)
-    verdict = spectral_verdict(f, gadget, ctx)
+    verdict = cs == gadget.bound
     brute = is_n_to_1(f, tuple(ctx.elements()), gadget.n)
     rows = [(_elem_str(ctx, v),) + tuple(int(c) for c in table[v])
             for v in range(ctx.order)]
@@ -490,8 +490,6 @@ def _add_gate_opts(p):
                    help=f"size gate for enumerations (default {_DEFAULT_GATE})")
     p.add_argument("--nightly", action="store_true",
                    help="lift size gates (NTO1_NIGHTLY=1 does the same)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="advisory parallelism width; output is assembled in order")
 
 def build_parser():
     ap = argparse.ArgumentParser(

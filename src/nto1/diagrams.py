@@ -15,8 +15,8 @@ g n-to-1; the converse needs the extra fiber condition on the exceptional
 value (condition3 below).
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 from .counting import classify, is_n_to_1, NTo1Report
 from .errors import HypothesesNotVerified, SetTooLarge

@@ -73,6 +73,10 @@ class HistogramLostMass(NTo1Error):
     """A histogram's counts do not add up to the domain size."""
 
 
+class PowerSumNotRational(NTo1Error):
+    """A Walsh power sum S_j came out outside the rational integers."""
+
+
 class HypothesisViolated(NTo1Error):
     """A construction hypothesis failed; carries the hypothesis name and a witness."""
 

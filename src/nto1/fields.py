@@ -556,10 +556,11 @@ class Field:
             and self.p == other.p
             and self.m == other.m
             and self.modulus == other.modulus
+            and self.beta == other.beta
         )
 
     def __hash__(self):
-        return hash((self.p, self.m, self.modulus))
+        return hash((self.p, self.m, self.modulus, self.beta))
 
 
 def field_from_spec(spec: dict | str) -> Field:

@@ -4,6 +4,20 @@ Everything here is integer or rational arithmetic: the verdict is an exact
 equality against 1 or 0, so floating point has no place.  omega is a
 primitive p-th root of unity; Z[omega] elements are stored reduced, with
 the omega^{p-1} coordinate eliminated through 1 + omega + ... + omega^{p-1} = 0.
+
+The spectral test needs only the power sums S_j at v = 0 of the j-fold
+additive convolution of T: v -> W_F(0, v), for j <= 3.  With T stored as a
+(q, p) matrix of root-of-unity counts and fold((a, b) -> a + b mod p) the
+product in Z[X]/(X^p - 1):
+
+    S_1 = T[0]
+    S_2 = fold(T^t . T[-v])  = sum_v T[v] * T[-v]
+    S_3 = fold(sum_x T[x]^t . G[x]) with G[x] = fold(T^t . T[-(x+y)])
+        = sum_{x,y} T[x] * T[y] * T[-x-y]
+
+All of them are int64 counts of at most q^5 (see _WALSH_DOMAIN_CAP).
+`additive_convolution`, which builds the whole convolution table, is kept
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -14,11 +28,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegreeTooHigh, DomainTooLarge, ZeroInput
+from .errors import DegreeTooHigh, DomainTooLarge, PowerSumNotRational, ZeroInput
 from .fields import Field
 from .polys import LinearizedPoly, Poly
 
+# Every coordinate of T, of T^t . T[.] and of the S_3 accumulator is a
+# nonnegative count of at most q^5 (the sum of all coordinates of S_3 is
+# q^5), which is 2^60 at this cap; _power_sums refuses q^5 >= 2^63 so that a
+# larger cap cannot overflow int64 silently.
 _WALSH_DOMAIN_CAP = 2 ** 12
+# elements per vectorised block, so that q = 2^12 never allocates q^2 at once
+_BLOCK_ELEMS = 2 ** 16
 _CHAR_SUM_J_CAP = 3
 _PHI_J_CAP = 8
 _PHI_DEN_CAP = 2 ** 31
@@ -211,10 +231,14 @@ def walsh_zero_table(f, ctx: Optional[Field] = None) -> np.ndarray:
         raise DomainTooLarge(f"field order {ctx.order} exceeds 2^12")
     q, p = ctx.order, ctx.p
     tr = ctx.trace_to_prime_table()
-    out = np.zeros((q, p), dtype=np.int64)
-    for v in range(q):
-        expo = tr[ctx.scalar_mul_vec(v, values)]
-        out[v] = np.bincount(expo, minlength=p)
+    out = np.empty((q, p), dtype=np.int64)
+    rows = max(1, _BLOCK_ELEMS // q)
+    for start in range(0, q, rows):
+        vs = np.arange(start, min(start + rows, q), dtype=np.int64)
+        # row i of the block counts its exponents in bins i*p .. i*p + p - 1
+        expo = tr[ctx.mul_vec(vs[:, None], values[None, :])]
+        expo += p * np.arange(len(vs), dtype=np.int64)[:, None]
+        out[vs] = np.bincount(expo.ravel(), minlength=len(vs) * p).reshape(len(vs), p)
     return out
 
 
@@ -242,9 +266,49 @@ def additive_convolution(ctx: Field, U: np.ndarray, T: np.ndarray) -> np.ndarray
     return R
 
 
+def _fold(M: np.ndarray, p: int) -> np.ndarray:
+    """(..., p, p) -> (..., p): entry (a, b) is added into coordinate
+    (a + b) mod p, by an exact integer product with a 0/1 matrix."""
+    a, b = np.divmod(np.arange(p * p), p)
+    onehot = ((a + b) % p)[:, None] == np.arange(p)[None, :]
+    return M.reshape(M.shape[:-2] + (p * p,)) @ onehot.astype(np.int64)
+
+
+def _power_sums(ctx: Field, T: np.ndarray, J: int) -> list:
+    """[S_1, ..., S_J] for J <= 3: the j-fold additive-convolution powers of
+    the Walsh zero table T at v = 0, each an unreduced length-p int64 vector,
+    from the closed forms in the module docstring."""
+    q, p = T.shape
+    if q ** 5 >= 2 ** 63:
+        raise DomainTooLarge(f"field order {q}: Walsh power sums up to q^5 overflow int64")
+    xs = ctx.elements_array()
+    sums = []
+    if J >= 1:
+        sums.append(T[0])
+    if J >= 2:
+        sums.append(_fold(T.T @ np.take(T, ctx.neg_vec(xs), axis=0), p))
+    if J >= 3:
+        acc = np.zeros((p, p), dtype=np.int64)
+        rows = max(1, _BLOCK_ELEMS // q)
+        for start in range(0, q, rows):
+            block = xs[start:start + rows]
+            # G[x, c] = sum_y (T[y] * T[-(x + y)])[c] for x in the block
+            neg_sums = ctx.neg_vec(ctx.add_vec(block[:, None], xs[None, :]))
+            G = _fold(T.T @ np.take(T, neg_sums, axis=0), p)
+            acc += T[start:start + rows].T @ G
+        sums.append(_fold(acc, p))
+    return sums
+
+
 def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
     """The exact characterization value A_0 + sum_j A_j p^{m-jm} S_j, where
-    S_j is the j-fold additive-convolution power of v -> W_F(0, v) at v = 0."""
+    S_j is the j-fold additive-convolution power of v -> W_F(0, v) at v = 0.
+
+    S_1 = T[0], S_2 = sum_v T[v] * T[-v] and S_3 = sum_{x,y} T[x] * T[y] *
+    T[-x-y] are taken in closed form from the Walsh zero table T, in exact
+    int64 (every coordinate is at most q^5 <= 2^60 at the 2^12 cap).  Raises
+    PowerSumNotRational if some S_j is not a rational integer, which would
+    mean the table is not a Walsh table."""
     ctx, values = _value_table(f, ctx)
     J = len(gadget.coeffs) - 1
     if J > _CHAR_SUM_J_CAP:
@@ -254,12 +318,10 @@ def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
     T = walsh_zero_table(values, ctx)
     p, m = ctx.p, ctx.m
     total = Fraction(gadget.coeffs[0])
-    U = T
-    for j in range(1, J + 1):
-        if j > 1:
-            U = additive_convolution(ctx, U, T)
-        s_j = CycloInt(p, U[0].tolist())
-        assert s_j.is_rational(), "constrained Walsh power sum must be a rational integer"
+    for j, s in enumerate(_power_sums(ctx, T, J), start=1):
+        s_j = CycloInt(p, s.tolist())
+        if not s_j.is_rational():
+            raise PowerSumNotRational(f"Walsh power sum S_{j} = {s_j!r} is not a rational integer")
         total += Fraction(gadget.coeffs[j]) * Fraction(p) ** (m - j * m) * s_j.as_int()
     return total
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nto1 import Field, SubfieldEmbed, field_from_spec, fields
+from nto1 import Field, Poly, SubfieldEmbed, field_from_spec, fields
 from nto1.errors import FieldMismatch, NotPrime, ReducibleModulus
 
 F9 = Field(3, 2)
@@ -200,6 +200,18 @@ def test_spec_beta_and_default_beta_keep_their_own_tables(monkeypatch):
     assert respec._exp is default._exp
     assert Field(**after.spec_dict()).spec_dict() == after.spec_dict()
 
+
+
+def test_equality_and_hash_include_beta():
+    default = Field(13, 2)
+    beta = default.pow(default.beta, 5)  # primitive, not the default
+    other = Field(13, 2, beta=list(default.coeffs(beta)))
+    assert other.modulus == default.modulus and other.log(beta) != default.log(beta)
+    assert other != default
+    assert Poly.x(other) != Poly.x(default)
+    again = Field(13, 2)
+    assert again == default and hash(again) == hash(default)
+    assert Poly.x(again) == Poly.x(default)
 
 def test_cold_construction_is_thread_safe(monkeypatch):
     xs = np.arange(3 ** 7, dtype=np.int64)

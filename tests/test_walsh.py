@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic and the spectral n-to-1 test."""
 
+import importlib
 import random
 from fractions import Fraction
 
@@ -7,11 +8,14 @@ import numpy as np
 import pytest
 
 from nto1 import (
-    CycloInt, Field, LinearizedPoly, Poly, char_sum, is_n_to_1,
-    phi_prime_power, phi_two, spectral_verdict, validate_phi, walsh,
-    walsh_zero_table,
+    CycloInt, Field, LinearizedPoly, Poly, additive_convolution, char_sum,
+    histogram, is_n_to_1, phi_prime_power, phi_two, spectral_verdict,
+    validate_phi, walsh, walsh_zero_table,
 )
-from nto1.errors import ZeroInput
+from nto1.errors import DomainTooLarge, NTo1Error, PowerSumNotRational, ZeroInput
+from nto1.verify import _n_to_1_table
+
+walsh_mod = importlib.import_module("nto1.walsh")  # `nto1.walsh` is the function
 
 F7 = Field(7, 1)
 F9 = Field(3, 2)
@@ -50,10 +54,11 @@ def test_zero_table_shape_and_trivial_row():
 
 
 def test_zero_table_rows_equal_walsh():
-    f = Poly(F9, [(3, 1), (1, 1)])
-    W = walsh_zero_table(f, F9)
-    for v in F9.elements():
-        assert walsh(f, 0, v, F9) == CycloInt(3, list(W[v]))
+    for F in (F9, Field(2, 5)):
+        f = Poly(F, [(3, 1), (1, 1)])
+        W = walsh_zero_table(f, F)
+        for v in F.elements():
+            assert walsh(f, 0, v, F) == CycloInt(F.p, list(W[v]))
 
 
 def test_two_to_one_verdict():
@@ -89,3 +94,79 @@ def test_spectral_matches_brute_on_random_tables():
         tbl = np.asarray([rng.randrange(5) for _ in range(5)], dtype=np.int64)
         assert spectral_verdict(tbl, g2, F5) == is_n_to_1(tbl, dom, 2)
         assert spectral_verdict(tbl, gp, F5) == is_n_to_1(tbl, dom, 5)
+
+
+SPECTRAL_FIELDS = [(2, 1), (2, 3), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2), (13, 1)]
+
+
+def _tables(ctx, seed):
+    """A random map, a 2-to-1 map and a p-to-1 map over ctx, as value tables."""
+    rng = random.Random(seed)
+    rand = np.asarray([rng.randrange(ctx.order) for _ in range(ctx.order)], dtype=np.int64)
+    return [rand, _n_to_1_table(ctx, 2, rng), _n_to_1_table(ctx, ctx.p, rng)]
+
+
+def _convolution_powers(ctx, T, J):
+    """S_1..S_J as row 0 of the j-fold additive_convolution powers of T."""
+    U, out = T, [T[0]]
+    for _ in range(J - 1):
+        U = additive_convolution(ctx, U, T)
+        out.append(U[0])
+    return out
+
+
+def _char_sum_from(g, sums):
+    p, m = g.p, g.m
+    return g.coeffs[0] + sum(
+        Fraction(g.coeffs[j]) * Fraction(p) ** (m - j * m) * CycloInt(p, s.tolist()).as_int()
+        for j, s in enumerate(sums, start=1))
+
+
+@pytest.mark.parametrize("p,m", SPECTRAL_FIELDS)
+def test_power_sums_match_convolution_oracle(p, m):
+    ctx = Field(p, m)
+    for tbl in _tables(ctx, seed=100 * p + m):
+        T = walsh_zero_table(tbl, ctx)
+        want = _convolution_powers(ctx, T, 3)
+        got = walsh_mod._power_sums(ctx, T, 3)
+        assert [s.tolist() for s in got] == [s.tolist() for s in want]
+        for g in [phi_prime_power(p, m, 1)] + ([phi_two(p, m)] if p != 2 else []):
+            assert char_sum(tbl, g, ctx) == _char_sum_from(g, want)
+
+
+@pytest.mark.parametrize("p,m", SPECTRAL_FIELDS)
+def test_power_sums_count_fiber_tuples(p, m):
+    """S_j = q^{j-1} sum_y N_y^j: the v-sum over v_1 + ... + v_j = 0 leaves
+    the j-tuples of x with one common image, q^{j-1} times each."""
+    ctx = Field(p, m)
+    q = ctx.order
+    for tbl in _tables(ctx, seed=200 * p + m):
+        N = np.asarray(list(histogram(tbl).values()), dtype=np.int64)
+        sums = walsh_mod._power_sums(ctx, walsh_zero_table(tbl, ctx), 3)
+        for j, s in enumerate(sums, start=1):
+            assert CycloInt(p, s.tolist()) == q ** (j - 1) * int((N ** j).sum())
+
+
+def test_char_sum_at_the_domain_cap():
+    F = Field(2, 12)
+    q = F.order
+    tbl = np.random.default_rng(3).integers(0, q, q)
+    N = np.asarray(list(histogram(tbl).values()), dtype=np.int64)
+    brute = [np.array([q ** (j - 1) * int((N ** j).sum()), 0]) for j in (1, 2, 3)]
+    g = phi_prime_power(2, 12, 1)
+    assert char_sum(tbl, g, F) == _char_sum_from(g, brute)
+
+
+def test_power_sums_refuse_int64_overflow():
+    F = Field(2, 13)  # q^5 = 2^65
+    with pytest.raises(DomainTooLarge):
+        walsh_mod._power_sums(F, np.zeros((F.order, 2), dtype=np.int64), 3)
+
+
+def test_non_rational_power_sum_is_a_typed_error(monkeypatch):
+    monkeypatch.setattr(walsh_mod, "_power_sums",
+                        lambda ctx, T, J: [T[0], np.array([0, 1, 0]), T[0]])
+    assert issubclass(PowerSumNotRational, NTo1Error)
+    assert not issubclass(PowerSumNotRational, AssertionError)
+    with pytest.raises(PowerSumNotRational):
+        char_sum(Poly.x(F9), phi_two(3, 2), F9)
