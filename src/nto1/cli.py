@@ -30,7 +30,7 @@ from .lowdeg import (
     cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
 )
 from .polys import Poly
-from .walsh import char_sum, phi_prime_power, phi_two, walsh_zero_table
+from .walsh import _char_sum_of_table, phi_prime_power, phi_two, walsh_zero_table
 from . import verify
 
 _DEFAULT_GATE = 1 << 13
@@ -189,7 +189,7 @@ def cmd_walsh(args):
     else:
         gadget = phi_prime_power(ctx.p, ctx.m, args.k)
     table = walsh_zero_table(f, ctx)
-    cs = char_sum(f, gadget, ctx)
+    cs = _char_sum_of_table(ctx, table, gadget)
     verdict = cs == gadget.bound
     brute = is_n_to_1(f, tuple(ctx.elements()), gadget.n)
     rows = [(_elem_str(ctx, v),) + tuple(int(c) for c in table[v])

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainTooLarge, HistogramLostMass, ZeroInput
+from .errors import DomainTooLarge, ExceptionCountMismatch, HistogramLostMass, ZeroInput
 from .fields import Field
 from .polys import LinearizedPoly, Poly
 
@@ -107,7 +107,9 @@ def _decide(hist: dict, domain_size: int):
         small, big = distinct
         small_values = [v for v, c in hist.items() if c == small]
         if len(small_values) == 1:
-            assert domain_size % big == small, "exception count must be #A mod n"
+            if domain_size % big != small:
+                raise ExceptionCountMismatch(
+                    f"exception count {small} is not #A mod n = {domain_size} mod {big}")
             return big, (small_values[0], small), False, None
     return 0, None, True, (distinct[0], distinct[1])
 

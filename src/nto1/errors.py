@@ -77,6 +77,10 @@ class PowerSumNotRational(NTo1Error):
     """A Walsh power sum S_j came out outside the rational integers."""
 
 
+class ExceptionCountMismatch(NTo1Error):
+    """A lone exceptional fiber size differs from #A mod n."""
+
+
 class HypothesisViolated(NTo1Error):
     """A construction hypothesis failed; carries the hypothesis name and a witness."""
 

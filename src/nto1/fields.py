@@ -272,6 +272,8 @@ class Field:
         return tuple(out)
 
     def check(self, a: int) -> int:
+        if type(a) is int and 0 <= a < self.order:
+            return a
         if not isinstance(a, (int, np.integer)) or not 0 <= a < self.order:
             raise FieldMismatch(f"{a!r} is not an element of GF({self.p}^{self.m})")
         return int(a)

@@ -3,7 +3,12 @@
 Sparse exponent-coefficient pairs are the canonical form, because the
 construction families use exponents far above the field size (reduction
 mod x^q - x is explicit, never silent).  A dense view exists for Horner
-evaluation and for the shift/compose algebra on low-degree polynomials.
+evaluation, for shift (Horner on a plain coefficient list, one Poly built
+at the end) and for compose on low-degree polynomials.  eval_all works in
+the log domain: one table gather per term, no per-term powering.
+
+row_reduce eliminates a whole column per pivot with the vector kernels,
+so it needs the log tables (order <= 2^20).
 """
 
 from __future__ import annotations
@@ -112,15 +117,39 @@ class Poly:
         return acc
 
     def eval_all(self) -> np.ndarray:
-        """Value table over the whole field, vectorized."""
+        """Value table over the whole field, one log-domain gather per term.
+
+        For e >= 1 the term c*x^e is exp[(log c + log x * (e mod n)) mod n]
+        at x != 0 (n = q - 1) and 0 at x = 0; a constant term adds c
+        everywhere.  The index stays below n + n^2 <= 2^40 at the 2^20
+        log-table gate.  Terms are summed by XOR for p = 2; for odd p their
+        digit vectors are summed and reduced mod p once at the end."""
         ctx = self.ctx
-        xs = ctx.elements_array()
-        out = np.zeros(ctx.order, dtype=np.int64)
-        for e, c in self.terms:
-            if e == 0:
-                out = ctx.add_vec(out, np.full(ctx.order, c, dtype=np.int64))
-            else:
-                out = ctx.add_vec(out, ctx.scalar_mul_vec(c, ctx.pow_vec(xs, e)))
+        q, p = ctx.order, ctx.p
+        const = self.terms[0][1] if self.terms and self.terms[0][0] == 0 else 0
+        powers = self.terms[1:] if const else self.terms
+        out = np.full(q, const, dtype=np.int64)
+        if not powers:
+            return out
+        ctx._ensure_tables()
+        n = q - 1
+        exp, log = ctx._exp, ctx._log
+        log_x = log[1:]
+
+        def values_at_units(e, c):
+            return exp[(log_x * (e % n) + int(log[c])) % n]
+
+        if p == 2:
+            for e, c in powers:
+                out[1:] ^= values_at_units(e, c)
+        elif len(powers) == 1 and not const:
+            out[1:] = values_at_units(*powers[0])
+        else:
+            dig = ctx._digit_matrix()
+            acc = np.tile(dig[const], (n, 1))
+            for e, c in powers:
+                acc += dig[values_at_units(e, c)]
+            out[1:] = (acc % p) @ np.asarray(ctx._pow_p, dtype=np.int64)
         return out
 
     # -- algebra ------------------------------------------------------------------
@@ -147,15 +176,23 @@ class Poly:
         return Poly(self.ctx, [(e, self.ctx.mul(c, tc)) for e, tc in self.terms])
 
     def shift(self, b: int) -> "Poly":
-        """f(x + b), by polynomial Horner; degree must be modest."""
+        """f(x + b), by Horner on the coefficient list; degree must be modest."""
         if self.degree > 4096:
             raise DegreeTooHigh("shift on a very high-degree polynomial")
         ctx = self.ctx
-        xb = Poly(ctx, [(1, 1), (0, b)])
-        acc = Poly.zero(ctx)
-        for c in reversed(self.dense()):
-            acc = acc * xb + Poly.constant(ctx, c)
-        return acc
+        b = ctx.check(b)
+        coeffs = self.dense()
+        if b == 0 or not coeffs:
+            return Poly(ctx, self.terms)
+        # acc <- acc * (x + b) + c on a low-to-high list; coefficient j of
+        # acc * (x + b) is acc[j-1] + b * acc[j], so update from the top
+        acc = [coeffs[-1]]
+        for c in reversed(coeffs[:-1]):
+            acc.append(acc[-1])
+            for j in range(len(acc) - 2, 0, -1):
+                acc[j] = ctx.add(acc[j - 1], ctx.mul(b, acc[j]))
+            acc[0] = ctx.add(ctx.mul(b, acc[0]), c)
+        return Poly.from_dense(ctx, acc)
 
     def compose(self, inner: "Poly") -> "Poly":
         """Symbolic self(inner(x)); both degrees gated at 64."""
@@ -210,7 +247,7 @@ def normalize(f: Poly):
     else:
         b = 0
     c = ctx.neg(ctx.mul(a, f(b)))
-    g = f.shift(b).scale(a) + Poly.constant(ctx, c)
+    g = apply_affine(f, a, b, c)
     assert g.coeff(d) == 1 and g.coeff(0) == 0
     if math.gcd(ctx.p, d) == 1:
         assert g.coeff(d - 1) == 0
@@ -218,8 +255,9 @@ def normalize(f: Poly):
 
 
 def apply_affine(f: Poly, a: int, b: int, c: int) -> Poly:
-    """a*f(x+b) + c."""
-    return f.shift(b).scale(a) + Poly.constant(f.ctx, c)
+    """a*f(x+b) + c, built as one Poly from the shifted terms."""
+    ctx = f.ctx
+    return Poly(ctx, [(e, ctx.mul(a, tc)) for e, tc in f.shift(b).terms] + [(0, c)])
 
 
 def _is_p_power(e: int, p: int) -> bool:
@@ -312,7 +350,8 @@ class LinearizedPoly:
         r = 0
         for col in range(mm):
             piv = next((i for i in range(r, mm) if rows[i][col]), None)
-            assert piv is not None
+            if piv is None:
+                raise SingularSystem("subfield coordinate basis is singular")
             rows[r], rows[piv] = rows[piv], rows[r]
             invp = pow(rows[r][col], -1, p)
             rows[r] = [(v * invp) % p for v in rows[r]]
@@ -350,24 +389,42 @@ class LinearizedPoly:
 # ----------------------------------------------------------------------
 
 def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
-    """In-place RREF over ctx; returns the rank."""
+    """In-place RREF over ctx; returns the rank.
+
+    Every entry is checked once on entry (FieldMismatch).  Each pivot
+    clears its whole column with one vector product, and the reduced rows
+    are written back into rows as lists of ints."""
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
+    if nrows == 0 or ncols == 0:
+        return 0
+    M = np.asarray(rows)
+    if M.dtype.kind not in "biu" or M.shape != (nrows, ncols):
+        for row in rows:
+            for v in row:
+                ctx.check(v)
+        M = np.asarray(rows)
+    bad = np.argwhere((M < 0) | (M >= ctx.order))
+    if bad.size:
+        i, j = bad[0]
+        ctx.check(rows[i][j])
+    M = M.astype(np.int64)
     r = 0
     for col in range(ncols):
         if r == nrows:
             break
-        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
-        if piv is None:
+        nz = np.flatnonzero(M[r:, col])
+        if nz.size == 0:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = ctx.inv(rows[r][col])
-        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
-        for i in range(nrows):
-            if i != r and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        piv = r + int(nz[0])
+        if piv != r:
+            M[[r, piv]] = M[[piv, r]]
+        M[r] = ctx.scalar_mul_vec(ctx.inv(int(M[r, col])), M[r])
+        f = M[:, col].copy()
+        f[r] = 0
+        M = ctx.sub_vec(M, ctx.mul_vec(f[:, None], M[r][None, :]))
         r += 1
+    rows[:] = M.tolist()
     return r
 
 

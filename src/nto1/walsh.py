@@ -310,12 +310,22 @@ def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
     PowerSumNotRational if some S_j is not a rational integer, which would
     mean the table is not a Walsh table."""
     ctx, values = _value_table(f, ctx)
+    _gadget_degree(ctx, gadget)
+    return _char_sum_of_table(ctx, walsh_zero_table(values, ctx), gadget)
+
+
+def _gadget_degree(ctx: Field, gadget: PhiGadget) -> int:
     J = len(gadget.coeffs) - 1
     if J > _CHAR_SUM_J_CAP:
         raise DegreeTooHigh(f"char_sum supports degree <= {_CHAR_SUM_J_CAP}, got {J}")
     if gadget.p != ctx.p or gadget.m != ctx.m:
         raise ZeroInput("gadget was built for a different field")
-    T = walsh_zero_table(values, ctx)
+    return J
+
+
+def _char_sum_of_table(ctx: Field, T: np.ndarray, gadget: PhiGadget) -> Fraction:
+    """char_sum from an already built Walsh zero table T of the map."""
+    J = _gadget_degree(ctx, gadget)
     p, m = ctx.p, ctx.m
     total = Fraction(gadget.coeffs[0])
     for j, s in enumerate(_power_sums(ctx, T, J), start=1):

@@ -11,7 +11,8 @@ from nto1 import (
     Field, LinearizedPoly, Poly, classify, histogram, is_n_to_1,
     linearized_oracle, merge_histograms, monomial_oracle, report_matches,
 )
-from nto1.errors import ZeroInput
+from nto1.counting import _decide
+from nto1.errors import ExceptionCountMismatch, NTo1Error, ZeroInput
 
 F7 = Field(7, 1)
 F8 = Field(2, 3)
@@ -43,6 +44,15 @@ def test_exception_size_is_forced():
     # two fiber sizes whose small one is not #A mod n: not n-to-1 for any n
     rep = classify(table([2, 2, 3]))
     assert rep.irregular
+
+
+def test_exception_count_mismatch_is_a_typed_error():
+    # one fiber of size 1 beside fibers of size 3 needs #A mod 3 = 1, not 8 mod 3
+    assert issubclass(ExceptionCountMismatch, NTo1Error)
+    assert not issubclass(ExceptionCountMismatch, AssertionError)
+    with pytest.raises(ExceptionCountMismatch):
+        _decide({0: 1, 1: 3, 2: 3}, 8)
+    assert _decide({0: 1, 1: 3, 2: 3}, 7) == (3, (0, 1), False, None)
 
 
 def test_small_count_must_be_unique():

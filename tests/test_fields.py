@@ -31,6 +31,15 @@ def test_default_modulus_is_deterministic():
         assert Field(p, m).modulus == tuple(next(c for c in candidates if fields._is_irreducible(c, p)))
 
 
+def test_check_accepts_and_rejects_the_same_inputs():
+    for a, want in ((3, 3), (np.int64(3), 3), (True, 1), (np.uint8(0), 0), (F9.order - 1, 8)):
+        got = F9.check(a)
+        assert type(got) is int and got == want
+    for bad in (-1, F9.order, np.int64(F9.order), 1.0, "1", None):
+        with pytest.raises(FieldMismatch):
+            F9.check(bad)
+
+
 def test_reducible_modulus_rejected():
     with pytest.raises(ReducibleModulus):
         Field(3, 2, modulus=[1, 2, 1])  # (x+1)^2

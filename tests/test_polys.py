@@ -1,12 +1,15 @@
 """Polynomial algebra, evaluation routes, normalization, linear solving."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nto1 import Field, LinearizedPoly, Poly, apply_affine, is_additive, normalize, vandermonde_solve
-from nto1.errors import SingularSystem
-from nto1.polys import matrix_rank
+from nto1 import Field, LinearizedPoly, Poly, apply_affine, fields, is_additive, normalize, vandermonde_solve
+from nto1.errors import FieldMismatch, SingularSystem
+from nto1.polys import matrix_rank, row_reduce
 
 F7 = Field(7, 1)
 F25 = Field(5, 2)
@@ -134,3 +137,153 @@ class TestLinearizedPoly:
         rows = [list(F16.coeffs(L(F16.element([int(i == j) for j in range(4)]))))
                 for i in range(4)]
         assert L.rank() == matrix_rank(F16, rows)
+
+
+# ----------------------------------------------------------------------
+# The array- and list-native routines against the scalar code they
+# replaced, kept here as oracles.
+# ----------------------------------------------------------------------
+
+ORACLE_FIELDS = [Field(2, 1), Field(2, 4), Field(3, 1), F27, F25, F7, Field(13, 1)]
+
+
+def _eval_all_oracle(f):
+    """Per-term powering, scaling and adding with the vector kernels."""
+    ctx = f.ctx
+    xs = ctx.elements_array()
+    out = np.zeros(ctx.order, dtype=np.int64)
+    for e, c in f.terms:
+        if e == 0:
+            out = ctx.add_vec(out, np.full(ctx.order, c, dtype=np.int64))
+        else:
+            out = ctx.add_vec(out, ctx.scalar_mul_vec(c, ctx.pow_vec(xs, e)))
+    return out
+
+
+def _shift_oracle(f, b):
+    """f(x + b) by Horner on Poly objects."""
+    ctx = f.ctx
+    xb = Poly(ctx, [(1, 1), (0, b)])
+    acc = Poly.zero(ctx)
+    for c in reversed(f.dense()):
+        acc = acc * xb + Poly.constant(ctx, c)
+    return acc
+
+
+def _row_reduce_oracle(ctx, rows):
+    """In-place RREF, one scalar field operation at a time."""
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    r = 0
+    for col in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = ctx.inv(rows[r][col])
+        rows[r] = [ctx.mul(inv, v) for v in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [ctx.sub(a, ctx.mul(f, b)) for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _oracle_polys(ctx, rng):
+    """Random sparse polynomials with exponents past q and multiples of
+    q - 1, plus a constant-only and the zero polynomial."""
+    q, n = ctx.order, ctx.order - 1
+    out = [Poly.zero(ctx), Poly.constant(ctx, rng.randrange(1, q)),
+           Poly(ctx, [(n, 1)]), Poly(ctx, [(3 * n, rng.randrange(1, q)), (0, rng.randrange(q))])]
+    for _ in range(12):
+        terms = [(rng.randrange(3 * q + 2), rng.randrange(q)) for _ in range(rng.randrange(1, 6))]
+        terms.append((n * rng.randrange(1, 4), rng.randrange(q)))
+        out.append(Poly(ctx, terms))
+    return out
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
+def test_eval_all_matches_pointwise_and_oracle(ctx):
+    rng = random.Random(ctx.order)
+    for f in _oracle_polys(ctx, rng):
+        table = f.eval_all()
+        assert table.dtype == np.int64 and table.shape == (ctx.order,)
+        assert table.tolist() == [f(x) for x in ctx.elements()], f
+        assert table.tolist() == [f.eval_horner(x) for x in ctx.elements()], f
+        assert np.array_equal(table, _eval_all_oracle(f)), f
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
+def test_shift_and_apply_affine_match_oracle(ctx):
+    rng = random.Random(7 * ctx.order)
+    q = ctx.order
+    polys = [Poly.zero(ctx), Poly.constant(ctx, rng.randrange(1, q))]
+    polys += [Poly.from_dense(ctx, [rng.randrange(q) for _ in range(rng.randrange(2, 9))])
+              for _ in range(10)]
+    for f in polys:
+        for b in {0, 1, rng.randrange(q), q - 1}:
+            g = f.shift(b)
+            assert g == _shift_oracle(f, b)
+            assert [g(x) for x in ctx.elements()] == [f(ctx.add(x, b)) for x in ctx.elements()]
+            a, c = rng.randrange(1, q), rng.randrange(q)
+            h = apply_affine(f, a, b, c)
+            assert h == _shift_oracle(f, b).scale(a) + Poly.constant(ctx, c)
+            assert h.eval_all().tolist() == [ctx.add(ctx.mul(a, f(ctx.add(x, b))), c)
+                                             for x in ctx.elements()]
+    with pytest.raises(FieldMismatch):
+        polys[-1].shift(q)
+
+
+def _oracle_matrices(ctx, rng):
+    q = ctx.order
+
+    def rand(r, c):
+        return [[rng.randrange(q) for _ in range(c)] for _ in range(r)]
+
+    mats = [rand(4, 4), rand(3, 6), rand(6, 3), rand(1, 5), rand(5, 1)]
+    sing = rand(3, 5)
+    k = rng.randrange(1, q)
+    sing.append([ctx.add(a, ctx.mul(k, b)) for a, b in zip(sing[0], sing[2])])
+    mats.append(sing)
+    zcol = rand(4, 5)
+    for row in zcol:
+        row[0] = 0
+        row[3] = 0
+    mats.append(zcol)
+    mats.append([[0] * 4 for _ in range(3)])
+    mats.append([[rng.randrange(1, q)] + [0] * 3, [0, 0, 0, 0], [rng.randrange(1, q)] * 4])
+    return mats
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
+def test_row_reduce_matches_oracle(ctx):
+    rng = random.Random(11 * ctx.order)
+    for mat in _oracle_matrices(ctx, rng) + _oracle_matrices(ctx, rng):
+        want = [list(row) for row in mat]
+        want_rank = _row_reduce_oracle(ctx, want)
+        rows = [list(row) for row in mat]
+        rank = row_reduce(ctx, rows)
+        assert rank == want_rank == matrix_rank(ctx, mat)
+        assert rows == want, mat
+        assert all(type(v) is int for row in rows for v in row)
+
+
+def test_row_reduce_rejects_out_of_range_entries():
+    # the bad entry sits in a row the elimination would never read
+    for bad in (F7.order, -1, 7.0, "1"):
+        rows = [[1, 0], [0, 1], [0, bad]]
+        with pytest.raises(FieldMismatch):
+            row_reduce(F7, rows)
+    assert row_reduce(F7, []) == 0
+    assert row_reduce(F7, [[], []]) == 0
+
+
+def test_coords_singular_basis_is_a_typed_error(monkeypatch):
+    # an embedding that sends everything to 0 leaves the coordinate basis singular
+    monkeypatch.setattr(fields.SubfieldEmbed, "embed", lambda self, a: 0)
+    L = LinearizedPoly(Field(2, 4), 4, [1, 1])
+    with pytest.raises(SingularSystem):
+        L.rank()

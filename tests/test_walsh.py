@@ -170,3 +170,13 @@ def test_non_rational_power_sum_is_a_typed_error(monkeypatch):
     assert not issubclass(PowerSumNotRational, AssertionError)
     with pytest.raises(PowerSumNotRational):
         char_sum(Poly.x(F9), phi_two(3, 2), F9)
+
+
+def test_char_sum_of_a_built_table_equals_char_sum():
+    rng = random.Random(5)
+    for F, gadget in ((F9, phi_two(3, 2)), (F9, phi_prime_power(3, 2, 1)), (F25, phi_two(5, 2))):
+        f = Poly(F, [(rng.randrange(1, 3 * F.order), rng.randrange(F.order)) for _ in range(3)])
+        T = walsh_zero_table(f)
+        assert walsh_mod._char_sum_of_table(F, T, gadget) == char_sum(f, gadget)
+    with pytest.raises(ZeroInput):
+        walsh_mod._char_sum_of_table(F9, walsh_zero_table(Poly.x(F9)), phi_two(5, 2))
