@@ -15,6 +15,7 @@ import json
 import math
 import os
 import random
+import re
 import sys
 
 from .counting import classify, is_n_to_1, report_matches
@@ -89,7 +90,8 @@ def _parse_elem(ctx, text, what):
 
 def _parse_poly(ctx, text):
     """Sums of integer-coded monomial terms: '2*x^3 + x + 5', minus allowed."""
-    src = text.replace("-", "+-").replace(" ", "")
+    # a '-' right after '^' stays in its term, so x^-1 is reported whole
+    src = re.sub(r"(?<!\^)-", "+-", text.replace(" ", ""))
     terms = []
     for tok in src.split("+"):
         if not tok:
@@ -97,6 +99,8 @@ def _parse_poly(ctx, text):
         neg = tok.startswith("-")
         if neg:
             tok = tok[1:]
+            if not tok:
+                raise UsageError(f"--poly: dangling '-' in {text!r}")
         coeff, exp = 1, 0
         if "x" in tok:
             head, _, tail = tok.partition("x")
@@ -107,6 +111,8 @@ def _parse_poly(ctx, text):
                 if not tail.startswith("^"):
                     raise UsageError(f"--poly: bad term {tok!r}")
                 exp = _parse_int(tail[1:], "--poly exponent")
+                if exp < 0:
+                    raise UsageError(f"--poly: negative exponent in {tok!r}")
             else:
                 exp = 1
         else:
@@ -420,19 +426,8 @@ def cmd_sweep(args):
         if math.gcd(args.r, (ctx.order - 1) // ell) != 1:
             raise UsageError(f"the criterion needs r coprime to (q-1)/{ell}; "
                              f"r={args.r} is not")
-        if ell == 2:
-            pool = list(ctx.elements())
-        else:
-            # the verdict only sees values through their power class
-            pool = [0] + [ctx.pow(ctx.beta, i) for i in range(ell)]
         rows, bad = [], None
-        stack = [()]
-        for _ in range(ell):
-            stack = [t + (v,) for t in stack for v in pool]
-        for values in stack:
-            pred = branch_case_predicate(ctx, args.r, list(values))
-            inst = build_branch_interpolation(ctx, args.r, list(values), strict=False)
-            got = inst.holds()
+        for values, pred, got in verify.branch_sweep(ctx, args.r, ell):
             rows.append(values + (int(pred), int(got), int(pred == got)))
             if pred != got and bad is None:
                 bad = f"values={values}: predicate {pred}, brute {got}"
@@ -459,14 +454,13 @@ def cmd_verify_theorem(args):
         return 1 if failures else 0
     if not args.id:
         raise UsageError("verify-theorem needs a theorem id or --all")
+    q = _build_field(args).order if args.field else None
     try:
         r = verify.run(args.id, seed=args.seed)
     except KeyError as e:
         raise UsageError(str(e.args[0]))
     rows = r.rows
-    if args.field:
-        kv = _parse_kv(args.field, "--field")
-        q = _parse_int(kv.get("p", "0"), "p") ** _parse_int(kv.get("m", "0"), "m")
+    if q is not None:
         first = r.schema.split(",")[0]
         if first in ("q", "order"):
             rows = [row for row in rows if row[0] == q]

@@ -591,16 +591,16 @@ class SubfieldEmbed:
         self.sub_degree = sub.m
         self.rel_degree = big.m // sub.m
         self.q_sub = sub.order
-        self._rho, self._rho_pows, self._E, self._rank = _memo(
+        self._rho, self._rho_pows, self._E = _memo(
             ("embed", big.p, big.m, big.modulus, sub.m, sub.modulus), self._embedding)
         self._tr_table = None
 
     def _embedding(self):
         rho = self._find_root()
         rho_pows = tuple(self.big.pow(rho, i) for i in range(self.sub.m))
-        E, rank = self._section_transform(rho_pows)
+        E = self._section_transform(rho_pows)
         E.flags.writeable = False
-        return rho, rho_pows, E, rank
+        return rho, rho_pows, E
 
     def _find_root(self) -> int:
         coeffs = list(self.sub.modulus)
@@ -614,6 +614,8 @@ class SubfieldEmbed:
 
     def _section_transform(self, rho_pows):
         # Row-reduce [M | I] over GF(p), M the m x k matrix of rho powers.
+        # Plain Python rather than polys.row_reduce, which needs log tables:
+        # this one also works for p above the 2^20 log-table gate.
         p = self.big.p
         m, k = self.big.m, self.sub.m
         rows = [[0] * (k + m) for _ in range(m)]
@@ -635,8 +637,7 @@ class SubfieldEmbed:
                     f = rows[i][col]
                     rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
             r += 1
-        E = np.array([row[k:] for row in rows], dtype=np.int64)
-        return E, r
+        return np.array([row[k:] for row in rows], dtype=np.int64)
 
     def embed(self, a: int) -> int:
         self.sub.check(a)

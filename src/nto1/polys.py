@@ -8,7 +8,9 @@ at the end) and for compose on low-degree polynomials.  eval_all works in
 the log domain: one table gather per term, no per-term powering.
 
 row_reduce eliminates a whole column per pivot with the vector kernels,
-so it needs the log tables (order <= 2^20).
+so it needs the log tables (order <= 2^20).  It is the one elimination
+here: LinearizedPoly.rank reduces a single m x m digit matrix over GF(p)
+with it, with no change of basis to GF(q_sub).
 """
 
 from __future__ import annotations
@@ -91,10 +93,6 @@ class Poly:
     def term_pairs(self) -> list[list]:
         """Serialization form: [[exponent, coefficient array], ...]."""
         return [[e, list(self.ctx.coeffs(c))] for e, c in self.terms]
-
-    @classmethod
-    def from_term_pairs(cls, ctx: Field, pairs) -> "Poly":
-        return cls(ctx, [(e, ctx.element(c) if isinstance(c, (list, tuple)) else c) for e, c in pairs])
 
     # -- evaluation ------------------------------------------------------------
 
@@ -309,8 +307,6 @@ class LinearizedPoly:
             raise DegreeMismatch("too many linearized coefficients")
         l_coeffs += [0] * (self.rel_degree - len(l_coeffs))
         self.l_coeffs = tuple(l_coeffs)
-        self._sub_ctx = None
-        self._coord_solver = None
         self._rank = None
 
     def as_poly(self) -> Poly:
@@ -326,61 +322,18 @@ class LinearizedPoly:
         vals = self.eval_all()
         return [int(x) for x in np.nonzero(vals == 0)[0]]
 
-    def _coords(self):
-        """Coordinate extractor over GF(q_sub) w.r.t. the basis x̄^j (x̄ the
-        modulus root), solved once as a GF(p)-linear change of basis."""
-        if self._coord_solver is not None:
-            return self._coord_solver
-        from .fields import SubfieldEmbed  # local to avoid cycle noise
-
-        ctx = self.ctx
-        k, rel = self.sub_degree, self.rel_degree
-        sub = Field(ctx.p, k)
-        emb = SubfieldEmbed(ctx, sub)
-        xbar = ctx.element([0, 1]) if ctx.m > 1 else 1
-        cols = []
-        for j in range(rel):
-            xj = ctx.pow(xbar, j) if ctx.m > 1 else 1
-            for t in range(k):
-                rho_t = emb.embed(sub.element([0] * t + [1])) if t else 1
-                cols.append(ctx.coeffs(ctx.mul(rho_t, xj)))
-        p = ctx.p
-        mm = ctx.m
-        rows = [[cols[j][i] for j in range(mm)] + [1 if i == r else 0 for r in range(mm)] for i, _ in enumerate(range(mm))]
-        r = 0
-        for col in range(mm):
-            piv = next((i for i in range(r, mm) if rows[i][col]), None)
-            if piv is None:
-                raise SingularSystem("subfield coordinate basis is singular")
-            rows[r], rows[piv] = rows[piv], rows[r]
-            invp = pow(rows[r][col], -1, p)
-            rows[r] = [(v * invp) % p for v in rows[r]]
-            for i in range(mm):
-                if i != r and rows[i][col]:
-                    fmul = rows[i][col]
-                    rows[i] = [(a - fmul * b) % p for a, b in zip(rows[i], rows[r])]
-            r += 1
-        E = np.array([row[mm:] for row in rows], dtype=np.int64)
-
-        def coords(y: int) -> list[int]:
-            v = (E @ np.array(ctx.coeffs(y), dtype=np.int64)) % p
-            return [sub.element(v[j * k:(j + 1) * k].tolist()) for j in range(rel)]
-
-        self._sub_ctx = sub
-        self._coord_solver = (sub, coords)
-        return self._coord_solver
-
     def rank(self) -> int:
-        """Rank as a GF(q_sub)-linear map, by row reduction over GF(q_sub);
-        computed once per instance."""
+        """Rank as a GF(q_sub)-linear map; computed once per instance.
+
+        The integer p^i encodes xbar^i, so the digit vectors of L(p^i) for
+        i < m span the image over GF(p); one row_reduce over GF(p) gives its
+        GF(p)-dimension.  The image is a GF(q_sub)-subspace, so that
+        dimension is exactly sub_degree times the rank."""
         if self._rank is None:
             ctx = self.ctx
-            sub, coords = self._coords()
-            xbar = ctx.element([0, 1]) if ctx.m > 1 else 1
-            basis = [ctx.pow(xbar, j) if ctx.m > 1 else 1 for j in range(self.rel_degree)]
             fmap = self.as_poly()
-            mat = [coords(fmap(bj)) for bj in basis]
-            self._rank = matrix_rank(sub, mat)
+            rows = [ctx.coeffs(fmap(ctx.p ** i)) for i in range(ctx.m)]
+            self._rank = matrix_rank(Field(ctx.p, 1), rows) // self.sub_degree
         return self._rank
 
 

@@ -11,6 +11,7 @@ order.  A runner whose pinned expectation cannot be met reports ok=False
 with the witness saying what was found instead; it never relaxes the pin.
 """
 
+import itertools
 import math
 import random
 
@@ -226,54 +227,43 @@ def run_agwcore2(seed=SEED):
                      "i,n,A,S,f_n_to_1,g_n_to_1,condition3,forward,backward")
 
 
-def run_miu2(seed=SEED):
-    """Two-branch criterion, exhaustive (a, b, r) over GF(7) and GF(11)."""
-    rows, witness = [], None
-    for q in (7, 11):
-        ctx = Field(q, 1)
-        s = (q - 1) // 2
-        for r in range(1, q):
-            if math.gcd(r, s) != 1:
-                continue
-            for a in ctx.elements():
-                for b in ctx.elements():
-                    pred = branch_case_predicate(ctx, r, [a, b])
-                    inst = build_branch_interpolation(ctx, r, [a, b],
-                                                      strict=False)
-                    got = inst.holds()
-                    if pred != got and witness is None:
-                        witness = f"q={q} r={r} a={a} b={b}: predicate {pred}, brute {got}"
-                    rows.append((q, r, a, b, int(pred), int(got)))
-    return RunResult(witness is None, witness, rows, "q,r,a,b,predicate,brute")
+def branch_sweep(ctx, r, ell):
+    """Yield (values, predicate, brute) for the ell-branch criterion at r
+    over ctx, values running over ell-tuples from a pool in
+    itertools.product order.  The pool is every element for ell = 2 and
+    one power-class representative per class otherwise: the verdict only
+    sees values through their power class."""
+    if ell == 2:
+        pool = list(ctx.elements())
+    else:
+        pool = [0] + [ctx.pow(ctx.beta, i) for i in range(ell)]
+    for values in itertools.product(pool, repeat=ell):
+        pred = branch_case_predicate(ctx, r, list(values))
+        got = build_branch_interpolation(ctx, r, list(values), strict=False).holds()
+        yield values, pred, got
 
 
 def _branch_class_sweep(ctx, ell):
-    """Exhaustive class-representative sweep for the ell-branch criterion
-    over ctx; the verdict only sees values through their power class, so one
-    representative per class decides every instance."""
+    """branch_sweep over ctx for every r coprime to (q-1)/ell, as rows
+    (q, r, *values, predicate, brute) and the first witness."""
     s = (ctx.order - 1) // ell
-    reps = [0] + [ctx.pow(ctx.beta, i) for i in range(ell)]
     rows, witness = [], None
     for r in range(1, ctx.order):
         if math.gcd(r, s) != 1:
             continue
-        for values in _product(reps, ell):
-            pred = branch_case_predicate(ctx, r, values)
-            inst = build_branch_interpolation(ctx, r, values, strict=False)
-            got = inst.holds()
+        for values, pred, got in branch_sweep(ctx, r, ell):
             if pred != got and witness is None:
                 witness = f"q={ctx.order} r={r} values={values}: predicate {pred}, brute {got}"
-            rows.append((ctx.order, r) + tuple(values) + (int(pred), int(got)))
+            rows.append((ctx.order, r) + values + (int(pred), int(got)))
     return rows, witness
 
 
-def _product(pool, k):
-    if k == 0:
-        yield ()
-        return
-    for rest in _product(pool, k - 1):
-        for v in pool:
-            yield rest + (v,)
+def run_miu2(seed=SEED):
+    """Two-branch criterion, exhaustive (a, b, r) over GF(7) and GF(11)."""
+    rows7, witness7 = _branch_class_sweep(Field(7, 1), 2)
+    rows11, witness11 = _branch_class_sweep(Field(11, 1), 2)
+    witness = witness7 or witness11
+    return RunResult(witness is None, witness, rows7 + rows11, "q,r,a,b,predicate,brute")
 
 
 def run_miu3(seed=SEED):

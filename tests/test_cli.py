@@ -74,6 +74,15 @@ def test_usage_errors_exit_2():
     assert run_cli("verify-theorem", "nosuch").returncode == 2
     # r=3 shares a factor with (q-1)/2 = 3: outside the theorem, not a sweep row
     assert run_cli("sweep", "miu2", "--field", "p=7,m=1", "--r", "3").returncode == 2
+    # a malformed --field filter is refused with the field's own message
+    for field, msg in (("p=3", "--field needs p=<prime>,m=<degree>"),
+                       ("p=4,m=1", "p=4 is not a prime")):
+        r = run_cli("verify-theorem", "de3p3", "--field", field)
+        assert r.returncode == 2 and msg in r.stderr, r.stderr
+    for poly, msg in (("x^-1", "negative exponent in 'x^-1'"),
+                      ("x^3-", "dangling '-' in 'x^3-'")):
+        r = run_cli("classify", "--field", "p=7,m=1", "--poly", poly)
+        assert r.returncode == 2 and msg in r.stderr, r.stderr
 
 
 def test_domain_gate_exit_3_and_nightly_override():
