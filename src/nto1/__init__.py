@@ -7,7 +7,7 @@ returns the built map next to the reduced partner it was derived from.
 """
 
 from .counting import (
-    NTo1Report, classify, histogram, is_n_to_1, linearized_oracle,
+    NTo1Report, classify, classify_rows, histogram, is_n_to_1, linearized_oracle,
     merge_histograms, monomial_oracle, report_matches,
 )
 from .diagrams import (
@@ -34,8 +34,8 @@ from .lowdeg import (
     quartic_3to1_search,
 )
 from .polys import (
-    LinearizedPoly, Poly, apply_affine, is_additive, normalize,
-    vandermonde_solve,
+    LinearizedPoly, Poly, apply_affine, eval_rows, is_additive, normalize,
+    roots_of_unity_interpolate, vandermonde_solve,
 )
 from .verify import RUNNERS, RunResult, run
 from .walsh import (

@@ -442,6 +442,9 @@ def cmd_sweep(args):
 
 def cmd_verify_theorem(args):
     if args.all:
+        if args.field:
+            raise UsageError("--all conflicts with --field: --all runs every sweep "
+                             "unfiltered; use --field with one theorem id")
         rows, failures = [], []
         for tid in verify.RUNNERS:
             r = verify.run(tid, seed=args.seed)

@@ -16,11 +16,14 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainTooLarge, ExceptionCountMismatch, HistogramLostMass, ZeroInput
+from .errors import (
+    DomainTooLarge, ExceptionCountMismatch, FieldMismatch, HistogramLostMass, ZeroInput,
+)
 from .fields import Field
 from .polys import LinearizedPoly, Poly
 
 _DOMAIN_CAP = 2 ** 22
+_BLOCK_ELEMS = 1 << 14  # value-matrix entries per batch; bounds batched callers' peak memory
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,56 @@ def _decide(hist: dict, domain_size: int):
                     f"exception count {small} is not #A mod n = {domain_size} mod {big}")
             return big, (small_values[0], small), False, None
     return 0, None, True, (distinct[0], distinct[1])
+
+
+def row_blocks(count: int, width: int) -> list:
+    """Consecutive (lo, hi) ranges covering range(count), each of at most
+    _BLOCK_ELEMS // width rows (at least one), so a batch of rows of this
+    width stays near 2^14 entries."""
+    step = max(1, _BLOCK_ELEMS // width)
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+
+
+def row_counts(V: np.ndarray, q: int) -> np.ndarray:
+    """(rows, q) fiber-count matrix of a (rows, size) value matrix with
+    entries in [0, q), from one bincount of V + row * q."""
+    rows = len(V)
+    if V.size and (V.min() < 0 or V.max() >= q):
+        raise FieldMismatch(f"value matrix entries must lie in [0, {q})")
+    offset = q * np.arange(rows, dtype=np.int64)[:, None]
+    return np.bincount((V + offset).ravel(), minlength=rows * q).reshape(rows, q)
+
+
+def classify_rows(V: np.ndarray, q: int) -> list:
+    """_decide for every row of a (rows, size) value matrix with entries in
+    [0, q), from one row_counts.
+
+    Per row: the largest fiber, the smallest nonzero one, how many fibers
+    have each, and whether a third size exists.  Returns one
+    (n, exception, irregular) per row with exception = (value, t) or
+    None, n = 0 when irregular, as classify reports them; raises
+    ExceptionCountMismatch exactly where _decide does."""
+    size = V.shape[1]
+    if size == 0:
+        raise ZeroInput("empty domain")
+    counts = row_counts(V, q)
+    big = counts.max(axis=1)
+    hit = counts > 0
+    small = np.where(hit, counts, size + 1).min(axis=1)
+    is_small = counts == small[:, None]
+    n_small = is_small.sum(axis=1)
+    n_big = (counts == big[:, None]).sum(axis=1)
+    two_sizes = (small < big) & (n_small + n_big == hit.sum(axis=1))
+    exceptional = two_sizes & (n_small == 1)
+    bad = np.flatnonzero(exceptional & (size % big != small))
+    if bad.size:
+        i = bad[0]
+        raise ExceptionCountMismatch(
+            f"exception count {small[i]} is not #A mod n = {size} mod {big[i]}")
+    n = np.where((small == big) | exceptional, big, 0)
+    value = np.where(exceptional, is_small.argmax(axis=1), -1)
+    return [(ni, (vi, ti) if vi >= 0 else None, ni == 0)
+            for ni, vi, ti in zip(n.tolist(), value.tolist(), small.tolist())]
 
 
 def classify(f, domain=None) -> NTo1Report:

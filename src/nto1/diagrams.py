@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .counting import classify, is_n_to_1, NTo1Report
-from .errors import HypothesesNotVerified, SetTooLarge
+from .errors import HypothesesNotVerified, HypothesisViolated, SetTooLarge
 
 _SET_CAP = 1 << 20
 
@@ -196,7 +196,8 @@ def condition3(d: DiagramSpec, g_report: NTo1Report = None) -> Optional[bool]:
         return None
     t = len(d.A) % d.n
     # hypothesis #A = #S (mod n) makes the two t candidates agree
-    assert t == len(d.S) % d.n
+    if t != len(d.S) % d.n:
+        raise HypothesisViolated("#A = #S (mod n)", (len(d.A), len(d.S), d.n))
     counts = {}
     for s in d.S:
         counts[d.g[s]] = counts.get(d.g[s], 0) + 1

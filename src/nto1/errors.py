@@ -77,6 +77,10 @@ class PowerSumNotRational(NTo1Error):
     """A Walsh power sum S_j came out outside the rational integers."""
 
 
+class NormalFormViolated(NTo1Error):
+    """normalize produced a polynomial outside its normal form."""
+
+
 class ExceptionCountMismatch(NTo1Error):
     """A lone exceptional fiber size differs from #A mod n."""
 

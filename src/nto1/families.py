@@ -21,7 +21,7 @@ from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, Violation
 from .errors import HypothesisViolated
 from .fields import SubfieldEmbed
-from .polys import LinearizedPoly, Poly, is_additive, vandermonde_solve
+from .polys import LinearizedPoly, Poly, is_additive, roots_of_unity_interpolate
 
 
 class FamilyInstance:
@@ -439,7 +439,7 @@ def build_branch_interpolation(ctx, r, values, strict=True, include_zero=True):
     omega = ctx.unit_root(ell)
     points = [ctx.pow(omega, i) for i in range(ell)]
     values = [ctx.check(v) for v in values]
-    h = Poly.from_dense(ctx, vandermonde_solve(ctx, points, values))
+    h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, omega, values))
     for pt, v in zip(points, values):
         assert h(pt) == v  # interpolation postcondition
     xs = ctx.elements_array()
@@ -549,7 +549,7 @@ def solve_piecewise(ctx, spec, strict=True):
     points = [ctx.pow(omega, i) for i in range(ell)]
     bvals = [ctx.pow(beta, (ell * spec.levels[i] + spec.targets[i] - i * r) % (q - 1))
              for i in range(ell)]
-    h = Poly.from_dense(ctx, vandermonde_solve(ctx, points, bvals))
+    h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, omega, bvals))
     for pt, bv in zip(points, bvals):
         assert h(pt) == bv  # interpolation postcondition
     inst = build_coset_power(ctx, r, s, h, n, strict=strict)

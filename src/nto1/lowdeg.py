@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import is_n_to_1
+from .counting import row_blocks, row_counts
 from .errors import DomainTooLarge, WrongCharacteristic
 from .fields import Field
 from .polys import Poly
@@ -66,42 +66,58 @@ def _rows_are_3to1(counts: np.ndarray, q: int) -> np.ndarray:
     return (regular | exceptional).all(axis=1) & (exceptional.sum(axis=1) == 1)
 
 
+def _carry_free_sum(ctx: Field, terms: int):
+    """(spread, decode) for adding up to `terms` field elements with plain
+    integer addition.  spread[v] holds the base-p digits of v as digits in
+    base B = terms*(p-1) + 1, so a sum of `terms` spread values never
+    carries; decode[s] reduces each base-B digit of s mod p and returns the
+    field element.  decode has B^m entries (at most 4^8 for three terms
+    and q <= 343)."""
+    p, m = ctx.p, ctx.m
+    radix = terms * (p - 1) + 1
+    pow_p = p ** np.arange(m, dtype=np.int64)
+    place = radix ** np.arange(m, dtype=np.int64)
+    spread = ((ctx.elements_array()[:, None] // pow_p) % p) @ place
+    sums = np.arange(radix ** m, dtype=np.int64)
+    decode = ((sums[:, None] // place) % radix % p) @ pow_p
+    return spread, decode
+
+
 def quartic_3to1_search(ctx: Field, seed: int = 0) -> QuarticSearch:
     """All (a, b, c) with x^4 + a x^3 + b x^2 + c x 3-to-1 over GF(q).
 
     Exhaustive over the q^3 coefficient space for q <= 49; above that a
     seeded random sample of 10^5 triples is classified instead and the
-    result is flagged non-exhaustive.
+    result is flagged non-exhaustive.  Either way the quartics are
+    classified as (rows, q) value blocks of about 2^14 entries, one
+    row-offset bincount per block, and hits come out in (a, b, c) order
+    (sample order when sampled).  Each value is x^4 + a x^3, b x^2 and
+    c x read from (q, q) tables and added carry-free.
     """
     q = ctx.order
     if q > _SEARCH_Q_CAP:
         raise DomainTooLarge(f"quartic search gated at q <= {_SEARCH_Q_CAP}")
-    xs = ctx.elements_array()
-    x2 = ctx.pow_vec(xs, 2)
-    x3 = ctx.pow_vec(xs, 3)
-    x4 = ctx.pow_vec(xs, 4)
-    cs = ctx.elements_array()
-    # value matrix of c*x for every c at once
+    xs = cs = ctx.elements_array()
+    # row k of each table is the value vector of the term with coefficient k
+    head = ctx.add_vec(ctx.pow_vec(xs, 4)[None, :],
+                       ctx.mul_vec(cs[:, None], ctx.pow_vec(xs, 3)[None, :]))
+    bx2 = ctx.mul_vec(cs[:, None], ctx.pow_vec(xs, 2)[None, :])
     cx = ctx.mul_vec(cs[:, None], xs[None, :])
+    spread, decode = _carry_free_sum(ctx, 3)
+    head, bx2, cx = spread[head], spread[bx2], spread[cx]
     hits = []
     if q <= _EXHAUSTIVE_Q_CAP:
         for a in range(q):
-            ax3 = ctx.scalar_mul_vec(a, x3)
-            for b in range(q):
-                base = ctx.add_vec(ctx.add_vec(x4, ax3), ctx.scalar_mul_vec(b, x2))
-                vals = ctx.add_vec(base[None, :], cx)
-                flat = vals + q * cs[:, None]
-                counts = np.bincount(flat.ravel(), minlength=q * q).reshape(q, q)
-                for c in np.nonzero(_rows_are_3to1(counts, q))[0]:
-                    hits.append((a, b, int(c)))
+            for lo, hi in row_blocks(q, q * q):
+                vals = decode[head[a] + bx2[lo:hi, None, :] + cx[None, :, :]].reshape(-1, q)
+                for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
+                    hits.append((a, lo + int(r) // q, int(r) % q))
         return QuarticSearch(hits=tuple(hits), exhaustive=True, tried=q ** 3)
     rng = np.random.default_rng(seed)
     triples = rng.integers(0, q, size=(_SAMPLE_COUNT, 3))
-    for a, b, c in triples:
-        vals = ctx.add_vec(
-            ctx.add_vec(x4, ctx.scalar_mul_vec(int(a), x3)),
-            ctx.add_vec(ctx.scalar_mul_vec(int(b), x2), ctx.scalar_mul_vec(int(c), xs)),
-        )
-        if is_n_to_1(vals, None, 3):
-            hits.append((int(a), int(b), int(c)))
+    for lo, hi in row_blocks(_SAMPLE_COUNT, q):
+        a, b, c = triples[lo:hi].T
+        vals = decode[head[a] + bx2[b] + cx[c]]
+        for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
+            hits.append(tuple(int(v) for v in triples[lo + r]))
     return QuarticSearch(hits=tuple(hits), exhaustive=False, tried=_SAMPLE_COUNT)

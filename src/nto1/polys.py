@@ -4,8 +4,13 @@ Sparse exponent-coefficient pairs are the canonical form, because the
 construction families use exponents far above the field size (reduction
 mod x^q - x is explicit, never silent).  A dense view exists for Horner
 evaluation, for shift (Horner on a plain coefficient list, one Poly built
-at the end) and for compose on low-degree polynomials.  eval_all works in
-the log domain: one table gather per term, no per-term powering.
+at the end) and for compose on low-degree polynomials.  eval_rows
+evaluates many polynomials over the whole field in the log domain, one
+table gather per distinct exponent, no per-term powering; eval_all is its
+one-row case.
+
+Interpolation at the ell-th roots of unity is the closed-form inverse DFT
+(roots_of_unity_interpolate); vandermonde_solve stays as its test oracle.
 
 row_reduce eliminates a whole column per pivot with the vector kernels,
 so it needs the log tables (order <= 2^20).  It is the one elimination
@@ -19,7 +24,9 @@ import math
 
 import numpy as np
 
-from .errors import ConstantPolynomial, DegreeTooHigh, DegreeMismatch, SingularSystem
+from .errors import (
+    ConstantPolynomial, DegreeMismatch, DegreeTooHigh, NormalFormViolated, SingularSystem,
+)
 from .fields import Field
 
 _COMPOSE_DEGREE_CAP = 64
@@ -115,40 +122,8 @@ class Poly:
         return acc
 
     def eval_all(self) -> np.ndarray:
-        """Value table over the whole field, one log-domain gather per term.
-
-        For e >= 1 the term c*x^e is exp[(log c + log x * (e mod n)) mod n]
-        at x != 0 (n = q - 1) and 0 at x = 0; a constant term adds c
-        everywhere.  The index stays below n + n^2 <= 2^40 at the 2^20
-        log-table gate.  Terms are summed by XOR for p = 2; for odd p their
-        digit vectors are summed and reduced mod p once at the end."""
-        ctx = self.ctx
-        q, p = ctx.order, ctx.p
-        const = self.terms[0][1] if self.terms and self.terms[0][0] == 0 else 0
-        powers = self.terms[1:] if const else self.terms
-        out = np.full(q, const, dtype=np.int64)
-        if not powers:
-            return out
-        ctx._ensure_tables()
-        n = q - 1
-        exp, log = ctx._exp, ctx._log
-        log_x = log[1:]
-
-        def values_at_units(e, c):
-            return exp[(log_x * (e % n) + int(log[c])) % n]
-
-        if p == 2:
-            for e, c in powers:
-                out[1:] ^= values_at_units(e, c)
-        elif len(powers) == 1 and not const:
-            out[1:] = values_at_units(*powers[0])
-        else:
-            dig = ctx._digit_matrix()
-            acc = np.tile(dig[const], (n, 1))
-            for e, c in powers:
-                acc += dig[values_at_units(e, c)]
-            out[1:] = (acc % p) @ np.asarray(ctx._pow_p, dtype=np.int64)
-        return out
+        """Value table over the whole field: the one-row case of eval_rows."""
+        return eval_rows(self.ctx, (self,))[0]
 
     # -- algebra ------------------------------------------------------------------
 
@@ -231,6 +206,72 @@ class Poly:
         return "Poly(" + " + ".join(bits) + ")"
 
 
+def eval_rows(ctx: Field, polys) -> np.ndarray:
+    """(len(polys), q) value table of every polynomial over the whole field.
+
+    The columns are the distinct exponents e >= 1 across the rows, not a
+    dense range, so sparse high-degree polynomials cost one column per
+    exponent.  Each column is one log-domain gather: c*x^e is
+    exp[(log x * (e mod n)) mod n + log c] at x != 0 (n = q - 1) and 0 at
+    x = 0.  exp holds 2n entries, so only the n-long exponent vector is
+    reduced mod n; the product stays below n^2 <= 2^40 at the 2^20
+    log-table gate.  A row whose coefficient in a column is zero has
+    log c = -1, still a valid index, and is masked to 0.  Constant terms
+    fill their row.  Terms are summed by XOR for p = 2; for odd p their
+    digit vectors (the values themselves when m = 1) are summed and
+    reduced mod p once at the end."""
+    q, p = ctx.order, ctx.p
+    rows = len(polys)
+    consts = [0] * rows
+    cols = {}  # exponent -> coefficient of every row
+    filled = 0
+    for i, f in enumerate(polys):
+        for e, c in f.terms:
+            if e == 0:
+                consts[i] = c
+            else:
+                cols.setdefault(e, [0] * rows)[i] = c
+                filled += 1
+    out = np.zeros((rows, q), dtype=np.int64)
+    if any(consts):
+        out += np.asarray(consts, dtype=np.int64)[:, None]
+    if not cols:
+        return out
+    ctx._ensure_tables()
+    n = q - 1
+    exp, log, log_x = ctx._exp, ctx._log, ctx._log[1:]
+    if rows == 1:  # a scalar log c is the cheapest broadcast; no zero coefficients
+        log_c, zero = [int(log[c]) for (c,) in cols.values()], None
+    else:
+        coeffs = np.array(list(cols.values()), dtype=np.int64)
+        log_c = log[coeffs][:, :, None]
+        zero = coeffs == 0 if filled < coeffs.size else None
+    units = out[0, 1:] if rows == 1 else out[:, 1:]
+    single = len(cols) == 1 and not any(consts)
+    digits = p != 2 and ctx.m > 1 and not single
+    if digits:
+        dig = ctx._digit_matrix()
+        acc = np.repeat(dig[consts], n, axis=0)  # row-major (rows * n, m)
+    for j, e in enumerate(cols):
+        t = exp[(log_x * (e % n)) % n + log_c[j]]
+        if zero is not None:
+            t[zero[j]] = 0
+        if single:
+            units[:] = t
+        elif p == 2:
+            units ^= t
+        elif digits:
+            acc += dig[t.ravel()]
+        else:
+            units += t
+    if digits:
+        np.remainder(acc, p, out=acc)
+        units[:] = (acc @ np.asarray(ctx._pow_p, dtype=np.int64)).reshape(units.shape)
+    elif p != 2 and not single:
+        units %= p
+    return out
+
+
 def normalize(f: Poly):
     """Return (g, (a, b, c)) with g(x) = a*f(x+b) + c monic, g(0) = 0, and the
     x^{d-1} coefficient killed when gcd(p, d) = 1 (left alone otherwise, b=0)."""
@@ -246,9 +287,10 @@ def normalize(f: Poly):
         b = 0
     c = ctx.neg(ctx.mul(a, f(b)))
     g = apply_affine(f, a, b, c)
-    assert g.coeff(d) == 1 and g.coeff(0) == 0
-    if math.gcd(ctx.p, d) == 1:
-        assert g.coeff(d - 1) == 0
+    if g.coeff(d) != 1 or g.coeff(0) != 0:
+        raise NormalFormViolated(f"{g} is not monic of degree {d} with g(0) = 0")
+    if math.gcd(ctx.p, d) == 1 and g.coeff(d - 1) != 0:
+        raise NormalFormViolated(f"{g} keeps an x^{d - 1} term although gcd(p, d) = 1")
     return g, (a, b, c)
 
 
@@ -400,10 +442,35 @@ def solve_linear(ctx: Field, mat: list[list[int]], rhs: list[int]) -> list[int]:
     return sol
 
 
+def roots_of_unity_interpolate(ctx: Field, omega: int, values: list[int]) -> list[int]:
+    """Coefficients of the unique polynomial h of degree < ell = len(values)
+    with h(omega^i) = values[i], for omega of multiplicative order exactly
+    ell: the inverse DFT h_j = ell^-1 * sum_i values[i] * omega^(-ij).
+
+    Worked in the log domain: omega^(-ij) * values[i] is
+    exp[(log values[i] - i*j*log omega) mod (q - 1)], and ell, a divisor of
+    q - 1, is a unit of the prime field."""
+    ell = len(values)
+    n = ctx.order - 1
+    log_w = ctx.log(omega)
+    if n // math.gcd(log_w, n) != ell:
+        raise SingularSystem(f"{omega} does not have multiplicative order {ell}")
+    exp, log = ctx._exp, ctx._log
+    terms = [(i, int(log[v])) for i, v in enumerate(map(ctx.check, values)) if v]
+    log_ell = ctx.log(ell % ctx.p)
+    out = []
+    for j in range(ell):
+        acc = 0
+        for i, log_v in terms:
+            acc = ctx.add(acc, int(exp[(log_v - i * j * log_w) % n]))
+        out.append(int(exp[(log[acc] - log_ell) % n]) if acc else 0)
+    return out
+
+
 def vandermonde_solve(ctx: Field, points: list[int], values: list[int]) -> list[int]:
     """Coefficients of the unique polynomial of degree < len(points) through
     (points[i], values[i]), via exact Gaussian elimination on the Vandermonde
-    matrix."""
+    matrix.  The test oracle for roots_of_unity_interpolate."""
     n = len(points)
     mat = [[ctx.pow(pt, j) if j else 1 for j in range(n)] for pt in points]
     return solve_linear(ctx, mat, list(values))

@@ -17,7 +17,9 @@ import random
 
 import numpy as np
 
-from .counting import classify, is_n_to_1, linearized_oracle, report_matches
+from .counting import (
+    classify, classify_rows, is_n_to_1, linearized_oracle, report_matches, row_blocks,
+)
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
     branch_case_predicate, build_branch_interpolation, build_translate_link,
@@ -27,7 +29,7 @@ from .fields import Field, SubfieldEmbed, _is_prime
 from .lowdeg import (
     cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
 )
-from .polys import LinearizedPoly, Poly, apply_affine
+from .polys import LinearizedPoly, Poly, apply_affine, eval_rows
 from .walsh import phi_prime_power, phi_two, spectral_verdict
 
 SEED = 20260817
@@ -65,14 +67,16 @@ def run_monomial(seed=SEED):
     for p, m, q in _prime_powers(128):
         ctx = Field(p, m)
         xs = ctx.elements_array()
-        for d in range(1, q):
-            rep = classify(ctx.pow_vec(xs, d))
-            n = math.gcd(d, q - 1)
-            want_exc = (0, 1) if n > 1 else None
-            ok = rep.n == n and not rep.irregular and rep.exception == want_exc
-            rows.append((q, d, rep.n, int(ok)))
-            if not ok and witness is None:
-                witness = f"q={q} d={d}: expected n={n}, got {rep}"
+        for lo, hi in row_blocks(q - 1, q):
+            ds = range(lo + 1, hi + 1)
+            reps = classify_rows(np.stack([ctx.pow_vec(xs, d) for d in ds]), q)
+            for d, (got, exc, irregular) in zip(ds, reps):
+                n = math.gcd(d, q - 1)
+                want_exc = (0, 1) if n > 1 else None
+                ok = got == n and not irregular and exc == want_exc
+                rows.append((q, d, got, int(ok)))
+                if not ok and witness is None:
+                    witness = f"q={q} d={d}: expected n={n}, got {classify(ctx.pow_vec(xs, d))}"
     return RunResult(witness is None, witness, rows, "q,d,n,ok")
 
 
@@ -392,6 +396,7 @@ def run_normalize(seed=SEED):
     rows, witness = [], None
     for p, m, q in _prime_powers(343):
         ctx = Field(p, m)
+        cases = []
         for i in range(200):
             f = Poly.from_dense(
                 ctx, [rng.randrange(q) for _ in range(rng.randrange(2, 7))])
@@ -400,19 +405,24 @@ def run_normalize(seed=SEED):
             a = rng.randrange(1, q)
             b = rng.randrange(q)
             c = rng.randrange(q)
-            g = apply_affine(f, a, b, c)
-            rf, rg = classify(f), classify(g)
-            ok = rf.n == rg.n and rf.irregular == rg.irregular
-            if ok and rf.exception is not None:
-                v, t = rf.exception
-                moved = (ctx.add(ctx.mul(a, v), c), t)
-                ok = rg.exception == moved
-            elif ok:
-                ok = rg.exception is None
-            rows.append((q, i, a, b, c, rf.n, rg.n, int(ok)))
-            if not ok and witness is None:
-                witness = (f"GF({q}) f={f.dense()} a={a} b={b} c={c}: "
-                           f"{rf} vs {rg}")
+            cases.append((i, f, a, b, c, apply_affine(f, a, b, c)))
+        for lo, hi in row_blocks(len(cases), q):
+            block = cases[lo:hi]
+            reps_f = classify_rows(eval_rows(ctx, [case[1] for case in block]), q)
+            reps_g = classify_rows(eval_rows(ctx, [case[5] for case in block]), q)
+            for (i, f, a, b, c, g), (nf, exc_f, irr_f), (ng, exc_g, irr_g) in zip(
+                    block, reps_f, reps_g):
+                ok = nf == ng and irr_f == irr_g
+                if ok and exc_f is not None:
+                    v, t = exc_f
+                    moved = (ctx.add(ctx.mul(a, v), c), t)
+                    ok = exc_g == moved
+                elif ok:
+                    ok = exc_g is None
+                rows.append((q, i, a, b, c, nf, ng, int(ok)))
+                if not ok and witness is None:
+                    witness = (f"GF({q}) f={f.dense()} a={a} b={b} c={c}: "
+                               f"{classify(f)} vs {classify(g)}")
     return RunResult(witness is None, witness, rows, "q,i,a,b,c,f_n,g_n,ok")
 
 

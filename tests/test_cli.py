@@ -79,6 +79,13 @@ def test_usage_errors_exit_2():
                        ("p=4,m=1", "p=4 is not a prime")):
         r = run_cli("verify-theorem", "de3p3", "--field", field)
         assert r.returncode == 2 and msg in r.stderr, r.stderr
+    # --all never filters, so a field filter beside it is a conflict, not
+    # ignored; verify-theorem takes no --spec at all
+    for extra, msg in ((("--field", "p=4,m=1"), "--all conflicts with --field"),
+                       (("--field", "p=7,m=1"), "--all conflicts with --field"),
+                       (("--spec", "f.json"), "unrecognized arguments: --spec")):
+        r = run_cli("verify-theorem", "--all", *extra)
+        assert r.returncode == 2 and msg in r.stderr and not r.stdout, r.stderr
     for poly, msg in (("x^-1", "negative exponent in 'x^-1'"),
                       ("x^3-", "dangling '-' in 'x^3-'")):
         r = run_cli("classify", "--field", "p=7,m=1", "--poly", poly)

@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nto1 import (
-    Field, LinearizedPoly, Poly, classify, histogram, is_n_to_1,
+    Field, LinearizedPoly, Poly, classify, classify_rows, histogram, is_n_to_1,
     linearized_oracle, merge_histograms, monomial_oracle, report_matches,
 )
-from nto1.counting import _decide
-from nto1.errors import ExceptionCountMismatch, NTo1Error, ZeroInput
+from nto1.counting import _decide, row_blocks
+from nto1.errors import ExceptionCountMismatch, FieldMismatch, NTo1Error, ZeroInput
 
 F7 = Field(7, 1)
 F8 = Field(2, 3)
@@ -150,3 +150,87 @@ def test_report_serialization():
     rep = classify(Poly(F7, [(3, 1)]))
     assert rep.to_json() == ('{"domain_size":7,"exception":[0,1],'
                              '"irregular":false,"n":3}')
+
+
+# ----------------------------------------------------------------------
+# classify_rows: _decide on every row of a value matrix at once, with
+# classify as the oracle.
+# ----------------------------------------------------------------------
+
+def _as_report(f):
+    rep = classify(f)
+    return rep.n, rep.exception, rep.irregular
+
+
+def test_classify_rows_hand_rows():
+    V = np.array([
+        [4, 4, 4, 4, 4, 4, 4],   # constant: 7-to-1
+        [3, 0, 6, 1, 5, 2, 4],   # permutation
+        [2, 2, 2, 5, 5, 5, 0],   # 3-to-1, value 0 carries 7 mod 3 = 1
+        [1, 1, 3, 3, 3, 6, 6],   # sizes 2, 3, 2: irregular
+        [0, 0, 1, 1, 2, 2, 2],   # two sizes, the small one twice: irregular
+        [0, 1, 1, 2, 2, 3, 3],   # 2-to-1, value 0 carries 1
+    ])
+    got = classify_rows(V, 7)
+    assert got == [_as_report(row) for row in V]
+    assert got[:3] == [(7, None, False), (1, None, False), (3, (0, 1), False)]
+    assert got[3] == (0, None, True) and got[4] == (0, None, True)
+    assert got[5] == (2, (0, 1), False)
+    assert all(type(v) in (int, bool) for n, exc, irr in got for v in (n, irr, *(exc or ())))
+
+
+def test_classify_rows_exception_count_mismatch_is_typed(monkeypatch):
+    # a lone small fiber whose size is not #A mod n raises where _decide
+    # does; full value rows cannot produce one, so the counts are bumped
+    real = np.bincount
+
+    def bumped(x, minlength=0):
+        out = real(x, minlength=minlength)
+        out[0] += 1  # value 0 of row 0: 1 preimage becomes 2, but 7 mod 3 = 1
+        return out
+
+    monkeypatch.setattr(np, "bincount", bumped)
+    with pytest.raises(ExceptionCountMismatch, match="exception count 2 is not #A mod n = 7 mod 3"):
+        classify_rows(np.array([[2, 2, 2, 5, 5, 5, 0]]), 7)
+
+
+def test_classify_rows_refuses_bad_input():
+    with pytest.raises(FieldMismatch):
+        classify_rows(np.array([[0, 7]]), 7)
+    with pytest.raises(FieldMismatch):
+        classify_rows(np.array([[0, -1]]), 7)
+    with pytest.raises(ZeroInput):
+        classify_rows(np.zeros((3, 0), dtype=np.int64), 7)
+    assert classify_rows(np.zeros((0, 5), dtype=np.int64), 7) == []
+
+
+def _random_rows(rng, rows, q):
+    """Rows mixing n-to-1 maps (with and without exception), maps onto a
+    few values, and uniform noise."""
+    out = np.empty((rows, q), dtype=np.int64)
+    for i in range(rows):
+        kind = rng.integers(3)
+        if kind == 0:
+            n = int(rng.integers(1, q + 1))
+            out[i] = rng.permutation(np.arange(q) // n)
+        elif kind == 1:
+            out[i] = rng.integers(0, rng.integers(1, 4), size=q)
+        else:
+            out[i] = rng.integers(0, q, size=q)
+    return out
+
+
+@given(st.sampled_from([512, 1000, 2048, 4099]), st.integers(0, 2), st.integers(1, 31),
+       st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_classify_rows_in_blocks_matches_classify(q, full, extra, seed):
+    step = row_blocks(10 ** 6, q)[0][1]
+    rows = full * step + 1 + extra % (step - 1)  # never a multiple of the block
+    V = _random_rows(np.random.default_rng(seed), rows, q)
+    blocks = row_blocks(rows, q)
+    assert blocks[0][0] == 0 and blocks[-1][1] == rows
+    assert all(hi - lo <= max(1, 2 ** 14 // q) for lo, hi in blocks)
+    got = []
+    for lo, hi in blocks:
+        got += classify_rows(V[lo:hi], q)
+    assert got == [_as_report(row) for row in V]

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from nto1 import DiagramSpec, condition3, random_diagram, transfer, verify_diagram
-from nto1.errors import HypothesesNotVerified
+from nto1.errors import HypothesesNotVerified, HypothesisViolated
 
 
 def two_to_one_square():
@@ -58,6 +58,18 @@ def test_condition3_none_when_g_not_n_to_1():
     lam = {a: min(a // 2, 2) for a in A}
     d2 = DiagramSpec(A, S, Sbar, {a: 0 for a in A}, g, lam, dict(lam), 2)
     assert condition3(d2) is None
+
+
+def test_condition3_count_mismatch_is_a_typed_error():
+    # g is 2-to-1 on #S = 3 with its exception, but #A = 4 breaks
+    # #A = #S (mod n); checked with a typed error, so python -O keeps it
+    A = tuple(range(4))
+    S = Sbar = (0, 1, 2)
+    g = {0: 0, 1: 0, 2: 1}
+    lam = {a: a % 3 for a in A}
+    d = DiagramSpec(A, S, Sbar, {a: 0 for a in A}, g, lam, dict(lam), 2)
+    with pytest.raises(HypothesisViolated, match="#A = #S"):
+        condition3(d)
 
 
 def test_json_roundtrip():

@@ -7,8 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nto1 import Field, LinearizedPoly, Poly, apply_affine, is_additive, normalize, vandermonde_solve
-from nto1.errors import FieldMismatch, SingularSystem
+from nto1 import (
+    Field, LinearizedPoly, Poly, apply_affine, eval_rows, is_additive, normalize,
+    roots_of_unity_interpolate, vandermonde_solve,
+)
+from nto1 import polys
+from nto1.errors import FieldMismatch, NormalFormViolated, SingularSystem
 from nto1.polys import matrix_rank, row_reduce
 
 F7 = Field(7, 1)
@@ -91,6 +95,18 @@ def test_normalize_char_divides_degree():
     g, (a, b, c) = normalize(f)
     assert g.coeff(3) == 1 and g.coeff(0) == 0
     assert apply_affine(f, a, b, c) == g
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda f, a, b, c: Poly(f.ctx, [(3, 2), (1, 1)]),          # not monic
+    lambda f, a, b, c: Poly(f.ctx, [(3, 1), (0, 4)]),          # g(0) != 0
+    lambda f, a, b, c: Poly(f.ctx, [(3, 1), (2, 5), (1, 1)]),  # x^(d-1) left with gcd(p, d) = 1
+])
+def test_normalize_postconditions_are_typed_errors(monkeypatch, wrong):
+    # checked with a typed error, so python -O keeps them
+    monkeypatch.setattr(polys, "apply_affine", wrong)
+    with pytest.raises(NormalFormViolated):
+        normalize(Poly.from_dense(F7, [4, 2, 5, 3]))
 
 
 def test_vandermonde_interpolates():
@@ -300,3 +316,60 @@ def test_row_reduce_rejects_out_of_range_entries():
             row_reduce(F7, rows)
     assert row_reduce(F7, []) == 0
     assert row_reduce(F7, [[], []]) == 0
+
+
+# ----------------------------------------------------------------------
+# The batch evaluator and the closed-form interpolation, against the
+# oracles above and the Vandermonde solve.
+# ----------------------------------------------------------------------
+
+BATCH_FIELDS = [Field(2, 1), Field(2, 4), F27, F25, Field(13, 1)]
+
+
+@pytest.mark.parametrize("ctx", BATCH_FIELDS, ids=repr)
+def test_eval_rows_matches_oracle_and_pointwise(ctx):
+    rng = random.Random(3 * ctx.order)
+    q = ctx.order
+    fs = _oracle_polys(ctx, rng)
+    # sparse exponents far above q, and rows sharing only some columns
+    fs += [Poly(ctx, [(10 ** 6 + 3, rng.randrange(1, q)), (2 ** 70 + 5, 1), (0, rng.randrange(q))]),
+           Poly(ctx, [(q ** 5 - 1, rng.randrange(1, q))]),
+           Poly(ctx, [(1, 1)]), Poly(ctx, [(2, rng.randrange(1, q)), (q, 1)])]
+    table = eval_rows(ctx, fs)
+    assert table.dtype == np.int64 and table.shape == (len(fs), q)
+    for f, row in zip(fs, table):
+        assert np.array_equal(row, _eval_all_oracle(f)), f
+        assert row.tolist() == [f(x) for x in ctx.elements()], f
+        assert np.array_equal(row, f.eval_all()), f
+    # one column with zero and nonzero coefficients and no constant anywhere
+    single = [Poly(ctx, [(5, c)]) for c in (0, 1, q - 1, 0)]
+    assert eval_rows(ctx, single).tolist() == [[f(x) for x in ctx.elements()] for f in single]
+    assert eval_rows(ctx, []).shape == (0, q)
+
+
+def _divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+@pytest.mark.parametrize("ctx", [F7, Field(13, 1), Field(2, 4), F27, F25], ids=repr)
+def test_roots_of_unity_interpolate_matches_vandermonde(ctx):
+    rng = random.Random(5 * ctx.order)
+    q = ctx.order
+    for ell in _divisors(q - 1):
+        omega = ctx.unit_root(ell)
+        points = [ctx.pow(omega, i) for i in range(ell)]
+        cases = [[0] * ell, [rng.randrange(1, q)] * ell]
+        cases += [[rng.choice([0, rng.randrange(q)]) for _ in range(ell)] for _ in range(4)]
+        for values in cases:
+            coeffs = roots_of_unity_interpolate(ctx, omega, values)
+            assert coeffs == vandermonde_solve(ctx, points, values), (ell, values)
+            h = Poly.from_dense(ctx, coeffs)
+            assert [h(pt) for pt in points] == values
+
+
+def test_roots_of_unity_interpolate_needs_exact_order():
+    ctx = Field(13, 1)
+    with pytest.raises(SingularSystem):
+        roots_of_unity_interpolate(ctx, ctx.unit_root(2), [1, 2, 3, 4])  # order 2, not 4
+    with pytest.raises(SingularSystem):
+        roots_of_unity_interpolate(ctx, ctx.unit_root(12), [1, 2, 3])
