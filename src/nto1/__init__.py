@@ -8,7 +8,7 @@ returns the built map next to the reduced partner it was derived from.
 
 from .counting import (
     NTo1Report, classify, classify_rows, histogram, is_n_to_1, linearized_oracle,
-    merge_histograms, monomial_oracle, report_matches,
+    monomial_oracle, report_matches,
 )
 from .diagrams import (
     DiagramSpec, FiberReport, TransferVerdict, Violation, condition3,

@@ -18,7 +18,7 @@ import random
 import re
 import sys
 
-from .counting import classify, is_n_to_1, report_matches
+from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, random_diagram, transfer, verify_diagram
 from .errors import GateExceeded, NTo1Error
 from .families import (
@@ -27,9 +27,7 @@ from .families import (
     sweep_shift_power,
 )
 from .fields import Field, SubfieldEmbed, field_from_spec
-from .lowdeg import (
-    cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
-)
+from .lowdeg import quartic_3to1_search
 from .polys import Poly
 from .walsh import _char_sum_of_table, phi_prime_power, phi_two, walsh_zero_table
 from . import verify
@@ -219,21 +217,11 @@ def cmd_lowdeg(args):
     _gate(ctx.order, args, "lowdeg")
     if args.degree == 3:
         rows, bad = [], None
-        if ctx.p == 3:
-            for a in ctx.elements():
-                for b in ctx.elements():
-                    pred = cubic_char3_is3to1(ctx, a, b)
-                    got = report_matches(classify(cubic_poly(ctx, a, b)), 3)
-                    rows.append((a, b, int(pred), int(got), int(pred == got)))
-                    if pred != got and bad is None:
-                        bad = f"a={a} b={b}: predicate {pred}, brute {got}"
-        else:
-            for b in ctx.elements():
-                pred = cubic_charne3_is3to1(ctx, b)
-                got = report_matches(classify(cubic_poly(ctx, 0, b)), 3)
-                rows.append((0, b, int(pred), int(got), int(pred == got)))
-                if pred != got and bad is None:
-                    bad = f"b={b}: predicate {pred}, brute {got}"
+        for a, b, pred, got in verify.cubic_sweep(ctx):
+            rows.append((a, b, int(pred), int(got), int(pred == got)))
+            if pred != got and bad is None:
+                where = f"a={a} b={b}" if ctx.p == 3 else f"b={b}"
+                bad = f"{where}: predicate {pred}, brute {got}"
         _emit_csv("lowdeg3.v1", "a,b,predicted,brute_force,agree", rows)
         if bad:
             _witness(bad)
@@ -319,6 +307,27 @@ def _shift_power_tower(args, family):
     big = Field(sub.p, 2 * sub.m)
     return SubfieldEmbed(big, sub), q1, params
 
+def _emit_construct(family, inst, fields, params, fpoly, pred):
+    """One construct record: the built map, its predicate against brute
+    force, and the broken hypotheses; exit 1 on a clean disagreement."""
+    brute = inst.holds()
+    _emit_json({
+        "family": family,
+        **fields,
+        "params": params,
+        "f": fpoly.term_pairs(),
+        "predicate": pred,
+        "brute_force": brute,
+        "agree": pred == brute,
+        "violations": [v.hypothesis for v in inst.violations],
+    })
+    # the predicate is only claimed under the hypotheses; a broken one
+    # is reported in the JSON, not as a disagreement
+    if inst.ok and pred != brute:
+        _witness(f"{family}: predicate {pred} but brute force {brute}")
+        return 1
+    return 0
+
 def cmd_construct(args):
     family = args.family
     if family in SHIFT_POWER_VARIANTS:
@@ -330,29 +339,12 @@ def cmd_construct(args):
             raise UsageError("construct needs --delta (big-field element)")
         delta = _parse_elem(big, raw_delta, "--delta")
         inst = build_shift_power(emb, family, delta, q1=q1, strict=False)
-        fpoly = shift_power_poly(big, emb.sub.order, inst.meta["e"], delta)
-        pred = bool(inst.meta["predicate"])
-        brute = inst.holds()
-        out = {
-            "family": family,
-            "field": big.spec_dict(),
-            "subfield": emb.sub.spec_dict(),
-            "params": {"q1": q1, "delta": list(big.coeffs(delta)),
-                       "e": inst.meta["e"], "n": inst.n,
-                       "trace": list(emb.sub.coeffs(inst.meta["trace"]))},
-            "f": fpoly.term_pairs(),
-            "predicate": pred,
-            "brute_force": brute,
-            "agree": pred == brute,
-            "violations": [v.hypothesis for v in inst.violations],
-        }
-        _emit_json(out)
-        # the predicate is only claimed under the hypotheses; a broken one
-        # is reported in the JSON, not as a disagreement
-        if inst.ok and pred != brute:
-            _witness(f"{family}: predicate {pred} but brute force {brute}")
-            return 1
-        return 0
+        return _emit_construct(
+            family, inst, {"field": big.spec_dict(), "subfield": emb.sub.spec_dict()},
+            {"q1": q1, "delta": list(big.coeffs(delta)), "e": inst.meta["e"], "n": inst.n,
+             "trace": list(emb.sub.coeffs(inst.meta["trace"]))},
+            shift_power_poly(big, emb.sub.order, inst.meta["e"], delta),
+            bool(inst.meta["predicate"]))
     if family in _BRANCH_FAMILIES:
         ell = _BRANCH_FAMILIES[family]
         ctx = _build_field(args)
@@ -367,28 +359,13 @@ def cmd_construct(args):
         if len(values) != ell:
             raise UsageError(f"{family} takes exactly {ell} branch values")
         inst = build_branch_interpolation(ctx, r, values, strict=False)
-        h = inst.meta["h"]
-        s = inst.meta["s"]
-        fpoly = Poly(ctx, [(r + s * e, c) for e, c in h.terms]).reduce_exponents()
-        pred = branch_case_predicate(ctx, r, values)
-        brute = inst.holds()
-        out = {
-            "family": family,
-            "field": ctx.spec_dict(),
-            "params": {"r": r, "s": s, "n": ell,
-                       "values": [list(ctx.coeffs(v)) for v in values],
-                       "h": h.term_pairs()},
-            "f": fpoly.term_pairs(),
-            "predicate": pred,
-            "brute_force": brute,
-            "agree": pred == brute,
-            "violations": [v.hypothesis for v in inst.violations],
-        }
-        _emit_json(out)
-        if inst.ok and pred != brute:
-            _witness(f"{family}: predicate {pred} but brute force {brute}")
-            return 1
-        return 0
+        h, s = inst.meta["h"], inst.meta["s"]
+        return _emit_construct(
+            family, inst, {"field": ctx.spec_dict()},
+            {"r": r, "s": s, "n": ell, "values": [list(ctx.coeffs(v)) for v in values],
+             "h": h.term_pairs()},
+            Poly(ctx, [(r + s * e, c) for e, c in h.terms]).reduce_exponents(),
+            branch_case_predicate(ctx, r, values))
     raise UsageError(f"unknown family {args.family!r}; known: "
                      f"{', '.join(SHIFT_POWER_VARIANTS + tuple(sorted(_BRANCH_FAMILIES)))}")
 

@@ -91,14 +91,6 @@ def histogram(f, domain=None) -> dict:
     return out
 
 
-def merge_histograms(a: dict, b: dict) -> dict:
-    """Associative merge for partitioned accumulation."""
-    out = dict(a)
-    for v, c in b.items():
-        out[v] = out.get(v, 0) + c
-    return out
-
-
 def _decide(hist: dict, domain_size: int):
     """Core decision on a fiber-size multiset.
 

@@ -92,3 +92,7 @@ class HypothesisViolated(NTo1Error):
         self.name = name
         self.witness = witness
         super().__init__(f"hypothesis violated: {name}" + (f" (witness: {witness!r})" if witness is not None else ""))
+
+
+class ConstructionMismatch(NTo1Error):
+    """A built map misses a value its construction fixes exactly."""

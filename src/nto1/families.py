@@ -19,23 +19,29 @@ import numpy as np
 
 from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, Violation
-from .errors import HypothesisViolated
+from .errors import ConstructionMismatch, HypothesisViolated
 from .fields import SubfieldEmbed
 from .polys import LinearizedPoly, Poly, is_additive, roots_of_unity_interpolate
 
 
 class FamilyInstance:
-    """A built map, its reduced partner, and the wiring between them."""
+    """A built map, its reduced partner, and the wiring between them.
+
+    f and reduced are int64 value tables over the whole field, indexed by
+    element code; domain and carrier are int64 index arrays naming where
+    each is read.  The wiring is (A, S, Sbar, lam, lambar): three index
+    arrays and the two whole-field projection tables.  Dicts keyed by
+    element appear only in diagram(), the DiagramSpec boundary."""
 
     def __init__(self, family, ctx, f, domain, n, reduced=None, carrier=None,
                  meta=None, violations=()):
         self.family = family
         self.ctx = ctx
-        self.f = dict(f)
-        self.domain = tuple(domain)
+        self.f = f
+        self.domain = domain
         self.n = int(n)
-        self.reduced = None if reduced is None else dict(reduced)
-        self.carrier = None if carrier is None else tuple(carrier)
+        self.reduced = reduced
+        self.carrier = carrier
         self.meta = dict(meta or {})
         self.violations = tuple(violations)
         self._wiring = None  # (A, S, Sbar, lam, lambar), all big-coded
@@ -44,31 +50,33 @@ class FamilyInstance:
     def ok(self):
         return not self.violations
 
-    def classify(self):
-        return classify(self.f, domain=self.domain)
-
-    def classify_reduced(self):
+    def _reduced_on_carrier(self):
         if self.reduced is None:
             raise ValueError(f"{self.family}: no reduced map")
-        return classify(self.reduced, domain=self.carrier)
+        return self.reduced[self.carrier]
+
+    def classify(self):
+        return classify(self.f[self.domain])
+
+    def classify_reduced(self):
+        return classify(self._reduced_on_carrier())
 
     def holds(self):
         """Brute-force the claimed n on the built map."""
-        return is_n_to_1(self.f, self.domain, self.n)
+        return is_n_to_1(self.f[self.domain], None, self.n)
 
     def holds_reduced(self):
-        if self.reduced is None:
-            raise ValueError(f"{self.family}: no reduced map")
-        return is_n_to_1(self.reduced, self.carrier, self.n)
+        return is_n_to_1(self._reduced_on_carrier(), None, self.n)
 
     def diagram(self):
         """The commutative square, ready for independent verification."""
         if self._wiring is None:
             raise ValueError(f"{self.family}: no square wiring")
-        A, S, Sbar, lam, lambar = self._wiring
-        # the square may live on a subset of the domain (0 usually sits outside)
-        f = {a: self.f[a] for a in A}
-        return DiagramSpec(A, S, Sbar, f, self.reduced, lam, lambar, self.n)
+        A, S, Sbar, lam, lambar = (w.tolist() for w in self._wiring)
+        # whole-field tables; DiagramSpec keeps only the entries on A and S
+        f, g, lam, lambar = (dict(enumerate(t)) for t in
+                             (self.f.tolist(), self.reduced.tolist(), lam, lambar))
+        return DiagramSpec(A, S, Sbar, f, g, lam, lambar, self.n)
 
     def __repr__(self):
         tag = "ok" if self.ok else f"{len(self.violations)} broken"
@@ -94,16 +102,19 @@ class _Checker:
 
 
 def _table(ctx, f):
-    """Dense value table over the whole field, whatever shape f came in."""
+    """Dense value table over the whole field of a polynomial or a table."""
     if isinstance(f, (Poly, LinearizedPoly)):
         return f.eval_all()
     if isinstance(f, np.ndarray):
         if len(f) != ctx.order:
             raise ValueError("table length does not match the field")
         return np.asarray(f, dtype=np.int64)
-    if isinstance(f, dict):
-        return np.asarray([f[x] for x in ctx.elements()], dtype=np.int64)
-    return np.asarray([ctx.check(f(x)) for x in ctx.elements()], dtype=np.int64)
+    raise TypeError(f"unsupported map object {type(f)!r}")
+
+
+def _first(idx):
+    """First entry of an index array as an int, or None when it is empty."""
+    return int(idx[0]) if len(idx) else None
 
 
 def _additive_ok(ctx, f, t):
@@ -154,36 +165,30 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n, strict=True):
     chk.require(ok, "psibar additive", w)
     if ok:
         chk.require(_subfield_linear_ok(emb, psibar_t), "psibar subfield-linear")
-    comm = phi_t[psi_t] == psibar_t[phi_t]
-    chk.require(comm.all(), "phi after psi equals psibar after phi",
-                None if comm.all() else int(np.nonzero(~comm)[0][0]))
+    bad = _first(np.flatnonzero(phi_t[psi_t] != psibar_t[phi_t]))
+    chk.require(bad is None, "phi after psi equals psibar after phi", bad)
 
-    S = tuple(int(s) for s in np.unique(psi_t))
-    Sbar = tuple(int(s) for s in np.unique(psibar_t))
+    S, Sbar = np.unique(psi_t), np.unique(psibar_t)
     chk.require(len(S) == len(Sbar), "images of psi and psibar have one size",
                 (len(S), len(Sbar)))
     chk.require(len(S) > 1 and len(S) % n == 0,
                 "n divides the image size, image nontrivial", len(S))
-    bad = next((s for s in S if h_t[s] == 0 or not emb.in_subfield(int(h_t[s]))), None)
+    hS = h_t[S]
+    bad = _first(S[(hS == 0) | (big.pow_vec(hS, emb.q_sub) != hS)])
     chk.require(bad is None, "h sends the image into the subfield units", bad)
-    ker_psi = set(np.nonzero(psi_t == 0)[0].tolist())
-    ker_phi = set(np.nonzero(phi_t == 0)[0].tolist())
-    ker_psibar = set(np.nonzero(psibar_t == 0)[0].tolist())
-    meet = ker_phi & ker_psi
-    chk.require(meet == {0}, "kernels of phi and psi meet only at 0", sorted(meet)[:3])
-    chk.require(len(ker_psi) == len(ker_psibar),
-                "kernels of psi and psibar have one size",
-                (len(ker_psi), len(ker_psibar)))
+    meet = np.flatnonzero((phi_t == 0) & (psi_t == 0))
+    chk.require(meet.tolist() == [0], "kernels of phi and psi meet only at 0",
+                meet[:3].tolist())
+    ker_sizes = (int(np.count_nonzero(psi_t == 0)), int(np.count_nonzero(psibar_t == 0)))
+    chk.require(ker_sizes[0] == ker_sizes[1], "kernels of psi and psibar have one size",
+                ker_sizes)
 
     f_t = big.add_vec(big.mul_vec(h_t[psi_t], phi_t), g_t[psi_t])
-    fbar = {s: big.add(big.mul(int(h_t[s]), int(phi_t[s])), int(psibar_t[g_t[s]]))
-            for s in S}
-    domain = tuple(big.elements())
-    inst = FamilyInstance("additive-split", big, {x: int(f_t[x]) for x in domain},
-                          domain, n, reduced=fbar, carrier=S,
+    fbar_t = big.add_vec(big.mul_vec(h_t, phi_t), psibar_t[g_t])
+    xs = big.elements_array()
+    inst = FamilyInstance("additive-split", big, f_t, xs, n, reduced=fbar_t, carrier=S,
                           meta={"q": sub.order}, violations=chk.violations)
-    inst._wiring = (domain, S, Sbar, {x: int(psi_t[x]) for x in domain},
-                    {x: int(psibar_t[x]) for x in domain})
+    inst._wiring = (xs, S, Sbar, psi_t, psibar_t)
     return inst
 
 
@@ -226,16 +231,17 @@ def build_linearized_mix(emb, L1, L2, L3, g, n, strict=True):
     L1_t, L2_t, L3_t = _table(big, L1), _table(big, L2), _table(big, L3)
     g_t = _table(big, g)
 
-    S = tuple(int(s) for s in np.unique(L3_t))
-    bad = next((s for s in S if not emb.in_subfield(int(g_t[s]))), None)
+    S = np.unique(L3_t)
+    gS = g_t[S]
+    bad = _first(S[big.pow_vec(gS, q) != gS])
     chk.require(bad is None, "g sends the image of L3 into the subfield", bad)
     chk.require(n >= 1 and q % n == 0, "n divides the subfield size", n)
     chk.require(len(S) % n == 0, "n divides the image size", len(S))
     chk.require((len(S) - q) % n == 0,
                 "image size congruent to the subfield size mod n", (len(S), q))
     ker3 = L3_t == 0
-    for y in S:
-        Fy = big.add_vec(L1_t, big.scalar_mul_vec(int(g_t[y]), L2_t))
+    for y, gy in zip(S.tolist(), gS.tolist()):
+        Fy = big.add_vec(L1_t, big.scalar_mul_vec(gy, L2_t))
         meet = np.nonzero((Fy == 0) & ker3)[0]
         if not chk.require(meet.tolist() == [0],
                            "ker(L1 + g(y)*L2) meets ker(L3) only at 0",
@@ -243,13 +249,11 @@ def build_linearized_mix(emb, L1, L2, L3, g, n, strict=True):
             break
 
     f_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t[L3_t]))
-    fbar = {s: big.add(int(L1_t[s]), big.mul(int(L2_t[s]), int(g_t[s]))) for s in S}
-    domain = tuple(big.elements())
-    inst = FamilyInstance("linearized-mix", big, {x: int(f_t[x]) for x in domain},
-                          domain, n, reduced=fbar, carrier=S,
+    fbar_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t))
+    xs = big.elements_array()
+    inst = FamilyInstance("linearized-mix", big, f_t, xs, n, reduced=fbar_t, carrier=S,
                           meta={"q": q}, violations=chk.violations)
-    lam = {x: int(L3_t[x]) for x in domain}
-    inst._wiring = (domain, S, S, lam, dict(lam))
+    inst._wiring = (xs, S, S, L3_t, L3_t)
     return inst
 
 
@@ -273,21 +277,26 @@ def build_coset_power(ctx, r, s, h, n, strict=True, include_zero=True):
     chk.require(math.gcd(r, s) == 1, "r coprime to s", (r, s))
     chk.require(n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
     h_t = _table(ctx, h)
-    mu = tuple(ctx.roots_of_unity(ell))
-    bad = next((y for y in mu if h_t[y] == 0), None)
+    mu = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
+    bad = _first(mu[h_t[mu] == 0])
     chk.require(bad is None, "h never zero on the root group", bad)
+    return _coset_square("coset-power", ctx, r, s, s, h_t, n, mu, include_zero,
+                         {"r": r, "s": s, "ell": ell}, chk.violations)
 
+
+def _coset_square(family, ctx, r, s, e, h_t, n, carrier, include_zero, meta, violations):
+    """f(x) = x^r h(x^s) against its reduced partner y^r h(y)^e, both over
+    the whole field, the partner read on carrier; wired through x^s on
+    the units.  f(0) = 0, so include_zero adds 0 as a size-1 fiber."""
     xs = ctx.elements_array()
+    x_r = ctx.pow_vec(xs, r)
     lam_t = ctx.pow_vec(xs, s)
-    f_t = ctx.mul_vec(ctx.pow_vec(xs, r), h_t[lam_t])
-    units = tuple(ctx.units())
-    g_map = {y: ctx.mul(ctx.pow(y, r), ctx.pow(int(h_t[y]), s)) for y in mu}
-    domain = tuple(ctx.elements()) if include_zero else units
-    inst = FamilyInstance("coset-power", ctx, {x: int(f_t[x]) for x in domain},
-                          domain, n, reduced=g_map, carrier=mu,
-                          meta={"r": r, "s": s, "ell": ell}, violations=chk.violations)
-    lam = {x: int(lam_t[x]) for x in units}
-    inst._wiring = (units, mu, mu, lam, dict(lam))
+    f_t = ctx.mul_vec(x_r, h_t[lam_t])
+    g_t = ctx.mul_vec(x_r, ctx.pow_vec(h_t, e))
+    units = xs[1:]
+    inst = FamilyInstance(family, ctx, f_t, xs if include_zero else units, n,
+                          reduced=g_t, carrier=carrier, meta=meta, violations=violations)
+    inst._wiring = (units, carrier, carrier, lam_t, lam_t)
     return inst
 
 
@@ -345,27 +354,22 @@ def build_norm_lift(emb, r, h_sub, n, strict=True, include_zero=False):
                 "extension degree coprime to the subfield unit order", (q - 1, m))
     chk.require(n >= 1 and (q - 1) % n == 0, "n divides the subfield unit order", n)
     chk.require(math.gcd(r, s) == 1, "r coprime to the norm exponent", (r, s))
-    bad = next((y for y in sub.units() if h_sub(y) == 0), None)
+    hs_t = h_sub.eval_all()
+    bad = _first(np.flatnonzero(hs_t[1:] == 0) + 1)
     chk.require(bad is None, "h never zero on the subfield units", bad)
 
     h_big = Poly(big, [(e, emb.embed(c)) for e, c in h_sub.terms])
-    h_t = h_big.eval_all()
-    xs = big.elements_array()
-    lam_t = big.pow_vec(xs, s)
-    f_t = big.mul_vec(big.pow_vec(xs, r), h_t[lam_t])
-    mu = tuple(sorted(emb.embed(y) for y in sub.units()))
-    g_map = {y: big.mul(big.pow(y, r), big.pow(int(h_t[y]), m)) for y in mu}
-    g_sub = {y: sub.mul(sub.pow(y, r), sub.pow(h_sub(y), m)) for y in sub.units()}
-    for y in sub.units():
-        assert emb.embed(g_sub[y]) == g_map[emb.embed(y)]  # one map, two codecs
-    units = tuple(big.units())
-    domain = tuple(big.elements()) if include_zero else units
-    inst = FamilyInstance("norm-lift", big, {x: int(f_t[x]) for x in domain},
-                          domain, n, reduced=g_map, carrier=mu,
-                          meta={"r": r, "s": s, "h": h_sub, "sub_reduced": g_sub},
-                          violations=chk.violations)
-    lam = {x: int(lam_t[x]) for x in units}
-    inst._wiring = (units, mu, mu, lam, dict(lam))
+    embed_t = np.asarray([emb.embed(y) for y in sub.elements()], dtype=np.int64)
+    inst = _coset_square("norm-lift", big, r, s, m, h_big.eval_all(), n,
+                         np.sort(embed_t[1:]), include_zero,
+                         {"r": r, "s": s, "h": h_sub}, chk.violations)
+    # the same reduced map in the subfield's own codec must embed onto it
+    g_sub = sub.mul_vec(sub.pow_vec(sub.elements_array(), r), sub.pow_vec(hs_t, m))
+    moved = np.flatnonzero(embed_t[g_sub[1:]] != inst.reduced[embed_t[1:]])
+    if moved.size:
+        raise ConstructionMismatch(
+            f"norm-lift: the subfield-coded reduced map disagrees at unit {moved[0] + 1}")
+    inst.meta["sub_reduced"] = g_sub
     return inst
 
 
@@ -437,27 +441,14 @@ def build_branch_interpolation(ctx, r, values, strict=True, include_zero=True):
     chk = _Checker("branch-interpolation", strict)
     chk.require(math.gcd(r, s) == 1, "r coprime to s", (r, s))
     omega = ctx.unit_root(ell)
-    points = [ctx.pow(omega, i) for i in range(ell)]
+    points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     values = [ctx.check(v) for v in values]
     h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, omega, values))
-    for pt, v in zip(points, values):
-        assert h(pt) == v  # interpolation postcondition
-    xs = ctx.elements_array()
     h_t = h.eval_all()
-    lam_t = ctx.pow_vec(xs, s)
-    f_t = ctx.mul_vec(ctx.pow_vec(xs, r), h_t[lam_t])
-    g_map = {pt: ctx.mul(ctx.pow(pt, r), ctx.pow(v, s))
-             for pt, v in zip(points, values)}
-    units = tuple(ctx.units())
-    domain = tuple(ctx.elements()) if include_zero else units
-    inst = FamilyInstance("branch-interpolation", ctx,
-                          {x: int(f_t[x]) for x in domain}, domain, ell,
-                          reduced=g_map, carrier=tuple(points),
-                          meta={"r": r, "s": s, "values": tuple(values), "h": h},
-                          violations=chk.violations)
-    lam = {x: int(lam_t[x]) for x in units}
-    inst._wiring = (units, tuple(points), tuple(points), lam, dict(lam))
-    return inst
+    assert h_t[points].tolist() == values  # interpolation postcondition
+    return _coset_square("branch-interpolation", ctx, r, s, s, h_t, ell, points,
+                         include_zero,
+                         {"r": r, "s": s, "values": tuple(values), "h": h}, chk.violations)
 
 
 def branch_constant_predicate(ctx, r, values):
@@ -522,9 +513,10 @@ def solve_piecewise(ctx, spec, strict=True):
     """Interpolate h so f = x^r h(x^s) realizes the branch plan, then build
     the coset construction on it.
 
-    Exact postconditions, asserted: h at the i-th root equals
-    beta^(ell*levels[i] + targets[i] - i*r), and the reduced map sends
-    the i-th root to omega^targets[i]."""
+    Exact postconditions: h at the i-th root equals
+    beta^(ell*levels[i] + targets[i] - i*r) (asserted), and the reduced
+    map sends the i-th root to omega^targets[i] (ConstructionMismatch
+    otherwise)."""
     q = ctx.order
     s, r, n = spec.s, spec.r, spec.n
     if s < 1 or (q - 1) % s:
@@ -544,17 +536,19 @@ def solve_piecewise(ctx, spec, strict=True):
     chk.require(all(c == n for c in counts.values()),
                 "each chosen target hit exactly n times", counts)
 
-    beta = ctx.beta
-    omega = ctx.pow(beta, s)
-    points = [ctx.pow(omega, i) for i in range(ell)]
-    bvals = [ctx.pow(beta, (ell * spec.levels[i] + spec.targets[i] - i * r) % (q - 1))
+    omega = ctx.unit_root(ell)
+    points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
+    bvals = [ctx.exp_of((ell * spec.levels[i] + spec.targets[i] - i * r) % (q - 1))
              for i in range(ell)]
     h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, omega, bvals))
-    for pt, bv in zip(points, bvals):
-        assert h(pt) == bv  # interpolation postcondition
-    inst = build_coset_power(ctx, r, s, h, n, strict=strict)
-    for i in range(ell):
-        assert inst.reduced[points[i]] == ctx.pow(omega, spec.targets[i])
+    h_t = h.eval_all()
+    assert h_t[points].tolist() == bvals  # interpolation postcondition
+    inst = build_coset_power(ctx, r, s, h_t, n, strict=strict)
+    # points[a] = omega^a, so the plan is read straight off the roots
+    missed = np.flatnonzero(inst.reduced[points] != points[np.asarray(spec.targets) % ell])
+    if missed.size:
+        raise ConstructionMismatch(
+            f"piecewise: the reduced map misses the plan at root {missed[0]} of {spec}")
     inst.family = "piecewise"
     inst.meta.update({"spec": spec, "h": h})
     inst.violations = tuple(chk.violations) + inst.violations
@@ -609,36 +603,26 @@ def build_translate_link(ctx, q, k, g, c, delta, n, strict=True):
     chk.require(n >= 1 and ctx.order % n == 0, "n divides the field size", n)
 
     xs = ctx.elements_array()
-    psi_t = ctx.add_vec(ctx.sub_vec(ctx.pow_vec(xs, q ** k), xs),
-                        np.full(ctx.order, delta, dtype=np.int64))
-    S = tuple(int(y) for y in np.unique(psi_t))
+    qk = q ** k
+    psi_t = ctx.add_vec(ctx.sub_vec(ctx.pow_vec(xs, qk), xs), delta)
+    S = np.unique(psi_t)
     chk.require((ctx.order - len(S)) % n == 0,
                 "domain and carrier sizes congruent mod n", (ctx.order, len(S)))
     g_t = _table(ctx, g)
-    f_t = ctx.add_vec(g_t[psi_t], ctx.scalar_mul_vec(c, xs))
+    cx = ctx.scalar_mul_vec(c, xs)
+    f_t = ctx.add_vec(g_t[psi_t], cx)
     tail = ctx.mul(ctx.sub(1, c), delta)
-    qk = q ** k
-    h_map = {}
-    for y in S:
-        gy = int(g_t[y])
-        h_map[y] = ctx.add(ctx.add(ctx.sub(ctx.pow(gy, qk), gy), ctx.mul(c, y)), tail)
+    h_t = ctx.add_vec(ctx.add_vec(ctx.sub_vec(ctx.pow_vec(g_t, qk), g_t), cx), tail)
     # the square closes exactly when the k-th q-Frobenius fixes c; check it
     # directly so a bad c surfaces with a witness
-    harr = np.full(ctx.order, -1, dtype=np.int64)
-    for y, v in h_map.items():
-        harr[y] = v
-    comm = psi_t[f_t] == harr[psi_t]
-    chk.require(bool(comm.all()), "square commutes",
-                None if comm.all() else int(np.nonzero(~comm)[0][0]))
+    bad = _first(np.flatnonzero(psi_t[f_t] != h_t[psi_t]))
+    chk.require(bad is None, "square commutes", bad)
 
-    domain = tuple(ctx.elements())
-    inst = FamilyInstance("translate-link", ctx, {x: int(f_t[x]) for x in domain},
-                          domain, n, reduced=h_map, carrier=S,
+    inst = FamilyInstance("translate-link", ctx, f_t, xs, n, reduced=h_t, carrier=S,
                           meta={"q": q, "k": k, "ell": ell, "c": c, "delta": delta,
                                 "fiber": q ** ell},
                           violations=chk.violations)
-    lam = {x: int(psi_t[x]) for x in domain}
-    inst._wiring = (domain, S, S, lam, dict(lam))
+    inst._wiring = (xs, S, S, psi_t, psi_t)
     return inst
 
 
@@ -651,25 +635,11 @@ def reduced_blowup(inst):
         raise ValueError(f"{inst.family}: no square wiring")
     A, S = inst._wiring[0], inst._wiring[1]
     factor = len(A) // len(S)
-
-    def profile(m, dom):
-        hist = {}
-        for x in dom:
-            v = m[x]
-            hist[v] = hist.get(v, 0) + 1
-        prof = {}
-        for c in hist.values():
-            prof[c] = prof.get(c, 0) + 1
-        return prof
-
-    pf = profile(inst.f, A)
-    pg = profile(inst.reduced, S)
-    if set(pf) != set(pg):
-        return factor, False, next(iter(set(pf) ^ set(pg)))
-    for c, cnt in pg.items():
-        if pf[c] != factor * cnt:
-            return factor, False, c
-    return factor, True, None
+    # profile[c] = how many values have exactly c preimages, c <= len(A)
+    pf = np.bincount(np.bincount(inst.f[A]), minlength=len(A) + 1)
+    pg = np.bincount(np.bincount(inst.reduced[S]), minlength=len(A) + 1)
+    off = _first(np.flatnonzero(pf[1:] != factor * pg[1:]) + 1)
+    return factor, off is None, off
 
 
 # ---------------------------------------------------------------------------

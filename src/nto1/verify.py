@@ -102,6 +102,19 @@ def run_linearized(seed=SEED):
                      "q,q_sub,rank,n,ok")
 
 
+def cubic_sweep(ctx):
+    """Yield (a, b, predicate, brute) for the cubic criterion over ctx:
+    every (a, b) in characteristic 3, (0, b) otherwise, where the
+    criterion is claimed for x^3 + b x alone."""
+    if ctx.p == 3:
+        cases = ((a, b, cubic_char3_is3to1(ctx, a, b))
+                 for a, b in itertools.product(ctx.elements(), repeat=2))
+    else:
+        cases = ((0, b, cubic_charne3_is3to1(ctx, b)) for b in ctx.elements())
+    for a, b, pred in cases:
+        yield a, b, pred, report_matches(classify(cubic_poly(ctx, a, b)), 3)
+
+
 def run_de3p3(seed=SEED):
     """Cubic criterion in characteristic 3, exhaustive; 13 positives over
     GF(27)."""
@@ -109,15 +122,12 @@ def run_de3p3(seed=SEED):
     positives_27 = 0
     for m in (2, 3):
         ctx = Field(3, m)
-        for a in ctx.elements():
-            for b in ctx.elements():
-                pred = cubic_char3_is3to1(ctx, a, b)
-                got = report_matches(classify(cubic_poly(ctx, a, b)), 3)
-                if pred != got and witness is None:
-                    witness = f"GF(3^{m}) a={a} b={b}: predicate {pred}, brute {got}"
-                if m == 3 and pred:
-                    positives_27 += 1
-                rows.append((ctx.order, a, b, int(pred), int(got)))
+        for a, b, pred, got in cubic_sweep(ctx):
+            if pred != got and witness is None:
+                witness = f"GF(3^{m}) a={a} b={b}: predicate {pred}, brute {got}"
+            if m == 3 and pred:
+                positives_27 += 1
+            rows.append((ctx.order, a, b, int(pred), int(got)))
     if witness is None and positives_27 != 13:
         witness = f"expected 13 positive pairs over GF(27), found {positives_27}"
     return RunResult(witness is None, witness, rows, "q,a,b,predicate,brute")
@@ -129,9 +139,7 @@ def run_de3pne3(seed=SEED):
     rows, witness = [], None
     for p, m in ((2, 2), (5, 1), (7, 1), (2, 3), (13, 1), (2, 4)):
         ctx = Field(p, m)
-        for b in ctx.elements():
-            pred = cubic_charne3_is3to1(ctx, b)
-            got = report_matches(classify(Poly(ctx, [(3, 1), (1, b)])), 3)
+        for _, b, pred, got in cubic_sweep(ctx):
             if pred != got and witness is None:
                 witness = f"GF({ctx.order}) b={b}: predicate {pred}, brute {got}"
             rows.append((ctx.order, b, int(pred), int(got)))

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+from nto1 import verify
+
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
@@ -42,6 +44,21 @@ def test_verify_theorem_with_field_filter():
     assert len(rows) == 729
     assert all(row[3] == row[4] for row in rows)
     assert sum(row[3] == "1" for row in rows) == 13
+
+
+def test_lowdeg_cubic_rows_match_the_verify_rows():
+    by_field = {}
+    for q, a, b, pred, got in verify.run("de3p3").rows:
+        by_field.setdefault(q, []).append((a, b, pred, got))
+    for q, b, pred, got in verify.run("de3pne3").rows:
+        by_field.setdefault(q, []).append((0, b, pred, got))
+    for field, q in (("p=3,m=2", 9), ("p=7,m=1", 7), ("p=2,m=4", 16)):
+        r = run_cli("lowdeg", "--degree", "3", "--field", field)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.startswith("#schema=lowdeg3.v1:a,b,predicted,brute_force,agree\n")
+        want = [f"{a},{b},{p},{g},{int(p == g)}" for a, b, p, g in by_field[q]]
+        assert len(want) == (q * q if q == 9 else q)
+        assert data_rows(r.stdout) == want
 
 
 def test_construct_tower_family():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nto1 import (
     Field, LinearizedPoly, Poly, classify, classify_rows, histogram, is_n_to_1,
-    linearized_oracle, merge_histograms, monomial_oracle, report_matches,
+    linearized_oracle, monomial_oracle, report_matches,
 )
 from nto1.counting import _decide, row_blocks
 from nto1.errors import ExceptionCountMismatch, FieldMismatch, NTo1Error, ZeroInput
@@ -110,10 +110,8 @@ def test_random_n_to_1_tables_classify_at_n(n, seed):
         assert rep.n == n and rep.exception == (0, t)
 
 
-def test_histogram_and_merge():
-    h = histogram({0: 1, 1: 1, 2: 5})
-    assert h == {1: 2, 5: 1}
-    assert merge_histograms(h, {5: 3}) == {1: 2, 5: 4}
+def test_histogram_of_dict():
+    assert histogram({0: 1, 1: 1, 2: 5}) == {1: 2, 5: 1}
 
 
 def test_callable_needs_domain():

@@ -3,14 +3,17 @@ enforcement, and the closed-form predicates."""
 
 import math
 import random
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from nto1 import (
-    Field, LinearizedPoly, PiecewiseSpec, Poly, SubfieldEmbed, classify,
+    Field, LinearizedPoly, PiecewiseSpec, Poly, SubfieldEmbed, classify, is_n_to_1,
     monomial_oracle, verify_diagram,
 )
-from nto1.errors import HypothesisViolated
+from nto1 import families
+from nto1.errors import ConstructionMismatch, HypothesisViolated
 from nto1.families import (
     branch_case_predicate, branch_constant_predicate, build_additive_split,
     build_branch_interpolation, build_coset_power, build_linearized_mix,
@@ -137,6 +140,14 @@ def test_norm_lift_equivalence_and_codec_consistency():
             assert sub_rep.n == big_rep.n and sub_rep.irregular == big_rep.irregular
 
 
+def test_norm_lift_codec_disagreement_is_a_typed_error(monkeypatch):
+    emb = SubfieldEmbed(Field(3, 3), Field(3, 1))
+    # a subfield product that loses its result breaks the subfield-coded copy
+    monkeypatch.setattr(emb.sub, "mul_vec", lambda a, b: np.zeros_like(a))
+    with pytest.raises(ConstructionMismatch):
+        build_norm_lift(emb, 1, Poly.constant(emb.sub, 2), 2)
+
+
 def test_norm_lift_enforces_r_coprime_to_norm_exponent():
     emb = SubfieldEmbed(Field(3, 3), Field(3, 1))
     with pytest.raises(HypothesisViolated):
@@ -228,6 +239,20 @@ def test_piecewise_lands_on_the_plan():
                 assert inst.reduced[ctx.pow(omega, i)] == ctx.pow(omega, a)
 
 
+def test_piecewise_off_plan_is_a_typed_error(monkeypatch):
+    build = families.build_coset_power
+
+    def off_plan(*args, **kwargs):
+        inst = build(*args, **kwargs)
+        inst.reduced = np.zeros_like(inst.reduced)
+        return inst
+
+    monkeypatch.setattr(families, "build_coset_power", off_plan)
+    ctx = Field(13, 1)
+    with pytest.raises(ConstructionMismatch):
+        solve_piecewise(ctx, random_piecewise(ctx, random.Random(12)))
+
+
 def test_piecewise_rejects_unbalanced_targets():
     ctx = Field(7, 1)
     spec = PiecewiseSpec(r=1, s=1, n=2, targets=[0, 0, 0, 1, 2, 2], levels=[0] * 6)
@@ -315,3 +340,101 @@ def test_shift_power_tower_validation():
     deep = SubfieldEmbed(Field(2, 8), Field(2, 2))
     with pytest.raises(ValueError):
         build_shift_power(deep, "2gouzao2", 0)  # not a quadratic extension
+
+
+# -- one map representation ------------------------------------------------------------
+
+def _one_instance_per_builder():
+    """(instance, old per-point formula of its reduced map) for one instance
+    of every builder, hypotheses broken or not."""
+    rng = random.Random(2)
+    out = []
+
+    emb = SubfieldEmbed(Field(2, 4), Field(2, 2))
+    big = emb.big
+    psi, phi = _sub_coeff_qpolys(emb, rng, 2)
+    h, g = Poly.constant(big, 1), Poly.monomial(big, 1, 2)
+    out.append((build_additive_split(emb, psi, psi, phi, h, g, 2, strict=False),
+                lambda y: big.add(big.mul(h(y), phi(y)), psi(g(y)))))
+
+    emb3 = SubfieldEmbed(Field(3, 4), Field(3, 2))
+    big3 = emb3.big
+    L1, L2, L3 = _sub_coeff_qpolys(emb3, rng, 3)
+    norm = Poly.monomial(big3, 1, 1 + emb3.q_sub)
+    out.append((build_linearized_mix(emb3, L1, L2, L3, norm, 3, strict=False),
+                lambda y: big3.add(L1(y), big3.mul(L2(y), norm(y)))))
+
+    f13 = Field(13, 1)
+    hc = Poly.from_dense(f13, [2, 1])
+    out.append((build_coset_power(f13, 5, 3, hc, 2, strict=False),
+                lambda y: f13.mul(f13.pow(y, 5), f13.pow(hc(y), 3))))
+
+    lift = SubfieldEmbed(Field(3, 3), Field(3, 1))
+    up, sub = lift.big, lift.sub
+
+    def norm_formula(inst):
+        r, h_sub = inst.meta["r"], inst.meta["h"]
+        return lambda y: up.mul(up.pow(y, r), up.pow(lift.embed(h_sub(lift.project(y))), 3))
+
+    inst = build_norm_lift(lift, 7, Poly.from_dense(sub, [1, 1, 1]), 2, strict=False)
+    assert inst.meta["sub_reduced"].tolist() == [
+        sub.mul(sub.pow(y, 7), sub.pow(inst.meta["h"](y), 3)) for y in sub.elements()]
+    out.append((inst, norm_formula(inst)))
+    inst = build_two_branch_lift(lift, 1, 1, 2, strict=False)
+    out.append((inst, norm_formula(inst)))
+
+    values = [5, 0, 7]
+    inst = build_branch_interpolation(f13, 5, values, strict=False)
+    roots = dict(zip(f13.roots_of_unity(3), values))
+    out.append((inst, lambda y: f13.mul(f13.pow(y, 5), f13.pow(roots[y], 4))))
+
+    spec = random_piecewise(f13, random.Random(12))
+    omega = f13.unit_root((f13.order - 1) // spec.s)
+    plan = {f13.pow(omega, i): f13.pow(omega, a) for i, a in enumerate(spec.targets)}
+    out.append((solve_piecewise(f13, spec), plan.__getitem__))
+
+    f16 = Field(2, 4)
+    gt = Poly.from_dense(f16, [1, 3, 15, 4])
+    c = next(c for c in range(2, 16) if f16.pow(c, 4) == c)  # a unit of GF(4)
+    out.append((build_translate_link(f16, 4, 1, gt, c, 13, 2, strict=False),
+                lambda y: f16.add(f16.add(f16.sub(f16.pow(gt(y), 4), gt(y)), f16.mul(c, y)),
+                                  f16.mul(f16.sub(1, c), 13))))
+
+    tower = SubfieldEmbed(Field(2, 8), Field(2, 4))
+    inst = build_shift_power(tower, "2gouzao2", 5)
+    e, big8 = inst.meta["e"], tower.big
+    out.append((inst, lambda y: big8.add(big8.sub(big8.pow(big8.pow(y, e), 16),
+                                                  big8.pow(y, e)), y)))
+    return out
+
+
+def _profile(table):
+    """Preimage count -> how many values have it, the old dict way."""
+    return Counter(Counter(table.values()).values())
+
+
+def test_maps_are_tables_and_agree_with_the_dict_path():
+    cases = _one_instance_per_builder()
+    assert len({inst.family for inst, _ in cases}) == 9
+    for inst, formula in cases:
+        q = inst.ctx.order
+        for t in (inst.f, inst.reduced):
+            assert t.dtype == np.int64 and t.shape == (q,), inst
+        assert inst.domain.dtype == np.int64 and inst.carrier.dtype == np.int64
+        carrier = inst.carrier.tolist()
+        assert inst.reduced[inst.carrier].tolist() == [formula(y) for y in carrier], inst
+
+        d = inst.diagram()
+        assert list(d.S) == carrier
+        domain = inst.domain.tolist()
+        assert set(domain) - set(d.A) <= {0}  # 0 -> 0 is the only point off the square
+        f = {0: 0, **d.f} if 0 in domain else d.f
+        assert inst.holds() == is_n_to_1(f, domain, inst.n), inst
+        assert inst.holds_reduced() == is_n_to_1(d.g, d.S, inst.n), inst
+        assert inst.classify() == classify(f, domain=domain), inst
+        assert inst.classify_reduced() == classify(d.g, domain=d.S), inst
+
+        factor = len(d.A) // len(d.S)
+        pf, pg = _profile(d.f), _profile(d.g)
+        off = sorted(c for c in set(pf) | set(pg) if pf[c] != factor * pg[c])
+        assert reduced_blowup(inst) == (factor, not off, off[0] if off else None), inst
