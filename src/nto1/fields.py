@@ -13,9 +13,15 @@ constructions with the same (p, m, modulus) are identical in every detail.
 Construction data is memoised for the life of the process, in one
 module-level table filled under one lock: the default modulus per (p, m);
 the default beta and every SubfieldEmbed's embedding and section per
-(p, m, modulus); the log/exp tables per (p, m, modulus, beta).  Every
+(p, m, modulus); the log/exp tables and the Zech table per
+(p, m, modulus, beta); the packed digit table per (p, m).  Every
 Field(...) call still returns a new object, but objects with the same key
 share that data, and shared arrays are read-only.
+
+Vector addition never walks digits below the log-table gate: p = 2 adds
+by XOR, GF(p) adds residues, and odd p with m > 1 adds in the log domain
+through Zech's logarithm Z[k] = log(1 + beta^k), so a + b = a * (1 + b/a)
+is exp[log a + Z[(log b - log a) mod n]] for n = q - 1.
 """
 
 from __future__ import annotations
@@ -45,6 +51,8 @@ _LOG_TABLE_CAP = 2 ** 20
 #   ("modulus", p, m)                         default modulus
 #   ("beta", p, m, modulus)                   default primitive element
 #   ("tables", p, m, modulus, beta)           (log, exp), read-only
+#   ("zech", p, m, modulus, beta)             Zech table, read-only
+#   ("packed", p, m)                          packed digits, read-only
 #   ("embed", p, m, modulus, k, sub_modulus)  SubfieldEmbed data
 # A build may re-enter the memo (an embedding needs its big field's
 # tables), hence the RLock.  No build takes a Field's own lock, so locks are
@@ -92,6 +100,20 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
+
+
+def _packed_headroom(p: int, m: int) -> tuple[int, int]:
+    """(width, cap) for m base-p digits packed into one int64: width = 63 // m
+    bits per digit, so the top field ends below bit 63, and a sum of at most
+    cap = (2^width - 1) // (p - 1) packed values keeps every field at most
+    2^width - 1, so no carry crosses into the next digit and the int64 stays
+    non-negative.  For odd p and m > 1 at q <= 2^20 the tightest case is
+    3^12, with width 5 and cap 15; FieldTooLarge when cap < 2."""
+    width = 63 // m
+    cap = ((1 << width) - 1) // (p - 1)
+    if cap < 2:
+        raise FieldTooLarge(f"GF({p}^{m}): {width}-bit digit fields cannot hold a sum of 2 digits")
+    return width, cap
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +244,7 @@ class Field:
         self._lock = threading.RLock()
         self._exp = None
         self._log = None
+        self._zech = None
         self._digits = None
         self._tr_prime = None
 
@@ -326,6 +349,39 @@ class Field:
         log.flags.writeable = False
         return log, exp
 
+    def _zech_table(self) -> np.ndarray:
+        """Z[k] = log(1 + beta^k) for k < n = q - 1, with Z[n/2] = -1 where
+        1 + beta^k = 0 (odd p).  Adding 1 changes only digit 0, so
+        1 + e = e - e % p + (e + 1) % p needs no digit matrix."""
+        if self._zech is None:
+            self._ensure_tables()
+
+            def build():
+                e = self._exp[: self.order - 1]
+                z = self._log[e - e % self.p + (e + 1) % self.p]
+                z.flags.writeable = False
+                return z
+
+            self._zech = _memo(("zech", self.p, self.m, self.modulus, self.beta), build)
+        return self._zech
+
+    def _packed_digits(self):
+        """(packed, width, cap): packed[a] holds the base-p digits of a in
+        bit fields of the given width, digit i at bit width * i; sums of up
+        to cap packed values do not carry (see _packed_headroom)."""
+        p, m = self.p, self.m
+        width, cap = _packed_headroom(p, m)
+
+        def build():
+            idx = np.arange(self.order, dtype=np.int64)
+            packed = np.zeros(self.order, dtype=np.int64)
+            for i, pi in enumerate(self._pow_p):
+                packed |= ((idx // pi) % p) << (width * i)
+            packed.flags.writeable = False
+            return packed
+
+        return _memo(("packed", p, m), build), width, cap
+
     def exp_of(self, i: int) -> int:
         """beta^i."""
         self._ensure_tables()
@@ -347,6 +403,8 @@ class Field:
         b = self.check(b)
         if self.p == 2:
             return a ^ b
+        if self.m == 1:
+            return (a + b) % self.p
         s = 0
         for pi in self._pow_p:
             s += ((a // pi + b // pi) % self.p) * pi
@@ -359,6 +417,8 @@ class Field:
         a = self.check(a)
         if self.p == 2:
             return a
+        if self.m == 1:
+            return -a % self.p
         s = 0
         for pi in self._pow_p:
             s += (-(a // pi) % self.p) * pi
@@ -467,19 +527,31 @@ class Field:
     def add_vec(self, a, b):
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return a ^ b
-        dig = self._digit_matrix()
-        s = (dig[a] + dig[b]) % self.p
-        return s @ np.asarray(self._pow_p, dtype=np.int64)
+        if self.m == 1:
+            return (a + b) % p
+        if self.order > _LOG_TABLE_CAP:  # no log tables: digit by digit
+            return sum(((a // pi + b // pi) % p) * pi for pi in self._pow_p)
+        zech = self._zech_table()
+        log = self._log
+        la = log[a]
+        z = zech[(log[b] - la) % (self.order - 1)]
+        s = np.where(z < 0, 0, self._exp[la + z])  # z = -1 where b = -a
+        return np.where(b == 0, a, np.where(a == 0, b, s))
 
     def neg_vec(self, a):
         a = np.asarray(a, dtype=np.int64)
-        if self.p == 2:
+        p = self.p
+        if p == 2:
             return a.copy()
-        dig = self._digit_matrix()
-        s = (-dig[a]) % self.p
-        return s @ np.asarray(self._pow_p, dtype=np.int64)
+        if self.m == 1:
+            return -a % p
+        if self.order > _LOG_TABLE_CAP:
+            return sum((-(a // pi) % p) * pi for pi in self._pow_p)
+        self._ensure_tables()
+        return np.where(a == 0, 0, self._exp[self._log[a] + (self.order - 1) // 2])
 
     def sub_vec(self, a, b):
         return self.add_vec(a, self.neg_vec(b))

@@ -217,9 +217,15 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
     reduced mod n; the product stays below n^2 <= 2^40 at the 2^20
     log-table gate.  A row whose coefficient in a column is zero has
     log c = -1, still a valid index, and is masked to 0.  Constant terms
-    fill their row.  Terms are summed by XOR for p = 2; for odd p their
-    digit vectors (the values themselves when m = 1) are summed and
-    reduced mod p once at the end."""
+    fill their row.  Terms are summed by XOR for p = 2, and as plain
+    residues reduced mod p once at the end for m = 1.  For odd p and m > 1
+    each term is one packed int64 holding its m base-p digits in bit
+    fields of width 63 // m (Field._packed_digits), so it costs one gather
+    and one add.  A field gains at most p - 1 per term, so after
+    cap = (2^width - 1) // (p - 1) terms, at least 15 below the 2^20 gate
+    (3^12: width 5; see fields._packed_headroom), the sum is unpacked and
+    packed again before any field can carry into the next.  The values are
+    unpacked once at the end."""
     q, p = ctx.order, ctx.p
     rows = len(polys)
     consts = [0] * rows
@@ -250,8 +256,9 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
     single = len(cols) == 1 and not any(consts)
     digits = p != 2 and ctx.m > 1 and not single
     if digits:
-        dig = ctx._digit_matrix()
-        acc = np.repeat(dig[consts], n, axis=0)  # row-major (rows * n, m)
+        packed, width, cap = ctx._packed_digits()
+        acc = np.repeat(packed[consts], n).reshape(units.shape)
+        terms = 1  # the constant counts as one term
     for j, e in enumerate(cols):
         t = exp[(log_x * (e % n)) % n + log_c[j]]
         if zero is not None:
@@ -261,14 +268,28 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
         elif p == 2:
             units ^= t
         elif digits:
-            acc += dig[t.ravel()]
+            if terms == cap:
+                acc = packed[_unpack(ctx, acc, width)]
+                terms = 1
+            acc += packed[t]
+            terms += 1
         else:
             units += t
     if digits:
-        np.remainder(acc, p, out=acc)
-        units[:] = (acc @ np.asarray(ctx._pow_p, dtype=np.int64)).reshape(units.shape)
+        units[:] = _unpack(ctx, acc, width)
     elif p != 2 and not single:
         units %= p
+    return out
+
+
+def _unpack(ctx: Field, acc: np.ndarray, width: int) -> np.ndarray:
+    """Field elements from packed digit sums: bit field i, reduced mod p,
+    is digit i."""
+    p, mask = ctx.p, (1 << width) - 1
+    out = acc & mask
+    out %= p
+    for i, pi in enumerate(ctx._pow_p[1:], 1):
+        out += ((acc >> (width * i)) & mask) % p * pi
     return out
 
 

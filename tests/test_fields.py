@@ -268,6 +268,139 @@ def test_cold_construction_is_thread_safe(monkeypatch):
         assert emb._E is emb0._E
 
 
+# ----------------------------------------------------------------------
+# Vector addition: XOR, GF(p) residues and Zech's logarithm, against the
+# scalar digit loop.
+# ----------------------------------------------------------------------
+
+def _assert_add_neg_match_scalar(F, a, b):
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    got, neg = F.add_vec(a, b), F.neg_vec(b)
+    assert got.dtype == neg.dtype == np.int64
+    assert got.tolist() == [F.add(x, y) for x, y in zip(a.tolist(), b.tolist())], F
+    assert neg.tolist() == [F.neg(y) for y in b.tolist()], F
+    assert np.array_equal(F.sub_vec(a, b), F.add_vec(a, neg)), F
+
+
+@pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
+def test_add_vec_and_neg_vec_match_scalar_on_every_pair(p, m):
+    F = Field(p, m)
+    q = F.order
+    xs = F.elements_array()
+    a, b = np.repeat(xs, q), np.tile(xs, q)  # 0 and every a = -b among them
+    _assert_add_neg_match_scalar(F, a, b)
+    assert int(np.count_nonzero(F.add_vec(a, b) == 0)) == q
+    if m == 1:
+        assert F.add_vec(a, b).tolist() == ((a + b) % p).tolist()
+        assert [F.add(x, y) for x, y in zip(a.tolist(), b.tolist())] == ((a + b) % p).tolist()
+
+
+@pytest.mark.parametrize("p,m", [(3, 12), (5, 8)])
+def test_add_vec_matches_scalar_on_random_pairs_near_the_gate(p, m):
+    F = Field(p, m)
+    rng = np.random.default_rng(p ** m)
+    a, b = rng.integers(0, F.order, size=(2, 200_000))
+    a[:100] = 0
+    b[100:200] = 0
+    b[200:300] = F.neg_vec(a[200:300])
+    _assert_add_neg_match_scalar(F, a, b)
+
+
+def test_add_vec_above_the_log_table_gate_adds_digit_by_digit():
+    F = Field(3, 13)
+    rng = np.random.default_rng(13)
+    a, b = rng.integers(0, F.order, size=(2, 200))
+    b[:5] = F.neg_vec(a[:5])
+    a[5:10] = 0
+    _assert_add_neg_match_scalar(F, a, b)
+    assert F._exp is None and F._digits is None
+
+
+def test_add_vec_keeps_the_callers_shapes():
+    for F in (Field(3, 3), Field(5, 1), Field(2, 4)):
+        q = F.order
+        xs = F.elements_array()
+        rng = np.random.default_rng(q)
+        # an np.int64 scalar with an array, as in additive_convolution
+        v = np.int64(q - 2)
+        assert F.add_vec(v, xs).tolist() == [F.add(q - 2, x) for x in range(q)]
+        assert F.add_vec(int(xs[3]), xs).shape == (q,)
+        # (k, 1) + (1, q), as in walsh._power_sums
+        block = xs[1:4]
+        grid = F.add_vec(block[:, None], xs[None, :])
+        assert grid.shape == (3, q)
+        assert grid.tolist() == [[F.add(x, y) for y in range(q)] for x in block.tolist()]
+        assert F.neg_vec(grid).tolist() == [[F.neg(v) for v in row] for row in grid.tolist()]
+        # 2-D matrices, as in row_reduce
+        M, N = rng.integers(0, q, size=(2, 4, 6))
+        assert F.sub_vec(M, N).tolist() == [[F.sub(x, y) for x, y in zip(r, s)]
+                                            for r, s in zip(M.tolist(), N.tolist())]
+
+
+@pytest.mark.parametrize("p,m", [(3, 2), (5, 2), (3, 3), (7, 2), (3, 7)])
+def test_zech_table(p, m):
+    F = Field(p, m)
+    Z = F._zech_table()
+    n = F.order - 1
+    assert Z.shape == (n,) and Z.dtype == np.int64
+    assert np.flatnonzero(Z == -1).tolist() == [n // 2]
+    assert int(Z.min()) == -1 and int(Z.max()) < n
+    one_plus = [F.add(1, F.exp_of(k)) for k in range(n)]
+    assert [int(F._exp[z]) if z >= 0 else 0 for z in Z.tolist()] == one_plus
+    with pytest.raises(ValueError):
+        Z[0] = 0
+    assert Field(p, m)._zech_table() is Z
+
+
+def test_vector_addition_is_thread_safe_on_cold_fields(monkeypatch):
+    rng = np.random.default_rng(37)
+    a, b = rng.integers(0, 3 ** 7, size=(2, 5000))
+    # more terms than the packed sums' cap, so eval_all renormalises
+    exps = rng.choice(np.arange(1, 3 ** 8), 300, replace=False)
+    terms = list(zip(exps.tolist(), rng.integers(1, 3 ** 7, 300).tolist()))
+
+    def work(_=None):
+        F = Field(3, 7)
+        f = Poly(F, terms + [(0, 4)])
+        assert len(f.terms) > F._packed_digits()[2]
+        return F, [F.add_vec(a, b), F.neg_vec(a), f.eval_all()]
+
+    monkeypatch.setattr(fields, "_MEMO", {})
+    _, want = work()
+    monkeypatch.setattr(fields, "_MEMO", {})
+    start = threading.Barrier(4, timeout=60)
+
+    def cold(_):
+        start.wait()
+        return work()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(cold, range(4), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    F0 = got[0][0]
+    assert len({id(F) for F, _ in got}) == 4
+    for F, results in got:
+        for x, y in zip(results, want):
+            assert np.array_equal(x, y)
+        assert F._exp is F0._exp and F._log is F0._log
+        assert F._zech is F0._zech is not None
+        assert F._packed_digits()[0] is F0._packed_digits()[0]
+
+
+def test_odd_addition_builds_no_digit_matrix():
+    F = Field(3, 10)
+    Poly(F, [(7, 2), (5, 1), (2, 1), (0, 1)]).eval_all()
+    xs = F.elements_array()
+    F.add_vec(xs, xs[::-1])
+    F.neg_vec(xs)
+    F.trace_to_prime_table()
+    assert F._digits is None
+
+
 class TestSubfieldEmbed:
     emb = SubfieldEmbed(Field(2, 6), Field(2, 2))
 

@@ -11,8 +11,8 @@ from nto1 import (
     Field, LinearizedPoly, Poly, apply_affine, eval_rows, is_additive, normalize,
     roots_of_unity_interpolate, vandermonde_solve,
 )
-from nto1 import polys
-from nto1.errors import FieldMismatch, NormalFormViolated, SingularSystem
+from nto1 import fields, polys
+from nto1.errors import FieldMismatch, FieldTooLarge, NormalFormViolated, SingularSystem
 from nto1.polys import matrix_rank, row_reduce
 
 F7 = Field(7, 1)
@@ -345,6 +345,61 @@ def test_eval_rows_matches_oracle_and_pointwise(ctx):
     single = [Poly(ctx, [(5, c)]) for c in (0, 1, q - 1, 0)]
     assert eval_rows(ctx, single).tolist() == [[f(x) for x in ctx.elements()] for f in single]
     assert eval_rows(ctx, []).shape == (0, q)
+
+
+# ----------------------------------------------------------------------
+# Packed digit sums (odd p, m > 1): renormalisation and headroom.
+# ----------------------------------------------------------------------
+
+def test_packed_sums_renormalise_past_the_cap_on_gf3_12():
+    ctx = Field(3, 12)
+    q, cap = ctx.order, ctx._packed_digits()[2]
+    assert cap == 15
+    rng = random.Random(312)
+    sparse = Poly(ctx, [(rng.randrange(q, 3 * q), rng.randrange(1, q)) for _ in range(12)]
+                  + [(rng.randrange(1, q), rng.randrange(1, q)) for _ in range(12)]
+                  + [(q - 1, 1), (0, rng.randrange(1, q))])
+    dense = Poly(ctx, [(e, rng.randrange(1, q)) for e in range(40)])
+    xs = [0, 1, q - 1] + [rng.randrange(q) for _ in range(200)]
+    for f in (sparse, dense):
+        assert len(f.terms) > cap
+        table = f.eval_all()
+        assert [int(table[x]) for x in xs] == [f(x) for x in xs], f
+    table = dense.eval_all()
+    assert [int(table[x]) for x in xs] == [dense.eval_horner(x) for x in xs]
+
+
+@pytest.mark.parametrize("ctx", [F27, F25, Field(7, 2), Field(3, 11)], ids=repr)
+def test_eval_rows_block_equals_one_row_eval_all(ctx):
+    rng = random.Random(ctx.order + 1)
+    q = ctx.order
+    exps = rng.sample(range(1, 3 * q), 20)
+    fs = [Poly(ctx, [(e, rng.choice([0, 0, rng.randrange(1, q)])) for e in exps]
+               + [(0, rng.choice([0, rng.randrange(1, q)]))]) for _ in range(5)]
+    fs += [Poly(ctx, [(e, rng.randrange(1, q)) for e in exps]), Poly.constant(ctx, 2),
+           Poly.zero(ctx), Poly(ctx, [(exps[0], 1)])]
+    table = eval_rows(ctx, fs)
+    if ctx.m == 11:  # cap 15 against 20 columns: the block renormalises
+        assert len({e for f in fs for e, _ in f.terms if e}) > ctx._packed_digits()[2]
+    for f, row in zip(fs, table):
+        assert np.array_equal(row, f.eval_all()), f
+    x = rng.randrange(q)
+    assert [int(v) for v in table[:, x]] == [f(x) for f in fs]
+
+
+def test_packed_headroom_holds_below_the_gate():
+    caps = {}
+    for p in filter(fields._is_prime, range(3, 2 ** 10)):
+        m = 2
+        while p ** m <= fields._LOG_TABLE_CAP:
+            width, cap = fields._packed_headroom(p, m)
+            assert cap >= 2 and width * m <= 63
+            assert cap * (p - 1) < 2 ** width
+            caps[p, m] = cap
+            m += 1
+    assert min(caps.values()) == caps[3, 12] == 15
+    with pytest.raises(FieldTooLarge):
+        fields._packed_headroom(3, 40)
 
 
 def _divisors(n):
