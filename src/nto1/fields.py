@@ -22,6 +22,11 @@ Vector addition never walks digits below the log-table gate: p = 2 adds
 by XOR, GF(p) adds residues, and odd p with m > 1 adds in the log domain
 through Zech's logarithm Z[k] = log(1 + beta^k), so a + b = a * (1 + b/a)
 is exp[log a + Z[(log b - log a) mod n]] for n = q - 1.
+
+row_reduce is the package's one exact elimination: scalar Gauss-Jordan
+through a Field's own scalar ops, so it needs no log tables.  polys uses
+it for ranks and solves; SubfieldEmbed solves its section with it over
+GF(p), and its trace table projects only the distinct trace values.
 """
 
 from __future__ import annotations
@@ -643,6 +648,38 @@ def field_from_spec(spec: dict | str) -> Field:
     return Field(int(spec["p"]), int(spec["m"]), spec.get("modulus"), spec.get("beta"))
 
 
+def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
+    """In-place RREF over ctx; returns the rank.
+
+    Scalar Gauss-Jordan with ctx's own check, inv, mul, add and neg, so
+    it needs no log tables and works at any order.  Every entry is checked
+    on entry (FieldMismatch), rows of unequal length raise DegreeMismatch,
+    and the reduced rows are written back into rows as lists of ints."""
+    ncols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise DegreeMismatch(f"row {i} has {len(row)} entries, row 0 has {ncols}")
+        rows[i] = [ctx.check(v) for v in row]
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        # columns left of col are already zero in the pivot row
+        inv = ctx.inv(rows[r][col])
+        prow = rows[r] = [0] * col + [ctx.mul(inv, v) for v in rows[r][col:]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = ctx.neg(row[col])
+                rows[i] = row[:col] + [ctx.add(a, ctx.mul(f, b)) if b else a
+                                       for a, b in zip(row[col:], prow[col:])]
+        r += 1
+    return r
+
+
 class SubfieldEmbed:
     """GF(p^k) inside GF(p^m) for k | m: ring embedding, section, and trace.
 
@@ -686,29 +723,16 @@ class SubfieldEmbed:
 
     def _section_transform(self, rho_pows):
         # Row-reduce [M | I] over GF(p), M the m x k matrix of rho powers.
-        # Plain Python rather than polys.row_reduce, which needs log tables:
-        # this one also works for p above the 2^20 log-table gate.
-        p = self.big.p
+        # The result is [R | E] with E invertible and E M = R = [I_k; 0]
+        # exactly when the first k columns all hold pivots.
         m, k = self.big.m, self.sub.m
-        rows = [[0] * (k + m) for _ in range(m)]
+        rows = [[0] * k + [int(i == j) for j in range(m)] for i in range(m)]
         for j, rp in enumerate(rho_pows):
             for i, d in enumerate(self.big.coeffs(rp)):
                 rows[i][j] = d
-        for i in range(m):
-            rows[i][k + i] = 1
-        r = 0
-        for col in range(k):
-            piv = next((i for i in range(r, m) if rows[i][col]), None)
-            if piv is None:
-                raise SingularSystem("embedding matrix must have full column rank")
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][col], -1, p)
-            rows[r] = [(v * inv) % p for v in rows[r]]
-            for i in range(m):
-                if i != r and rows[i][col]:
-                    f = rows[i][col]
-                    rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
-            r += 1
+        row_reduce(Field(self.big.p, 1), rows)
+        if not all(rows[j][j] for j in range(k)):
+            raise SingularSystem("embedding matrix must have full column rank")
         return np.array([row[k:] for row in rows], dtype=np.int64)
 
     def embed(self, a: int) -> int:
@@ -747,10 +771,11 @@ class SubfieldEmbed:
             for _ in range(self.rel_degree - 1):
                 y = big.pow_vec(y, self.q_sub)
                 t = big.add_vec(t, y)
-            dig = big._digit_matrix()[t]
-            z = (dig @ self._E.T) % big.p
+            # project only the at most q_sub distinct traces, then spread back
+            u, idx = np.unique(t, return_inverse=True)
+            z = (big._digit_matrix()[u] @ self._E.T) % big.p
             if np.any(z[:, self.sub.m:]):
                 raise TraceOutsideField(f"trace table left the embedded GF({self.sub.p}^{self.sub.m})")
             packs = np.asarray([self.sub.p ** i for i in range(self.sub.m)], dtype=np.int64)
-            self._tr_table = z[:, : self.sub.m] @ packs
+            self._tr_table = (z[:, : self.sub.m] @ packs)[idx]
         return self._tr_table

@@ -12,10 +12,11 @@ one-row case.
 Interpolation at the ell-th roots of unity is the closed-form inverse DFT
 (roots_of_unity_interpolate); vandermonde_solve stays as its test oracle.
 
-row_reduce eliminates a whole column per pivot with the vector kernels,
-so it needs the log tables (order <= 2^20).  It is the one elimination
-here: LinearizedPoly.rank reduces a single m x m digit matrix over GF(p)
-with it, with no change of basis to GF(q_sub).
+row_reduce, the package's one elimination, lives in fields (the subfield
+section needs it there) and is imported here: a scalar Gauss-Jordan that
+needs no log tables.  LinearizedPoly.rank reduces a single m x m digit
+matrix over GF(p) with it, with no change of basis to GF(q_sub);
+matrix_rank and solve_linear are thin wrappers.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import (
     ConstantPolynomial, DegreeMismatch, DegreeTooHigh, NormalFormViolated, SingularSystem,
 )
-from .fields import Field
+from .fields import Field, row_reduce
 
 _COMPOSE_DEGREE_CAP = 64
 _DENSE_CAP = 1 << 22
@@ -401,48 +402,8 @@ class LinearizedPoly:
 
 
 # ----------------------------------------------------------------------
-# Exact linear algebra over a Field (small systems only).
+# Exact linear algebra over a Field (row_reduce is fields.row_reduce).
 # ----------------------------------------------------------------------
-
-def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
-    """In-place RREF over ctx; returns the rank.
-
-    Every entry is checked once on entry (FieldMismatch).  Each pivot
-    clears its whole column with one vector product, and the reduced rows
-    are written back into rows as lists of ints."""
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    if nrows == 0 or ncols == 0:
-        return 0
-    M = np.asarray(rows)
-    if M.dtype.kind not in "biu" or M.shape != (nrows, ncols):
-        for row in rows:
-            for v in row:
-                ctx.check(v)
-        M = np.asarray(rows)
-    bad = np.argwhere((M < 0) | (M >= ctx.order))
-    if bad.size:
-        i, j = bad[0]
-        ctx.check(rows[i][j])
-    M = M.astype(np.int64)
-    r = 0
-    for col in range(ncols):
-        if r == nrows:
-            break
-        nz = np.flatnonzero(M[r:, col])
-        if nz.size == 0:
-            continue
-        piv = r + int(nz[0])
-        if piv != r:
-            M[[r, piv]] = M[[piv, r]]
-        M[r] = ctx.scalar_mul_vec(ctx.inv(int(M[r, col])), M[r])
-        f = M[:, col].copy()
-        f[r] = 0
-        M = ctx.sub_vec(M, ctx.mul_vec(f[:, None], M[r][None, :]))
-        r += 1
-    rows[:] = M.tolist()
-    return r
-
 
 def matrix_rank(ctx: Field, mat: list[list[int]]) -> int:
     return row_reduce(ctx, [list(row) for row in mat])

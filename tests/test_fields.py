@@ -440,3 +440,8 @@ class TestSubfieldEmbed:
             SubfieldEmbed(Field(2, 6), Field(2, 4))
         with pytest.raises(FieldMismatch):
             SubfieldEmbed(Field(2, 6), Field(3, 2))
+
+
+class TestSubfieldEmbedOddP(TestSubfieldEmbed):
+    """The same checks on an odd-characteristic tower, GF(3^2) in GF(3^4)."""
+    emb = SubfieldEmbed(Field(3, 4), Field(3, 2))

@@ -12,8 +12,10 @@ from nto1 import (
     roots_of_unity_interpolate, vandermonde_solve,
 )
 from nto1 import fields, polys
-from nto1.errors import FieldMismatch, FieldTooLarge, NormalFormViolated, SingularSystem
-from nto1.polys import matrix_rank, row_reduce
+from nto1.errors import (
+    DegreeMismatch, FieldMismatch, FieldTooLarge, NormalFormViolated, SingularSystem,
+)
+from nto1.polys import matrix_rank, row_reduce, solve_linear
 
 F7 = Field(7, 1)
 F25 = Field(5, 2)
@@ -314,8 +316,27 @@ def test_row_reduce_rejects_out_of_range_entries():
         rows = [[1, 0], [0, 1], [0, bad]]
         with pytest.raises(FieldMismatch):
             row_reduce(F7, rows)
+    # ragged rows, whether short or long, anywhere in the system
+    for rows in ([[1], [3, 4]], [[1, 2], [3]], [[1, 0], [0, 1], [5, 6, 0]], [[], [1]]):
+        with pytest.raises(DegreeMismatch):
+            row_reduce(F7, rows)
     assert row_reduce(F7, []) == 0
     assert row_reduce(F7, [[], []]) == 0
+
+
+def test_elimination_above_the_log_table_gate():
+    big = Field(1048583, 1)  # a prime above the 2^20 log-table gate
+    p = big.order
+    rows = [[2, 3, 5], [7, 11, 13], [17, 19, p - 1]]
+    want = [list(row) for row in rows]
+    assert row_reduce(big, rows) == 3 == _row_reduce_oracle(big, want)
+    assert rows == want == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert matrix_rank(big, [[1, 2], [p - 2, p - 4]]) == 1
+    mat, rhs = [[3, p - 1], [5, 2]], [4, 9]
+    x = solve_linear(big, mat, rhs)
+    assert [sum(a * b for a, b in zip(row, x)) % p for row in mat] == rhs
+    with pytest.raises(SingularSystem):
+        solve_linear(big, [[1, 2], [2, 4]], [1, 3])
 
 
 # ----------------------------------------------------------------------
