@@ -35,7 +35,7 @@ from .lowdeg import (
 )
 from .polys import (
     LinearizedPoly, Poly, apply_affine, eval_rows, is_additive, normalize,
-    roots_of_unity_interpolate, vandermonde_solve,
+    roots_of_unity_interpolate,
 )
 from .verify import RUNNERS, RunResult, run
 from .walsh import (

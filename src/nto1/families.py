@@ -307,18 +307,16 @@ def coset_power_monomial(ctx, s, h):
     if s < 1 or (q - 1) % s:
         raise ValueError(f"s must divide {q - 1}")
     ell = (q - 1) // s
-    h_t = _table(ctx, h)
-    mu = ctx.roots_of_unity(ell)
-    if any(h_t[y] == 0 for y in mu):
+    mu = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)  # omega^i at i
+    hv = _table(ctx, h)[mu]
+    if not hv.all():
         return None
-    w = {y: ctx.pow(int(h_t[y]), s) for y in mu}
-    omega = ctx.unit_root(ell)
-    for t in range(ell):
-        alpha = ctx.div(w[omega], ctx.pow(omega, t))
-        if ctx.pow(alpha, ell) != 1:
-            continue
-        if all(w[y] == ctx.mul(alpha, ctx.pow(y, t)) for y in mu):
-            return alpha, t
+    w = ctx.pow_vec(hv, s)  # every w(y) = h(y)^s is itself an ell-th root
+    alpha = int(w[0])
+    # w(omega) = alpha * omega^t with omega = beta^s = mu[1] (1 when ell = 1)
+    t = ctx.log(ctx.div(int(w[1 % ell]), alpha)) // s
+    if (w == ctx.scalar_mul_vec(alpha, mu[np.arange(ell) * t % ell])).all():
+        return alpha, t
     return None
 
 

@@ -1,8 +1,11 @@
 """Closed-form 3-to-1 classifiers for cubics, and the quartic search.
 
 The cubic criteria are exact characterizations; the quartic nonexistence
-is verified the way it was found, by exhaustive machine search (sampled
-above q = 49 to keep runtimes bounded).
+is verified the way it was found, by exhaustive machine search over every
+field up to q = 343.  The search classifies only Dickson's affine normal
+forms (Lidl and Niederreiter, Finite Fields): a translation x -> x + t,
+plus a scaling when p = 2, keeps every fiber size, so each normal form
+stands for a closed-form family of coefficient triples.
 """
 
 from __future__ import annotations
@@ -16,9 +19,7 @@ from .errors import DomainTooLarge, WrongCharacteristic
 from .fields import Field
 from .polys import Poly
 
-_EXHAUSTIVE_Q_CAP = 49  # q^4 evaluations stay under 10^7
 _SEARCH_Q_CAP = 343
-_SAMPLE_COUNT = 10 ** 5
 
 
 def cubic_char3_is3to1(ctx: Field, a: int, b: int) -> bool:
@@ -52,8 +53,7 @@ def cubic_poly(ctx: Field, a: int, b: int) -> Poly:
 @dataclass(frozen=True)
 class QuarticSearch:
     hits: tuple  # (a, b, c) triples whose quartic is 3-to-1
-    exhaustive: bool
-    tried: int
+    tried: int  # size of the coefficient space covered, always q^3
 
 
 def _rows_are_3to1(counts: np.ndarray, q: int) -> np.ndarray:
@@ -66,58 +66,61 @@ def _rows_are_3to1(counts: np.ndarray, q: int) -> np.ndarray:
     return (regular | exceptional).all(axis=1) & (exceptional.sum(axis=1) == 1)
 
 
-def _carry_free_sum(ctx: Field, terms: int):
-    """(spread, decode) for adding up to `terms` field elements with plain
-    integer addition.  spread[v] holds the base-p digits of v as digits in
-    base B = terms*(p-1) + 1, so a sum of `terms` spread values never
-    carries; decode[s] reduces each base-B digit of s mod p and returns the
-    field element.  decode has B^m entries (at most 4^8 for three terms
-    and q <= 343)."""
-    p, m = ctx.p, ctx.m
-    radix = terms * (p - 1) + 1
-    pow_p = p ** np.arange(m, dtype=np.int64)
-    place = radix ** np.arange(m, dtype=np.int64)
-    spread = ((ctx.elements_array()[:, None] // pow_p) % p) @ place
-    sums = np.arange(radix ** m, dtype=np.int64)
-    decode = ((sums[:, None] // place) % radix % p) @ pow_p
-    return spread, decode
-
-
-def quartic_3to1_search(ctx: Field, seed: int = 0) -> QuarticSearch:
-    """All (a, b, c) with x^4 + a x^3 + b x^2 + c x 3-to-1 over GF(q).
-
-    Exhaustive over the q^3 coefficient space for q <= 49; above that a
-    seeded random sample of 10^5 triples is classified instead and the
-    result is flagged non-exhaustive.  Either way the quartics are
-    classified as (rows, q) value blocks of about 2^14 entries, one
-    row-offset bincount per block, and hits come out in (a, b, c) order
-    (sample order when sampled).  Each value is x^4 + a x^3, b x^2 and
-    c x read from (q, q) tables and added carry-free.
-    """
+def _three_to_one(ctx: Field, heads: np.ndarray, cx: np.ndarray) -> list:
+    """(i, c) for every 3-to-1 map heads[i] + c x, with heads a (k, q) table
+    of value vectors and cx[c] the value vector of c x; classified a block
+    of heads at a time (about 2^14 entries, but at least one head's q^2),
+    one bincount per block."""
     q = ctx.order
+    hits = []
+    for lo, hi in row_blocks(len(heads), q * q):
+        vals = ctx.add_vec(heads[lo:hi, None, :], cx[None, :, :]).reshape(-1, q)
+        for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
+            hits.append((lo + int(r) // q, int(r) % q))
+    return hits
+
+
+def quartic_3to1_search(ctx: Field) -> QuarticSearch:
+    """All (a, b, c) with x^4 + a x^3 + b x^2 + c x 3-to-1 over GF(q),
+    exhaustive over the q^3 coefficient space for every q <= 343.
+
+    Only normal forms are classified, and each hit is pulled back to its
+    whole family in closed form:
+
+    - odd p: x -> x + t with a = -4t clears the cubic term, so the q^2
+      rows x^4 + b'x^2 + c'x stand for (a, b, c) with b = b' + 6t^2 and
+      c = c' - 2bt + 8t^3, one triple per t;
+    - p = 2, a = 0: the q^2 additive rows x^4 + b x^2 + c x themselves
+      (at q = 2 the constant map counts as 3-to-1);
+    - p = 2, a != 0: x -> x + b/a clears b and x -> a x scales a to 1,
+      so the q rows x^4 + x^3 + c''x stand for (a, a s, a(c''a^2 + s^2)),
+      one triple per unit a and s in GF(q).
+
+    Hits come out sorted in (a, b, c) order.
+    """
+    q, p = ctx.order, ctx.p
     if q > _SEARCH_Q_CAP:
         raise DomainTooLarge(f"quartic search gated at q <= {_SEARCH_Q_CAP}")
-    xs = cs = ctx.elements_array()
-    # row k of each table is the value vector of the term with coefficient k
-    head = ctx.add_vec(ctx.pow_vec(xs, 4)[None, :],
-                       ctx.mul_vec(cs[:, None], ctx.pow_vec(xs, 3)[None, :]))
-    bx2 = ctx.mul_vec(cs[:, None], ctx.pow_vec(xs, 2)[None, :])
-    cx = ctx.mul_vec(cs[:, None], xs[None, :])
-    spread, decode = _carry_free_sum(ctx, 3)
-    head, bx2, cx = spread[head], spread[bx2], spread[cx]
+    xs = ctx.elements_array()
+    x4, sq, cube = (ctx.pow_vec(xs, e) for e in (4, 2, 3))
+    cx = ctx.mul_vec(xs[:, None], xs[None, :])
+    depressed = _three_to_one(ctx, ctx.add_vec(x4, ctx.mul_vec(xs[:, None], sq)), cx)
     hits = []
-    if q <= _EXHAUSTIVE_Q_CAP:
-        for a in range(q):
-            for lo, hi in row_blocks(q, q * q):
-                vals = decode[head[a] + bx2[lo:hi, None, :] + cx[None, :, :]].reshape(-1, q)
-                for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
-                    hits.append((a, lo + int(r) // q, int(r) % q))
-        return QuarticSearch(hits=tuple(hits), exhaustive=True, tried=q ** 3)
-    rng = np.random.default_rng(seed)
-    triples = rng.integers(0, q, size=(_SAMPLE_COUNT, 3))
-    for lo, hi in row_blocks(_SAMPLE_COUNT, q):
-        a, b, c = triples[lo:hi].T
-        vals = decode[head[a] + bx2[b] + cx[c]]
-        for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
-            hits.append(tuple(int(v) for v in triples[lo + r]))
-    return QuarticSearch(hits=tuple(hits), exhaustive=False, tried=_SAMPLE_COUNT)
+    if p == 2:
+        hits += [(0, b, c) for b, c in depressed]
+        units = xs[1:, None]
+        b = ctx.mul_vec(units, xs[None, :])
+        a = np.broadcast_to(units, b.shape).ravel().tolist()
+        for _, c2 in _three_to_one(ctx, ctx.add_vec(x4, cube)[None, :], cx):
+            c = ctx.mul_vec(units, ctx.add_vec(ctx.scalar_mul_vec(c2, sq[1:, None]), sq[None, :]))
+            hits += zip(a, b.ravel().tolist(), c.ravel().tolist())
+    else:
+        a = ctx.scalar_mul_vec(-4 % p, xs)  # t runs over xs
+        six_t2 = ctx.scalar_mul_vec(6 % p, sq)
+        eight_t3 = ctx.scalar_mul_vec(8 % p, cube)
+        minus_2t = ctx.scalar_mul_vec(-2 % p, xs)
+        for b1, c1 in depressed:
+            b = ctx.add_vec(b1, six_t2)
+            c = ctx.add_vec(ctx.add_vec(c1, ctx.mul_vec(minus_2t, b)), eight_t3)
+            hits += zip(a.tolist(), b.tolist(), c.tolist())
+    return QuarticSearch(hits=tuple(sorted(hits)), tried=q ** 3)

@@ -10,13 +10,14 @@ table gather per distinct exponent, no per-term powering; eval_all is its
 one-row case.
 
 Interpolation at the ell-th roots of unity is the closed-form inverse DFT
-(roots_of_unity_interpolate); vandermonde_solve stays as its test oracle.
+(roots_of_unity_interpolate); the test suite checks it against a
+Vandermonde solve.
 
 row_reduce, the package's one elimination, lives in fields (the subfield
 section needs it there) and is imported here: a scalar Gauss-Jordan that
 needs no log tables.  LinearizedPoly.rank reduces a single m x m digit
 matrix over GF(p) with it, with no change of basis to GF(q_sub);
-matrix_rank and solve_linear are thin wrappers.
+matrix_rank is a thin wrapper.
 """
 
 from __future__ import annotations
@@ -409,21 +410,6 @@ def matrix_rank(ctx: Field, mat: list[list[int]]) -> int:
     return row_reduce(ctx, [list(row) for row in mat])
 
 
-def solve_linear(ctx: Field, mat: list[list[int]], rhs: list[int]) -> list[int]:
-    """Solve the square system mat * x = rhs by Gaussian elimination; exact."""
-    n = len(mat)
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    rank = row_reduce(ctx, aug)
-    if rank < n or any(all(v == 0 for v in row[:n]) and row[n] != 0 for row in aug):
-        raise SingularSystem("linear system is singular or inconsistent")
-    # rows are in RREF with unit pivots on the diagonal
-    sol = [0] * n
-    for row in aug:
-        lead = next(i for i, v in enumerate(row[:n]) if v != 0)
-        sol[lead] = row[n]
-    return sol
-
-
 def roots_of_unity_interpolate(ctx: Field, omega: int, values: list[int]) -> list[int]:
     """Coefficients of the unique polynomial h of degree < ell = len(values)
     with h(omega^i) = values[i], for omega of multiplicative order exactly
@@ -447,12 +433,3 @@ def roots_of_unity_interpolate(ctx: Field, omega: int, values: list[int]) -> lis
             acc = ctx.add(acc, int(exp[(log_v - i * j * log_w) % n]))
         out.append(int(exp[(log[acc] - log_ell) % n]) if acc else 0)
     return out
-
-
-def vandermonde_solve(ctx: Field, points: list[int], values: list[int]) -> list[int]:
-    """Coefficients of the unique polynomial of degree < len(points) through
-    (points[i], values[i]), via exact Gaussian elimination on the Vandermonde
-    matrix.  The test oracle for roots_of_unity_interpolate."""
-    n = len(points)
-    mat = [[ctx.pow(pt, j) if j else 1 for j in range(n)] for pt in points]
-    return solve_linear(ctx, mat, list(values))

@@ -123,6 +123,15 @@ def test_quartic_hits_exit_1_with_witness():
     assert r.stderr.strip()
 
 
+def test_quartic_search_exhaustive_at_the_cap():
+    r = run_cli("lowdeg", "--field", "p=7,m=3", "--degree", "4")
+    assert r.returncode == 0, r.stderr
+    assert "#exhaustive=1\n" in r.stdout and "#tried=40353607\n" in r.stdout
+    assert not data_rows(r.stdout)
+    r = run_cli("lowdeg", "--field", "p=7,m=3", "--degree", "4", "--seed", "3")
+    assert r.returncode == 2 and "unrecognized arguments: --seed 3" in r.stderr, r.stderr
+
+
 def test_sweep_schema_line():
     r = run_cli("sweep", "miu2", "--field", "p=7,m=1", "--r", "1")
     assert r.returncode == 0, r.stderr

@@ -5,9 +5,12 @@ import pytest
 
 from nto1 import (
     Field, Poly, classify, cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly,
-    is_n_to_1, lowdeg, quartic_3to1_search, report_matches,
+    is_n_to_1, quartic_3to1_search, report_matches,
 )
+from nto1.counting import row_blocks, row_counts
 from nto1.errors import DomainTooLarge, WrongCharacteristic
+from nto1.lowdeg import _rows_are_3to1
+from nto1.verify import _prime_powers
 
 
 def test_cubic_char3_exhaustive_gf9():
@@ -37,7 +40,7 @@ def test_wrong_characteristic_raises():
 
 def test_quartic_gf3_exact_hits():
     res = quartic_3to1_search(Field(3, 1))
-    assert res.exhaustive
+    assert res.tried == 27
     assert res.hits == ((0, 2, 0), (1, 2, 2), (2, 2, 1))
     # re-verify one hit the slow way: x^4 + 2x^2 over GF(3)
     ctx = Field(3, 1)
@@ -52,31 +55,11 @@ def test_quartic_counts_small_fields():
     assert quartic_3to1_search(Field(7, 1)).hits == ()
 
 
-def test_quartic_sampled_mode():
-    for seed in (1, 7):
-        res = quartic_3to1_search(Field(5, 3), seed=seed)
-        assert not res.exhaustive and res.tried == 10 ** 5
-        assert res.hits == ()
+def test_quartic_exhaustive_above_49():
+    res = quartic_3to1_search(Field(5, 3))
+    assert res.hits == () and res.tried == 125 ** 3
     with pytest.raises(DomainTooLarge):
         quartic_3to1_search(Field(2, 10))
-
-
-@pytest.mark.parametrize("p,m", [(5, 1), (2, 2), (3, 2), (7, 1)])
-def test_quartic_sampled_hits_in_sample_order(monkeypatch, p, m):
-    # force the sampled branch on a field with hits and re-check every
-    # sampled triple one at a time, in draw order
-    ctx = Field(p, m)
-    monkeypatch.setattr(lowdeg, "_EXHAUSTIVE_Q_CAP", 1)
-    monkeypatch.setattr(lowdeg, "_SAMPLE_COUNT", 3000)
-    res = quartic_3to1_search(ctx, seed=3)
-    assert not res.exhaustive and res.tried == 3000
-    triples = np.random.default_rng(3).integers(0, ctx.order, size=(3000, 3))
-    dom = tuple(ctx.elements())
-    want = tuple((int(a), int(b), int(c)) for a, b, c in triples
-                 if is_n_to_1(Poly(ctx, [(4, 1), (3, int(a)), (2, int(b)), (1, int(c))]), dom, 3))
-    assert res.hits == want
-    if ctx.order in (4, 5):
-        assert want  # these fields have 3-to-1 quartics
 
 
 @pytest.mark.parametrize("p,m", [(2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])
@@ -86,3 +69,43 @@ def test_quartic_exhaustive_matches_one_at_a_time(p, m):
     want = tuple((a, b, c) for a in dom for b in dom for c in dom
                  if is_n_to_1(Poly(ctx, [(4, 1), (3, a), (2, b), (1, c)]), dom, 3))
     assert quartic_3to1_search(ctx).hits == want
+
+
+def _carry_free_search(ctx):
+    """Every (a, b, c) in (a, b, c) order, each quartic's values added
+    carry-free: the base-p digits of each term are spread into base
+    B = 3(p - 1) + 1, so three spread terms sum with plain integer addition
+    and a B^m-entry table reduces each digit mod p."""
+    p, m, q = ctx.p, ctx.m, ctx.order
+    radix = 3 * (p - 1) + 1
+    pow_p = p ** np.arange(m, dtype=np.int64)
+    place = radix ** np.arange(m, dtype=np.int64)
+    spread = ((ctx.elements_array()[:, None] // pow_p) % p) @ place
+    decode = ((np.arange(radix ** m)[:, None] // place) % radix % p) @ pow_p
+    xs = ctx.elements_array()
+    head = ctx.add_vec(ctx.pow_vec(xs, 4)[None, :],
+                       ctx.mul_vec(xs[:, None], ctx.pow_vec(xs, 3)[None, :]))
+    bx2 = ctx.mul_vec(xs[:, None], ctx.pow_vec(xs, 2)[None, :])
+    cx = ctx.mul_vec(xs[:, None], xs[None, :])
+    head, bx2, cx = spread[head], spread[bx2], spread[cx]
+    hits = []
+    for a in range(q):
+        for lo, hi in row_blocks(q, q * q):
+            vals = decode[head[a] + bx2[lo:hi, None, :] + cx[None, :, :]].reshape(-1, q)
+            for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
+                hits.append((a, lo + int(r) // q, int(r) % q))
+    return tuple(hits)
+
+
+@pytest.mark.parametrize("p,m,q", _prime_powers(49))
+def test_normal_forms_match_the_full_sweep(p, m, q):
+    # the q^3 sweep the normal-form search replaced, hit for hit
+    res = quartic_3to1_search(Field(p, m))
+    assert res.hits == _carry_free_search(Field(p, m))
+    assert res.tried == q ** 3
+
+
+def test_quartic_census_up_to_343():
+    # every field the search admits: 3-to-1 quartics exist only for q <= 5
+    counts = {q: len(quartic_3to1_search(Field(p, m)).hits) for p, m, q in _prime_powers(343)}
+    assert {q: n for q, n in counts.items() if n} == {2: 4, 3: 3, 4: 12, 5: 10}

@@ -9,13 +9,37 @@ from hypothesis import strategies as st
 
 from nto1 import (
     Field, LinearizedPoly, Poly, apply_affine, eval_rows, is_additive, normalize,
-    roots_of_unity_interpolate, vandermonde_solve,
+    roots_of_unity_interpolate,
 )
 from nto1 import fields, polys
 from nto1.errors import (
     DegreeMismatch, FieldMismatch, FieldTooLarge, NormalFormViolated, SingularSystem,
 )
-from nto1.polys import matrix_rank, row_reduce, solve_linear
+from nto1.polys import matrix_rank, row_reduce
+
+
+def solve_linear(ctx, mat, rhs):
+    """Solve the square system mat * x = rhs on row_reduce; exact."""
+    n = len(mat)
+    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
+    rank = row_reduce(ctx, aug)
+    if rank < n or any(all(v == 0 for v in row[:n]) and row[n] != 0 for row in aug):
+        raise SingularSystem("linear system is singular or inconsistent")
+    # rows are in RREF with unit pivots on the diagonal
+    sol = [0] * n
+    for row in aug:
+        lead = next(i for i, v in enumerate(row[:n]) if v != 0)
+        sol[lead] = row[n]
+    return sol
+
+
+def vandermonde_solve(ctx, points, values):
+    """Coefficients of the unique polynomial of degree < len(points) through
+    (points[i], values[i]): the oracle for roots_of_unity_interpolate."""
+    n = len(points)
+    mat = [[ctx.pow(pt, j) if j else 1 for j in range(n)] for pt in points]
+    return solve_linear(ctx, mat, list(values))
+
 
 F7 = Field(7, 1)
 F25 = Field(5, 2)
