@@ -773,7 +773,8 @@ class SubfieldEmbed:
                 t = big.add_vec(t, y)
             # project only the at most q_sub distinct traces, then spread back
             u, idx = np.unique(t, return_inverse=True)
-            z = (big._digit_matrix()[u] @ self._E.T) % big.p
+            pows = big.p ** np.arange(big.m, dtype=np.int64)
+            z = (((u[:, None] // pows) % big.p) @ self._E.T) % big.p
             if np.any(z[:, self.sub.m:]):
                 raise TraceOutsideField(f"trace table left the embedded GF({self.sub.p}^{self.sub.m})")
             packs = np.asarray([self.sub.p ** i for i in range(self.sub.m)], dtype=np.int64)

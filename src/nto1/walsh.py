@@ -5,41 +5,30 @@ equality against 1 or 0, so floating point has no place.  omega is a
 primitive p-th root of unity; Z[omega] elements are stored reduced, with
 the omega^{p-1} coordinate eliminated through 1 + omega + ... + omega^{p-1} = 0.
 
-The spectral test needs only the power sums S_j at v = 0 of the j-fold
-additive convolution of T: v -> W_F(0, v), for j <= 3.  With T stored as a
-(q, p) matrix of root-of-unity counts and fold((a, b) -> a + b mod p) the
-product in Z[X]/(X^p - 1):
-
-    S_1 = T[0]
-    S_2 = fold(T^t . T[-v])  = sum_v T[v] * T[-v]
-    S_3 = fold(sum_x T[x]^t . G[x]) with G[x] = fold(T^t . T[-(x+y)])
-        = sum_{x,y} T[x] * T[y] * T[-x-y]
-
-All of them are int64 counts of at most q^5 (see _WALSH_DOMAIN_CAP).
-`additive_convolution`, which builds the whole convolution table, is kept
-as the reference the tests compare against.
+The spectral test needs the power sums S_j at v = 0 of the j-fold additive
+convolution of T: v -> W_F(0, v).  By the orthogonality of additive
+characters, sum_v W_F(0, v) omega^{-tr(yv)} = q N_y with N_y = |f^{-1}(y)|,
+so S_j = q^{j-1} sum_y N_y^j for every j.  `_fiber_sizes` reads the N_y off
+one character transform of T; `additive_convolution`, which builds the
+whole convolution table, is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
-from .errors import DegreeTooHigh, DomainTooLarge, PowerSumNotRational, ZeroInput
+from .errors import DegreeTooHigh, DomainTooLarge, FieldMismatch, PowerSumNotRational, ZeroInput
 from .fields import Field
 from .polys import LinearizedPoly, Poly
 
-# Every coordinate of T, of T^t . T[.] and of the S_3 accumulator is a
-# nonnegative count of at most q^5 (the sum of all coordinates of S_3 is
-# q^5), which is 2^60 at this cap; _power_sums refuses q^5 >= 2^63 so that a
-# larger cap cannot overflow int64 silently.
 _WALSH_DOMAIN_CAP = 2 ** 12
 # elements per vectorised block, so that q = 2^12 never allocates q^2 at once
 _BLOCK_ELEMS = 2 ** 16
-_CHAR_SUM_J_CAP = 3
 _PHI_J_CAP = 8
 _PHI_DEN_CAP = 2 ** 31
 
@@ -207,6 +196,9 @@ def _value_table(f, ctx: Optional[Field]):
     if isinstance(f, np.ndarray):
         if ctx is None:
             raise ZeroInput("a raw value table needs its Field")
+        q = ctx.order
+        if f.shape != (q,) or f.dtype.kind not in "iu" or f.min() < 0 or f.max() >= q:
+            raise FieldMismatch(f"a value table over GF({q}) needs {q} integer entries in [0, {q})")
         return ctx, f
     raise TypeError(f"unsupported map object {type(f)!r}")
 
@@ -266,49 +258,56 @@ def additive_convolution(ctx: Field, U: np.ndarray, T: np.ndarray) -> np.ndarray
     return R
 
 
-def _fold(M: np.ndarray, p: int) -> np.ndarray:
-    """(..., p, p) -> (..., p): entry (a, b) is added into coordinate
-    (a + b) mod p, by an exact integer product with a 0/1 matrix."""
-    a, b = np.divmod(np.arange(p * p), p)
-    onehot = ((a + b) % p)[:, None] == np.arange(p)[None, :]
-    return M.reshape(M.shape[:-2] + (p * p,)) @ onehot.astype(np.int64)
+@lru_cache(maxsize=None)
+def _character_kernel(p: int) -> np.ndarray:
+    """The 0/1 (p^2, p^2) matrix sending (v, c) to (u, c + uv mod p): one
+    digit's step of sum_v T[v] omega^{<u, v>}, multiplication by omega^{uv}
+    being a cyclic shift of the p coordinates."""
+    d, c = np.divmod(np.arange(p * p), p)
+    K = ((c[:, None] + d[:, None] * d[None, :]) % p == c[None, :]).astype(np.int64)
+    K.flags.writeable = False  # shared by every caller through the cache
+    return K
+
+
+def _fiber_sizes(ctx: Field, T: np.ndarray) -> np.ndarray:
+    """N with q N[u] = sum_v T[v] omega^{<u, v>} over the base-p digit pairing,
+    for the Walsh zero table T: m stages, each an int64 matmul of the (q/p, p^2)
+    table with the kernel that pairs the last digit and moves it to the front.
+    Coordinates stay counts of at most q^2.  Digit and trace pairings are both
+    nondegenerate, so the N[u] are the fiber sizes N_y in some order.  Raises
+    PowerSumNotRational unless every sum is q times an integer N >= 0."""
+    q, p = ctx.order, ctx.p
+    K = _character_kernel(p)
+    H = T
+    for _ in range(ctx.m):
+        H = (H.reshape(-1, p * p) @ K).reshape(-1, p, p).transpose(1, 0, 2)
+    H = H.reshape(q, p)
+    # rational iff coordinates 1..p-1 agree; the value is then h_0 - h_{p-1}
+    val = H[:, 0] - H[:, -1]
+    bad = (H[:, 1:] != H[:, -1:]).any(axis=1) | (val % q != 0) | (val < 0)
+    if bad.any():
+        u = int(np.flatnonzero(bad)[0])
+        raise PowerSumNotRational(f"character sum {CycloInt(p, H[u].tolist())!r} at u={u} "
+                                  f"is not q = {q} times a fiber size")
+    return val // q
 
 
 def _power_sums(ctx: Field, T: np.ndarray, J: int) -> list:
-    """[S_1, ..., S_J] for J <= 3: the j-fold additive-convolution powers of
-    the Walsh zero table T at v = 0, each an unreduced length-p int64 vector,
-    from the closed forms in the module docstring."""
-    q, p = T.shape
-    if q ** 5 >= 2 ** 63:
-        raise DomainTooLarge(f"field order {q}: Walsh power sums up to q^5 overflow int64")
-    xs = ctx.elements_array()
-    sums = []
-    if J >= 1:
-        sums.append(T[0])
-    if J >= 2:
-        sums.append(_fold(T.T @ np.take(T, ctx.neg_vec(xs), axis=0), p))
-    if J >= 3:
-        acc = np.zeros((p, p), dtype=np.int64)
-        rows = max(1, _BLOCK_ELEMS // q)
-        for start in range(0, q, rows):
-            block = xs[start:start + rows]
-            # G[x, c] = sum_y (T[y] * T[-(x + y)])[c] for x in the block
-            neg_sums = ctx.neg_vec(ctx.add_vec(block[:, None], xs[None, :]))
-            G = _fold(T.T @ np.take(T, neg_sums, axis=0), p)
-            acc += T[start:start + rows].T @ G
-        sums.append(_fold(acc, p))
-    return sums
+    """[S_1, ..., S_J] as Python ints: S_j, the j-fold additive-convolution
+    power of the Walsh zero table T at v = 0, is q^{j-1} sum_y N_y^j."""
+    counts = np.bincount(_fiber_sizes(ctx, T)).tolist()  # counts[n] = #{y : N_y = n}
+    return [ctx.order ** (j - 1) * sum(c * n ** j for n, c in enumerate(counts) if c)
+            for j in range(1, J + 1)]
 
 
 def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
     """The exact characterization value A_0 + sum_j A_j p^{m-jm} S_j, where
     S_j is the j-fold additive-convolution power of v -> W_F(0, v) at v = 0.
 
-    S_1 = T[0], S_2 = sum_v T[v] * T[-v] and S_3 = sum_{x,y} T[x] * T[y] *
-    T[-x-y] are taken in closed form from the Walsh zero table T, in exact
-    int64 (every coordinate is at most q^5 <= 2^60 at the 2^12 cap).  Raises
-    PowerSumNotRational if some S_j is not a rational integer, which would
-    mean the table is not a Walsh table."""
+    Every S_j comes from one character transform of the Walsh zero table
+    (see _fiber_sizes), for every gadget degree validate_phi accepts.  Raises
+    PowerSumNotRational if the transform does not give q times a fiber size,
+    which would mean the table is not a Walsh table."""
     ctx, values = _value_table(f, ctx)
     _gadget_degree(ctx, gadget)
     return _char_sum_of_table(ctx, walsh_zero_table(values, ctx), gadget)
@@ -316,8 +315,8 @@ def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
 
 def _gadget_degree(ctx: Field, gadget: PhiGadget) -> int:
     J = len(gadget.coeffs) - 1
-    if J > _CHAR_SUM_J_CAP:
-        raise DegreeTooHigh(f"char_sum supports degree <= {_CHAR_SUM_J_CAP}, got {J}")
+    if J > _PHI_J_CAP:
+        raise DegreeTooHigh(f"char_sum supports degree <= {_PHI_J_CAP}, got {J}")
     if gadget.p != ctx.p or gadget.m != ctx.m:
         raise ZeroInput("gadget was built for a different field")
     return J
@@ -328,11 +327,8 @@ def _char_sum_of_table(ctx: Field, T: np.ndarray, gadget: PhiGadget) -> Fraction
     J = _gadget_degree(ctx, gadget)
     p, m = ctx.p, ctx.m
     total = Fraction(gadget.coeffs[0])
-    for j, s in enumerate(_power_sums(ctx, T, J), start=1):
-        s_j = CycloInt(p, s.tolist())
-        if not s_j.is_rational():
-            raise PowerSumNotRational(f"Walsh power sum S_{j} = {s_j!r} is not a rational integer")
-        total += Fraction(gadget.coeffs[j]) * Fraction(p) ** (m - j * m) * s_j.as_int()
+    for j, s_j in enumerate(_power_sums(ctx, T, J), start=1):
+        total += Fraction(gadget.coeffs[j]) * Fraction(p) ** (m - j * m) * s_j
     return total
 
 

@@ -325,7 +325,7 @@ def test_add_vec_keeps_the_callers_shapes():
         v = np.int64(q - 2)
         assert F.add_vec(v, xs).tolist() == [F.add(q - 2, x) for x in range(q)]
         assert F.add_vec(int(xs[3]), xs).shape == (q,)
-        # (k, 1) + (1, q), as in walsh._power_sums
+        # (k, 1) + (1, q), as in the p = 2 pull-back of lowdeg.quartic_3to1_search
         block = xs[1:4]
         grid = F.add_vec(block[:, None], xs[None, :])
         assert grid.shape == (3, q)

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from nto1 import (
-    CycloInt, Field, LinearizedPoly, Poly, additive_convolution, char_sum,
-    histogram, is_n_to_1, phi_prime_power, phi_two, spectral_verdict,
-    validate_phi, walsh, walsh_zero_table,
+    CycloInt, Field, LinearizedPoly, PhiGadget, Poly, additive_convolution,
+    char_sum, histogram, is_n_to_1, phi_prime_power, phi_two,
+    spectral_verdict, validate_phi, walsh, walsh_zero_table,
 )
-from nto1.errors import DomainTooLarge, NTo1Error, PowerSumNotRational, ZeroInput
+from nto1.errors import DegreeTooHigh, FieldMismatch, NTo1Error, PowerSumNotRational, ZeroInput
 from nto1.verify import _n_to_1_table
 
 walsh_mod = importlib.import_module("nto1.walsh")  # `nto1.walsh` is the function
@@ -107,7 +107,9 @@ def _tables(ctx, seed):
 
 
 def _convolution_powers(ctx, T, J):
-    """S_1..S_J as row 0 of the j-fold additive_convolution powers of T."""
+    """S_1..S_J as row 0 of the j-fold additive_convolution powers of T, in
+    Python ints (S_8 at q = 49 is far beyond int64)."""
+    T = T.astype(object)
     U, out = T, [T[0]]
     for _ in range(J - 1):
         U = additive_convolution(ctx, U, T)
@@ -122,16 +124,26 @@ def _char_sum_from(g, sums):
         for j, s in enumerate(sums, start=1))
 
 
+def _gadget(roots, mode, n, p, m, k=None):
+    """The PhiGadget of prod_{r in roots} (X - r)."""
+    coeffs = [Fraction(1)]
+    for r in roots:
+        coeffs = [Fraction(0)] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= r * coeffs[i + 1]
+    return PhiGadget(tuple(coeffs), mode, n, p, m, k)
+
+
 @pytest.mark.parametrize("p,m", SPECTRAL_FIELDS)
 def test_power_sums_match_convolution_oracle(p, m):
+    J = walsh_mod._PHI_J_CAP
     ctx = Field(p, m)
     for tbl in _tables(ctx, seed=100 * p + m):
         T = walsh_zero_table(tbl, ctx)
-        want = _convolution_powers(ctx, T, 3)
-        got = walsh_mod._power_sums(ctx, T, 3)
-        assert [s.tolist() for s in got] == [s.tolist() for s in want]
+        want = _convolution_powers(ctx, T, J)
+        assert walsh_mod._power_sums(ctx, T, J) == [CycloInt(p, s.tolist()).as_int() for s in want]
         for g in [phi_prime_power(p, m, 1)] + ([phi_two(p, m)] if p != 2 else []):
-            assert char_sum(tbl, g, ctx) == _char_sum_from(g, want)
+            assert char_sum(tbl, g, ctx) == _char_sum_from(g, want[:3])
 
 
 @pytest.mark.parametrize("p,m", SPECTRAL_FIELDS)
@@ -140,11 +152,11 @@ def test_power_sums_count_fiber_tuples(p, m):
     the j-tuples of x with one common image, q^{j-1} times each."""
     ctx = Field(p, m)
     q = ctx.order
+    J = walsh_mod._PHI_J_CAP
     for tbl in _tables(ctx, seed=200 * p + m):
-        N = np.asarray(list(histogram(tbl).values()), dtype=np.int64)
-        sums = walsh_mod._power_sums(ctx, walsh_zero_table(tbl, ctx), 3)
-        for j, s in enumerate(sums, start=1):
-            assert CycloInt(p, s.tolist()) == q ** (j - 1) * int((N ** j).sum())
+        N = list(histogram(tbl).values())
+        sums = walsh_mod._power_sums(ctx, walsh_zero_table(tbl, ctx), J)
+        assert sums == [q ** (j - 1) * sum(n ** j for n in N) for j in range(1, J + 1)]
 
 
 def test_char_sum_at_the_domain_cap():
@@ -157,19 +169,83 @@ def test_char_sum_at_the_domain_cap():
     assert char_sum(tbl, g, F) == _char_sum_from(g, brute)
 
 
-def test_power_sums_refuse_int64_overflow():
-    F = Field(2, 13)  # q^5 = 2^65
-    with pytest.raises(DomainTooLarge):
-        walsh_mod._power_sums(F, np.zeros((F.order, 2), dtype=np.int64), 3)
+def test_degree_eight_char_sum_at_the_domain_cap():
+    """X^2 (X-2)^6 in divisor mode, n = 2, against sum_y phi(N_y) in Python ints."""
+    F = Field(2, 12)
+    q = F.order
+    g = _gadget([0, 0] + [2] * 6, "divisor", 2, 2, 12, k=1)
+    assert len(g.coeffs) - 1 == walsh_mod._PHI_J_CAP
+    assert validate_phi(g) == (True, None)
+
+    def phi(x):
+        return x * x * (x - 2) ** 6
+
+    rng = np.random.default_rng(8)
+    two = _n_to_1_table(F, 2, random.Random(8))
+    for tbl in (rng.integers(0, q, q), rng.integers(0, q // 3, q), two):
+        N = list(histogram(tbl).values())  # the y with N_y = 0 add phi(0) = 0
+        cs = char_sum(tbl, g, F)
+        assert cs == sum(phi(n) for n in N)
+        assert (cs == g.bound) == is_n_to_1(tbl, tuple(F.elements()), 2) == (tbl is two)
 
 
-def test_non_rational_power_sum_is_a_typed_error(monkeypatch):
-    monkeypatch.setattr(walsh_mod, "_power_sums",
-                        lambda ctx, T, J: [T[0], np.array([0, 1, 0]), T[0]])
+def test_non_rational_power_sum_is_a_typed_error():
     assert issubclass(PowerSumNotRational, NTo1Error)
     assert not issubclass(PowerSumNotRational, AssertionError)
+    T = walsh_zero_table(Poly.x(F9))
+    T[0] = [0, 9, 0]  # W(0, 0) = 9 omega is no Walsh value: every sum is 9 omega
     with pytest.raises(PowerSumNotRational):
-        char_sum(Poly.x(F9), phi_two(3, 2), F9)
+        walsh_mod._char_sum_of_table(F9, T, phi_two(3, 2))
+    F8 = Field(2, 3)
+    T = walsh_zero_table(Poly.x(F8))
+    T[0] = [0, 8]  # W(0, 0) = -8: every sum is -8, rational but not 8 N with N >= 0
+    with pytest.raises(PowerSumNotRational):
+        walsh_mod._char_sum_of_table(F8, T, phi_prime_power(2, 3, 1))
+    T = walsh_zero_table(Poly.x(F8))
+    T[1] = [3, 5]  # W(0, 1) = -2: every sum is 8 + 2 or 8 - 2, no multiple of 8
+    with pytest.raises(PowerSumNotRational):
+        walsh_mod._char_sum_of_table(F8, T, phi_prime_power(2, 3, 1))
+
+
+def test_degree_six_nondivisor_gadget():
+    """X^2 (X-2)^4, n = 2: a degree-6 gadget needs S_1..S_6, and
+    spectral_verdict agrees with brute force."""
+    for p, m in SPECTRAL_FIELDS:
+        if p == 2:
+            continue
+        ctx = Field(p, m)
+        g = _gadget([0, 0, 2, 2, 2, 2], "nondivisor", 2, p, m)
+        assert validate_phi(g) == (True, None)
+        dom = tuple(ctx.elements())
+        for tbl in _tables(ctx, seed=300 * p + m):
+            assert spectral_verdict(tbl, g, ctx) == is_n_to_1(tbl, dom, 2)
+
+
+def test_gadget_above_the_phi_cap_is_refused():
+    g = _gadget([0, 0] + [2] * 7, "nondivisor", 2, 3, 2)
+    assert validate_phi(g) == (False, None)
+    with pytest.raises(DegreeTooHigh):
+        char_sum(Poly.x(F9), g, F9)
+
+
+BAD_TABLES = {
+    "short": np.arange(8, dtype=np.int64),
+    "float": np.arange(9, dtype=np.float64),
+    "negative": np.asarray([0, 1, 2, 3, 4, 5, 6, 7, -1], dtype=np.int64),
+    "too_large": np.asarray([0, 1, 2, 3, 4, 5, 6, 7, 9], dtype=np.int64),
+    "two_dimensional": np.zeros((9, 1), dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_TABLES))
+def test_raw_tables_are_validated(kind):
+    tbl = BAD_TABLES[kind]
+    for call in (lambda: char_sum(tbl, phi_two(3, 2), F9),
+                 lambda: spectral_verdict(tbl, phi_two(3, 2), F9),
+                 lambda: walsh_zero_table(tbl, F9),
+                 lambda: walsh(tbl, 0, 1, F9)):
+        with pytest.raises(FieldMismatch):
+            call()
 
 
 def test_char_sum_of_a_built_table_equals_char_sum():
