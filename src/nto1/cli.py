@@ -12,7 +12,6 @@ JSON is emitted with sorted keys and no whitespace.
 
 import argparse
 import json
-import math
 import os
 import random
 import re
@@ -23,10 +22,9 @@ from .diagrams import DiagramSpec, random_diagram, transfer, verify_diagram
 from .errors import GateExceeded, NTo1Error
 from .families import (
     SHIFT_POWER_VARIANTS, branch_case_predicate, build_branch_interpolation,
-    build_shift_power, shift_power_poly, shift_power_profile,
-    sweep_shift_power,
+    build_shift_power, shift_power_poly,
 )
-from .fields import Field, SubfieldEmbed, field_from_spec
+from .fields import Field, SubfieldEmbed, _prime_factors, exact_log, field_from_spec
 from .lowdeg import quartic_3to1_search
 from .polys import Poly
 from .walsh import _char_sum_of_table, phi_prime_power, phi_two, walsh_zero_table
@@ -158,8 +156,18 @@ def _emit_csv(schema_id, columns, rows, comments=()):
 def _elem_str(ctx, x):
     return ":".join(str(d) for d in ctx.coeffs(x))
 
-def _witness(text):
-    sys.stderr.write(text + "\n")
+def _verdict(witness):
+    """Exit status after the output: 1 with the witness on stderr, else 0."""
+    if witness:
+        sys.stderr.write(witness + "\n")
+        return 1
+    return 0
+
+def _emit_agreement(schema_id, columns, rows, witness, comments=()):
+    """agreement rows as CSV with an agree column; exit 1 on a witness."""
+    _emit_csv(schema_id, columns + ",agree",
+              [row + (int(row[-2] == row[-1]),) for row in rows], comments)
+    return _verdict(witness)
 
 
 # -- subcommands -------------------------------------------------------------
@@ -195,7 +203,7 @@ def cmd_walsh(args):
     table = walsh_zero_table(f, ctx)
     cs = _char_sum_of_table(ctx, table, gadget)
     verdict = cs == gadget.bound
-    brute = is_n_to_1(f, tuple(ctx.elements()), gadget.n)
+    brute = is_n_to_1(f, None, gadget.n)
     rows = [(_elem_str(ctx, v),) + tuple(int(c) for c in table[v])
             for v in range(ctx.order)]
     cols = "v," + ",".join(f"c{j}" for j in range(ctx.p))
@@ -206,37 +214,23 @@ def cmd_walsh(args):
         f"verdict={int(verdict)}",
         f"brute={int(brute)}",
     ))
-    if verdict != brute:
-        _witness(f"spectral verdict {verdict} but brute force says {brute} at n={gadget.n}")
-        return 1
-    return 0
+    return _verdict(None if verdict == brute else
+                    f"spectral verdict {verdict} but brute force says {brute} at n={gadget.n}")
 
 
 def cmd_lowdeg(args):
     ctx = _build_field(args)
     _gate(ctx.order, args, "lowdeg")
     if args.degree == 3:
-        rows, bad = [], None
-        for a, b, pred, got in verify.cubic_sweep(ctx):
-            rows.append((a, b, int(pred), int(got), int(pred == got)))
-            if pred != got and bad is None:
-                where = f"a={a} b={b}" if ctx.p == 3 else f"b={b}"
-                bad = f"{where}: predicate {pred}, brute {got}"
-        _emit_csv("lowdeg3.v1", "a,b,predicted,brute_force,agree", rows)
-        if bad:
-            _witness(bad)
-            return 1
-        return 0
+        rows, bad = verify.agreement(
+            verify.cubic_sweep(ctx),
+            lambda a, b: f"a={a} b={b}" if ctx.p == 3 else f"b={b}")
+        return _emit_agreement("lowdeg3.v1", "a,b,predicted,brute_force", rows, bad)
     res = quartic_3to1_search(ctx)
-    rows = [(a, b, c, 0, 1, 0) for (a, b, c) in res.hits]
-    _emit_csv("lowdeg4.v1", "a,b,c,predicted,brute_force,agree", rows, comments=(
-        "exhaustive=1",
-        f"tried={res.tried}",
-    ))
-    if res.hits:
-        _witness(f"{len(res.hits)} 3-to-1 quartics found, first (a,b,c)={res.hits[0]}")
-        return 1
-    return 0
+    return _emit_agreement(
+        "lowdeg4.v1", "a,b,c,predicted,brute_force", [(*hit, 0, 1) for hit in res.hits],
+        f"{len(res.hits)} 3-to-1 quartics found, first (a,b,c)={res.hits[0]}" if res.hits else None,
+        comments=("exhaustive=1", f"tried={res.tried}"))
 
 
 def cmd_diagram(args):
@@ -255,8 +249,7 @@ def cmd_diagram(args):
            "violations": [v.hypothesis for v in rep.violations]}
     if not rep.ok:
         _emit_json(out)
-        _witness(f"diagram hypotheses fail: {rep.violations[0].hypothesis}")
-        return 1
+        return _verdict(f"diagram hypotheses fail: {rep.violations[0].hypothesis}")
     v = transfer(d, rep)
     out["transfer"] = {
         "n": v.n,
@@ -267,45 +260,23 @@ def cmd_diagram(args):
         "backward_ok": v.backward_ok,
     }
     _emit_json(out)
-    if not (v.forward_ok and v.backward_ok):
-        _witness(f"transfer fails: forward {v.forward_ok}, backward {v.backward_ok}")
-        return 1
-    return 0
+    return _verdict(None if v.forward_ok and v.backward_ok else
+                    f"transfer fails: forward {v.forward_ok}, backward {v.backward_ok}")
 
-
-def _merge_params(args, keys):
-    """--params k=v,... merged under explicit flags."""
-    out = {}
-    if getattr(args, "params", None):
-        kv = _parse_kv(args.params, "--params")
-        for k, v in kv.items():
-            if k not in keys:
-                raise UsageError(f"--params: unknown key {k!r} (known: {','.join(sorted(keys))})")
-            out[k] = v
-    return out
 
 def _shift_power_tower(args, family):
-    params = _merge_params(args, {"q1", "m", "delta"})
-    q1 = args.q1 if args.q1 is not None else (
-        _parse_int(params["q1"], "q1") if "q1" in params else None)
-    m_exp = args.m if args.m is not None else (
-        _parse_int(params["m"], "m") if "m" in params else 1)
+    q1 = args.q1
     if q1 is not None:
-        p = min(f for f in range(2, q1 + 1) if q1 % f == 0)
-        a = 0
-        t = q1
-        while t > 1:
-            if t % p:
-                raise UsageError(f"--q1 {q1} is not a prime power")
-            t //= p
-            a += 1
-        sub = Field(p, a * m_exp)
+        primes = _prime_factors(q1)
+        if len(primes) != 1:
+            raise UsageError(f"--q1 {q1} is not a prime power")
+        sub = Field(primes[0], exact_log(q1, primes[0]) * args.m)
     else:
         if family in ("gouzao1", "gouzao2", "2gouzao1"):
             raise UsageError(f"{family} needs --q1")
         sub = _build_field(args)
     big = Field(sub.p, 2 * sub.m)
-    return SubfieldEmbed(big, sub), q1, params
+    return SubfieldEmbed(big, sub), q1
 
 def _emit_construct(family, inst, fields, params, fpoly, pred):
     """One construct record: the built map, its predicate against brute
@@ -323,21 +294,18 @@ def _emit_construct(family, inst, fields, params, fpoly, pred):
     })
     # the predicate is only claimed under the hypotheses; a broken one
     # is reported in the JSON, not as a disagreement
-    if inst.ok and pred != brute:
-        _witness(f"{family}: predicate {pred} but brute force {brute}")
-        return 1
-    return 0
+    return _verdict(f"{family}: predicate {pred} but brute force {brute}"
+                    if inst.ok and pred != brute else None)
 
 def cmd_construct(args):
     family = args.family
     if family in SHIFT_POWER_VARIANTS:
-        emb, q1, params = _shift_power_tower(args, family)
+        emb, q1 = _shift_power_tower(args, family)
         big = emb.big
         _gate(big.order, args, "construct")
-        raw_delta = args.delta if args.delta is not None else params.get("delta")
-        if raw_delta is None:
+        if args.delta is None:
             raise UsageError("construct needs --delta (big-field element)")
-        delta = _parse_elem(big, raw_delta, "--delta")
+        delta = _parse_elem(big, args.delta, "--delta")
         inst = build_shift_power(emb, family, delta, q1=q1, strict=False)
         return _emit_construct(
             family, inst, {"field": big.spec_dict(), "subfield": emb.sub.spec_dict()},
@@ -345,76 +313,45 @@ def cmd_construct(args):
              "trace": list(emb.sub.coeffs(inst.meta["trace"]))},
             shift_power_poly(big, emb.sub.order, inst.meta["e"], delta),
             bool(inst.meta["predicate"]))
-    if family in _BRANCH_FAMILIES:
-        ell = _BRANCH_FAMILIES[family]
-        ctx = _build_field(args)
-        _gate(ctx.order, args, "construct")
-        params = _merge_params(args, {"r", "values"})
-        r = args.r if args.r is not None else (
-            _parse_int(params["r"], "r") if "r" in params else None)
-        raw_values = args.values if args.values is not None else params.get("values")
-        if r is None or raw_values is None:
-            raise UsageError(f"{family} needs --r and --values")
-        values = [_parse_elem(ctx, t, "--values") for t in raw_values.split(",")]
-        if len(values) != ell:
-            raise UsageError(f"{family} takes exactly {ell} branch values")
-        inst = build_branch_interpolation(ctx, r, values, strict=False)
-        h, s = inst.meta["h"], inst.meta["s"]
-        return _emit_construct(
-            family, inst, {"field": ctx.spec_dict()},
-            {"r": r, "s": s, "n": ell, "values": [list(ctx.coeffs(v)) for v in values],
-             "h": h.term_pairs()},
-            Poly(ctx, [(r + s * e, c) for e, c in h.terms]).reduce_exponents(),
-            branch_case_predicate(ctx, r, values))
-    raise UsageError(f"unknown family {args.family!r}; known: "
-                     f"{', '.join(SHIFT_POWER_VARIANTS + tuple(sorted(_BRANCH_FAMILIES)))}")
+    ell = _BRANCH_FAMILIES[family]
+    ctx = _build_field(args)
+    _gate(ctx.order, args, "construct")
+    r = args.r
+    if r is None or args.values is None:
+        raise UsageError(f"{family} needs --r and --values")
+    values = [_parse_elem(ctx, t, "--values") for t in args.values.split(",")]
+    if len(values) != ell:
+        raise UsageError(f"{family} takes exactly {ell} branch values")
+    inst = build_branch_interpolation(ctx, r, values, strict=False)
+    h, s = inst.meta["h"], inst.meta["s"]
+    return _emit_construct(
+        family, inst, {"field": ctx.spec_dict()},
+        {"r": r, "s": s, "n": ell, "values": [list(ctx.coeffs(v)) for v in values],
+         "h": h.term_pairs()},
+        Poly(ctx, [(r + s * e, c) for e, c in h.terms]).reduce_exponents(),
+        branch_case_predicate(ctx, r, values))
 
 
 def cmd_sweep(args):
     family = args.family
     if family in SHIFT_POWER_VARIANTS:
-        emb, q1, _ = _shift_power_tower(args, family)
+        emb, q1 = _shift_power_tower(args, family)
         _gate(emb.big.order, args, "sweep")
-        _, _, gate_ok, gate_note = shift_power_profile(emb, family, q1)
-        if not gate_ok:
-            raise UsageError(f"{family}: the arithmetic gate {gate_note} fails "
-                             f"for this tower, so the predicate is not claimed")
-        rows, bad, positives = [], None, 0
-        for tval, delta, pred, got in sweep_shift_power(emb, family, q1=q1, strict=False):
-            rows.append((_elem_str(emb.sub, tval), _elem_str(emb.big, delta),
-                         int(pred), int(got), int(pred == got)))
-            positives += bool(pred)
-            if pred != got and bad is None:
-                bad = f"trace={tval} delta={delta}: predicate {pred}, brute {got}"
-        _emit_csv(f"sweep-{family}.v1", "trace,delta,predicate,brute,agree",
-                  rows, comments=(f"positives={positives}",))
-        if bad:
-            _witness(bad)
-            return 1
-        return 0
-    if family in _BRANCH_FAMILIES:
-        ell = _BRANCH_FAMILIES[family]
-        ctx = _build_field(args)
-        _gate(ctx.order, args, "sweep")
-        if args.r is None:
-            raise UsageError(f"sweep {family} needs --r")
-        if (ctx.order - 1) % ell:
-            raise UsageError(f"{ell} must divide q-1={ctx.order - 1}")
-        if math.gcd(args.r, (ctx.order - 1) // ell) != 1:
-            raise UsageError(f"the criterion needs r coprime to (q-1)/{ell}; "
-                             f"r={args.r} is not")
-        rows, bad = [], None
-        for values, pred, got in verify.branch_sweep(ctx, args.r, ell):
-            rows.append(values + (int(pred), int(got), int(pred == got)))
-            if pred != got and bad is None:
-                bad = f"values={values}: predicate {pred}, brute {got}"
-        cols = ",".join(f"v{i}" for i in range(ell)) + ",predicate,brute,agree"
-        _emit_csv(f"sweep-{family}.v1", cols, rows)
-        if bad:
-            _witness(bad)
-            return 1
-        return 0
-    raise UsageError(f"unknown family {args.family!r}")
+        rows, bad = verify.shift_power_sweep(emb, family, q1)
+        return _emit_agreement(
+            f"sweep-{family}.v1", "trace,delta,predicate,brute",
+            [(_elem_str(emb.sub, t), _elem_str(emb.big, d), pred, got)
+             for t, d, pred, got in rows],
+            bad, comments=(f"positives={sum(row[2] for row in rows)}",))
+    ell = _BRANCH_FAMILIES[family]
+    ctx = _build_field(args)
+    _gate(ctx.order, args, "sweep")
+    if args.r is None:
+        raise UsageError(f"sweep {family} needs --r")
+    rows, bad = verify.agreement(verify.branch_sweep(ctx, args.r, ell),
+                                 lambda *values: f"values={values}")
+    cols = ",".join(f"v{i}" for i in range(ell)) + ",predicate,brute"
+    return _emit_agreement(f"sweep-{family}.v1", cols, rows, bad)
 
 
 def cmd_verify_theorem(args):
@@ -429,9 +366,7 @@ def cmd_verify_theorem(args):
             if not r.ok:
                 failures.append(f"{tid}: {r.witness}")
         _emit_csv("verify-all.v1", "id,rows,ok", rows)
-        for line in failures:
-            _witness(line)
-        return 1 if failures else 0
+        return _verdict("\n".join(failures))
     if not args.id:
         raise UsageError("verify-theorem needs a theorem id or --all")
     q = _build_field(args).order if args.field else None
@@ -447,10 +382,7 @@ def cmd_verify_theorem(args):
         else:
             raise UsageError(f"{args.id} rows are not keyed by field; drop --field")
     _emit_csv(f"{args.id}.v1", r.schema, rows)
-    if not r.ok:
-        _witness(r.witness)
-        return 1
-    return 0
+    return _verdict(r.witness)
 
 
 # -- wiring -----------------------------------------------------------------
@@ -501,32 +433,33 @@ def build_parser():
 
     p = sub.add_parser("diagram", help="verify a commutative square and its transfer")
     _add_gate_opts(p)
-    p.add_argument("--in", dest="infile", help="diagram JSON file")
-    p.add_argument("--random", action="store_true", help="draw a random verified square")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--in", dest="infile", help="diagram JSON file")
+    source.add_argument("--random", action="store_true", help="draw a random verified square")
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-set", type=int, default=100)
     p.add_argument("--seed", type=int, default=verify.SEED)
     p.set_defaults(fn=cmd_diagram)
 
+    families = SHIFT_POWER_VARIANTS + tuple(_BRANCH_FAMILIES)
     p = sub.add_parser("construct", help="build one family instance and check its predicate")
-    p.add_argument("family")
+    p.add_argument("family", choices=families)
     _add_field_opts(p)
     _add_gate_opts(p)
-    p.add_argument("--params", help="generic key=value,... parameter list")
     p.add_argument("--q1", type=int, help="base subfield order for the tower variants")
-    p.add_argument("--m", type=int, help="tower exponent: the base field is GF(q1^m)")
+    p.add_argument("--m", type=int, default=1,
+                   help="tower exponent: the base field is GF(q1^m) (default 1)")
     p.add_argument("--delta", help="shift element of the big field (code or c0:c1:...)")
     p.add_argument("--r", type=int, help="power exponent for the branch families")
     p.add_argument("--values", help="comma-separated branch values")
     p.set_defaults(fn=cmd_construct)
 
     p = sub.add_parser("sweep", help="sweep a family over its parameter classes, CSV out")
-    p.add_argument("family")
+    p.add_argument("family", choices=families)
     _add_field_opts(p)
     _add_gate_opts(p)
-    p.add_argument("--params")
     p.add_argument("--q1", type=int)
-    p.add_argument("--m", type=int)
+    p.add_argument("--m", type=int, default=1)
     p.add_argument("--r", type=int)
     p.set_defaults(fn=cmd_sweep)
 

@@ -130,22 +130,15 @@ def verify_diagram(d: DiagramSpec) -> FiberReport:
         violations.append(Violation("cardinality congruence (#A = #S mod n)",
                                     (len(d.A), len(d.S), d.n)))
 
-    for a in d.A:
-        if d.f[a] not in A_set:
-            violations.append(Violation("f maps A into A", a))
-            break
-    for a in d.A:
-        if d.lam[a] not in S_set:
-            violations.append(Violation("lam maps A into S", a))
-            break
-    for a in d.A:
-        if d.lambar[a] not in Sbar_set:
-            violations.append(Violation("lambar maps A into Sbar", a))
-            break
-    for s in d.S:
-        if d.g[s] not in Sbar_set:
-            violations.append(Violation("g maps S into Sbar", s))
-            break
+    for hypothesis, table, domain, target in (
+            ("f maps A into A", d.f, d.A, A_set),
+            ("lam maps A into S", d.lam, d.A, S_set),
+            ("lambar maps A into Sbar", d.lambar, d.A, Sbar_set),
+            ("g maps S into Sbar", d.g, d.S, Sbar_set)):
+        for a in domain:
+            if table[a] not in target:
+                violations.append(Violation(hypothesis, a))
+                break
 
     if violations:
         return FiberReport(ok=False, fibers={}, violations=tuple(violations))

@@ -20,8 +20,10 @@ import numpy as np
 from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, Violation
 from .errors import ConstructionMismatch, HypothesisViolated
-from .fields import SubfieldEmbed
-from .polys import LinearizedPoly, Poly, is_additive, roots_of_unity_interpolate
+from .fields import exact_log
+from .polys import (
+    LinearizedPoly, Poly, additive_witness, is_additive, roots_of_unity_interpolate,
+)
 
 
 class FamilyInstance:
@@ -123,11 +125,8 @@ def _additive_ok(ctx, f, t):
         return True, None
     if isinstance(f, Poly):
         return is_additive(f), None
-    xs = ctx.elements_array()
-    for x in ctx.elements():
-        if not np.array_equal(t[ctx.add_vec(np.int64(x), xs)], ctx.add_vec(int(t[x]), t)):
-            return False, x
-    return True, None
+    w = additive_witness(ctx, t)
+    return w is None, w
 
 
 def _subfield_linear_ok(emb, t):
@@ -203,14 +202,9 @@ def _structural_q_poly(emb, L):
             return False, ("base", L.q_sub)
         bad = next((c for c in L.l_coeffs if c and not emb.in_subfield(c)), None)
         return bad is None, bad
-    q = emb.q_sub
-    for e, c in L.terms:
-        k = e
-        while k > 1 and k % q == 0:
-            k //= q
-        if k != 1 or not emb.in_subfield(c):
-            return False, (e, c)
-    return True, None
+    bad = next(((e, c) for e, c in L.terms
+                if exact_log(e, emb.q_sub) is None or not emb.in_subfield(c)), None)
+    return bad is None, bad
 
 
 def build_linearized_mix(emb, L1, L2, L3, g, n, strict=True):
@@ -393,11 +387,8 @@ def build_two_branch_lift(emb, r, a, b, strict=True):
     p, k = sub.p, sub.m
     if p == 2:
         raise ValueError("needs an odd subfield")
-    m, t = emb.rel_degree, 0
-    while m > 1 and m % p == 0:
-        m //= p
-        t += 1
-    if m != 1 or t < 1:
+    t = exact_log(emb.rel_degree, p)
+    if not t:
         raise ValueError(f"extension degree {emb.rel_degree} is not a power of {p}")
     s_sub = (sub.order - 1) // 2
     # the reduced partner is the plain two-branch map, so its hypotheses
@@ -583,11 +574,8 @@ def build_translate_link(ctx, q, k, g, c, delta, n, strict=True):
     c a unit of that subfield makes f injective on every fiber and closes
     the square, so f is n-to-1 exactly when h is on S.
     """
-    j, t = 0, q
-    while t > 1 and t % ctx.p == 0:
-        t //= ctx.p
-        j += 1
-    if t != 1 or j == 0 or ctx.m % j:
+    j = exact_log(q, ctx.p)
+    if not j or ctx.m % j:
         raise ValueError(f"q={q} does not cut GF({ctx.p}^{ctx.m}) as a subfield")
     m = ctx.m // j
     if not 1 <= k <= m - 1:
@@ -650,15 +638,9 @@ SHIFT_POWER_VARIANTS = ("gouzao1", "gouzao2", "gouzao3", "2gouzao1", "2gouzao2")
 def _check_tower(q, q1, p):
     if q1 is None:
         raise ValueError("this variant needs q1")
-    t = q1
-    while t > 1 and t % p == 0:
-        t //= p
-    if t != 1 or q1 < p:
+    if not exact_log(q1, p):
         raise ValueError(f"q1={q1} is not a power of {p} above 1")
-    t = q
-    while t > 1 and t % q1 == 0:
-        t //= q1
-    if t != 1:
+    if exact_log(q, q1) is None:
         raise ValueError(f"subfield order {q} is not a power of q1={q1}")
 
 
@@ -743,25 +725,17 @@ def shift_power_poly(big, q, e, delta):
 
 
 def trace_class_reps(emb):
-    """One big-field element per value of the trace onto the subfield."""
-    tt = emb.trace_table()
-    reps = {}
-    for x in emb.big.elements():
-        t = int(tt[x])
-        if t not in reps:
-            reps[t] = x
-            if len(reps) == emb.sub.order:
-                break
-    return reps
+    """The first big-field element of each trace value onto the subfield,
+    keyed by that value in ascending order."""
+    traces, first = np.unique(emb.trace_table(), return_index=True)
+    return dict(zip(traces.tolist(), first.tolist()))
 
 
-def sweep_shift_power(emb, variant, q1=None, strict=True):
+def sweep_shift_power(emb, variant, q1=None):
     """Predicate against brute force, one delta per trace class; rows of
-    (trace, delta, predicted, verified)."""
-    reps = trace_class_reps(emb)
+    (trace, delta, predicted, verified), ascending in the trace."""
     rows = []
-    for tval in sorted(reps):
-        delta = reps[tval]
-        inst = build_shift_power(emb, variant, delta, q1=q1, strict=strict)
+    for tval, delta in trace_class_reps(emb).items():
+        inst = build_shift_power(emb, variant, delta, q1=q1)
         rows.append((tval, delta, inst.meta["predicate"], inst.holds()))
     return rows

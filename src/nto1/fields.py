@@ -107,6 +107,17 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def exact_log(x: int, b: int) -> int | None:
+    """The k >= 0 with b**k == x, or None when x is no power of b (b >= 2).
+    The package's one exact-power test: subfield sizes, tower orders and
+    q-power exponents are all read through it."""
+    k = 0
+    while x > 1 and x % b == 0:
+        x //= b
+        k += 1
+    return k if x == 1 else None
+
+
 def _packed_headroom(p: int, m: int) -> tuple[int, int]:
     """(width, cap) for m base-p digits packed into one int64: width = 63 // m
     bits per digit, so the top field ends below bit 63, and a sum of at most

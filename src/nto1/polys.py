@@ -29,7 +29,7 @@ import numpy as np
 from .errors import (
     ConstantPolynomial, DegreeMismatch, DegreeTooHigh, NormalFormViolated, SingularSystem,
 )
-from .fields import Field, row_reduce
+from .fields import Field, exact_log, row_reduce
 
 _COMPOSE_DEGREE_CAP = 64
 _DENSE_CAP = 1 << 22
@@ -323,12 +323,15 @@ def apply_affine(f: Poly, a: int, b: int, c: int) -> Poly:
     return Poly(ctx, [(e, ctx.mul(a, tc)) for e, tc in f.shift(b).terms] + [(0, c)])
 
 
-def _is_p_power(e: int, p: int) -> bool:
-    if e < 1:
-        return False
-    while e % p == 0:
-        e //= p
-    return e == 1
+def additive_witness(ctx: Field, vals: np.ndarray):
+    """First x with f(x+y) != f(x) + f(y) for some y, f the whole-field
+    value table vals; None when f is additive.  Exhaustive: q vector
+    comparisons of length q."""
+    xs = ctx.elements_array()
+    for x in ctx.elements():
+        if not np.array_equal(vals[ctx.add_vec(np.int64(x), xs)], ctx.add_vec(int(vals[x]), vals)):
+            return x
+    return None
 
 
 def is_additive(f: Poly) -> bool:
@@ -340,16 +343,11 @@ def is_additive(f: Poly) -> bool:
     a map.
     """
     ctx = f.ctx
-    if all(_is_p_power(e, ctx.p) for e, _ in f.terms):
+    if all(exact_log(e, ctx.p) is not None for e, _ in f.terms):
         return True
     if ctx.order > 2 ** 10:
         return False
-    vals = f.eval_all()
-    xs = ctx.elements_array()
-    for x in range(ctx.order):
-        if not np.array_equal(vals[ctx.add_vec(np.int64(x), xs)], ctx.add_vec(vals[x], vals)):
-            return False
-    return True
+    return additive_witness(ctx, f.eval_all()) is None
 
 
 class LinearizedPoly:
@@ -357,12 +355,8 @@ class LinearizedPoly:
 
     def __init__(self, ctx: Field, q_sub: int, l_coeffs):
         self.ctx = ctx
-        k = 0
-        t = q_sub
-        while t % ctx.p == 0 and t > 1:
-            t //= ctx.p
-            k += 1
-        if t != 1 or k == 0 or ctx.m % k:
+        k = exact_log(q_sub, ctx.p)
+        if not k or ctx.m % k:
             raise DegreeMismatch(f"q_sub={q_sub} is not a valid subfield size for {ctx!r}")
         self.q_sub = q_sub
         self.sub_degree = k

@@ -23,9 +23,9 @@ from .counting import (
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
     branch_case_predicate, build_branch_interpolation, build_translate_link,
-    random_piecewise, solve_piecewise, sweep_shift_power,
+    random_piecewise, shift_power_profile, solve_piecewise, sweep_shift_power,
 )
-from .fields import Field, SubfieldEmbed, _is_prime
+from .fields import Field, SubfieldEmbed, _is_prime, exact_log
 from .lowdeg import (
     cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
 )
@@ -36,8 +36,10 @@ SEED = 20260817
 
 
 class RunResult:
-    def __init__(self, ok, witness, rows, schema):
-        self.ok = bool(ok)
+    """A sweep's rows and schema line; ok exactly when there is no witness."""
+
+    def __init__(self, witness, rows, schema):
+        self.ok = witness is None
         self.witness = witness
         self.rows = rows
         self.schema = schema
@@ -45,6 +47,19 @@ class RunResult:
     def __repr__(self):
         state = "ok" if self.ok else f"FAIL ({self.witness})"
         return f"RunResult({len(self.rows)} rows, {state})"
+
+
+def agreement(cases, where):
+    """Rows (*key, predicate, brute), the verdicts as ints, for cases of
+    (*key, predicate, brute), and the witness of the first disagreement,
+    "<where(*key)>: predicate P, brute B", or None.  The one
+    predicate-against-brute-force loop behind the sweeps and the CLI."""
+    rows, witness = [], None
+    for *key, pred, got in cases:
+        if pred != got and witness is None:
+            witness = f"{where(*key)}: predicate {pred}, brute {got}"
+        rows.append((*key, int(pred), int(got)))
+    return rows, witness
 
 
 def _prime_powers(bound, m_min=1):
@@ -77,7 +92,7 @@ def run_monomial(seed=SEED):
                 rows.append((q, d, got, int(ok)))
                 if not ok and witness is None:
                     witness = f"q={q} d={d}: expected n={n}, got {classify(ctx.pow_vec(xs, d))}"
-    return RunResult(witness is None, witness, rows, "q,d,n,ok")
+    return RunResult(witness, rows, "q,d,n,ok")
 
 
 def run_linearized(seed=SEED):
@@ -98,8 +113,7 @@ def run_linearized(seed=SEED):
             rows.append((q, q_sub, L.rank(), rep.n, int(ok)))
             if not ok and witness is None:
                 witness = f"q={q} base={q_sub} coeffs={L.l_coeffs}: {rep}"
-    return RunResult(witness is None, witness, rows,
-                     "q,q_sub,rank,n,ok")
+    return RunResult(witness, rows, "q,q_sub,rank,n,ok")
 
 
 def cubic_sweep(ctx):
@@ -118,32 +132,23 @@ def cubic_sweep(ctx):
 def run_de3p3(seed=SEED):
     """Cubic criterion in characteristic 3, exhaustive; 13 positives over
     GF(27)."""
-    rows, witness = [], None
-    positives_27 = 0
-    for m in (2, 3):
-        ctx = Field(3, m)
-        for a, b, pred, got in cubic_sweep(ctx):
-            if pred != got and witness is None:
-                witness = f"GF(3^{m}) a={a} b={b}: predicate {pred}, brute {got}"
-            if m == 3 and pred:
-                positives_27 += 1
-            rows.append((ctx.order, a, b, int(pred), int(got)))
+    rows, witness = agreement(
+        ((ctx.order, *case) for ctx in (Field(3, 2), Field(3, 3)) for case in cubic_sweep(ctx)),
+        lambda q, a, b: f"GF(3^{exact_log(q, 3)}) a={a} b={b}")
+    positives_27 = sum(row[3] for row in rows if row[0] == 27)
     if witness is None and positives_27 != 13:
         witness = f"expected 13 positive pairs over GF(27), found {positives_27}"
-    return RunResult(witness is None, witness, rows, "q,a,b,predicate,brute")
+    return RunResult(witness, rows, "q,a,b,predicate,brute")
 
 
 def run_de3pne3(seed=SEED):
     """Cubic criterion away from characteristic 3, exhaustive over six
     fields."""
-    rows, witness = [], None
-    for p, m in ((2, 2), (5, 1), (7, 1), (2, 3), (13, 1), (2, 4)):
-        ctx = Field(p, m)
-        for _, b, pred, got in cubic_sweep(ctx):
-            if pred != got and witness is None:
-                witness = f"GF({ctx.order}) b={b}: predicate {pred}, brute {got}"
-            rows.append((ctx.order, b, int(pred), int(got)))
-    return RunResult(witness is None, witness, rows, "q,b,predicate,brute")
+    ctxs = [Field(p, m) for p, m in ((2, 2), (5, 1), (7, 1), (2, 3), (13, 1), (2, 4))]
+    rows, witness = agreement(
+        ((ctx.order, b, pred, got) for ctx in ctxs for _, b, pred, got in cubic_sweep(ctx)),
+        lambda q, b: f"GF({q}) b={b}")
+    return RunResult(witness, rows, "q,b,predicate,brute")
 
 
 def run_quartic(seed=SEED):
@@ -158,8 +163,7 @@ def run_quartic(seed=SEED):
         if res.hits and witness is None:
             witness = (f"q={q}: {len(res.hits)} quartics are 3-to-1, "
                        f"first (a,b,c)={res.hits[0]}")
-    return RunResult(witness is None, witness, rows,
-                     "q,hits,exhaustive,tried")
+    return RunResult(witness, rows, "q,hits,exhaustive,tried")
 
 
 def _n_to_1_table(ctx, n, rng):
@@ -200,20 +204,18 @@ def run_walsh(seed=SEED):
             corpus.append(("two", _n_to_1_table(ctx, 2, rng)))
         for i in range(165):
             corpus.append(("p", _n_to_1_table(ctx, p, rng)))
-        dom = tuple(ctx.elements())
         for i, (kind, tbl) in enumerate(corpus):
             v2 = spectral_verdict(tbl, g2, ctx)
-            t2 = is_n_to_1(tbl, dom, 2)
+            t2 = is_n_to_1(tbl, None, 2)
             vp = spectral_verdict(tbl, gp, ctx)
-            tp = is_n_to_1(tbl, dom, p)
+            tp = is_n_to_1(tbl, None, p)
             ok = v2 == t2 and vp == tp
             rows.append((ctx.order, i, kind, int(v2), int(t2), int(vp),
                          int(tp)))
             if not ok and witness is None:
                 witness = (f"GF({ctx.order}) map {i} ({kind}): "
                            f"phi1 {v2} vs {t2}, phi2 {vp} vs {tp}")
-    return RunResult(witness is None, witness, rows,
-                     "q,i,kind,phi1,brute2,phi2,brutep")
+    return RunResult(witness, rows, "q,i,kind,phi1,brute2,phi2,brutep")
 
 
 def run_agwcore2(seed=SEED):
@@ -236,61 +238,54 @@ def run_agwcore2(seed=SEED):
         if not ok and witness is None:
             witness = (f"diagram {i} (n={d.n}, #A={len(d.A)}): "
                        f"forward {v.forward_ok}, backward {v.backward_ok}")
-    return RunResult(witness is None, witness, rows,
-                     "i,n,A,S,f_n_to_1,g_n_to_1,condition3,forward,backward")
+    return RunResult(witness, rows, "i,n,A,S,f_n_to_1,g_n_to_1,condition3,forward,backward")
 
 
 def branch_sweep(ctx, r, ell):
-    """Yield (values, predicate, brute) for the ell-branch criterion at r
+    """Cases (*values, predicate, brute) of the ell-branch criterion at r
     over ctx, values running over ell-tuples from a pool in
     itertools.product order.  The pool is every element for ell = 2 and
     one power-class representative per class otherwise: the verdict only
-    sees values through their power class."""
+    sees values through their power class.  ValueError outside the
+    criterion's hypotheses, ell | q-1 and r coprime to (q-1)/ell."""
+    if (ctx.order - 1) % ell:
+        raise ValueError(f"{ell} must divide q-1={ctx.order - 1}")
+    if math.gcd(r, (ctx.order - 1) // ell) != 1:
+        raise ValueError(f"the criterion needs r coprime to (q-1)/{ell}; r={r} is not")
     if ell == 2:
         pool = list(ctx.elements())
     else:
         pool = [0] + [ctx.pow(ctx.beta, i) for i in range(ell)]
-    for values in itertools.product(pool, repeat=ell):
-        pred = branch_case_predicate(ctx, r, list(values))
-        got = build_branch_interpolation(ctx, r, list(values), strict=False).holds()
-        yield values, pred, got
+    return [(*values, branch_case_predicate(ctx, r, list(values)),
+             build_branch_interpolation(ctx, r, list(values), strict=False).holds())
+            for values in itertools.product(pool, repeat=ell)]
 
 
-def _branch_class_sweep(ctx, ell):
-    """branch_sweep over ctx for every r coprime to (q-1)/ell, as rows
-    (q, r, *values, predicate, brute) and the first witness."""
-    s = (ctx.order - 1) // ell
-    rows, witness = [], None
-    for r in range(1, ctx.order):
-        if math.gcd(r, s) != 1:
-            continue
-        for values, pred, got in branch_sweep(ctx, r, ell):
-            if pred != got and witness is None:
-                witness = f"q={ctx.order} r={r} values={values}: predicate {pred}, brute {got}"
-            rows.append((ctx.order, r) + values + (int(pred), int(got)))
-    return rows, witness
+def _branch_class_run(ctxs, ell):
+    """branch_sweep over each field for every r coprime to (q-1)/ell, as
+    rows (q, r, *values, predicate, brute)."""
+    rows, witness = agreement(
+        ((ctx.order, r, *case)
+         for ctx in ctxs
+         for r in range(1, ctx.order) if math.gcd(r, (ctx.order - 1) // ell) == 1
+         for case in branch_sweep(ctx, r, ell)),
+        lambda q, r, *values: f"q={q} r={r} values={values}")
+    return RunResult(witness, rows, ",".join(("q", "r", *"abcd"[:ell], "predicate", "brute")))
 
 
 def run_miu2(seed=SEED):
     """Two-branch criterion, exhaustive (a, b, r) over GF(7) and GF(11)."""
-    rows7, witness7 = _branch_class_sweep(Field(7, 1), 2)
-    rows11, witness11 = _branch_class_sweep(Field(11, 1), 2)
-    witness = witness7 or witness11
-    return RunResult(witness is None, witness, rows7 + rows11, "q,r,a,b,predicate,brute")
+    return _branch_class_run((Field(7, 1), Field(11, 1)), 2)
 
 
 def run_miu3(seed=SEED):
     """Three-branch criterion over GF(13), all power-class triples."""
-    rows, witness = _branch_class_sweep(Field(13, 1), 3)
-    return RunResult(witness is None, witness, rows,
-                     "q,r,a,b,c,predicate,brute")
+    return _branch_class_run((Field(13, 1),), 3)
 
 
 def run_nmiu3(seed=SEED):
     """Four-branch criterion over GF(13), all power-class quadruples."""
-    rows, witness = _branch_class_sweep(Field(13, 1), 4)
-    return RunResult(witness is None, witness, rows,
-                     "q,r,a,b,c,d,predicate,brute")
+    return _branch_class_run((Field(13, 1),), 4)
 
 
 def run_piecewisegenerel(seed=SEED):
@@ -309,23 +304,28 @@ def run_piecewisegenerel(seed=SEED):
             rows.append((ctx.order, i, spec.r, spec.s, spec.n, rep.n, int(ok)))
             if not ok and witness is None:
                 witness = f"GF({ctx.order}) {spec}: classified {rep}"
-    return RunResult(witness is None, witness, rows, "q,i,r,s,n,got_n,ok")
+    return RunResult(witness, rows, "q,i,r,s,n,got_n,ok")
+
+
+def shift_power_sweep(emb, variant, q1=None):
+    """sweep_shift_power as agreement rows (trace, delta, predicate, brute)
+    and the first witness.  ValueError where the variant's arithmetic gate
+    fails: the predicate is not claimed for that tower."""
+    _, _, gate_ok, gate_note = shift_power_profile(emb, variant, q1)
+    if not gate_ok:
+        raise ValueError(f"{variant}: the arithmetic gate {gate_note} fails "
+                         f"for this tower, so the predicate is not claimed")
+    return agreement(sweep_shift_power(emb, variant, q1=q1),
+                     lambda tval, delta: f"trace={tval} delta={delta}")
 
 
 def _shift_power_run(big, sub, variant, q1, want_positives):
-    emb = SubfieldEmbed(Field(*big), Field(*sub))
-    rows, witness = [], None
-    positives = 0
-    for tval, delta, pred, got in sweep_shift_power(emb, variant, q1=q1):
-        if pred != got and witness is None:
-            witness = f"trace={tval} delta={delta}: predicate {pred}, brute {got}"
-        positives += bool(pred)
-        rows.append((tval, delta, int(pred), int(got)))
+    rows, witness = shift_power_sweep(SubfieldEmbed(Field(*big), Field(*sub)), variant, q1)
+    positives = sum(row[2] for row in rows)
     if witness is None and positives != want_positives:
         witness = (f"expected {want_positives} positive trace classes, "
                    f"found {positives}")
-    return RunResult(witness is None, witness, rows,
-                     "trace,delta,predicate,brute")
+    return RunResult(witness, rows, "trace,delta,predicate,brute")
 
 
 def run_gouzao1(seed=SEED):
@@ -394,8 +394,7 @@ def run_zcriterion(seed=SEED):
             witness = (f"GF({ctx.order}) q={q} k={k} c={c} delta={delta} "
                        f"n={n}: verdicts {inst.holds()}/{inst.holds_reduced()},"
                        f" classes {repf.n}/{reph.n}")
-    return RunResult(witness is None, witness, rows,
-                     "order,q,k,c,delta,n,f_verdict,h_verdict,f_n,h_n")
+    return RunResult(witness, rows, "order,q,k,c,delta,n,f_verdict,h_verdict,f_n,h_n")
 
 
 def run_normalize(seed=SEED):
@@ -432,7 +431,7 @@ def run_normalize(seed=SEED):
                 if not ok and witness is None:
                     witness = (f"GF({q}) f={f.dense()} a={a} b={b} c={c}: "
                                f"{classify(f)} vs {classify(g)}")
-    return RunResult(witness is None, witness, rows, "q,i,a,b,c,f_n,g_n,ok")
+    return RunResult(witness, rows, "q,i,a,b,c,f_n,g_n,ok")
 
 
 RUNNERS = {

@@ -162,31 +162,24 @@ def validate_phi(g: PhiGadget):
             acc = acc * x + a
         return acc
 
+    # nondivisor: 0 on {0, n}, 1 at q mod n, above 1 elsewhere;
+    # prime power: 0 on {0, p^k}, positive elsewhere
     if g.mode == "nondivisor":
         if q % g.n == 0:
             return False, None
-        t = q % g.n
-        zeros = {0, g.n}
-        for X in range(q + 1):
-            v = phi(X)
-            if X in zeros:
-                if v != 0:
-                    return False, X
-            elif X == t:
-                if v != 1:
-                    return False, X
-            elif v <= 1:
-                return False, X
+        zeros, t, floor = {0, g.n}, q % g.n, 1
     else:
-        pk = g.p ** g.k if g.k else g.n
-        zeros = {0, pk}
-        for X in range(q + 1):
-            v = phi(X)
-            if X in zeros:
-                if v != 0:
-                    return False, X
-            elif v <= 0:
-                return False, X
+        zeros, t, floor = {0, g.p ** g.k if g.k else g.n}, None, 0
+    for X in range(q + 1):
+        v = phi(X)
+        if X in zeros:
+            ok = v == 0
+        elif X == t:
+            ok = v == 1
+        else:
+            ok = v > floor
+        if not ok:
+            return False, X
     return True, None
 
 

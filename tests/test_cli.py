@@ -5,12 +5,18 @@ import os
 import subprocess
 import sys
 
-from nto1 import verify
+import pytest
+
+from nto1 import Field, verify
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def run_cli(*args, env_extra=None):
     env = os.environ.copy()
     env.pop("NTO1_NIGHTLY", None)
+    # the child imports nto1 from this checkout, installed or not
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, env.get("PYTHONPATH"))))
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "nto1.cli", *args],
@@ -61,6 +67,23 @@ def test_lowdeg_cubic_rows_match_the_verify_rows():
         assert data_rows(r.stdout) == want
 
 
+def test_sweep_rows_match_the_verify_rows():
+    sub, big = Field(3, 3), Field(3, 6)
+    r = run_cli("sweep", "gouzao1", "--q1", "27")
+    assert r.returncode == 0, r.stderr
+    rows = verify.run("gouzao1").rows
+    assert f"#positives={sum(row[2] for row in rows)}\n" in r.stdout
+    assert data_rows(r.stdout) == [
+        f"{':'.join(map(str, sub.coeffs(t)))},{':'.join(map(str, big.coeffs(d)))},{p},{g},{int(p == g)}"
+        for t, d, p, g in rows]
+    r = run_cli("sweep", "nmiu3", "--field", "p=13,m=1", "--r", "5")
+    assert r.returncode == 0, r.stderr
+    want = [",".join(map(str, row[2:] + (int(row[-2] == row[-1]),)))
+            for row in verify.run("nmiu3").rows if row[1] == 5]
+    assert len(want) == 5 ** 4
+    assert data_rows(r.stdout) == want
+
+
 def test_construct_tower_family():
     r = run_cli("construct", "gouzao1", "--q1", "27", "--m", "1", "--delta", "1")
     assert r.returncode == 0, r.stderr
@@ -107,6 +130,29 @@ def test_usage_errors_exit_2():
                       ("x^3-", "dangling '-' in 'x^3-'")):
         r = run_cli("classify", "--field", "p=7,m=1", "--poly", poly)
         assert r.returncode == 2 and msg in r.stderr, r.stderr
+
+
+def test_params_option_is_gone():
+    for args in (("sweep", "miu2", "--field", "p=7,m=1", "--params", "r=1"),
+                 ("construct", "gouzao1", "--params", "q1=27,delta=5")):
+        r = run_cli(*args)
+        assert r.returncode == 2 and "unrecognized arguments: --params" in r.stderr, r.stderr
+
+
+@pytest.mark.parametrize("command", [("sweep",), ("construct", "--delta", "1")])
+def test_q1_not_a_prime_power_exit_2(command):
+    for q1 in ("0", "1", "6"):
+        r = run_cli(command[0], "gouzao1", "--q1", q1, *command[1:])
+        assert r.returncode == 2 and r.stderr == f"nto1: --q1 {q1} is not a prime power\n", r.stderr
+
+
+def test_diagram_needs_exactly_one_source(tmp_path):
+    r = run_cli("diagram", "--seed", "5")
+    assert r.returncode == 2 and "one of the arguments --in --random is required" in r.stderr
+    path = tmp_path / "square.json"
+    path.write_text("{}")
+    r = run_cli("diagram", "--in", str(path), "--random")
+    assert r.returncode == 2 and "not allowed with argument" in r.stderr, r.stderr
 
 
 def test_domain_gate_exit_3_and_nightly_override():

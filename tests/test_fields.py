@@ -445,3 +445,11 @@ class TestSubfieldEmbed:
 class TestSubfieldEmbedOddP(TestSubfieldEmbed):
     """The same checks on an odd-characteristic tower, GF(3^2) in GF(3^4)."""
     emb = SubfieldEmbed(Field(3, 4), Field(3, 2))
+
+
+@pytest.mark.parametrize("x,b,want", [
+    (0, 2, None), (1, 2, 0), (1, 27, 0), (8, 2, 3), (81, 3, 4), (729, 27, 2),
+    (2, 2, 1), (6, 2, None), (12, 3, None), (9, 27, None), (27, 9, None), (-8, 2, None),
+])
+def test_exact_log(x, b, want):
+    assert fields.exact_log(x, b) == want

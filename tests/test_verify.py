@@ -1,7 +1,11 @@
-"""Batched sweeps: a row the batch classifier rejects still gets the
-one-map witness text, built from classify's own report."""
+"""Sweep witnesses: a row the batch classifier rejects still gets the
+one-map witness text, built from classify's own report; agreement keeps
+the first predicate-vs-brute disagreement; branch_sweep refuses cases
+outside its criterion."""
 
 import re
+
+import pytest
 
 from nto1 import Field, classify, verify
 
@@ -42,3 +46,18 @@ def test_normalize_witness_comes_from_classify(monkeypatch):
                      res.witness)
     assert m, res.witness
     assert "irregular=False" in m.group(1) and "irregular=False" in m.group(2)
+
+
+def test_agreement_keeps_every_row_and_the_first_witness():
+    cases = [(1, 2, True, True), (3, 4, False, True), (5, 6, True, False)]
+    rows, witness = verify.agreement(cases, lambda a, b: f"a={a} b={b}")
+    assert rows == [(1, 2, 1, 1), (3, 4, 0, 1), (5, 6, 1, 0)]
+    assert witness == "a=3 b=4: predicate False, brute True"
+    assert verify.agreement(cases[:1], None) == ([(1, 2, 1, 1)], None)
+
+
+def test_branch_sweep_refuses_cases_outside_the_criterion():
+    with pytest.raises(ValueError, match=r"^4 must divide q-1=6$"):
+        verify.branch_sweep(Field(7, 1), 1, 4)
+    with pytest.raises(ValueError, match=r"^the criterion needs r coprime to \(q-1\)/2; r=3 is not$"):
+        verify.branch_sweep(Field(7, 1), 3, 2)
