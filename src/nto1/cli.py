@@ -238,8 +238,10 @@ def cmd_diagram(args):
         try:
             with open(args.infile) as fh:
                 d = DiagramSpec.from_json_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError) as e:
+        except (OSError, ValueError) as e:  # a JSONDecodeError is a ValueError
             raise UsageError(f"--in {args.infile}: {e}")
+        except KeyError as e:
+            raise UsageError(f"--in {args.infile}: missing key {e}")
     else:
         rng = random.Random(args.seed)
         d = random_diagram(rng, n=args.n, max_set=args.max_set)

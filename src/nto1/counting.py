@@ -48,46 +48,23 @@ class NTo1Report:
         )
 
 
-def _values_of(f, domain):
-    if isinstance(f, (Poly, LinearizedPoly)):
-        if domain is None:
-            return f.eval_all(), None
-        vals = [f(x) for x in domain]
-        return np.asarray(vals, dtype=np.int64), list(domain)
-    if isinstance(f, np.ndarray):
-        if domain is None:
-            return f, None
-        return f[np.asarray(list(domain))], list(domain)
-    if isinstance(f, dict):
-        dom = list(f.keys()) if domain is None else list(domain)
-        return [f[x] for x in dom], dom
-    if callable(f):
-        if domain is None:
-            raise ZeroInput("a callable map needs an explicit domain")
-        dom = list(domain)
-        return [f(x) for x in dom], dom
-    raise TypeError(f"unsupported map object {type(f)!r}")
-
-
 def histogram(f, domain=None) -> dict:
-    """Exact value -> preimage-count table, single pass, codec order."""
-    vals, _ = _values_of(f, domain)
-    if isinstance(vals, np.ndarray) and vals.dtype.kind in "iu":
-        if vals.size > _DOMAIN_CAP:
-            raise DomainTooLarge(f"domain size {vals.size} exceeds 2^22")
-        counts = np.bincount(vals)
-        hit = np.flatnonzero(counts)
-        out = dict(zip(hit.tolist(), counts[hit].tolist()))
-    else:
-        if len(vals) > _DOMAIN_CAP:
-            raise DomainTooLarge(f"domain size {len(vals)} exceeds 2^22")
-        out = {}
-        for v in vals:
-            out[v] = out.get(v, 0) + 1
+    """Exact value -> preimage-count table of an int64 value table, or of a
+    polynomial's eval_all(), read on domain (an index array) when given;
+    one bincount, values in codec order."""
+    if isinstance(f, (Poly, LinearizedPoly)):
+        f = f.eval_all()
+    if not (isinstance(f, np.ndarray) and f.dtype.kind in "iu"):
+        raise TypeError(f"unsupported map object {type(f)!r}; maps are integer value tables")
+    vals = f if domain is None else f[np.asarray(domain)]
+    if vals.size > _DOMAIN_CAP:
+        raise DomainTooLarge(f"domain size {vals.size} exceeds 2^22")
+    counts = np.bincount(vals)
+    hit = np.flatnonzero(counts)
+    out = dict(zip(hit.tolist(), counts[hit].tolist()))
     total = sum(out.values())
-    size = vals.size if isinstance(vals, np.ndarray) else len(vals)
-    if total != size:
-        raise HistogramLostMass(f"histogram holds {total} preimages for a domain of {size}")
+    if total != vals.size:
+        raise HistogramLostMass(f"histogram holds {total} preimages for a domain of {vals.size}")
     return out
 
 

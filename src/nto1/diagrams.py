@@ -16,19 +16,14 @@ value (condition3 below).
 """
 
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .counting import classify, is_n_to_1, NTo1Report
+import numpy as np
+
+from .counting import is_n_to_1
 from .errors import HypothesesNotVerified, HypothesisViolated, SetTooLarge
 
-_SET_CAP = 1 << 20
-
-
-def _as_table(fn, domain):
-    # closures and dicts both become plain dicts keyed by domain elements
-    if isinstance(fn, Mapping):
-        return {a: fn[a] for a in domain}
-    return {a: fn(a) for a in domain}
+_LABEL_CAP = 1 << 20  # JSON labels are ints in [0, 2^20); sets hold at most 2^20
 
 
 @dataclass(frozen=True)
@@ -40,17 +35,9 @@ class Violation:
         return f"{self.hypothesis}: witness {self.witness!r}"
 
 
-@dataclass(frozen=True)
-class FiberInfo:
-    size: int          # #lam^-1(s)
-    image_size: int    # #lambar^-1(g(s))
-    bijective: bool
-
-
 @dataclass
 class FiberReport:
     ok: bool
-    fibers: dict               # s -> FiberInfo
     violations: tuple = ()
 
 
@@ -62,35 +49,42 @@ class TransferVerdict:
     condition3: Optional[bool]  # None when g is not n-to-1 (nothing to locate)
     forward_ok: bool            # f n-to-1 implies g n-to-1
     backward_ok: bool           # g n-to-1 and condition3 imply f n-to-1
-    f_report: NTo1Report = None
-    g_report: NTo1Report = None
+
+
+def _labels(xs, what):
+    """A JSON list of labels as an int64 array; ValueError on anything
+    that is not an int in [0, 2^20)."""
+    if not isinstance(xs, list):
+        raise ValueError(f"{what} must be a list")
+    for x in xs:
+        if type(x) is not int or not 0 <= x < _LABEL_CAP:
+            raise ValueError(f"{what}: {x!r} is not a label, an int in [0, 2^20)")
+    return np.array(xs, dtype=np.int64)
 
 
 class DiagramSpec:
-    """One commutative square.  Maps may be dicts or callables; sets are
-    element sequences (order is the codec order for serialization)."""
+    """One commutative square.  A, S and Sbar are int64 label arrays in
+    codec order (the serialization order); f, g, lam and lambar are int64
+    tables indexed by label, read on A (g on S)."""
 
     def __init__(self, A, S, Sbar, f, g, lam, lambar, n):
-        if len(A) > _SET_CAP or len(S) > _SET_CAP or len(Sbar) > _SET_CAP:
-            raise SetTooLarge(f"sets up to {_SET_CAP} elements supported")
-        self.A = tuple(A)
-        self.S = tuple(S)
-        self.Sbar = tuple(Sbar)
-        self.f = _as_table(f, self.A)
-        self.g = _as_table(g, self.S)
-        self.lam = _as_table(lam, self.A)
-        self.lambar = _as_table(lambar, self.A)
-        if n < 1:
-            raise ValueError("n must be positive")
+        self.A, self.S, self.Sbar, self.f, self.g, self.lam, self.lambar = (
+            np.asarray(x, dtype=np.int64) for x in (A, S, Sbar, f, g, lam, lambar))
+        if max(len(self.A), len(self.S), len(self.Sbar)) > _LABEL_CAP:
+            raise SetTooLarge(f"sets up to {_LABEL_CAP} elements supported")
+        if min(x.min(initial=0) for x in (self.A, self.S, self.Sbar)) < 0:
+            raise ValueError("labels must be nonnegative")
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive int, got {n!r}")
         self.n = n
 
     def to_json_dict(self):
         def pairs(table, domain):
-            return [[a, table[a]] for a in domain]
+            return np.stack([domain, table[domain]], axis=1).tolist()
         return {
-            "A": list(self.A),
-            "S": list(self.S),
-            "Sbar": list(self.Sbar),
+            "A": self.A.tolist(),
+            "S": self.S.tolist(),
+            "Sbar": self.Sbar.tolist(),
             "f": pairs(self.f, self.A),
             "g": pairs(self.g, self.S),
             "lam": pairs(self.lam, self.A),
@@ -100,29 +94,47 @@ class DiagramSpec:
 
     @classmethod
     def from_json_dict(cls, d):
-        def table(pairs):
-            return {a: b for a, b in pairs}
-        # JSON round-trips tuples as lists; normalize to hashable tuples
-        def elem(x):
-            return tuple(x) if isinstance(x, list) else x
-        def fix(t):
-            return {elem(k): elem(v) for k, v in t.items()}
-        return cls(
-            A=[elem(x) for x in d["A"]],
-            S=[elem(x) for x in d["S"]],
-            Sbar=[elem(x) for x in d["Sbar"]],
-            f=fix(table(d["f"])), g=fix(table(d["g"])),
-            lam=fix(table(d["lam"])), lambar=fix(table(d["lambar"])),
-            n=d["n"],
-        )
+        """Inverse of to_json_dict.  Every label must be an int in
+        [0, 2^20), no set may repeat one, and every map needs exactly one
+        pair for each point of its domain; ValueError names the first part
+        that is not so."""
+        if not isinstance(d, dict):
+            raise ValueError("a diagram is a JSON object")
+        A, S, Sbar = (_labels(d[k], k) for k in ("A", "S", "Sbar"))
+        for name, labels in (("A", A), ("S", S), ("Sbar", Sbar)):
+            if len(np.unique(labels)) < len(labels):
+                raise ValueError(f"{name} repeats a label")
+
+        def table(name, domain):
+            pairs = d[name]
+            if not (isinstance(pairs, list)
+                    and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
+                raise ValueError(f"{name} must be a list of [label, label] pairs")
+            keys, vals = (_labels([p[i] for p in pairs], name) for i in (0, 1))
+            if len(np.unique(keys)) < len(keys):
+                raise ValueError(f"{name} pairs a label twice")
+            t = np.full(1 + max(keys.max(initial=-1), domain.max(initial=-1)), -1)
+            t[keys] = vals
+            missing = domain[t[domain] < 0]
+            if missing.size:
+                raise ValueError(f"{name} has no pair for {missing[0]}")
+            return t
+
+        return cls(A, S, Sbar, table("f", A), table("g", S),
+                   table("lam", A), table("lambar", A), d["n"])
+
+
+def _marks(labels, size):
+    """Boolean table over [0, size), True exactly at the given labels."""
+    marks = np.zeros(size, dtype=bool)
+    marks[labels] = True
+    return marks
 
 
 def verify_diagram(d: DiagramSpec) -> FiberReport:
     """Check every hypothesis of the transfer theorem.  Violations carry a
     concrete witness; fiber bijectivity is checked for all s, never sampled."""
     violations = []
-    S_set, Sbar_set, A_set = set(d.S), set(d.Sbar), set(d.A)
-
     if not (len(d.S) == len(d.Sbar) > 1):
         violations.append(Violation("set sizes (#S = #Sbar > 1)",
                                     (len(d.S), len(d.Sbar))))
@@ -130,56 +142,44 @@ def verify_diagram(d: DiagramSpec) -> FiberReport:
         violations.append(Violation("cardinality congruence (#A = #S mod n)",
                                     (len(d.A), len(d.S), d.n)))
 
-    for hypothesis, table, domain, target in (
-            ("f maps A into A", d.f, d.A, A_set),
-            ("lam maps A into S", d.lam, d.A, S_set),
-            ("lambar maps A into Sbar", d.lambar, d.A, Sbar_set),
-            ("g maps S into Sbar", d.g, d.S, Sbar_set)):
-        for a in domain:
-            if table[a] not in target:
-                violations.append(Violation(hypothesis, a))
-                break
+    fA, lamA, lambarA, gS = d.f[d.A], d.lam[d.A], d.lambar[d.A], d.g[d.S]
+    size = 1 + max(int(x.max(initial=-1))
+                   for x in (d.A, d.S, d.Sbar, fA, lamA, lambarA, gS))
+    in_A, in_S, in_Sbar = (_marks(x, size) for x in (d.A, d.S, d.Sbar))
+    for hypothesis, vals, domain, target in (
+            ("f maps A into A", fA, d.A, in_A),
+            ("lam maps A into S", lamA, d.A, in_S),
+            ("lambar maps A into Sbar", lambarA, d.A, in_Sbar),
+            ("g maps S into Sbar", gS, d.S, in_Sbar)):
+        bad = domain[(vals < 0) | ~target[vals]]
+        if bad.size:
+            violations.append(Violation(hypothesis, int(bad[0])))
 
     if violations:
-        return FiberReport(ok=False, fibers={}, violations=tuple(violations))
+        return FiberReport(ok=False, violations=tuple(violations))
 
-    missing = S_set - {d.lam[a] for a in d.A}
-    if missing:
-        violations.append(Violation("lam surjective onto S", min(missing, key=repr)))
-    missing = Sbar_set - {d.lambar[a] for a in d.A}
-    if missing:
-        violations.append(Violation("lambar surjective onto Sbar", min(missing, key=repr)))
+    for hypothesis, image, onto in (("lam surjective onto S", lamA, d.S),
+                                    ("lambar surjective onto Sbar", lambarA, d.Sbar)):
+        missing = onto[~_marks(image, size)[onto]]
+        if missing.size:
+            violations.append(Violation(hypothesis, int(missing.min())))
 
-    for a in d.A:
-        if d.lambar[d.f[a]] != d.g[d.lam[a]]:
-            violations.append(Violation("commutation lambar(f(x)) = g(lam(x))", a))
-            break
+    bad = d.A[d.lambar[fA] != d.g[lamA]]
+    if bad.size:
+        violations.append(Violation("commutation lambar(f(x)) = g(lam(x))", int(bad[0])))
 
-    lam_fibers = {s: [] for s in d.S}
-    for a in d.A:
-        if d.lam[a] in lam_fibers:
-            lam_fibers[d.lam[a]].append(a)
-    lambar_sizes = {sb: 0 for sb in d.Sbar}
-    for a in d.A:
-        if d.lambar[a] in lambar_sizes:
-            lambar_sizes[d.lambar[a]] += 1
-
-    fibers = {}
-    for s in d.S:
-        fiber = lam_fibers[s]
-        target_size = lambar_sizes.get(d.g[s], 0)
-        images = {d.f[a] for a in fiber}
-        # commutation already places f(fiber) inside the target fiber, so
-        # bijective reduces to: injective and sizes match
-        bij = len(images) == len(fiber) == target_size
-        fibers[s] = FiberInfo(size=len(fiber), image_size=target_size, bijective=bij)
-        if not bij:
-            violations.append(Violation("f bijective from lam-fiber to lambar-fiber", s))
-
-    return FiberReport(ok=not violations, fibers=fibers, violations=tuple(violations))
+    # commutation already places f(fiber) inside the target fiber, so
+    # bijective reduces to: injective and sizes match
+    fiber = np.bincount(lamA, minlength=size)
+    target = np.bincount(lambarA, minlength=size)
+    images = np.bincount(np.unique(lamA * size + fA) // size, minlength=size)
+    bad = d.S[(images[d.S] != fiber[d.S]) | (fiber[d.S] != target[gS])]
+    violations += [Violation("f bijective from lam-fiber to lambar-fiber", s)
+                   for s in bad.tolist()]
+    return FiberReport(ok=not violations, violations=tuple(violations))
 
 
-def condition3(d: DiagramSpec, g_report: NTo1Report = None) -> Optional[bool]:
+def condition3(d: DiagramSpec) -> Optional[bool]:
     """n | #S, or the unique exceptional value of g (the one with
     t = #A mod n preimages) has a singleton lambar-fiber.  None when g is
     not n-to-1 at n, since then there is no exceptional value to inspect."""
@@ -191,23 +191,18 @@ def condition3(d: DiagramSpec, g_report: NTo1Report = None) -> Optional[bool]:
     # hypothesis #A = #S (mod n) makes the two t candidates agree
     if t != len(d.S) % d.n:
         raise HypothesisViolated("#A = #S (mod n)", (len(d.A), len(d.S), d.n))
-    counts = {}
-    for s in d.S:
-        counts[d.g[s]] = counts.get(d.g[s], 0) + 1
-    exceptional = [sb for sb, c in counts.items() if c == t]
+    exceptional = np.flatnonzero(np.bincount(d.g[d.S]) == t)
     if len(exceptional) != 1:
         # t == n would make the exception invisible; cannot happen since
         # 0 < t < n here, and is_n_to_1 guarantees exactly one such value
         return None
-    s0 = exceptional[0]
-    fiber = sum(1 for a in d.A if d.lambar[a] == s0)
-    return fiber == 1
+    return int(np.count_nonzero(d.lambar[d.A] == exceptional[0])) == 1
 
 
 def transfer(d: DiagramSpec, report: FiberReport = None) -> TransferVerdict:
-    """Classify both maps and evaluate the two implications of the theorem:
-    forward (f n-to-1 forces g n-to-1) and backward (g n-to-1 plus
-    condition3 force f n-to-1)."""
+    """Decide n-to-1-ness of both maps and evaluate the two implications of
+    the theorem: forward (f n-to-1 forces g n-to-1) and backward (g n-to-1
+    plus condition3 force f n-to-1)."""
     if report is None:
         report = verify_diagram(d)
     if not report.ok:
@@ -224,8 +219,6 @@ def transfer(d: DiagramSpec, report: FiberReport = None) -> TransferVerdict:
     return TransferVerdict(
         n=d.n, f_n_to_1=f_ok, g_n_to_1=g_ok, condition3=cond3,
         forward_ok=forward_ok, backward_ok=backward_ok,
-        f_report=classify(d.f, domain=d.A),
-        g_report=classify(d.g, domain=d.S),
     )
 
 
@@ -266,8 +259,8 @@ def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
 
         # lambar-fiber sizes d[sb] >= 1; sizes over the image are free,
         # except the exceptional value in the two exception modes
-        d_sizes = {}
-        for sb, sz in zip(image, sizes):
+        d_sizes = [0] * k
+        for sb in image:
             d_sizes[sb] = rng.randrange(1, 4)
         if mode == "exc1":
             d_sizes[image[-1]] = 1
@@ -290,13 +283,13 @@ def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
         for sb, c in zip(nonimage, alloc):
             d_sizes[sb] = c
 
-        total_A = sum(d_sizes.values())
+        total_A = sum(d_sizes)
         if total_A > max_set or (total_A - k) % n != 0:
             continue
 
         # S mirrors Sbar's labels; g sends each block of S onto its image value
         S = list(range(k))
-        g = {}
+        g = [0] * k
         pool = list(S)
         rng.shuffle(pool)
         pos = 0
@@ -305,42 +298,31 @@ def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
                 g[s] = sb
             pos += sz
 
-        # partition A by lambar, then carve lam-fibers to match g's wiring
+        # partition A into consecutive lambar-fibers, in Sbar order
         A = list(range(total_A))
         rng.shuffle(A)
-        lambar = {}
-        blocks = {}
+        lambar = np.zeros(total_A, dtype=np.int64)
+        lambar[A] = np.repeat(Sbar, [d_sizes[sb] for sb in Sbar])
+        blocks = [None] * k
         pos = 0
         for sb in Sbar:
             blocks[sb] = A[pos:pos + d_sizes[sb]]
-            for a in blocks[sb]:
-                lambar[a] = sb
             pos += d_sizes[sb]
 
-        # every s needs a lam-fiber of size d_sizes[g(s)]; f maps it
-        # bijectively onto blocks[g(s)].  Hand out fresh elements of A:
-        # the multiset of lam-fiber sizes sums to total_A by the balance.
-        lam = {}
-        f = {}
+        # every s gets a lam-fiber of size d_sizes[g(s)], the next run of
+        # cursor, and f maps it bijectively onto blocks[g(s)]; by the
+        # balance these sizes sum to total_A, so the runs use up A exactly
         cursor = list(A)
         rng.shuffle(cursor)
-        idx = 0
-        ok = True
+        targets = []
         for s in S:
-            dsz = d_sizes[g[s]]
-            members = cursor[idx:idx + dsz]
-            if len(members) < dsz:
-                ok = False
-                break
-            idx += dsz
-            targets = list(blocks[g[s]])
-            rng.shuffle(targets)
-            for a, b in zip(members, targets):
-                lam[a] = s
-                f[a] = b
-        if not ok or idx != total_A:
-            continue
-
+            block = list(blocks[g[s]])
+            rng.shuffle(block)
+            targets += block
+        lam = np.zeros(total_A, dtype=np.int64)
+        lam[cursor] = np.repeat(S, [d_sizes[g[s]] for s in S])
+        f = np.zeros(total_A, dtype=np.int64)
+        f[cursor] = targets
         return DiagramSpec(A=A, S=S, Sbar=Sbar, f=f, g=g,
                            lam=lam, lambar=lambar, n=n)
     raise RuntimeError("diagram sampling failed to converge")

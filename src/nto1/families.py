@@ -32,8 +32,8 @@ class FamilyInstance:
     f and reduced are int64 value tables over the whole field, indexed by
     element code; domain and carrier are int64 index arrays naming where
     each is read.  The wiring is (A, S, Sbar, lam, lambar): three index
-    arrays and the two whole-field projection tables.  Dicts keyed by
-    element appear only in diagram(), the DiagramSpec boundary."""
+    arrays and the two whole-field projection tables, which diagram()
+    hands to DiagramSpec as they are."""
 
     def __init__(self, family, ctx, f, domain, n, reduced=None, carrier=None,
                  meta=None, violations=()):
@@ -74,11 +74,8 @@ class FamilyInstance:
         """The commutative square, ready for independent verification."""
         if self._wiring is None:
             raise ValueError(f"{self.family}: no square wiring")
-        A, S, Sbar, lam, lambar = (w.tolist() for w in self._wiring)
-        # whole-field tables; DiagramSpec keeps only the entries on A and S
-        f, g, lam, lambar = (dict(enumerate(t)) for t in
-                             (self.f.tolist(), self.reduced.tolist(), lam, lambar))
-        return DiagramSpec(A, S, Sbar, f, g, lam, lambar, self.n)
+        A, S, Sbar, lam, lambar = self._wiring
+        return DiagramSpec(A, S, Sbar, self.f, self.reduced, lam, lambar, self.n)
 
     def __repr__(self):
         tag = "ok" if self.ok else f"{len(self.violations)} broken"
@@ -447,6 +444,8 @@ def branch_constant_predicate(ctx, r, values):
     if (ctx.order - 1) % ell:
         raise ValueError(f"need len(values) dividing {ctx.order - 1}")
     s = (ctx.order - 1) // ell
+    if s == 1 and values.count(0) == ell - 1:
+        return True  # s = 1: 0 has ell preimages, the lone nonzero point is the exception
     omega = ctx.unit_root(ell)
     seen = None
     for i, v in enumerate(values):
@@ -467,6 +466,8 @@ def branch_case_predicate(ctx, r, values):
     if (ctx.order - 1) % ell:
         raise ValueError(f"need len(values) dividing {ctx.order - 1}")
     s = (ctx.order - 1) // ell
+    if s == 1 and values.count(0) == ell - 1:
+        return True  # s = 1: 0 has ell preimages, the lone nonzero point is the exception
     omega = ctx.unit_root(ell)
     for j in range(ell):
         if all(v != 0 and ctx.pow(v, s) == ctx.pow(omega, (j - i * r) % ell)

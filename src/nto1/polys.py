@@ -81,9 +81,6 @@ class Poly:
     def degree(self) -> int:
         return self.terms[-1][0] if self.terms else -1
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coeff(self, e: int) -> int:
         for te, tc in self.terms:
             if te == e:

@@ -54,16 +54,6 @@ class CycloInt:
         self.p = p
         self.coeffs = _reduce(coeffs, p)
 
-    @classmethod
-    def from_int(cls, p: int, n: int) -> "CycloInt":
-        return cls(p, [n] + [0] * (p - 1))
-
-    @classmethod
-    def root_power(cls, p: int, k: int) -> "CycloInt":
-        e = [0] * p
-        e[k % p] = 1
-        return cls(p, e)
-
     def _check(self, other: "CycloInt"):
         if self.p != other.p:
             raise ZeroInput("mixed cyclotomic orders")

@@ -31,6 +31,10 @@ def test_classify_cubic_over_gf7():
     r = run_cli("classify", "--field", "p=7,m=1", "--poly", "x^3")
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == '{"domain_size":7,"exception":[0,1],"irregular":false,"n":3}'
+    # a leading minus needs the = form, or argparse reads it as an option
+    r = run_cli("classify", "--field", "p=7,m=1", "--poly=-x^2+1")
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.strip() == '{"domain_size":7,"exception":[1,1],"irregular":false,"n":2}'
 
 
 def test_field_resolution_and_element_decode():
@@ -82,6 +86,16 @@ def test_sweep_rows_match_the_verify_rows():
             for row in verify.run("nmiu3").rows if row[1] == 5]
     assert len(want) == 5 ** 4
     assert data_rows(r.stdout) == want
+
+
+def test_sweep_with_one_point_per_branch():
+    # s = (q-1)/ell = 1: ell-1 zero branch values make the map ell-to-1
+    for args in (("miu2", "--field", "p=3,m=1"), ("nmiu3", "--field", "p=5,m=1"),
+                 ("miu3", "--field", "p=2,m=2")):
+        r = run_cli("sweep", *args, "--r", "1")
+        assert r.returncode == 0, r.stderr
+        rows = data_rows(r.stdout)
+        assert rows and all(row.endswith(",1") for row in rows), r.stdout
 
 
 def test_construct_tower_family():
@@ -153,6 +167,22 @@ def test_diagram_needs_exactly_one_source(tmp_path):
     path.write_text("{}")
     r = run_cli("diagram", "--in", str(path), "--random")
     assert r.returncode == 2 and "not allowed with argument" in r.stderr, r.stderr
+
+
+def test_diagram_in_refuses_malformed_labels(tmp_path):
+    spec = json.loads(run_cli("diagram", "--random", "--seed", "3", "--n", "2").stdout)["spec"]
+    a = spec["A"][0]
+    for key, value, msg in (
+            ("A", [[0, 1], *spec["A"][1:]], "A: [0, 1] is not a label, an int in [0, 2^20)"),
+            ("S", [-1, *spec["S"][1:]], "S: -1 is not a label, an int in [0, 2^20)"),
+            ("Sbar", [1 << 20, *spec["Sbar"][1:]],
+             "Sbar: 1048576 is not a label, an int in [0, 2^20)"),
+            ("f", [pair for pair in spec["f"] if pair[0] != a], f"f has no pair for {a}")):
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({**spec, key: value}))
+        r = run_cli("diagram", "--in", str(path))
+        assert (r.returncode, r.stdout) == (2, ""), r.stderr
+        assert r.stderr == f"nto1: --in {path}: {msg}\n"
 
 
 def test_domain_gate_exit_3_and_nightly_override():

@@ -19,14 +19,8 @@ F8 = Field(2, 3)
 
 
 def table(counts):
-    """A map realizing the given positive fiber sizes on 0..sum-1."""
-    out = {}
-    x = 0
-    for v, c in enumerate(counts):
-        for _ in range(c):
-            out[x] = v
-            x += 1
-    return out
+    """A value table realizing the given positive fiber sizes on 0..sum-1."""
+    return np.repeat(np.arange(len(counts)), counts)
 
 
 def test_regular_no_exception():
@@ -61,20 +55,20 @@ def test_small_count_must_be_unique():
 
 
 def test_identity_and_constant():
-    rep = classify({x: x for x in range(11)})
+    rep = classify(np.arange(11))
     assert (rep.n, rep.exception) == (1, None)
-    rep = classify({x: 0 for x in range(11)})
+    rep = classify(np.zeros(11, dtype=np.int64))
     assert (rep.n, rep.exception) == (11, None)
 
 
 def test_is_n_to_1_reads_the_definition_literally():
-    const5 = {x: 0 for x in range(5)}
+    const5 = np.zeros(5, dtype=np.int64)
     dom = tuple(range(5))
     assert is_n_to_1(const5, dom, 5)
     # for n > #A the single value carries exactly #A mod n = #A preimages
     assert is_n_to_1(const5, dom, 7)
     assert not is_n_to_1(const5, dom, 3)
-    assert is_n_to_1({x: x for x in range(5)}, dom, 1)
+    assert is_n_to_1(np.arange(5), dom, 1)
 
 
 def test_report_matches():
@@ -91,16 +85,14 @@ def test_random_n_to_1_tables_classify_at_n(n, seed):
     size = n * rng.randrange(2, 6) + rng.randrange(n)
     xs = list(range(size))
     rng.shuffle(xs)
-    out = {}
+    out = np.empty(size, dtype=np.int64)
     t = size % n
     vi = 0
     if t:
-        for x in xs[:t]:
-            out[x] = vi
+        out[xs[:t]] = vi
         vi += 1
     for pos in range(t, size, n):
-        for x in xs[pos:pos + n]:
-            out[x] = vi
+        out[xs[pos:pos + n]] = vi
         vi += 1
     rep = classify(out)
     assert is_n_to_1(out, tuple(range(size)), n)
@@ -111,14 +103,22 @@ def test_random_n_to_1_tables_classify_at_n(n, seed):
 
 
 def test_histogram_of_dict():
-    assert histogram({0: 1, 1: 1, 2: 5}) == {1: 2, 5: 1}
+    # a value table in, a value -> count dict out, also on a domain
+    assert histogram(np.array([1, 1, 5])) == {1: 2, 5: 1}
+    assert histogram(np.array([1, 1, 5, 7]), domain=[0, 3]) == {1: 1, 7: 1}
+    assert histogram(Poly(F7, [(2, 1)]), domain=[1, 6, 0]) == {0: 1, 1: 2}
 
 
-def test_callable_needs_domain():
-    with pytest.raises(ZeroInput):
-        classify(lambda x: x)
-    rep = classify(lambda x: x % 3, domain=range(9))
+def test_dict_and_callable_maps_are_refused():
+    rep = classify(np.arange(9) % 3, domain=range(9))
     assert rep.n == 3
+    for f in ({x: x for x in range(9)}, lambda x: x % 3, [0, 1, 2], np.zeros(3)):
+        with pytest.raises(TypeError, match="unsupported map object"):
+            histogram(f, domain=range(3))
+        with pytest.raises(TypeError, match="unsupported map object"):
+            classify(f, domain=range(3))
+        with pytest.raises(TypeError, match="unsupported map object"):
+            is_n_to_1(f, range(3), 1)
 
 
 def test_monomial_oracle_exhaustive_small():

@@ -3,9 +3,12 @@
 import json
 import random
 
+import numpy as np
 import pytest
 
-from nto1 import DiagramSpec, condition3, random_diagram, transfer, verify_diagram
+from nto1 import (
+    DiagramSpec, Violation, condition3, random_diagram, transfer, verify_diagram,
+)
 from nto1.errors import HypothesesNotVerified, HypothesisViolated
 
 
@@ -13,13 +16,12 @@ def two_to_one_square():
     # lam halves A onto S; g folds S in two; f realizes g fiberwise:
     # the lam-fiber {2s, 2s+1} maps bijectively onto the lambar-fiber
     # over g(s), which is {2*g(s), 2*g(s)+1}
-    A = tuple(range(8))
-    S = (0, 1, 2, 3)
-    Sbar = (0, 1, 2, 3)
-    g = {0: 0, 1: 0, 2: 1, 3: 1}
-    lam = {a: a // 2 for a in A}
-    lambar = dict(lam)
-    f = {a: 2 * g[a // 2] + (a % 2) for a in A}
+    A = np.arange(8)
+    S = Sbar = np.arange(4)
+    g = np.array([0, 0, 1, 1])
+    lam = A // 2
+    lambar = A // 2
+    f = 2 * g[A // 2] + A % 2
     return DiagramSpec(A, S, Sbar, f, g, lam, lambar, 2)
 
 
@@ -41,6 +43,45 @@ def test_broken_commutation_is_caught():
     assert any("commut" in n or "bijective" in n for n in names)
 
 
+def test_each_hypothesis_names_its_first_witness():
+    d = two_to_one_square()
+    d.f[3] = 9  # 9 is no label of A
+    d.lam[0] = -1  # nor is -1 one of S, though S[-1] is
+    d.g[2] = 5
+    assert verify_diagram(d).violations == (
+        Violation("f maps A into A", 3), Violation("lam maps A into S", 0),
+        Violation("g maps S into Sbar", 2))
+    with pytest.raises(ValueError, match="labels must be nonnegative"):
+        DiagramSpec(d.A - 1, d.S, d.Sbar, d.f, d.g, d.lam, d.lambar, 2)
+    d = two_to_one_square()
+    d.lam[[4, 5]] = 1  # the lam-fiber over 2 empties, the one over 1 doubles
+    assert verify_diagram(d).violations == (
+        Violation("lam surjective onto S", 2),
+        Violation("commutation lambar(f(x)) = g(lam(x))", 4),
+        Violation("f bijective from lam-fiber to lambar-fiber", 1),
+        Violation("f bijective from lam-fiber to lambar-fiber", 2))
+    d = two_to_one_square()
+    d.f[1] = 0  # the lam-fiber {0, 1} no longer maps injectively
+    assert verify_diagram(d).violations == (
+        Violation("f bijective from lam-fiber to lambar-fiber", 0),)
+
+
+def test_json_labels_are_ints_in_range():
+    good = two_to_one_square().to_json_dict()
+    assert DiagramSpec.from_json_dict(good).to_json_dict() == good
+    for key, value, msg in (
+            ("A", [[0, 1], *range(1, 8)], r"A: \[0, 1\] is not a label"),
+            ("S", [0, 1, 2, -3], "S: -3 is not a label"),
+            ("Sbar", [0, 1, 2, 1 << 20], "Sbar: 1048576 is not a label"),
+            ("S", [0, 1, 2, 1], "S repeats a label"),
+            ("lam", good["lam"][1:], "lam has no pair for 0"),
+            ("lambar", [[0, 1], *good["lambar"]], "lambar pairs a label twice"),
+            ("g", [[0, 0], [1]], r"g must be a list of \[label, label\] pairs"),
+            ("n", 0, "n must be a positive int")):
+        with pytest.raises(ValueError, match=msg):
+            DiagramSpec.from_json_dict({**good, key: value})
+
+
 def test_transfer_refuses_broken_squares():
     d = two_to_one_square()
     d.f[0] = 7
@@ -52,22 +93,22 @@ def test_condition3_none_when_g_not_n_to_1():
     d = two_to_one_square()
     assert condition3(d) is True  # n = 2 divides #S = 4, nothing to locate
     # with n not dividing #S, a g that is not n-to-1 gives None
-    A = tuple(range(7))
-    S = Sbar = (0, 1, 2)
-    g = {0: 0, 1: 0, 2: 0}
-    lam = {a: min(a // 2, 2) for a in A}
-    d2 = DiagramSpec(A, S, Sbar, {a: 0 for a in A}, g, lam, dict(lam), 2)
+    A = np.arange(7)
+    S = Sbar = np.arange(3)
+    g = np.zeros(3, dtype=np.int64)
+    lam = np.minimum(A // 2, 2)
+    d2 = DiagramSpec(A, S, Sbar, np.zeros(7, dtype=np.int64), g, lam, lam, 2)
     assert condition3(d2) is None
 
 
 def test_condition3_count_mismatch_is_a_typed_error():
     # g is 2-to-1 on #S = 3 with its exception, but #A = 4 breaks
     # #A = #S (mod n); checked with a typed error, so python -O keeps it
-    A = tuple(range(4))
-    S = Sbar = (0, 1, 2)
-    g = {0: 0, 1: 0, 2: 1}
-    lam = {a: a % 3 for a in A}
-    d = DiagramSpec(A, S, Sbar, {a: 0 for a in A}, g, lam, dict(lam), 2)
+    A = np.arange(4)
+    S = Sbar = np.arange(3)
+    g = np.array([0, 0, 1])
+    lam = A % 3
+    d = DiagramSpec(A, S, Sbar, np.zeros(4, dtype=np.int64), g, lam, lam, 2)
     with pytest.raises(HypothesisViolated, match="#A = #S"):
         condition3(d)
 

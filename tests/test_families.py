@@ -408,12 +408,12 @@ def _one_instance_per_builder():
     return out
 
 
-def _profile(table):
-    """Preimage count -> how many values have it, the old dict way."""
-    return Counter(Counter(table.values()).values())
+def _profile(values):
+    """Preimage count -> how many values have it, counted with Counters."""
+    return Counter(Counter(values.tolist()).values())
 
 
-def test_maps_are_tables_and_agree_with_the_dict_path():
+def test_maps_are_tables_and_agree_with_the_diagram():
     cases = _one_instance_per_builder()
     assert len({inst.family for inst, _ in cases}) == 9
     for inst, formula in cases:
@@ -425,16 +425,21 @@ def test_maps_are_tables_and_agree_with_the_dict_path():
         assert inst.reduced[inst.carrier].tolist() == [formula(y) for y in carrier], inst
 
         d = inst.diagram()
-        assert list(d.S) == carrier
+        for t in (d.A, d.S, d.Sbar, d.f, d.g, d.lam, d.lambar):
+            assert t.dtype == np.int64, inst
+        assert d.S.tolist() == carrier
         domain = inst.domain.tolist()
-        assert set(domain) - set(d.A) <= {0}  # 0 -> 0 is the only point off the square
-        f = {0: 0, **d.f} if 0 in domain else d.f
-        assert inst.holds() == is_n_to_1(f, domain, inst.n), inst
+        assert set(domain) - set(d.A.tolist()) <= {0}  # 0 -> 0 is the only point off the square
+        # the square's own sets, with 0 -> 0 added back where the domain has it
+        f, A = d.f.copy(), d.A
+        if 0 in domain and 0 not in A:
+            f[0], A = 0, np.append(A, 0)
+        assert inst.holds() == is_n_to_1(f, A, inst.n), inst
         assert inst.holds_reduced() == is_n_to_1(d.g, d.S, inst.n), inst
-        assert inst.classify() == classify(f, domain=domain), inst
+        assert inst.classify() == classify(f, domain=A), inst
         assert inst.classify_reduced() == classify(d.g, domain=d.S), inst
 
         factor = len(d.A) // len(d.S)
-        pf, pg = _profile(d.f), _profile(d.g)
+        pf, pg = _profile(d.f[d.A]), _profile(d.g[d.S])
         off = sorted(c for c in set(pf) | set(pg) if pf[c] != factor * pg[c])
         assert reduced_blowup(inst) == (factor, not off, off[0] if off else None), inst
