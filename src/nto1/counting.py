@@ -48,10 +48,10 @@ class NTo1Report:
         )
 
 
-def histogram(f, domain=None) -> dict:
-    """Exact value -> preimage-count table of an int64 value table, or of a
-    polynomial's eval_all(), read on domain (an index array) when given;
-    one bincount, values in codec order."""
+def _counts(f, domain):
+    """(bincount, size) of an int64 value table, or of a polynomial's
+    eval_all(), read on domain (an index array) when given.  A negative
+    entry is a FieldMismatch, caught from bincount at no extra pass."""
     if isinstance(f, (Poly, LinearizedPoly)):
         f = f.eval_all()
     if not (isinstance(f, np.ndarray) and f.dtype.kind in "iu"):
@@ -59,12 +59,23 @@ def histogram(f, domain=None) -> dict:
     vals = f if domain is None else f[np.asarray(domain)]
     if vals.size > _DOMAIN_CAP:
         raise DomainTooLarge(f"domain size {vals.size} exceeds 2^22")
-    counts = np.bincount(vals)
+    try:
+        return np.bincount(vals), vals.size
+    except ValueError:
+        raise FieldMismatch(
+            f"table entries must be nonnegative element codes; found {vals.min()}") from None
+
+
+def histogram(f, domain=None) -> dict:
+    """Exact value -> preimage-count table of an int64 value table, or of a
+    polynomial's eval_all(), read on domain (an index array) when given;
+    one bincount, values in codec order."""
+    counts, size = _counts(f, domain)
     hit = np.flatnonzero(counts)
     out = dict(zip(hit.tolist(), counts[hit].tolist()))
     total = sum(out.values())
-    if total != vals.size:
-        raise HistogramLostMass(f"histogram holds {total} preimages for a domain of {vals.size}")
+    if total != size:
+        raise HistogramLostMass(f"histogram holds {total} preimages for a domain of {size}")
     return out
 
 
@@ -102,6 +113,27 @@ def row_counts(V: np.ndarray, q: int) -> np.ndarray:
         raise FieldMismatch(f"value matrix entries must lie in [0, {q})")
     offset = q * np.arange(rows, dtype=np.int64)[:, None]
     return np.bincount((V + offset).ravel(), minlength=rows * q).reshape(rows, q)
+
+
+def _fits(counts, size: int, n: int):
+    """The definition at n >= 1 on fiber counts over a domain of the given
+    size, along the last axis (one map, or one per row): every nonzero
+    fiber holds n preimages, except exactly one holding t = size mod n
+    when t > 0.  As counts: n * #(fibers of size n) + t = size, and
+    #(fibers of size t) = 1 when t > 0."""
+    t = size % n
+    ok = n * (counts == n).sum(axis=-1) + t == size
+    if t:
+        ok &= (counts == t).sum(axis=-1) == 1
+    return ok
+
+
+def n_to_1_rows(V: np.ndarray, q: int, n: int) -> np.ndarray:
+    """is_n_to_1 at n for every row of a (rows, size) value matrix with
+    entries in [0, q), from one row_counts: a boolean per row."""
+    if n < 1:
+        return np.zeros(len(V), dtype=bool)
+    return _fits(row_counts(V, q), V.shape[1], n)
 
 
 def classify_rows(V: np.ndarray, q: int) -> list:
@@ -148,16 +180,10 @@ def classify(f, domain=None) -> NTo1Report:
 
 def is_n_to_1(f, domain, n: int) -> bool:
     """Check the definition at a prescribed n (degenerate maps can pass for
-    several n, so this is not the same as classify().n == n)."""
-    if n < 1:
-        return False
-    hist = histogram(f, domain)
-    size = sum(hist.values())
-    counts = sorted(hist.values())
-    if size % n == 0:
-        return all(c == n for c in counts)
-    t = size % n
-    return counts.count(t) == 1 and all(c == n for c in counts if c != t)
+    several n, so this is not the same as classify().n == n); the same
+    decision (_fits) as n_to_1_rows, on one bincount."""
+    counts, size = _counts(f, domain)
+    return n >= 1 and bool(_fits(counts, size, n))
 
 
 def report_matches(report: NTo1Report, n: int) -> bool:

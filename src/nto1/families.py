@@ -22,7 +22,8 @@ from .diagrams import DiagramSpec, Violation
 from .errors import ConstructionMismatch, HypothesisViolated
 from .fields import exact_log
 from .polys import (
-    LinearizedPoly, Poly, additive_witness, is_additive, roots_of_unity_interpolate,
+    LinearizedPoly, Poly, additive_witness, eval_coeff_rows, is_additive,
+    roots_of_unity_interpolate_rows,
 )
 
 
@@ -279,16 +280,24 @@ def _coset_square(family, ctx, r, s, e, h_t, n, carrier, include_zero, meta, vio
     """f(x) = x^r h(x^s) against its reduced partner y^r h(y)^e, both over
     the whole field, the partner read on carrier; wired through x^s on
     the units.  f(0) = 0, so include_zero adds 0 as a size-1 fiber."""
-    xs = ctx.elements_array()
-    x_r = ctx.pow_vec(xs, r)
-    lam_t = ctx.pow_vec(xs, s)
-    f_t = ctx.mul_vec(x_r, h_t[lam_t])
+    x_r, lam_t, f_t = _coset_rows(ctx, r, s, h_t)
     g_t = ctx.mul_vec(x_r, ctx.pow_vec(h_t, e))
+    xs = ctx.elements_array()
     units = xs[1:]
     inst = FamilyInstance(family, ctx, f_t, xs if include_zero else units, n,
                           reduced=g_t, carrier=carrier, meta=meta, violations=violations)
     inst._wiring = (units, carrier, carrier, lam_t, lam_t)
     return inst
+
+
+def _coset_rows(ctx, r, s, h):
+    """(x^r, x^s, f) over the whole field with f = x^r h(x^s), for one
+    whole-field h table or row by row for a (T, q) matrix of them; x^r and
+    x^s are computed once for all rows."""
+    xs = ctx.elements_array()
+    x_r = ctx.pow_vec(xs, r)
+    lam = ctx.pow_vec(xs, s)
+    return x_r, lam, ctx.mul_vec(x_r, h[..., lam])
 
 
 def coset_power_monomial(ctx, s, h):
@@ -426,15 +435,44 @@ def build_branch_interpolation(ctx, r, values, strict=True, include_zero=True):
         raise ValueError("r must be positive")
     chk = _Checker("branch-interpolation", strict)
     chk.require(math.gcd(r, s) == 1, "r coprime to s", (r, s))
-    omega = ctx.unit_root(ell)
-    points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     values = [ctx.check(v) for v in values]
-    h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, omega, values))
-    h_t = h.eval_all()
-    assert h_t[points].tolist() == values  # interpolation postcondition
-    return _coset_square("branch-interpolation", ctx, r, s, s, h_t, ell, points,
+    coeffs, h_t = _interpolate_rows("branch-interpolation", ctx, [values])
+    points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
+    return _coset_square("branch-interpolation", ctx, r, s, s, h_t[0], ell, points,
                          include_zero,
-                         {"r": r, "s": s, "values": tuple(values), "h": h}, chk.violations)
+                         {"r": r, "s": s, "values": tuple(values),
+                          "h": Poly.from_dense(ctx, coeffs[0].tolist())}, chk.violations)
+
+
+def branch_tables(ctx, r, values):
+    """(T, q) value tables over the whole field of build_branch_interpolation's
+    f = x^r h(x^s), one per row of the (T, ell) value matrix, by the same
+    interpolation and postcondition (_interpolate_rows) and the same f
+    (_coset_rows), s = (q-1)/ell; x^r and x^s are computed once for all
+    rows."""
+    values = np.asarray(values, dtype=np.int64)
+    _, h = _interpolate_rows("branch-interpolation", ctx, values)
+    return _coset_rows(ctx, r, (ctx.order - 1) // values.shape[1], h)[2]
+
+
+def _interpolate_rows(family, ctx, values):
+    """(coefficient rows, whole-field h tables) of the h of degree < ell
+    with h(omega^i) = values[t][i] for each row t of the (T, ell) value
+    matrix, omega the fixed generator of the ell-th roots of unity.  The
+    postcondition is checked on every row: ConstructionMismatch names the
+    first row and root where h misses its value."""
+    values = np.asarray(values, dtype=np.int64)
+    ell = values.shape[1]
+    points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
+    coeffs = roots_of_unity_interpolate_rows(ctx, ctx.unit_root(ell), values)
+    h = eval_coeff_rows(ctx, coeffs)
+    missed = np.argwhere(h[:, points] != values)
+    if missed.size:
+        t, i = missed[0].tolist()
+        raise ConstructionMismatch(
+            f"{family}: h(omega^{i}) = {h[t, points[i]]} misses values[{i}] = "
+            f"{values[t, i]} in row {t}")
+    return coeffs, h
 
 
 def branch_constant_predicate(ctx, r, values):
@@ -503,10 +541,9 @@ def solve_piecewise(ctx, spec, strict=True):
     """Interpolate h so f = x^r h(x^s) realizes the branch plan, then build
     the coset construction on it.
 
-    Exact postconditions: h at the i-th root equals
-    beta^(ell*levels[i] + targets[i] - i*r) (asserted), and the reduced
-    map sends the i-th root to omega^targets[i] (ConstructionMismatch
-    otherwise)."""
+    Exact postconditions, each a ConstructionMismatch when broken: h at
+    the i-th root equals beta^(ell*levels[i] + targets[i] - i*r), and the
+    reduced map sends the i-th root to omega^targets[i]."""
     q = ctx.order
     s, r, n = spec.s, spec.r, spec.n
     if s < 1 or (q - 1) % s:
@@ -526,14 +563,12 @@ def solve_piecewise(ctx, spec, strict=True):
     chk.require(all(c == n for c in counts.values()),
                 "each chosen target hit exactly n times", counts)
 
-    omega = ctx.unit_root(ell)
     points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     bvals = [ctx.exp_of((ell * spec.levels[i] + spec.targets[i] - i * r) % (q - 1))
              for i in range(ell)]
-    h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, omega, bvals))
-    h_t = h.eval_all()
-    assert h_t[points].tolist() == bvals  # interpolation postcondition
-    inst = build_coset_power(ctx, r, s, h_t, n, strict=strict)
+    coeffs, h_t = _interpolate_rows("piecewise", ctx, [bvals])
+    h = Poly.from_dense(ctx, coeffs[0].tolist())
+    inst = build_coset_power(ctx, r, s, h_t[0], n, strict=strict)
     # points[a] = omega^a, so the plan is read straight off the roots
     missed = np.flatnonzero(inst.reduced[points] != points[np.asarray(spec.targets) % ell])
     if missed.size:

@@ -9,8 +9,9 @@ evaluates many polynomials over the whole field in the log domain, one
 table gather per distinct exponent, no per-term powering; eval_all is its
 one-row case.
 
-Interpolation at the ell-th roots of unity is the closed-form inverse DFT
-(roots_of_unity_interpolate); the test suite checks it against a
+Interpolation at the ell-th roots of unity is the closed-form inverse DFT,
+batched over value rows (roots_of_unity_interpolate_rows, whose one-row
+case is roots_of_unity_interpolate); the test suite checks it against a
 Vandermonde solve.
 
 row_reduce, the package's one elimination, lives in fields (the subfield
@@ -27,7 +28,8 @@ import math
 import numpy as np
 
 from .errors import (
-    ConstantPolynomial, DegreeMismatch, DegreeTooHigh, NormalFormViolated, SingularSystem,
+    ConstantPolynomial, DegreeMismatch, DegreeTooHigh, FieldMismatch, NormalFormViolated,
+    SingularSystem,
 )
 from .fields import Field, exact_log, row_reduce
 
@@ -47,9 +49,10 @@ class Poly:
             if e < 0:
                 raise DegreeMismatch(f"negative exponent {e}")
             c = ctx.check(c)
-            if c == 0 and e not in acc:
-                continue
-            acc[e] = ctx.add(acc.get(e, 0), c)
+            if e in acc:
+                acc[e] = ctx.add(acc[e], c)
+            elif c:
+                acc[e] = c
         self.ctx = ctx
         self.terms = tuple(sorted((e, c) for e, c in acc.items() if c != 0))
 
@@ -225,7 +228,6 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
     (3^12: width 5; see fields._packed_headroom), the sum is unpacked and
     packed again before any field can carry into the next.  The values are
     unpacked once at the end."""
-    q, p = ctx.order, ctx.p
     rows = len(polys)
     consts = [0] * rows
     cols = {}  # exponent -> coefficient of every row
@@ -237,6 +239,25 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
             else:
                 cols.setdefault(e, [0] * rows)[i] = c
                 filled += 1
+    return _eval_terms(ctx, consts, cols, filled)
+
+
+def eval_coeff_rows(ctx: Field, coeffs) -> np.ndarray:
+    """(T, q) value table over the whole field of each polynomial whose
+    dense coefficients, constant first, are a row of the (T, k) matrix
+    coeffs; zero coefficients allowed.  eval_rows without Poly objects."""
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    cols = {e: col for e, col in enumerate(coeffs.T.tolist()) if e and any(col)}
+    return _eval_terms(ctx, coeffs[:, 0].tolist(), cols, int(np.count_nonzero(coeffs[:, 1:])))
+
+
+def _eval_terms(ctx: Field, consts: list, cols: dict, filled: int) -> np.ndarray:
+    """The evaluation behind eval_rows: consts[t] + sum_e cols[e][t] x^e for
+    each row t, as a (len(consts), q) table; cols maps each exponent
+    e >= 1 to one coefficient per row, filled of them nonzero, and no
+    column is all zero."""
+    q, p = ctx.order, ctx.p
+    rows = len(consts)
     out = np.zeros((rows, q), dtype=np.int64)
     if any(consts):
         out += np.asarray(consts, dtype=np.int64)[:, None]
@@ -404,23 +425,34 @@ def matrix_rank(ctx: Field, mat: list[list[int]]) -> int:
 def roots_of_unity_interpolate(ctx: Field, omega: int, values: list[int]) -> list[int]:
     """Coefficients of the unique polynomial h of degree < ell = len(values)
     with h(omega^i) = values[i], for omega of multiplicative order exactly
-    ell: the inverse DFT h_j = ell^-1 * sum_i values[i] * omega^(-ij).
+    ell: the one-row case of roots_of_unity_interpolate_rows."""
+    values = [ctx.check(v) for v in values]
+    return roots_of_unity_interpolate_rows(ctx, omega, [values])[0].tolist()
 
-    Worked in the log domain: omega^(-ij) * values[i] is
-    exp[(log values[i] - i*j*log omega) mod (q - 1)], and ell, a divisor of
-    q - 1, is a unit of the prime field."""
-    ell = len(values)
+
+def roots_of_unity_interpolate_rows(ctx: Field, omega: int, values) -> np.ndarray:
+    """(T, ell) coefficient rows of the polynomials h of degree < ell with
+    h(omega^i) = values[t, i], one per row of the (T, ell) value matrix,
+    for omega of multiplicative order exactly ell: the inverse DFT
+    h_j = ell^-1 * sum_i values[i] * omega^(-ij).
+
+    Worked in the log domain, one gather per i for all rows and all j:
+    omega^(-ij) * values[i] is exp[(log values[i] - i*j*log omega) mod (q - 1)],
+    0 where values[i] = 0; the ell terms are summed with add_vec, then
+    scaled by ell^-1 (ell divides q - 1, so it is a unit of the prime
+    field)."""
+    values = np.asarray(values, dtype=np.int64)
+    rows, ell = values.shape
     n = ctx.order - 1
     log_w = ctx.log(omega)
     if n // math.gcd(log_w, n) != ell:
         raise SingularSystem(f"{omega} does not have multiplicative order {ell}")
+    if values.size and (values.min() < 0 or values.max() > n):
+        raise FieldMismatch(f"values must lie in [0, {n + 1})")
     exp, log = ctx._exp, ctx._log
-    terms = [(i, int(log[v])) for i, v in enumerate(map(ctx.check, values)) if v]
-    log_ell = ctx.log(ell % ctx.p)
-    out = []
-    for j in range(ell):
-        acc = 0
-        for i, log_v in terms:
-            acc = ctx.add(acc, int(exp[(log_v - i * j * log_w) % n]))
-        out.append(int(exp[(log[acc] - log_ell) % n]) if acc else 0)
-    return out
+    step = log_w * np.arange(ell, dtype=np.int64)
+    out = np.zeros((rows, ell), dtype=np.int64)
+    for i in range(ell):
+        v = values[:, i, None]
+        out = ctx.add_vec(out, np.where(v != 0, exp[(log[v] - i * step) % n], 0))
+    return ctx.scalar_mul_vec(ctx.inv(ell % ctx.p), out)

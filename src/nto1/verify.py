@@ -18,11 +18,12 @@ import random
 import numpy as np
 
 from .counting import (
-    classify, classify_rows, is_n_to_1, linearized_oracle, report_matches, row_blocks,
+    classify, classify_rows, is_n_to_1, linearized_oracle, n_to_1_rows, report_matches,
+    row_blocks,
 )
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
-    branch_case_predicate, build_branch_interpolation, build_translate_link,
+    branch_case_predicate, branch_tables, build_translate_link,
     random_piecewise, shift_power_profile, solve_piecewise, sweep_shift_power,
 )
 from .fields import Field, SubfieldEmbed, _is_prime, exact_log
@@ -247,7 +248,13 @@ def branch_sweep(ctx, r, ell):
     itertools.product order.  The pool is every element for ell = 2 and
     one power-class representative per class otherwise: the verdict only
     sees values through their power class.  ValueError outside the
-    criterion's hypotheses, ell | q-1 and r coprime to (q-1)/ell."""
+    criterion's hypotheses, ell | q-1 and r coprime to (q-1)/ell.
+
+    The brute side is decided in row blocks of about 2^14 table entries:
+    one branch_tables and one n_to_1_rows per block, so the built maps
+    are exactly build_branch_interpolation's and the verdict is
+    is_n_to_1's on the whole field.  The predicate side stays one scalar
+    branch_case_predicate call per tuple."""
     if (ctx.order - 1) % ell:
         raise ValueError(f"{ell} must divide q-1={ctx.order - 1}")
     if math.gcd(r, (ctx.order - 1) // ell) != 1:
@@ -256,9 +263,12 @@ def branch_sweep(ctx, r, ell):
         pool = list(ctx.elements())
     else:
         pool = [0] + [ctx.pow(ctx.beta, i) for i in range(ell)]
-    return [(*values, branch_case_predicate(ctx, r, list(values)),
-             build_branch_interpolation(ctx, r, list(values), strict=False).holds())
-            for values in itertools.product(pool, repeat=ell)]
+    tuples = np.array(list(itertools.product(pool, repeat=ell)), dtype=np.int64)
+    q = ctx.order
+    brute = np.concatenate([n_to_1_rows(branch_tables(ctx, r, tuples[lo:hi]), q, ell)
+                            for lo, hi in row_blocks(len(tuples), q)])
+    return [(*values, branch_case_predicate(ctx, r, values), got)
+            for values, got in zip(tuples.tolist(), brute.tolist())]
 
 
 def _branch_class_run(ctxs, ell):

@@ -80,12 +80,14 @@ def test_sweep_rows_match_the_verify_rows():
     assert data_rows(r.stdout) == [
         f"{':'.join(map(str, sub.coeffs(t)))},{':'.join(map(str, big.coeffs(d)))},{p},{g},{int(p == g)}"
         for t, d, p, g in rows]
-    r = run_cli("sweep", "nmiu3", "--field", "p=13,m=1", "--r", "5")
-    assert r.returncode == 0, r.stderr
-    want = [",".join(map(str, row[2:] + (int(row[-2] == row[-1]),)))
-            for row in verify.run("nmiu3").rows if row[1] == 5]
-    assert len(want) == 5 ** 4
-    assert data_rows(r.stdout) == want
+    for family, q, r_, count in (("miu2", 11, 3, 11 ** 2), ("miu2", 7, 5, 7 ** 2),
+                                 ("miu3", 13, 5, 4 ** 3), ("nmiu3", 13, 5, 5 ** 4)):
+        r = run_cli("sweep", family, "--field", f"p={q},m=1", "--r", str(r_))
+        assert r.returncode == 0, r.stderr
+        want = [",".join(map(str, row[2:] + (int(row[-2] == row[-1]),)))
+                for row in verify.run(family).rows if row[:2] == (q, r_)]
+        assert len(want) == count
+        assert data_rows(r.stdout) == want
 
 
 def test_sweep_with_one_point_per_branch():

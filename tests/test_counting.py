@@ -11,7 +11,7 @@ from nto1 import (
     Field, LinearizedPoly, Poly, classify, classify_rows, histogram, is_n_to_1,
     linearized_oracle, monomial_oracle, report_matches,
 )
-from nto1.counting import _decide, row_blocks
+from nto1.counting import _decide, n_to_1_rows, row_blocks
 from nto1.errors import ExceptionCountMismatch, FieldMismatch, NTo1Error, ZeroInput
 
 F7 = Field(7, 1)
@@ -119,6 +119,48 @@ def test_dict_and_callable_maps_are_refused():
             classify(f, domain=range(3))
         with pytest.raises(TypeError, match="unsupported map object"):
             is_n_to_1(f, range(3), 1)
+
+
+def test_negative_entries_are_a_typed_error():
+    for f in (np.array([-1, 0, 3]), np.array([-3, -1])):
+        with pytest.raises(FieldMismatch, match="nonnegative"):
+            histogram(f)
+        with pytest.raises(FieldMismatch, match="nonnegative"):
+            classify(f)
+        with pytest.raises(FieldMismatch, match="nonnegative"):
+            is_n_to_1(f, None, 1)
+    with pytest.raises(FieldMismatch, match="nonnegative"):
+        classify(np.array([2, -1, 2]), domain=[0, 1])
+    with pytest.raises(FieldMismatch, match=r"must lie in \[0, 4\)"):
+        n_to_1_rows(np.array([[-1, 0, 3]]), 4, 1)
+
+
+def _fold(row, n):
+    """The definition at n read off one row's histogram, the reference for
+    n_to_1_rows."""
+    counts = list(histogram(row).values())
+    t = len(row) % n
+    if t == 0:
+        return all(c == n for c in counts)
+    return counts.count(t) == 1 and all(c in (n, t) for c in counts)
+
+
+def test_n_to_1_rows_matches_a_histogram_fold_on_degenerate_tables():
+    rng = np.random.default_rng(3)
+    size, q = 12, 16
+    rows = [np.full(size, v) for v in (0, 5, 15)]                           # constant maps
+    rows += [rng.permutation(table([n] * (size // n) + [size % n] * (size % n > 0)))
+             for n in range(1, size + 2)]                                    # #A mod n exceptions
+    rows += [table([5, 5, 2]), table([5, 2, 2, 3]), table([4, 4, 1, 1, 2])]  # several sizes
+    rows += [table([3, 3, 3, 2, 1]), table([1] * size), rng.integers(0, q, size)]
+    V = np.array(rows)
+    for n in range(0, size + 3):
+        got = n_to_1_rows(V, q, n)
+        assert got.dtype == bool and got.shape == (len(rows),)
+        want = [n >= 1 and _fold(row, n) for row in rows]
+        assert got.tolist() == want, n
+        assert [is_n_to_1(row, None, n) for row in rows] == want, n
+    assert n_to_1_rows(np.zeros((2, 0), dtype=np.int64), q, 3).tolist() == [True, True]
 
 
 def test_monomial_oracle_exhaustive_small():

@@ -10,12 +10,13 @@ import pytest
 
 from nto1 import (
     Field, LinearizedPoly, PiecewiseSpec, Poly, SubfieldEmbed, classify, is_n_to_1,
-    monomial_oracle, verify_diagram,
+    monomial_oracle, roots_of_unity_interpolate, verify_diagram,
 )
 from nto1 import families
+from nto1.counting import n_to_1_rows
 from nto1.errors import ConstructionMismatch, HypothesisViolated
 from nto1.families import (
-    branch_case_predicate, branch_constant_predicate, build_additive_split,
+    branch_case_predicate, branch_constant_predicate, branch_tables, build_additive_split,
     build_branch_interpolation, build_coset_power, build_linearized_mix,
     build_norm_lift, build_shift_power, build_translate_link,
     build_two_branch_lift, coset_power_monomial_n, frobenius_twist,
@@ -221,6 +222,58 @@ def test_branch_interpolation_hits_its_values():
     omega = ctx.unit_root(3)
     for i, v in enumerate(values):
         assert h(ctx.pow(omega, i)) == v
+
+
+def _scalar_branch_table(ctx, r, values):
+    """f = x^r h(x^s) by scalar Field.pow/mul and Poly.__call__, element by
+    element: the reference for branch_tables."""
+    ell = len(values)
+    s = (ctx.order - 1) // ell
+    h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, ctx.unit_root(ell), values))
+    return np.array([ctx.mul(ctx.pow(x, r), h(ctx.pow(x, s))) for x in ctx.elements()])
+
+
+def test_block_verdicts_match_scalar_built_maps():
+    rng = random.Random(15)
+    for p, m in ((2, 2), (5, 1), (3, 2), (13, 1), (5, 2)):
+        ctx = Field(p, m)
+        q = ctx.order
+        for ell in (2, 3, 4):
+            if (q - 1) % ell:
+                continue
+            for r in range(1, q):
+                rows = [[rng.choice([0, rng.randrange(1, q)]) for _ in range(ell)]
+                        for _ in range(8)]
+                # one nonzero point: ell-to-1 exactly when s = (q-1)/ell = 1
+                rows += [[v if i == j else 0 for i in range(ell)]
+                         for j in range(ell) for v in (1, rng.randrange(1, q))]
+                got = branch_tables(ctx, r, rows)
+                want = [_scalar_branch_table(ctx, r, row) for row in rows]
+                assert got.tolist() == [w.tolist() for w in want], (q, ell, r)
+                assert (n_to_1_rows(got, q, ell).tolist()
+                        == [is_n_to_1(w, None, ell) for w in want]), (q, ell, r)
+                inst = build_branch_interpolation(ctx, r, rows[0], strict=False)
+                assert inst.f.tolist() == got[0].tolist()
+
+
+def test_interpolation_postconditions_are_typed_errors(monkeypatch):
+    # a wrong coefficient row must surface as ConstructionMismatch, which
+    # python -O keeps, naming the row and the root it misses
+    real = families.roots_of_unity_interpolate_rows
+
+    def off_by_one(ctx, omega, values):
+        coeffs = real(ctx, omega, values)
+        coeffs[-1, 0] = ctx.add(int(coeffs[-1, 0]), 1)
+        return coeffs
+
+    monkeypatch.setattr(families, "roots_of_unity_interpolate_rows", off_by_one)
+    ctx = Field(13, 1)
+    with pytest.raises(ConstructionMismatch, match=r"branch-interpolation: h\(omega\^0\).* in row 0"):
+        build_branch_interpolation(ctx, 5, [1, 2, 0, 4])
+    with pytest.raises(ConstructionMismatch, match=r"in row 2$"):
+        branch_tables(ctx, 5, [[1, 2, 0, 4], [0, 0, 0, 0], [3, 3, 1, 1]])
+    with pytest.raises(ConstructionMismatch, match=r"piecewise: h\(omega\^0\).* in row 0"):
+        solve_piecewise(ctx, random_piecewise(ctx, random.Random(12)))
 
 
 # -- piecewise ---------------------------------------------------------------------

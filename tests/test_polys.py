@@ -15,7 +15,9 @@ from nto1 import fields, polys
 from nto1.errors import (
     DegreeMismatch, FieldMismatch, FieldTooLarge, NormalFormViolated, SingularSystem,
 )
-from nto1.polys import matrix_rank, row_reduce
+from nto1.polys import (
+    eval_coeff_rows, matrix_rank, roots_of_unity_interpolate_rows, row_reduce,
+)
 
 
 def solve_linear(ctx, mat, rhs):
@@ -46,6 +48,24 @@ F25 = Field(5, 2)
 F27 = Field(3, 3)
 
 dense7 = st.lists(st.integers(0, 24), min_size=1, max_size=7)
+
+
+def test_init_sums_only_repeated_exponents():
+    assert Poly(F7, [(2, 3), (2, 5), (1, 4)]).terms == ((1, 4), (2, 1))  # 3 + 5 = 1 mod 7
+    assert Poly(F7, [(2, 3), (1, 1), (2, 4)]).terms == ((1, 1),)         # cancels, dropped
+    assert Poly(F7, [(3, 0), (1, 2), (0, 0)]).terms == ((1, 2),)         # zeros dropped
+    assert Poly(F7, [(3, 0), (3, 5)]).terms == ((3, 5),)
+    assert Poly(F7, [(3, 0), (3, 0)]).terms == ()
+    rng = random.Random(11)
+    for ctx in (F7, F25, F27, Field(2, 4)):
+        for _ in range(200):
+            pairs = [(rng.randrange(6), rng.choice([0, rng.randrange(ctx.order)]))
+                     for _ in range(rng.randrange(8))]
+            acc = {}
+            for e, c in pairs:
+                acc[e] = ctx.add(acc.get(e, 0), c)
+            want = tuple(sorted((e, c) for e, c in acc.items() if c))
+            assert Poly(ctx, pairs).terms == want, pairs
 
 
 def test_monomial_argument_order():
@@ -465,6 +485,28 @@ def test_roots_of_unity_interpolate_matches_vandermonde(ctx):
             assert coeffs == vandermonde_solve(ctx, points, values), (ell, values)
             h = Poly.from_dense(ctx, coeffs)
             assert [h(pt) for pt in points] == values
+
+
+@pytest.mark.parametrize("ctx", [Field(3, 2), Field(13, 1), Field(2, 4), F25], ids=repr)
+def test_batched_interpolation_matches_vandermonde_row_by_row(ctx):
+    rng = np.random.default_rng(ctx.order)
+    q = ctx.order
+    for ell in _divisors(q - 1)[1:]:
+        omega = ctx.unit_root(ell)
+        points = [ctx.pow(omega, i) for i in range(ell)]
+        values = rng.integers(0, q, size=(40, ell))
+        values[rng.random(values.shape) < 0.3] = 0
+        values[0] = 0
+        coeffs = roots_of_unity_interpolate_rows(ctx, omega, values)
+        assert coeffs.shape == values.shape
+        for row, want in zip(values.tolist(), coeffs.tolist()):
+            assert want == vandermonde_solve(ctx, points, row), (ell, row)
+        tables = eval_coeff_rows(ctx, coeffs)
+        for row, table in zip(coeffs.tolist(), tables):
+            assert table.tolist() == Poly.from_dense(ctx, row).eval_all().tolist()
+        assert (tables[:, points] == values).all()
+    with pytest.raises(FieldMismatch):
+        roots_of_unity_interpolate_rows(ctx, omega, [[0] * (ell - 1) + [q]])
 
 
 def test_roots_of_unity_interpolate_needs_exact_order():
