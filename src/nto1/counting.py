@@ -33,7 +33,6 @@ class NTo1Report:
     histogram: dict
     domain_size: int
     irregular: bool
-    conflict: Optional[tuple] = None  # two smallest conflicting fiber sizes
 
     def to_json(self) -> str:
         return json.dumps(
@@ -82,10 +81,10 @@ def histogram(f, domain=None) -> dict:
 def _decide(hist: dict, domain_size: int):
     """Core decision on a fiber-size multiset.
 
-    Returns (n, exception, irregular, conflict); exception is (value, t)."""
+    Returns (n, exception, irregular); exception is (value, t)."""
     distinct = sorted(set(hist.values()))
     if len(distinct) == 1:
-        return distinct[0], None, False, None
+        return distinct[0], None, False
     if len(distinct) == 2:
         small, big = distinct
         small_values = [v for v, c in hist.items() if c == small]
@@ -93,8 +92,8 @@ def _decide(hist: dict, domain_size: int):
             if domain_size % big != small:
                 raise ExceptionCountMismatch(
                     f"exception count {small} is not #A mod n = {domain_size} mod {big}")
-            return big, (small_values[0], small), False, None
-    return 0, None, True, (distinct[0], distinct[1])
+            return big, (small_values[0], small), False
+    return 0, None, True
 
 
 def row_blocks(count: int, width: int) -> list:
@@ -174,8 +173,8 @@ def classify(f, domain=None) -> NTo1Report:
     if not hist:
         raise ZeroInput("empty domain")
     size = sum(hist.values())
-    n, exc, irregular, conflict = _decide(hist, size)
-    return NTo1Report(n=n, exception=exc, histogram=hist, domain_size=size, irregular=irregular, conflict=conflict)
+    n, exc, irregular = _decide(hist, size)
+    return NTo1Report(n=n, exception=exc, histogram=hist, domain_size=size, irregular=irregular)
 
 
 def is_n_to_1(f, domain, n: int) -> bool:

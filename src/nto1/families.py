@@ -10,7 +10,9 @@ anyway, so a dubious construction can still be classified honestly.
 Parameters that make the construction itself meaningless (a modulus that
 does not divide, a carrier that does not exist) raise ValueError in
 either mode; the strict/permissive split only covers hypotheses the
-built map can survive breaking.
+built map can survive breaking.  Every map comes in through
+polys.value_table, so one that is not a map over the field is a
+FieldMismatch.
 """
 
 import math
@@ -23,7 +25,7 @@ from .errors import ConstructionMismatch, HypothesisViolated
 from .fields import exact_log
 from .polys import (
     LinearizedPoly, Poly, additive_witness, eval_coeff_rows, is_additive,
-    roots_of_unity_interpolate_rows,
+    roots_of_unity_interpolate_rows, value_table,
 )
 
 
@@ -31,12 +33,12 @@ class FamilyInstance:
     """A built map, its reduced partner, and the wiring between them.
 
     f and reduced are int64 value tables over the whole field, indexed by
-    element code; domain and carrier are int64 index arrays naming where
-    each is read.  The wiring is (A, S, Sbar, lam, lambar): three index
-    arrays and the two whole-field projection tables, which diagram()
-    hands to DiagramSpec as they are."""
+    element code; domain is the int64 index array f is read on.  The
+    wiring is (A, S, Sbar, lam, lambar): three index arrays and the two
+    whole-field projection tables, which diagram() hands to DiagramSpec as
+    they are; the reduced map is read on its carrier S."""
 
-    def __init__(self, family, ctx, f, domain, n, reduced=None, carrier=None,
+    def __init__(self, family, ctx, f, domain, n, reduced, wiring,
                  meta=None, violations=()):
         self.family = family
         self.ctx = ctx
@@ -44,38 +46,34 @@ class FamilyInstance:
         self.domain = domain
         self.n = int(n)
         self.reduced = reduced
-        self.carrier = carrier
+        self.wiring = wiring
         self.meta = dict(meta or {})
         self.violations = tuple(violations)
-        self._wiring = None  # (A, S, Sbar, lam, lambar), all big-coded
 
     @property
     def ok(self):
         return not self.violations
 
-    def _reduced_on_carrier(self):
-        if self.reduced is None:
-            raise ValueError(f"{self.family}: no reduced map")
-        return self.reduced[self.carrier]
+    @property
+    def carrier(self):
+        return self.wiring[1]
 
     def classify(self):
         return classify(self.f[self.domain])
 
     def classify_reduced(self):
-        return classify(self._reduced_on_carrier())
+        return classify(self.reduced[self.carrier])
 
     def holds(self):
         """Brute-force the claimed n on the built map."""
         return is_n_to_1(self.f[self.domain], None, self.n)
 
     def holds_reduced(self):
-        return is_n_to_1(self._reduced_on_carrier(), None, self.n)
+        return is_n_to_1(self.reduced[self.carrier], None, self.n)
 
     def diagram(self):
         """The commutative square, ready for independent verification."""
-        if self._wiring is None:
-            raise ValueError(f"{self.family}: no square wiring")
-        A, S, Sbar, lam, lambar = self._wiring
+        A, S, Sbar, lam, lambar = self.wiring
         return DiagramSpec(A, S, Sbar, self.f, self.reduced, lam, lambar, self.n)
 
     def __repr__(self):
@@ -99,17 +97,6 @@ class _Checker:
             raise HypothesisViolated(f"{self.family}: {hypothesis}", witness)
         self.violations.append(Violation(hypothesis, witness))
         return False
-
-
-def _table(ctx, f):
-    """Dense value table over the whole field of a polynomial or a table."""
-    if isinstance(f, (Poly, LinearizedPoly)):
-        return f.eval_all()
-    if isinstance(f, np.ndarray):
-        if len(f) != ctx.order:
-            raise ValueError("table length does not match the field")
-        return np.asarray(f, dtype=np.int64)
-    raise TypeError(f"unsupported map object {type(f)!r}")
 
 
 def _first(idx):
@@ -150,8 +137,8 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n, strict=True):
     """
     big, sub = emb.big, emb.sub
     chk = _Checker("additive-split", strict)
-    psi_t, psibar_t, phi_t = _table(big, psi), _table(big, psibar), _table(big, phi)
-    h_t, g_t = _table(big, h), _table(big, g)
+    psi_t, psibar_t, phi_t, h_t, g_t = (value_table(f, big)[1]
+                                        for f in (psi, psibar, phi, h, g))
 
     chk.require(n >= 1 and sub.order % n == 0, "n divides the subfield size", n)
     ok, w = _additive_ok(big, psi, psi_t)
@@ -183,10 +170,9 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n, strict=True):
     f_t = big.add_vec(big.mul_vec(h_t[psi_t], phi_t), g_t[psi_t])
     fbar_t = big.add_vec(big.mul_vec(h_t, phi_t), psibar_t[g_t])
     xs = big.elements_array()
-    inst = FamilyInstance("additive-split", big, f_t, xs, n, reduced=fbar_t, carrier=S,
+    return FamilyInstance("additive-split", big, f_t, xs, n, fbar_t,
+                          (xs, S, Sbar, psi_t, psibar_t),
                           meta={"q": sub.order}, violations=chk.violations)
-    inst._wiring = (xs, S, Sbar, psi_t, psibar_t)
-    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +206,7 @@ def build_linearized_mix(emb, L1, L2, L3, g, n, strict=True):
     for name, L in (("L1", L1), ("L2", L2), ("L3", L3)):
         ok, w = _structural_q_poly(emb, L)
         chk.require(ok, f"{name} linearized with subfield coefficients", w)
-    L1_t, L2_t, L3_t = _table(big, L1), _table(big, L2), _table(big, L3)
-    g_t = _table(big, g)
+    L1_t, L2_t, L3_t, g_t = (value_table(f, big)[1] for f in (L1, L2, L3, g))
 
     S = np.unique(L3_t)
     gS = g_t[S]
@@ -243,23 +228,21 @@ def build_linearized_mix(emb, L1, L2, L3, g, n, strict=True):
     f_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t[L3_t]))
     fbar_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t))
     xs = big.elements_array()
-    inst = FamilyInstance("linearized-mix", big, f_t, xs, n, reduced=fbar_t, carrier=S,
+    return FamilyInstance("linearized-mix", big, f_t, xs, n, fbar_t, (xs, S, S, L3_t, L3_t),
                           meta={"q": q}, violations=chk.violations)
-    inst._wiring = (xs, S, S, L3_t, L3_t)
-    return inst
 
 
 # ---------------------------------------------------------------------------
 # coset power: f(x) = x^r h(x^s) on units, g(y) = y^r h(y)^s on roots of unity
 # ---------------------------------------------------------------------------
 
-def build_coset_power(ctx, r, s, h, n, strict=True, include_zero=True):
-    """f(x) = x^r h(x^s) on the units against g(y) = y^r h(y)^s on the
-    ell-th roots of unity, ell = (q-1)/s.
+def build_coset_power(ctx, r, s, h, n, strict=True):
+    """f(x) = x^r h(x^s) on the whole field against g(y) = y^r h(y)^s on
+    the ell-th roots of unity, ell = (q-1)/s.
 
     With h never zero on those roots, f is n-to-1 on the units exactly
-    when g is n-to-1 on the roots.  include_zero grows the domain by
-    0 -> 0, the lone size-1 exception once n > 1.
+    when g is n-to-1 on the roots; the domain adds 0 -> 0, the lone
+    size-1 exception once n > 1.
     """
     q = ctx.order
     if r < 1 or s < 1 or (q - 1) % s:
@@ -268,26 +251,25 @@ def build_coset_power(ctx, r, s, h, n, strict=True, include_zero=True):
     chk = _Checker("coset-power", strict)
     chk.require(math.gcd(r, s) == 1, "r coprime to s", (r, s))
     chk.require(n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
-    h_t = _table(ctx, h)
+    _, h_t = value_table(h, ctx)
     mu = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     bad = _first(mu[h_t[mu] == 0])
     chk.require(bad is None, "h never zero on the root group", bad)
-    return _coset_square("coset-power", ctx, r, s, s, h_t, n, mu, include_zero,
+    return _coset_square("coset-power", ctx, r, s, s, h_t, n, mu, True,
                          {"r": r, "s": s, "ell": ell}, chk.violations)
 
 
-def _coset_square(family, ctx, r, s, e, h_t, n, carrier, include_zero, meta, violations):
+def _coset_square(family, ctx, r, s, e, h_t, n, carrier, with_zero, meta, violations):
     """f(x) = x^r h(x^s) against its reduced partner y^r h(y)^e, both over
     the whole field, the partner read on carrier; wired through x^s on
-    the units.  f(0) = 0, so include_zero adds 0 as a size-1 fiber."""
+    the units.  f(0) = 0, so with_zero reads f on 0 too, a size-1 fiber."""
     x_r, lam_t, f_t = _coset_rows(ctx, r, s, h_t)
     g_t = ctx.mul_vec(x_r, ctx.pow_vec(h_t, e))
     xs = ctx.elements_array()
     units = xs[1:]
-    inst = FamilyInstance(family, ctx, f_t, xs if include_zero else units, n,
-                          reduced=g_t, carrier=carrier, meta=meta, violations=violations)
-    inst._wiring = (units, carrier, carrier, lam_t, lam_t)
-    return inst
+    return FamilyInstance(family, ctx, f_t, xs if with_zero else units, n, g_t,
+                          (units, carrier, carrier, lam_t, lam_t),
+                          meta=meta, violations=violations)
 
 
 def _coset_rows(ctx, r, s, h):
@@ -308,7 +290,7 @@ def coset_power_monomial(ctx, s, h):
         raise ValueError(f"s must divide {q - 1}")
     ell = (q - 1) // s
     mu = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)  # omega^i at i
-    hv = _table(ctx, h)[mu]
+    hv = value_table(h, ctx)[1][mu]
     if not hv.all():
         return None
     w = ctx.pow_vec(hv, s)  # every w(y) = h(y)^s is itself an ell-th root
@@ -332,7 +314,7 @@ def coset_power_monomial_n(ctx, r, s, h):
 # norm lift: pull a construction up an extension through the norm map
 # ---------------------------------------------------------------------------
 
-def build_norm_lift(emb, r, h_sub, n, strict=True, include_zero=False):
+def build_norm_lift(emb, r, h_sub, n, strict=True):
     """f(x) = x^r h(N(x)) on the big units, N the norm onto the subfield,
     against g(y) = y^r h(y)^m on the subfield units (m the extension
     degree).
@@ -340,7 +322,8 @@ def build_norm_lift(emb, r, h_sub, n, strict=True, include_zero=False):
     The norm is x^s with s = (Q-1)/(q-1), so this is the coset
     construction whose roots of unity are exactly the embedded subfield
     units.  gcd(r, s) = 1 keeps f injective on every norm fiber; it does
-    not follow from the other hypotheses and is enforced here.
+    not follow from the other hypotheses and is enforced here.  f is read
+    on the units only.
     """
     big, sub = emb.big, emb.sub
     q, m = sub.order, emb.rel_degree
@@ -352,14 +335,14 @@ def build_norm_lift(emb, r, h_sub, n, strict=True, include_zero=False):
                 "extension degree coprime to the subfield unit order", (q - 1, m))
     chk.require(n >= 1 and (q - 1) % n == 0, "n divides the subfield unit order", n)
     chk.require(math.gcd(r, s) == 1, "r coprime to the norm exponent", (r, s))
-    hs_t = h_sub.eval_all()
+    _, hs_t = value_table(h_sub, sub)
     bad = _first(np.flatnonzero(hs_t[1:] == 0) + 1)
     chk.require(bad is None, "h never zero on the subfield units", bad)
 
     h_big = Poly(big, [(e, emb.embed(c)) for e, c in h_sub.terms])
     embed_t = np.asarray([emb.embed(y) for y in sub.elements()], dtype=np.int64)
     inst = _coset_square("norm-lift", big, r, s, m, h_big.eval_all(), n,
-                         np.sort(embed_t[1:]), include_zero,
+                         np.sort(embed_t[1:]), False,
                          {"r": r, "s": s, "h": h_sub}, chk.violations)
     # the same reduced map in the subfield's own codec must embed onto it
     g_sub = sub.mul_vec(sub.pow_vec(sub.elements_array(), r), sub.pow_vec(hs_t, m))
@@ -418,7 +401,7 @@ def build_two_branch_lift(emb, r, a, b, strict=True):
 # branch interpolation: two-, three-, and four-way splits of the unit group
 # ---------------------------------------------------------------------------
 
-def build_branch_interpolation(ctx, r, values, strict=True, include_zero=True):
+def build_branch_interpolation(ctx, r, values, strict=True):
     """f = x^r h(x^s) with h interpolating values[i] at the i-th power of a
     fixed generator of the ell-th roots of unity; ell = len(values),
     s = (q-1)/ell, claimed n = ell.
@@ -438,8 +421,7 @@ def build_branch_interpolation(ctx, r, values, strict=True, include_zero=True):
     values = [ctx.check(v) for v in values]
     coeffs, h_t = _interpolate_rows("branch-interpolation", ctx, [values])
     points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
-    return _coset_square("branch-interpolation", ctx, r, s, s, h_t[0], ell, points,
-                         include_zero,
+    return _coset_square("branch-interpolation", ctx, r, s, s, h_t[0], ell, points, True,
                          {"r": r, "s": s, "values": tuple(values),
                           "h": Poly.from_dense(ctx, coeffs[0].tolist())}, chk.violations)
 
@@ -506,12 +488,12 @@ def branch_case_predicate(ctx, r, values):
     s = (ctx.order - 1) // ell
     if s == 1 and values.count(0) == ell - 1:
         return True  # s = 1: 0 has ell preimages, the lone nonzero point is the exception
-    omega = ctx.unit_root(ell)
-    for j in range(ell):
-        if all(v != 0 and ctx.pow(v, s) == ctx.pow(omega, (j - i * r) % ell)
-               for i, v in enumerate(values)):
-            return True
-    return False
+    if 0 in values:
+        return False
+    roots = ctx.roots_of_unity(ell)  # roots[a] = omega^a
+    powers = [ctx.pow(v, s) for v in values]
+    return any(all(w == roots[(j - i * r) % ell] for i, w in enumerate(powers))
+               for j in range(ell))
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +612,7 @@ def build_translate_link(ctx, q, k, g, c, delta, n, strict=True):
     S = np.unique(psi_t)
     chk.require((ctx.order - len(S)) % n == 0,
                 "domain and carrier sizes congruent mod n", (ctx.order, len(S)))
-    g_t = _table(ctx, g)
+    _, g_t = value_table(g, ctx)
     cx = ctx.scalar_mul_vec(c, xs)
     f_t = ctx.add_vec(g_t[psi_t], cx)
     tail = ctx.mul(ctx.sub(1, c), delta)
@@ -640,12 +622,10 @@ def build_translate_link(ctx, q, k, g, c, delta, n, strict=True):
     bad = _first(np.flatnonzero(psi_t[f_t] != h_t[psi_t]))
     chk.require(bad is None, "square commutes", bad)
 
-    inst = FamilyInstance("translate-link", ctx, f_t, xs, n, reduced=h_t, carrier=S,
+    return FamilyInstance("translate-link", ctx, f_t, xs, n, h_t, (xs, S, S, psi_t, psi_t),
                           meta={"q": q, "k": k, "ell": ell, "c": c, "delta": delta,
                                 "fiber": q ** ell},
                           violations=chk.violations)
-    inst._wiring = (xs, S, S, psi_t, psi_t)
-    return inst
 
 
 def reduced_blowup(inst):
@@ -653,9 +633,7 @@ def reduced_blowup(inst):
     occurs at factor times as many values of f as of the reduced map
     (factor the common fiber size).  Returns (factor, ok, witness); the
     witness is a count whose frequencies disagree."""
-    if inst._wiring is None or inst.reduced is None:
-        raise ValueError(f"{inst.family}: no square wiring")
-    A, S = inst._wiring[0], inst._wiring[1]
+    A, S = inst.wiring[0], inst.wiring[1]
     factor = len(A) // len(S)
     # profile[c] = how many values have exactly c preimages, c <= len(A)
     pf = np.bincount(np.bincount(inst.f[A]), minlength=len(A) + 1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .counting import row_blocks, row_counts
+from .counting import n_to_1_rows, row_blocks
 from .errors import DomainTooLarge, WrongCharacteristic
 from .fields import Field
 from .polys import Poly
@@ -56,16 +56,6 @@ class QuarticSearch:
     tried: int  # size of the coefficient space covered, always q^3
 
 
-def _rows_are_3to1(counts: np.ndarray, q: int) -> np.ndarray:
-    """Row-wise definition check at n = 3 on a (rows, q) fiber-count matrix."""
-    t = q % 3
-    regular = (counts == 0) | (counts == 3)
-    if t == 0:
-        return regular.all(axis=1)
-    exceptional = counts == t
-    return (regular | exceptional).all(axis=1) & (exceptional.sum(axis=1) == 1)
-
-
 def _three_to_one(ctx: Field, heads: np.ndarray, cx: np.ndarray) -> list:
     """(i, c) for every 3-to-1 map heads[i] + c x, with heads a (k, q) table
     of value vectors and cx[c] the value vector of c x; classified a block
@@ -75,7 +65,7 @@ def _three_to_one(ctx: Field, heads: np.ndarray, cx: np.ndarray) -> list:
     hits = []
     for lo, hi in row_blocks(len(heads), q * q):
         vals = ctx.add_vec(heads[lo:hi, None, :], cx[None, :, :]).reshape(-1, q)
-        for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
+        for r in np.flatnonzero(n_to_1_rows(vals, q, 3)):
             hits.append((lo + int(r) // q, int(r) % q))
     return hits
 

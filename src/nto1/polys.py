@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import (
     ConstantPolynomial, DegreeMismatch, DegreeTooHigh, FieldMismatch, NormalFormViolated,
-    SingularSystem,
+    SingularSystem, ZeroInput,
 )
 from .fields import Field, exact_log, row_reduce
 
@@ -412,6 +412,24 @@ class LinearizedPoly:
             rows = [ctx.coeffs(fmap(ctx.p ** i)) for i in range(ctx.m)]
             self._rank = matrix_rank(Field(ctx.p, 1), rows) // self.sub_degree
         return self._rank
+
+
+def value_table(f, ctx: Field | None = None):
+    """(field, whole-field int64 value table) of a map: a polynomial, over
+    ctx when ctx is given, or a raw table of q integer entries in [0, q)
+    over ctx.  Anything else over ctx is a FieldMismatch."""
+    if isinstance(f, (Poly, LinearizedPoly)):
+        if ctx is not None and f.ctx != ctx:
+            raise FieldMismatch(f"a polynomial over {f.ctx!r} used as a map on {ctx!r}")
+        return f.ctx, f.eval_all()
+    if isinstance(f, np.ndarray):
+        if ctx is None:
+            raise ZeroInput("a raw value table needs its Field")
+        q = ctx.order
+        if f.shape != (q,) or f.dtype.kind not in "iu" or f.min() < 0 or f.max() >= q:
+            raise FieldMismatch(f"a value table over GF({q}) needs {q} integer entries in [0, {q})")
+        return ctx, f.astype(np.int64, copy=False)
+    raise TypeError(f"unsupported map object {type(f)!r}")
 
 
 # ----------------------------------------------------------------------

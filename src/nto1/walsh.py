@@ -22,9 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegreeTooHigh, DomainTooLarge, FieldMismatch, PowerSumNotRational, ZeroInput
+from .errors import DegreeTooHigh, DomainTooLarge, PowerSumNotRational, ZeroInput
 from .fields import Field
-from .polys import LinearizedPoly, Poly
+from .polys import value_table
 
 _WALSH_DOMAIN_CAP = 2 ** 12
 # elements per vectorised block, so that q = 2^12 never allocates q^2 at once
@@ -173,22 +173,9 @@ def validate_phi(g: PhiGadget):
     return True, None
 
 
-def _value_table(f, ctx: Optional[Field]):
-    if isinstance(f, (Poly, LinearizedPoly)):
-        return f.ctx, f.eval_all()
-    if isinstance(f, np.ndarray):
-        if ctx is None:
-            raise ZeroInput("a raw value table needs its Field")
-        q = ctx.order
-        if f.shape != (q,) or f.dtype.kind not in "iu" or f.min() < 0 or f.max() >= q:
-            raise FieldMismatch(f"a value table over GF({q}) needs {q} integer entries in [0, {q})")
-        return ctx, f
-    raise TypeError(f"unsupported map object {type(f)!r}")
-
-
 def walsh(f, u: int, v: int, ctx: Optional[Field] = None) -> CycloInt:
     """W_F(u, v) = sum_x omega^{tr(v f(x)) + tr(u x)}, exact in Z[omega]."""
-    ctx, values = _value_table(f, ctx)
+    ctx, values = value_table(f, ctx)
     if ctx.order > _WALSH_DOMAIN_CAP:
         raise DomainTooLarge(f"field order {ctx.order} exceeds 2^12")
     tr = ctx.trace_to_prime_table()
@@ -201,7 +188,7 @@ def walsh(f, u: int, v: int, ctx: Optional[Field] = None) -> CycloInt:
 def walsh_zero_table(f, ctx: Optional[Field] = None) -> np.ndarray:
     """All W_F(0, v) at once, as a (q, p) integer matrix of unreduced
     root-of-unity counts (row v = multiplicities of omega^0..omega^{p-1})."""
-    ctx, values = _value_table(f, ctx)
+    ctx, values = value_table(f, ctx)
     if ctx.order > _WALSH_DOMAIN_CAP:
         raise DomainTooLarge(f"field order {ctx.order} exceeds 2^12")
     q, p = ctx.order, ctx.p
@@ -291,7 +278,7 @@ def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
     (see _fiber_sizes), for every gadget degree validate_phi accepts.  Raises
     PowerSumNotRational if the transform does not give q times a fiber size,
     which would mean the table is not a Walsh table."""
-    ctx, values = _value_table(f, ctx)
+    ctx, values = value_table(f, ctx)
     _gadget_degree(ctx, gadget)
     return _char_sum_of_table(ctx, walsh_zero_table(values, ctx), gadget)
 

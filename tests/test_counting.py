@@ -46,7 +46,7 @@ def test_exception_count_mismatch_is_a_typed_error():
     assert not issubclass(ExceptionCountMismatch, AssertionError)
     with pytest.raises(ExceptionCountMismatch):
         _decide({0: 1, 1: 3, 2: 3}, 8)
-    assert _decide({0: 1, 1: 3, 2: 3}, 7) == (3, (0, 1), False, None)
+    assert _decide({0: 1, 1: 3, 2: 3}, 7) == (3, (0, 1), False)
 
 
 def test_small_count_must_be_unique():

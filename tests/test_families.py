@@ -14,12 +14,12 @@ from nto1 import (
 )
 from nto1 import families
 from nto1.counting import n_to_1_rows
-from nto1.errors import ConstructionMismatch, HypothesisViolated
+from nto1.errors import ConstructionMismatch, FieldMismatch, HypothesisViolated
 from nto1.families import (
     branch_case_predicate, branch_constant_predicate, branch_tables, build_additive_split,
     build_branch_interpolation, build_coset_power, build_linearized_mix,
     build_norm_lift, build_shift_power, build_translate_link,
-    build_two_branch_lift, coset_power_monomial_n, frobenius_twist,
+    build_two_branch_lift, coset_power_monomial, coset_power_monomial_n, frobenius_twist,
     random_piecewise, reduced_blowup, shift_power_poly, solve_piecewise,
     sweep_shift_power, trace_class_reps,
 )
@@ -496,3 +496,36 @@ def test_maps_are_tables_and_agree_with_the_diagram():
         pf, pg = _profile(d.f[d.A]), _profile(d.g[d.S])
         off = sorted(c for c in set(pf) | set(pg) if pf[c] != factor * pg[c])
         assert reduced_blowup(inst) == (factor, not off, off[0] if off else None), inst
+
+
+# -- the map door ----------------------------------------------------------------------
+
+def _bad_maps(ctx):
+    """Maps that are not value tables over ctx, by the flaw each has."""
+    q = ctx.order
+    ones = np.ones(q, dtype=np.int64)
+    negative, too_large = ones.copy(), ones.copy()
+    negative[3], too_large[3] = -2, q
+    return {"float": np.ones(q), "negative": negative, "too_large": too_large,
+            "wrong_length": ones[1:], "other_field": Poly.x(Field(17, 1))}
+
+
+_F13, _F16 = Field(13, 1), Field(2, 4)
+_X16 = Poly.x(_F16)
+MAP_DOORS = {
+    "coset_power": (_F13, lambda h: build_coset_power(_F13, 1, 2, h, 1, strict=False)),
+    "coset_power_monomial": (_F13, lambda h: coset_power_monomial(_F13, 2, h)),
+    "translate_link": (_F16, lambda g: build_translate_link(_F16, 4, 1, g, 1, 0, 2,
+                                                            strict=False)),
+    "additive_split": (_F16, lambda h: build_additive_split(
+        SubfieldEmbed(_F16, Field(2, 2)), _X16, _X16, _X16, h, _X16, 2, strict=False)),
+}
+
+
+@pytest.mark.parametrize("flaw", ["float", "negative", "too_large", "wrong_length",
+                                  "other_field"])
+@pytest.mark.parametrize("door", sorted(MAP_DOORS))
+def test_builders_take_maps_through_value_table(door, flaw):
+    ctx, build = MAP_DOORS[door]
+    with pytest.raises(FieldMismatch):
+        build(_bad_maps(ctx)[flaw])

@@ -7,9 +7,8 @@ from nto1 import (
     Field, Poly, classify, cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly,
     is_n_to_1, quartic_3to1_search, report_matches,
 )
-from nto1.counting import row_blocks, row_counts
+from nto1.counting import n_to_1_rows, row_blocks
 from nto1.errors import DomainTooLarge, WrongCharacteristic
-from nto1.lowdeg import _rows_are_3to1
 from nto1.verify import _prime_powers
 
 
@@ -92,7 +91,7 @@ def _carry_free_search(ctx):
     for a in range(q):
         for lo, hi in row_blocks(q, q * q):
             vals = decode[head[a] + bx2[lo:hi, None, :] + cx[None, :, :]].reshape(-1, q)
-            for r in np.flatnonzero(_rows_are_3to1(row_counts(vals, q), q)):
+            for r in np.flatnonzero(n_to_1_rows(vals, q, 3)):
                 hits.append((a, lo + int(r) // q, int(r) % q))
     return tuple(hits)
 
