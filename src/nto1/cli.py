@@ -30,7 +30,7 @@ from .polys import Poly
 from .walsh import _char_sum_of_table, phi_prime_power, phi_two, walsh_zero_table
 from . import verify
 
-_DEFAULT_GATE = 1 << 13
+_GATE = 1 << 13
 
 _BRANCH_FAMILIES = {"miu2": 2, "miu3": 3, "nmiu3": 4}
 
@@ -133,11 +133,10 @@ def _parse_map(ctx, args):
     raise UsageError("a map is required: --poly or --table")
 
 def _gate(size, args, what):
-    limit = args.max_domain
     if os.environ.get("NTO1_NIGHTLY") == "1" or getattr(args, "nightly", False):
         return
-    if size > limit:
-        raise GateExceeded(f"{what} over {size} elements exceeds the gate {limit}; pass --nightly or set NTO1_NIGHTLY=1")
+    if size > _GATE:
+        raise GateExceeded(f"{what} over {size} elements exceeds the gate {_GATE}; pass --nightly or set NTO1_NIGHTLY=1")
 
 
 # -- output -----------------------------------------------------------------
@@ -277,6 +276,8 @@ def _shift_power_tower(args, family):
         if family in ("gouzao1", "gouzao2", "2gouzao1"):
             raise UsageError(f"{family} needs --q1")
         sub = _build_field(args)
+    # gated before the tower is built: an embedding needs the big field's log tables
+    _gate(sub.order ** 2, args, args.command)
     big = Field(sub.p, 2 * sub.m)
     return SubfieldEmbed(big, sub), q1
 
@@ -304,7 +305,6 @@ def cmd_construct(args):
     if family in SHIFT_POWER_VARIANTS:
         emb, q1 = _shift_power_tower(args, family)
         big = emb.big
-        _gate(big.order, args, "construct")
         if args.delta is None:
             raise UsageError("construct needs --delta (big-field element)")
         delta = _parse_elem(big, args.delta, "--delta")
@@ -338,7 +338,6 @@ def cmd_sweep(args):
     family = args.family
     if family in SHIFT_POWER_VARIANTS:
         emb, q1 = _shift_power_tower(args, family)
-        _gate(emb.big.order, args, "sweep")
         rows, bad = verify.shift_power_sweep(emb, family, q1)
         return _emit_agreement(
             f"sweep-{family}.v1", "trace,delta,predicate,brute",
@@ -394,10 +393,8 @@ def _add_field_opts(p):
     p.add_argument("--spec", help="path to a field spec JSON file")
 
 def _add_gate_opts(p):
-    p.add_argument("--max-domain", type=int, default=_DEFAULT_GATE,
-                   help=f"size gate for enumerations (default {_DEFAULT_GATE})")
     p.add_argument("--nightly", action="store_true",
-                   help="lift size gates (NTO1_NIGHTLY=1 does the same)")
+                   help=f"lift the size gate of {_GATE} elements (NTO1_NIGHTLY=1 does the same)")
 
 def build_parser():
     ap = argparse.ArgumentParser(
@@ -486,16 +483,10 @@ def main(argv=None):
         # downstream closed the pipe (e.g. | head): not an error
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except UsageError as e:
-        sys.stderr.write(f"nto1: {e}\n")
-        return 2
     except GateExceeded as e:
         sys.stderr.write(f"nto1: {e}\n")
         return 3
-    except NTo1Error as e:
-        sys.stderr.write(f"nto1: {e}\n")
-        return 2
-    except ValueError as e:
+    except (UsageError, NTo1Error, ValueError) as e:
         sys.stderr.write(f"nto1: {e}\n")
         return 2
 

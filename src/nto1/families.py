@@ -180,7 +180,10 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n, strict=True):
 # ---------------------------------------------------------------------------
 
 def _structural_q_poly(emb, L):
-    """Terms must all be c*x^(q^i) with c in the subfield; (ok, witness)."""
+    """Terms must all be c*x^(q^i) with c in the subfield; (ok, witness).
+    A raw value table has no terms to read, so it fails."""
+    if not isinstance(L, (Poly, LinearizedPoly)):
+        return False, f"raw value table {type(L).__name__}"
     if isinstance(L, LinearizedPoly):
         if L.q_sub != emb.q_sub:
             return False, ("base", L.q_sub)
@@ -325,6 +328,9 @@ def build_norm_lift(emb, r, h_sub, n, strict=True):
     not follow from the other hypotheses and is enforced here.  f is read
     on the units only.
     """
+    if not isinstance(h_sub, Poly):
+        raise TypeError(f"norm-lift embeds the coefficients of h_sub, so it must be a Poly, "
+                        f"not {type(h_sub).__name__}")
     big, sub = emb.big, emb.sub
     q, m = sub.order, emb.rel_degree
     s = (big.order - 1) // (q - 1)
@@ -340,7 +346,7 @@ def build_norm_lift(emb, r, h_sub, n, strict=True):
     chk.require(bad is None, "h never zero on the subfield units", bad)
 
     h_big = Poly(big, [(e, emb.embed(c)) for e, c in h_sub.terms])
-    embed_t = np.asarray([emb.embed(y) for y in sub.elements()], dtype=np.int64)
+    embed_t = emb.embed_table
     inst = _coset_square("norm-lift", big, r, s, m, h_big.eval_all(), n,
                          np.sort(embed_t[1:]), False,
                          {"r": r, "s": s, "h": h_sub}, chk.violations)

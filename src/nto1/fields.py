@@ -12,21 +12,22 @@ constructions with the same (p, m, modulus) are identical in every detail.
 
 Construction data is memoised for the life of the process, in one
 module-level table filled under one lock: the default modulus per (p, m);
-the default beta and every SubfieldEmbed's embedding and section per
-(p, m, modulus); the log/exp tables and the Zech table per
-(p, m, modulus, beta); the packed digit table per (p, m).  Every
-Field(...) call still returns a new object, but objects with the same key
-share that data, and shared arrays are read-only.
+the default beta per (p, m, modulus); the log/exp tables and the Zech
+table per (p, m, modulus, beta); the packed digit table per (p, m); every
+SubfieldEmbed's embedding table per modulus and beta of both fields.
+Every Field(...) call still returns a new object, but objects with the
+same key share that data, and shared arrays are read-only.
 
 Vector addition never walks digits below the log-table gate: p = 2 adds
 by XOR, GF(p) adds residues, and odd p with m > 1 adds in the log domain
 through Zech's logarithm Z[k] = log(1 + beta^k), so a + b = a * (1 + b/a)
 is exp[log a + Z[(log b - log a) mod n]] for n = q - 1.
 
-row_reduce is the package's one exact elimination: scalar Gauss-Jordan
-through a Field's own scalar ops, so it needs no log tables.  polys uses
-it for ranks and solves; SubfieldEmbed solves its section with it over
-GF(p), and its trace table projects only the distinct trace values.
+A ring embedding of GF(q_sub) is a power map on discrete logs, so
+SubfieldEmbed reads it off the big field's exp table: it needs the log
+tables of both fields (FieldTooLarge above the 2^20 gate), and its
+section is a reverse lookup.  The absolute trace table is the trace table
+of the embedding of GF(p), so one vectorised trace loop serves both.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .errors import (
     FieldTooLarge,
     NotPrime,
     ReducibleModulus,
-    SingularSystem,
     TraceOutsideField,
     ZeroInput,
 )
@@ -58,9 +58,10 @@ _LOG_TABLE_CAP = 2 ** 20
 #   ("tables", p, m, modulus, beta)           (log, exp), read-only
 #   ("zech", p, m, modulus, beta)             Zech table, read-only
 #   ("packed", p, m)                          packed digits, read-only
-#   ("embed", p, m, modulus, k, sub_modulus)  SubfieldEmbed data
-# A build may re-enter the memo (an embedding needs its big field's
-# tables), hence the RLock.  No build takes a Field's own lock, so locks are
+#   ("embed", p, m, modulus, beta, k, sub_modulus, sub_beta)
+#                                             embedding table, read-only
+# A build may re-enter the memo (an embedding needs both fields' tables),
+# hence the RLock.  No build takes a Field's own lock, so locks are
 # only ever taken in the order Field._lock, then _MEMO_LOCK.
 _MEMO: dict = {}
 _MEMO_LOCK = threading.RLock()
@@ -610,18 +611,12 @@ class Field:
         return out
 
     def trace_to_prime_table(self) -> np.ndarray:
-        # built under the lock, which the vec kernels re-enter for their caches
+        """Absolute trace of every element, as residues in [0, p): the
+        trace table of GF(p) inside this field.  Built under the lock."""
         if self._tr_prime is None:
             with self._lock:
                 if self._tr_prime is None:
-                    t = self.elements_array()
-                    y = self.elements_array()
-                    for _ in range(self.m - 1):
-                        y = self.pow_vec(y, self.p)
-                        t = self.add_vec(t, y)
-                    if int(t.max(initial=0)) >= self.p:
-                        raise TraceOutsideField(f"trace table left the prime field GF({self.p})")
-                    self._tr_prime = t.astype(np.int64)
+                    self._tr_prime = SubfieldEmbed(self, Field(self.p, 1)).trace_table()
         return self._tr_prime
 
     # -- serialization ---------------------------------------------------------
@@ -659,46 +654,17 @@ def field_from_spec(spec: dict | str) -> Field:
     return Field(int(spec["p"]), int(spec["m"]), spec.get("modulus"), spec.get("beta"))
 
 
-def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
-    """In-place RREF over ctx; returns the rank.
-
-    Scalar Gauss-Jordan with ctx's own check, inv, mul, add and neg, so
-    it needs no log tables and works at any order.  Every entry is checked
-    on entry (FieldMismatch), rows of unequal length raise DegreeMismatch,
-    and the reduced rows are written back into rows as lists of ints."""
-    ncols = len(rows[0]) if rows else 0
-    for i, row in enumerate(rows):
-        if len(row) != ncols:
-            raise DegreeMismatch(f"row {i} has {len(row)} entries, row 0 has {ncols}")
-        rows[i] = [ctx.check(v) for v in row]
-    r = 0
-    for col in range(ncols):
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        # columns left of col are already zero in the pivot row
-        inv = ctx.inv(rows[r][col])
-        prow = rows[r] = [0] * col + [ctx.mul(inv, v) for v in rows[r][col:]]
-        for i, row in enumerate(rows):
-            if i != r and row[col]:
-                f = ctx.neg(row[col])
-                rows[i] = row[:col] + [ctx.add(a, ctx.mul(f, b)) if b else a
-                                       for a, b in zip(row[col:], prow[col:])]
-        r += 1
-    return r
-
-
 class SubfieldEmbed:
     """GF(p^k) inside GF(p^m) for k | m: ring embedding, section, and trace.
 
     The embedding sends the power-basis root of the subfield modulus to its
-    smallest-index root inside the big field, so it is deterministic.  The
-    section (big -> sub, defined on the subfield image) is solved once as a
-    GF(p)-linear system; root, powers and section are memoised per pair of
-    moduli, so a second embedding of the same pair costs nothing.
+    smallest-index root rho inside the big field, so it is deterministic.
+    A ring map is multiplicative, so on the units it is beta_sub^j -> e^j
+    with e the image of beta_sub, sum_i digit_i(beta_sub) * rho^i: one
+    gather of the big field's exp table by the subfield's logs.  That
+    table (embed_table[a] = embed(a), read-only) is memoised per modulus
+    and beta of both fields; the section is its reverse lookup.  Both
+    fields need log tables, so a big field above 2^20 is FieldTooLarge.
     """
 
     def __init__(self, big: Field, sub: Field):
@@ -711,16 +677,22 @@ class SubfieldEmbed:
         self.sub_degree = sub.m
         self.rel_degree = big.m // sub.m
         self.q_sub = sub.order
-        self._rho, self._rho_pows, self._E = _memo(
-            ("embed", big.p, big.m, big.modulus, sub.m, sub.modulus), self._embedding)
+        self.embed_table = _memo(("embed", big.p, big.m, big.modulus, big.beta,
+                                  sub.m, sub.modulus, sub.beta), self._embedding)
         self._tr_table = None
 
     def _embedding(self):
+        big, sub = self.big, self.sub
+        big._ensure_tables()
+        sub._ensure_tables()
         rho = self._find_root()
-        rho_pows = tuple(self.big.pow(rho, i) for i in range(self.sub.m))
-        E = self._section_transform(rho_pows)
-        E.flags.writeable = False
-        return rho, rho_pows, E
+        e = 0
+        for i, d in enumerate(sub.coeffs(sub.beta)):
+            e = big.add(e, big.mul(d, big.pow(rho, i)))
+        table = big._exp[(big.log(e) * sub._log) % (big.order - 1)]
+        table[0] = 0
+        table.flags.writeable = False
+        return table
 
     def _find_root(self) -> int:
         coeffs = list(self.sub.modulus)
@@ -732,34 +704,15 @@ class SubfieldEmbed:
                 return cand
         raise ReducibleModulus("subfield modulus has no root in the big field")  # pragma: no cover
 
-    def _section_transform(self, rho_pows):
-        # Row-reduce [M | I] over GF(p), M the m x k matrix of rho powers.
-        # The result is [R | E] with E invertible and E M = R = [I_k; 0]
-        # exactly when the first k columns all hold pivots.
-        m, k = self.big.m, self.sub.m
-        rows = [[0] * k + [int(i == j) for j in range(m)] for i in range(m)]
-        for j, rp in enumerate(rho_pows):
-            for i, d in enumerate(self.big.coeffs(rp)):
-                rows[i][j] = d
-        row_reduce(Field(self.big.p, 1), rows)
-        if not all(rows[j][j] for j in range(k)):
-            raise SingularSystem("embedding matrix must have full column rank")
-        return np.array([row[k:] for row in rows], dtype=np.int64)
-
     def embed(self, a: int) -> int:
-        self.sub.check(a)
-        out = 0
-        for d, rp in zip(self.sub.coeffs(a), self._rho_pows):
-            out = self.big.add(out, self.big.mul(d, rp))
-        return out
+        return int(self.embed_table[self.sub.check(a)])
 
     def project(self, x: int) -> int:
         """Inverse of embed; x must lie in the subfield image."""
-        self.big.check(x)
-        z = (self._E @ np.array(self.big.coeffs(x), dtype=np.int64)) % self.big.p
-        if np.any(z[self.sub.m:]):
+        hit = np.flatnonzero(self.embed_table == self.big.check(x))
+        if not hit.size:
             raise FieldMismatch(f"element {x} is not in the embedded GF({self.sub.p}^{self.sub.m})")
-        return self.sub.element(z[: self.sub.m].tolist())
+        return int(hit[0])
 
     def in_subfield(self, x: int) -> bool:
         return self.big.pow(x, self.q_sub) == x
@@ -782,12 +735,11 @@ class SubfieldEmbed:
             for _ in range(self.rel_degree - 1):
                 y = big.pow_vec(y, self.q_sub)
                 t = big.add_vec(t, y)
-            # project only the at most q_sub distinct traces, then spread back
-            u, idx = np.unique(t, return_inverse=True)
-            pows = big.p ** np.arange(big.m, dtype=np.int64)
-            z = (((u[:, None] // pows) % big.p) @ self._E.T) % big.p
-            if np.any(z[:, self.sub.m:]):
+            # the section: a q-entry inverse of the embedding, -1 off its image
+            section = np.full(big.order, -1, dtype=np.int64)
+            section[self.embed_table] = np.arange(self.q_sub, dtype=np.int64)
+            t = section[t]
+            if t.min() < 0:
                 raise TraceOutsideField(f"trace table left the embedded GF({self.sub.p}^{self.sub.m})")
-            packs = np.asarray([self.sub.p ** i for i in range(self.sub.m)], dtype=np.int64)
-            self._tr_table = (z[:, : self.sub.m] @ packs)[idx]
+            self._tr_table = t
         return self._tr_table

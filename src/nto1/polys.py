@@ -14,11 +14,10 @@ batched over value rows (roots_of_unity_interpolate_rows, whose one-row
 case is roots_of_unity_interpolate); the test suite checks it against a
 Vandermonde solve.
 
-row_reduce, the package's one elimination, lives in fields (the subfield
-section needs it there) and is imported here: a scalar Gauss-Jordan that
-needs no log tables.  LinearizedPoly.rank reduces a single m x m digit
-matrix over GF(p) with it, with no change of basis to GF(q_sub);
-matrix_rank is a thin wrapper.
+row_reduce is the package's one exact elimination: a scalar Gauss-Jordan
+through a Field's own scalar ops, so it needs no log tables.
+LinearizedPoly.rank reduces a single m x m digit matrix over GF(p) with
+it, through matrix_rank, with no change of basis to GF(q_sub).
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .errors import (
     ConstantPolynomial, DegreeMismatch, DegreeTooHigh, FieldMismatch, NormalFormViolated,
     SingularSystem, ZeroInput,
 )
-from .fields import Field, exact_log, row_reduce
+from .fields import Field, exact_log
 
 _COMPOSE_DEGREE_CAP = 64
 _DENSE_CAP = 1 << 22
@@ -433,8 +432,40 @@ def value_table(f, ctx: Field | None = None):
 
 
 # ----------------------------------------------------------------------
-# Exact linear algebra over a Field (row_reduce is fields.row_reduce).
+# Exact linear algebra over a Field.
 # ----------------------------------------------------------------------
+
+def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
+    """In-place RREF over ctx; returns the rank.
+
+    Scalar Gauss-Jordan with ctx's own check, inv, mul, add and neg, so
+    it needs no log tables and works at any order.  Every entry is checked
+    on entry (FieldMismatch), rows of unequal length raise DegreeMismatch,
+    and the reduced rows are written back into rows as lists of ints."""
+    ncols = len(rows[0]) if rows else 0
+    for i, row in enumerate(rows):
+        if len(row) != ncols:
+            raise DegreeMismatch(f"row {i} has {len(row)} entries, row 0 has {ncols}")
+        rows[i] = [ctx.check(v) for v in row]
+    r = 0
+    for col in range(ncols):
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        # columns left of col are already zero in the pivot row
+        inv = ctx.inv(rows[r][col])
+        prow = rows[r] = [0] * col + [ctx.mul(inv, v) for v in rows[r][col:]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                f = ctx.neg(row[col])
+                rows[i] = row[:col] + [ctx.add(a, ctx.mul(f, b)) if b else a
+                                       for a, b in zip(row[col:], prow[col:])]
+        r += 1
+    return r
+
 
 def matrix_rank(ctx: Field, mat: list[list[int]]) -> int:
     return row_reduce(ctx, [list(row) for row in mat])

@@ -168,22 +168,17 @@ def run_quartic(seed=SEED):
 
 
 def _n_to_1_table(ctx, n, rng):
+    """A random map whose fibers have sizes q mod n (when nonzero), then
+    n, n, ...: the shuffled elements, cut in that order, onto the shuffled
+    values."""
     xs = list(ctx.elements())
     vals = list(ctx.elements())
     rng.shuffle(xs)
     rng.shuffle(vals)
-    out = np.empty(ctx.order, dtype=np.int64)
-    t = ctx.order % n
-    pos, vi = 0, 0
-    if t:
-        for x in xs[:t]:
-            out[x] = vals[0]
-        pos, vi = t, 1
-    while pos < ctx.order:
-        for x in xs[pos:pos + n]:
-            out[x] = vals[vi]
-        pos += n
-        vi += 1
+    q = ctx.order
+    sizes = [q % n] * (q % n > 0) + [n] * (q // n)
+    out = np.empty(q, dtype=np.int64)
+    out[xs] = np.repeat(vals[:len(sizes)], sizes)
     return out
 
 

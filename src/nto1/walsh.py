@@ -58,17 +58,6 @@ class CycloInt:
         if self.p != other.p:
             raise ZeroInput("mixed cyclotomic orders")
 
-    def __add__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.p, [a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.p, [a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(self.p, [-a for a in self.coeffs])
-
     def __mul__(self, other: "CycloInt") -> "CycloInt":
         self._check(other)
         p = self.p

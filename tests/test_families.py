@@ -155,6 +155,19 @@ def test_norm_lift_enforces_r_coprime_to_norm_exponent():
         build_norm_lift(emb, 13, Poly.constant(emb.sub, 1), 2)  # s = 13
 
 
+def test_raw_tables_are_refused_where_terms_are_read():
+    emb = SubfieldEmbed(Field(3, 4), Field(3, 2))
+    x = Poly.x(emb.big)
+    with pytest.raises(HypothesisViolated, match="L1 linearized with subfield coefficients"):
+        build_linearized_mix(emb, np.arange(81), x, x, x, 3)
+    inst = build_linearized_mix(emb, np.arange(81), x, x, x, 3, strict=False)
+    assert inst.violations[0].hypothesis == "L1 linearized with subfield coefficients"
+    assert inst.violations[0].witness == "raw value table ndarray"
+    with pytest.raises(TypeError, match="embeds the coefficients of h_sub"):
+        build_norm_lift(SubfieldEmbed(Field(3, 3), Field(3, 1)), 1,
+                        np.ones(3, dtype=np.int64), 2, strict=False)
+
+
 # -- two-branch lift ------------------------------------------------------------
 
 def test_frobenius_twist_is_pointwise_frobenius():

@@ -1,6 +1,9 @@
 """Field arithmetic, the element codec, and subfield embeddings."""
 
 import json
+import os
+import random
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nto1 import Field, Poly, SubfieldEmbed, field_from_spec, fields
-from nto1.errors import FieldMismatch, NotPrime, ReducibleModulus
+from nto1.errors import FieldMismatch, FieldTooLarge, NotPrime, ReducibleModulus
 
 F9 = Field(3, 2)
 F16 = Field(2, 4)
@@ -265,7 +268,7 @@ def test_cold_construction_is_thread_safe(monkeypatch):
         for a, b in zip(results, want):
             assert np.array_equal(a, b)
         assert F._exp is F0._exp and F._log is F0._log
-        assert emb._E is emb0._E
+        assert emb.embed_table is emb0.embed_table
 
 
 # ----------------------------------------------------------------------
@@ -445,6 +448,59 @@ class TestSubfieldEmbed:
 class TestSubfieldEmbedOddP(TestSubfieldEmbed):
     """The same checks on an odd-characteristic tower, GF(3^2) in GF(3^4)."""
     emb = SubfieldEmbed(Field(3, 4), Field(3, 2))
+
+
+def _towers(cap):
+    """(p, m, k) for every GF(p^k) inside GF(p^m) with p^m <= cap and m > 1,
+    plus the prime fields up to 13."""
+    out = [(p, 1, 1) for p in (2, 3, 5, 7, 11, 13)]
+    for p in range(2, 65):
+        if fields._is_prime(p):
+            m = 2
+            while p ** m <= cap:
+                out += [(p, m, k) for k in range(1, m + 1) if m % k == 0]
+                m += 1
+    return out
+
+
+@pytest.mark.parametrize("p,m,k", _towers(4096))
+def test_embedding_on_every_small_tower(p, m, k):
+    big, sub = Field(p, m), Field(p, k)
+    emb = SubfieldEmbed(big, sub)
+    if k > 1:
+        # the code p is the power-basis root of the subfield modulus
+        vals = Poly(big, list(enumerate(sub.modulus))).eval_all()
+        assert emb.embed(p) == int(np.flatnonzero(vals == 0)[0])
+    rng = random.Random(p * 100 + m * 10 + k)
+    for _ in range(50):
+        a, b = rng.randrange(sub.order), rng.randrange(sub.order)
+        assert emb.embed(sub.add(a, b)) == big.add(emb.embed(a), emb.embed(b))
+        assert emb.embed(sub.mul(a, b)) == big.mul(emb.embed(a), emb.embed(b))
+    image = [emb.embed(a) for a in sub.elements()]
+    assert [emb.project(x) for x in image] == list(sub.elements())
+    if k < m:
+        off = min(set(big.elements()) - set(image))
+        with pytest.raises(FieldMismatch):
+            emb.project(off)
+    xs = big.elements() if big.order <= 729 else range(0, big.order, 7)
+    tt = emb.trace_table()
+    assert [int(tt[x]) for x in xs] == [emb.trace(x) for x in xs]
+
+
+def test_embedding_needs_the_big_field_log_tables():
+    with pytest.raises(FieldTooLarge):
+        SubfieldEmbed(Field(2, 21), Field(2, 1))
+
+
+def test_shift_power_sweep_is_gated_before_the_tower_is_built():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "NTO1_NIGHTLY"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    r = subprocess.run([sys.executable, "-m", "nto1.cli", "sweep", "gouzao3", "--field", "p=3,m=7"],
+                       capture_output=True, text=True, env=env, timeout=20)
+    assert r.returncode == 3, r.stderr
+    assert r.stderr == ("nto1: sweep over 4782969 elements exceeds the gate 8192; "
+                        "pass --nightly or set NTO1_NIGHTLY=1\n")
 
 
 @pytest.mark.parametrize("x,b,want", [
