@@ -695,13 +695,16 @@ class SubfieldEmbed:
         return table
 
     def _find_root(self) -> int:
-        coeffs = list(self.sub.modulus)
-        for cand in self.big.elements():
-            acc = 0
-            for c in reversed(coeffs):
-                acc = self.big.add(self.big.mul(acc, cand), c)
-            if acc == 0:
-                return cand
+        """Smallest-index root of the subfield modulus: vector Horner on 256 candidates at a time."""
+        big = self.big
+        for lo in range(0, big.order, 256):
+            cand = np.arange(lo, min(lo + 256, big.order), dtype=np.int64)
+            acc = np.zeros_like(cand)
+            for c in reversed(self.sub.modulus):
+                acc = big.add_vec(big.mul_vec(acc, cand), c)
+            hit = np.flatnonzero(acc == 0)
+            if hit.size:
+                return lo + int(hit[0])
         raise ReducibleModulus("subfield modulus has no root in the big field")  # pragma: no cover
 
     def embed(self, a: int) -> int:

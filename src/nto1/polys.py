@@ -3,11 +3,11 @@
 Sparse exponent-coefficient pairs are the canonical form, because the
 construction families use exponents far above the field size (reduction
 mod x^q - x is explicit, never silent).  A dense view exists for Horner
-evaluation, for shift (Horner on a plain coefficient list, one Poly built
-at the end) and for compose on low-degree polynomials.  eval_rows
+evaluation and for compose on low-degree polynomials.  eval_rows
 evaluates many polynomials over the whole field in the log domain, one
 table gather per distinct exponent, no per-term powering; eval_all is its
-one-row case.
+one-row case.  eval_coeff_rows evaluates dense coefficient rows, and
+affine_rows maps each to a*f(x+b) + c (Poly.shift is its scalar oracle).
 
 Interpolation at the ell-th roots of unity is the closed-form inverse DFT,
 batched over value rows (roots_of_unity_interpolate_rows, whose one-row
@@ -155,17 +155,9 @@ class Poly:
             raise DegreeTooHigh("shift on a very high-degree polynomial")
         ctx = self.ctx
         b = ctx.check(b)
-        coeffs = self.dense()
-        if b == 0 or not coeffs:
-            return Poly(ctx, self.terms)
-        # acc <- acc * (x + b) + c on a low-to-high list; coefficient j of
-        # acc * (x + b) is acc[j-1] + b * acc[j], so update from the top
-        acc = [coeffs[-1]]
-        for c in reversed(coeffs[:-1]):
-            acc.append(acc[-1])
-            for j in range(len(acc) - 2, 0, -1):
-                acc[j] = ctx.add(acc[j - 1], ctx.mul(b, acc[j]))
-            acc[0] = ctx.add(ctx.mul(b, acc[0]), c)
+        acc = []  # acc <- acc * (x + b) + c, low to high: entry j is acc[j-1] + b * acc[j]
+        for c in reversed(self.dense()):
+            acc = [ctx.add(lo, ctx.mul(b, hi)) for lo, hi in zip([c] + acc, acc + [0])]
         return Poly.from_dense(ctx, acc)
 
     def compose(self, inner: "Poly") -> "Poly":
@@ -244,10 +236,39 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
 def eval_coeff_rows(ctx: Field, coeffs) -> np.ndarray:
     """(T, q) value table over the whole field of each polynomial whose
     dense coefficients, constant first, are a row of the (T, k) matrix
-    coeffs; zero coefficients allowed.  eval_rows without Poly objects."""
-    coeffs = np.asarray(coeffs, dtype=np.int64)
+    coeffs, entries in [0, q) or FieldMismatch.  eval_rows without Poly objects."""
+    coeffs = _coeff_matrix(ctx, coeffs)
     cols = {e: col for e, col in enumerate(coeffs.T.tolist()) if e and any(col)}
     return _eval_terms(ctx, coeffs[:, 0].tolist(), cols, int(np.count_nonzero(coeffs[:, 1:])))
+
+
+def _coeff_matrix(ctx: Field, coeffs, what="coefficient rows") -> np.ndarray:
+    """coeffs as a (T, k >= 1) int64 matrix over ctx, else a DegreeMismatch or FieldMismatch."""
+    coeffs, q = np.asarray(coeffs), ctx.order
+    if coeffs.ndim != 2 or not coeffs.shape[1]:
+        raise DegreeMismatch(f"{what} need a (T, k) matrix with k >= 1, not {coeffs.shape}")
+    if coeffs.size and (coeffs.dtype.kind not in "iu" or coeffs.min() < 0 or coeffs.max() >= q):
+        raise FieldMismatch(f"{what} over GF({q}) need integer entries in [0, {q})")
+    return coeffs.astype(np.int64, copy=False)
+
+
+def affine_rows(ctx: Field, coeffs, a, b, c) -> np.ndarray:
+    """Dense coefficient rows (constant first) of a_t*f_t(x + b_t) + c_t for each
+    row f_t of the (T, k) matrix coeffs: coefficient j is a * sum_{i >= j}
+    C(i, j) f_i b^(i-j), plus c at j = 0, with C(i, j) mod p a prime-field
+    element.  One pow_vec, two mul_vec and one add_vec per power b^d, d < k."""
+    F = _coeff_matrix(ctx, coeffs)
+    abc = [np.asarray(v) for v in (a, b, c)]
+    if any(v.shape != F.shape[:1] for v in abc):
+        raise DegreeMismatch(f"a, b and c need one entry per coefficient row, {len(F)}")
+    a, b, c = _coeff_matrix(ctx, np.stack(abc, axis=1), "a, b and c").T
+    out, k = F.copy(), F.shape[1]
+    for d in range(1, k):
+        w = ctx.mul_vec(ctx.pow_vec(b, d)[:, None], [math.comb(j + d, d) % ctx.p for j in range(k - d)])
+        out[:, :k - d] = ctx.add_vec(out[:, :k - d], ctx.mul_vec(F[:, d:], w))
+    out = ctx.mul_vec(a[:, None], out)
+    out[:, 0] = ctx.add_vec(out[:, 0], c)
+    return out
 
 
 def _eval_terms(ctx: Field, consts: list, cols: dict, filled: int) -> np.ndarray:
@@ -335,9 +356,11 @@ def normalize(f: Poly):
 
 
 def apply_affine(f: Poly, a: int, b: int, c: int) -> Poly:
-    """a*f(x+b) + c, built as one Poly from the shifted terms."""
+    """a*f(x+b) + c: the one-row case of affine_rows; degree gated at 4096."""
+    if f.degree > 4096:
+        raise DegreeTooHigh("an affine map of a very high-degree polynomial")
     ctx = f.ctx
-    return Poly(ctx, [(e, ctx.mul(a, tc)) for e, tc in f.shift(b).terms] + [(0, c)])
+    return Poly.from_dense(ctx, affine_rows(ctx, [f.dense() or [0]], [a], [b], [c])[0].tolist())
 
 
 def additive_witness(ctx: Field, vals: np.ndarray):
@@ -490,14 +513,12 @@ def roots_of_unity_interpolate_rows(ctx: Field, omega: int, values) -> np.ndarra
     0 where values[i] = 0; the ell terms are summed with add_vec, then
     scaled by ell^-1 (ell divides q - 1, so it is a unit of the prime
     field)."""
-    values = np.asarray(values, dtype=np.int64)
+    values = _coeff_matrix(ctx, values, "values")
     rows, ell = values.shape
     n = ctx.order - 1
     log_w = ctx.log(omega)
     if n // math.gcd(log_w, n) != ell:
         raise SingularSystem(f"{omega} does not have multiplicative order {ell}")
-    if values.size and (values.min() < 0 or values.max() > n):
-        raise FieldMismatch(f"values must lie in [0, {n + 1})")
     exp, log = ctx._exp, ctx._log
     step = log_w * np.arange(ell, dtype=np.int64)
     out = np.zeros((rows, ell), dtype=np.int64)

@@ -30,7 +30,7 @@ from .fields import Field, SubfieldEmbed, _is_prime, exact_log
 from .lowdeg import (
     cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
 )
-from .polys import LinearizedPoly, Poly, apply_affine, eval_rows
+from .polys import LinearizedPoly, Poly, affine_rows, eval_coeff_rows
 from .walsh import phi_prime_power, phi_two, spectral_verdict
 
 SEED = 20260817
@@ -409,31 +409,24 @@ def run_normalize(seed=SEED):
     rows, witness = [], None
     for p, m, q in _prime_powers(343):
         ctx = Field(p, m)
-        cases = []
+        cases, F = [], []
         for i in range(200):
-            f = Poly.from_dense(
-                ctx, [rng.randrange(q) for _ in range(rng.randrange(2, 7))])
-            if f.degree < 1:
+            coeffs = [rng.randrange(q) for _ in range(rng.randrange(2, 7))]
+            if not any(coeffs[1:]):
                 continue
-            a = rng.randrange(1, q)
-            b = rng.randrange(q)
-            c = rng.randrange(q)
-            cases.append((i, f, a, b, c, apply_affine(f, a, b, c)))
+            cases.append((i, rng.randrange(1, q), rng.randrange(q), rng.randrange(q)))
+            F.append(coeffs + [0] * (6 - len(coeffs)))
+        G = affine_rows(ctx, F, *np.array([case[1:] for case in cases], dtype=np.int64).T)
         for lo, hi in row_blocks(len(cases), q):
-            block = cases[lo:hi]
-            reps_f = classify_rows(eval_rows(ctx, [case[1] for case in block]), q)
-            reps_g = classify_rows(eval_rows(ctx, [case[5] for case in block]), q)
-            for (i, f, a, b, c, g), (nf, exc_f, irr_f), (ng, exc_g, irr_g) in zip(
-                    block, reps_f, reps_g):
-                ok = nf == ng and irr_f == irr_g
-                if ok and exc_f is not None:
-                    v, t = exc_f
-                    moved = (ctx.add(ctx.mul(a, v), c), t)
-                    ok = exc_g == moved
-                elif ok:
-                    ok = exc_g is None
+            reps_f = classify_rows(eval_coeff_rows(ctx, F[lo:hi]), q)
+            reps_g = classify_rows(eval_coeff_rows(ctx, G[lo:hi]), q)
+            for (i, a, b, c), f_row, g_row, (nf, exc_f, irr_f), (ng, exc_g, irr_g) in zip(
+                    cases[lo:hi], F[lo:hi], G[lo:hi], reps_f, reps_g):
+                moved = None if exc_f is None else (ctx.add(ctx.mul(a, exc_f[0]), c), exc_f[1])
+                ok = nf == ng and irr_f == irr_g and exc_g == moved
                 rows.append((q, i, a, b, c, nf, ng, int(ok)))
                 if not ok and witness is None:
+                    f, g = Poly.from_dense(ctx, f_row), Poly.from_dense(ctx, g_row.tolist())
                     witness = (f"GF({q}) f={f.dense()} a={a} b={b} c={c}: "
                                f"{classify(f)} vs {classify(g)}")
     return RunResult(witness, rows, "q,i,a,b,c,f_n,g_n,ok")

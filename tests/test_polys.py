@@ -16,7 +16,7 @@ from nto1.errors import (
     DegreeMismatch, FieldMismatch, FieldTooLarge, NormalFormViolated, SingularSystem,
 )
 from nto1.polys import (
-    eval_coeff_rows, matrix_rank, roots_of_unity_interpolate_rows, row_reduce,
+    affine_rows, eval_coeff_rows, matrix_rank, roots_of_unity_interpolate_rows, row_reduce,
 )
 
 
@@ -485,6 +485,57 @@ def test_roots_of_unity_interpolate_matches_vandermonde(ctx):
             assert coeffs == vandermonde_solve(ctx, points, values), (ell, values)
             h = Poly.from_dense(ctx, coeffs)
             assert [h(pt) for pt in points] == values
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=repr)
+def test_affine_rows_match_shift_oracle_and_pointwise(ctx):
+    rng = random.Random(11 * ctx.order)
+    q, p = ctx.order, ctx.p
+    k = max(7, p + 3)  # rows reach degree >= p, where some C(i, j) vanish mod p
+    polys = [[0] * k, [rng.randrange(1, q)] + [0] * (k - 1),
+             [rng.randrange(q) for _ in range(k - 1)] + [rng.randrange(1, q)]]
+    for _ in range(8):  # random lengths, padded with trailing zero columns
+        row = [rng.randrange(q) for _ in range(rng.randrange(1, k + 1))]
+        polys.append(row + [0] * (k - len(row)))
+    F, abc = [], []
+    for row in polys:
+        for a, b, c in [(0, rng.randrange(q), rng.randrange(q)), (rng.randrange(1, q), 0, rng.randrange(q)),
+                        (rng.randrange(1, q), rng.randrange(1, q), rng.randrange(q)), (1, q - 1, 0)]:
+            F.append(row)
+            abc.append((a, b, c))
+    G = affine_rows(ctx, F, *np.array(abc).T)
+    assert G.dtype == np.int64 and G.shape == (len(F), k)
+    xs = list(ctx.elements())
+    for row, (a, b, c), g_row in zip(F, abc, G.tolist()):
+        f, g = Poly.from_dense(ctx, row), Poly.from_dense(ctx, g_row)
+        assert g == _shift_oracle(f, b).scale(a) + Poly.constant(ctx, c), (row, a, b, c)
+        assert g == f.shift(b).scale(a) + Poly.constant(ctx, c)
+        assert g.eval_all().tolist() == [ctx.add(ctx.mul(a, f(ctx.add(x, b))), c) for x in xs]
+
+
+def test_affine_rows_refuse_bad_shapes_and_entries():
+    ctx = Field(7, 1)
+    F = [[1, 2, 3], [0, 1, 0]]
+    assert affine_rows(ctx, F, [1, 1], [0, 0], [0, 0]).tolist() == F
+    with pytest.raises(DegreeMismatch):
+        affine_rows(ctx, F, [1], [0, 0], [0, 0])  # a too short
+    with pytest.raises(DegreeMismatch):
+        affine_rows(ctx, F, [1, 1], [[0, 0]], [0, 0])  # b not a vector
+    with pytest.raises(DegreeMismatch):
+        affine_rows(ctx, [1, 2, 3], [1], [0], [0])  # one row, not a matrix
+    with pytest.raises(DegreeMismatch):
+        affine_rows(ctx, [[]], [1], [0], [0])  # no constant column
+    for bad in ([[[1, 7], [0, 1]], [1, 1], [0, 0], [0, 0]], [F, [1, 1], [0, -1], [0, 0]],
+                [F, [1, 1], [0, 0], [0, 7]], [F, [7, 1], [0, 0], [0, 0]]):
+        with pytest.raises(FieldMismatch, match=r"over GF\(7\) need integer entries in \[0, 7\)"):
+            affine_rows(ctx, *bad)
+
+
+@pytest.mark.parametrize("coeffs", [[[-3, 1]], [[2, -1]], [[0, 7]], [[7, 1]]],
+                         ids=["negative constant", "negative coefficient", "coefficient q", "constant q"])
+def test_eval_coeff_rows_refuses_entries_outside_the_field(coeffs):
+    with pytest.raises(FieldMismatch, match=r"^coefficient rows over GF\(7\) need integer entries in \[0, 7\)$"):
+        eval_coeff_rows(Field(7, 1), coeffs)
 
 
 @pytest.mark.parametrize("ctx", [Field(3, 2), Field(13, 1), Field(2, 4), F25], ids=repr)

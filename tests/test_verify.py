@@ -1,13 +1,22 @@
 """Sweep witnesses: a row the batch classifier rejects still gets the
 one-map witness text, built from classify's own report; agreement keeps
 the first predicate-vs-brute disagreement; branch_sweep refuses cases
-outside its criterion."""
+outside its criterion; the normalize rows are pinned by hash, and a
+corrupted affine row still gets a witness."""
 
+import hashlib
 import re
 
 import pytest
 
 from nto1 import Field, classify, verify
+
+# sha256 of repr(verify.run("normalize", seed=s).rows), as the scalar
+# Poly.shift route produced them; the batched affine_rows route must match.
+NORMALIZE_ROWS_SHA256 = {
+    20260817: "c62780abfe3b8a1b9888ce9e4cd3b1dc8f93a99389e95bcc9e8f545e69e7ccdc",
+    7: "57add419d5daad5a917c8312e2569eb81a853e76af49976c2f33c7f3b205567f",
+}
 
 
 def test_monomial_witness_comes_from_classify(monkeypatch):
@@ -46,6 +55,57 @@ def test_normalize_witness_comes_from_classify(monkeypatch):
                      res.witness)
     assert m, res.witness
     assert "irregular=False" in m.group(1) and "irregular=False" in m.group(2)
+
+
+@pytest.mark.parametrize("seed", sorted(NORMALIZE_ROWS_SHA256))
+def test_normalize_rows_are_pinned(seed):
+    res = verify.run("normalize", seed=seed)
+    assert res.ok
+    assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == NORMALIZE_ROWS_SHA256[seed]
+
+
+def test_normalize_witness_names_a_corrupted_affine_row(monkeypatch):
+    real = verify.affine_rows
+    seen = []
+
+    def corrupt(ctx, F, a, b, c):
+        G = real(ctx, F, a, b, c)
+        if ctx.order == 7:  # g becomes the constant map, 7-to-1; f has degree <= 5
+            seen.append((F[0], int(a[0]), int(b[0]), int(c[0])))
+            G[0] = 0
+        return G
+
+    monkeypatch.setattr(verify, "affine_rows", corrupt)
+    res = verify.run("normalize")
+    assert not res.ok and len(res.rows) == 17068
+    bad = [row for row in res.rows if not row[-1]]
+    assert len(bad) == 1 and bad[0] == next(row for row in res.rows if row[0] == 7)
+    (f_row, a, b, c), = seen
+    f = list(f_row)
+    while f[-1] == 0:
+        f.pop()
+    m = re.fullmatch(r"GF\(7\) f=(\[[0-6, ]+\]) a=(\d) b=(\d) c=(\d): (NTo1Report\(.*\)) vs (NTo1Report\(.*\))",
+                     res.witness)
+    assert m, res.witness
+    assert m.group(1) == str(f) and m.group(2, 3, 4) == (str(a), str(b), str(c))
+    assert m.group(6).startswith("NTo1Report(n=7, exception=None, histogram={0: 7}")
+
+
+def test_normalize_checks_where_the_exception_moves(monkeypatch):
+    real = verify.affine_rows
+
+    def corrupt(ctx, F, a, b, c):
+        G = real(ctx, F, a, b, c)
+        if ctx.order == 7:  # g + 1: the same fibers, but the exception value off by one
+            G[:, 0] = (G[:, 0] + 1) % 7
+        return G
+
+    monkeypatch.setattr(verify, "affine_rows", corrupt)
+    res = verify.run("normalize")
+    # over the prime GF(7) every n >= 2 leaves an exceptional fiber, n = 1 none
+    bad = [row for row in res.rows if not row[-1]]
+    assert bad and bad == [row for row in res.rows if row[0] == 7 and row[5] >= 2]
+    assert res.witness.startswith("GF(7) f=")
 
 
 def test_agreement_keeps_every_row_and_the_first_witness():
