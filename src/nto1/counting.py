@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -26,25 +27,32 @@ _DOMAIN_CAP = 2 ** 22
 _BLOCK_ELEMS = 1 << 14  # value-matrix entries per batch; bounds batched callers' peak memory
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class NTo1Report:
+    """classify()'s verdict; the histogram dict is built from counts when read."""
     n: int
     exception: Optional[tuple]  # (value, t) or None
-    histogram: dict
+    counts: np.ndarray  # preimage count of each value code (a bincount)
     domain_size: int
     irregular: bool
 
+    @cached_property
+    def histogram(self) -> dict:
+        return _histogram_dict(self.counts, self.domain_size)
+
+    def __eq__(self, other):  # as the dataclass would with a histogram field
+        return isinstance(other, NTo1Report) and (
+            (self.n, self.exception, self.histogram, self.domain_size, self.irregular)
+            == (other.n, other.exception, other.histogram, other.domain_size, other.irregular))
+
+    def __repr__(self):
+        return (f"NTo1Report(n={self.n!r}, exception={self.exception!r}, histogram={self.histogram!r}, "
+                f"domain_size={self.domain_size!r}, irregular={self.irregular!r})")
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "exception": list(self.exception) if self.exception else None,
-                "domain_size": self.domain_size,
-                "irregular": self.irregular,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        exception = list(self.exception) if self.exception else None
+        return json.dumps({"n": self.n, "exception": exception, "domain_size": self.domain_size,
+                           "irregular": self.irregular}, sort_keys=True, separators=(",", ":"))
 
 
 def _counts(f, domain):
@@ -65,11 +73,9 @@ def _counts(f, domain):
             f"table entries must be nonnegative element codes; found {vals.min()}") from None
 
 
-def histogram(f, domain=None) -> dict:
-    """Exact value -> preimage-count table of an int64 value table, or of a
-    polynomial's eval_all(), read on domain (an index array) when given;
-    one bincount, values in codec order."""
-    counts, size = _counts(f, domain)
+def _histogram_dict(counts, size: int) -> dict:
+    """value -> count dict of the nonzero entries of a bincount, in codec
+    order, checked to hold all size preimages."""
     hit = np.flatnonzero(counts)
     out = dict(zip(hit.tolist(), counts[hit].tolist()))
     total = sum(out.values())
@@ -78,21 +84,26 @@ def histogram(f, domain=None) -> dict:
     return out
 
 
-def _decide(hist: dict, domain_size: int):
-    """Core decision on a fiber-size multiset.
+def histogram(f, domain=None) -> dict:
+    """Exact value -> preimage-count table of an int64 value table, or of a
+    polynomial's eval_all(), read on domain (an index array) when given;
+    one bincount, values in codec order."""
+    return _histogram_dict(*_counts(f, domain))
 
-    Returns (n, exception, irregular); exception is (value, t)."""
-    distinct = sorted(set(hist.values()))
-    if len(distinct) == 1:
-        return distinct[0], None, False
-    if len(distinct) == 2:
-        small, big = distinct
-        small_values = [v for v, c in hist.items() if c == small]
-        if len(small_values) == 1:
-            if domain_size % big != small:
-                raise ExceptionCountMismatch(
-                    f"exception count {small} is not #A mod n = {domain_size} mod {big}")
-            return big, (small_values[0], small), False
+
+def _decide(counts, size: int):
+    """Core decision on one map's fiber counts (a bincount) over a nonempty
+    domain.  Returns (n, exception, irregular); exception is (value, t)."""
+    hit = counts[counts > 0]
+    small, big = int(hit.min()), int(hit.max())
+    if small == big:
+        return big, None, False
+    is_small = counts == small
+    if np.count_nonzero(is_small) == 1 and np.count_nonzero(hit == big) == hit.size - 1:
+        if size % big != small:
+            raise ExceptionCountMismatch(
+                f"exception count {small} is not #A mod n = {size} mod {big}")
+        return big, (int(np.flatnonzero(is_small)[0]), small), False
     return 0, None, True
 
 
@@ -169,12 +180,11 @@ def classify_rows(V: np.ndarray, q: int) -> list:
 
 def classify(f, domain=None) -> NTo1Report:
     """Find the canonical n fitting the definition, or report irregular."""
-    hist = histogram(f, domain)
-    if not hist:
+    counts, size = _counts(f, domain)
+    if size == 0:
         raise ZeroInput("empty domain")
-    size = sum(hist.values())
-    n, exc, irregular = _decide(hist, size)
-    return NTo1Report(n=n, exception=exc, histogram=hist, domain_size=size, irregular=irregular)
+    n, exc, irregular = _decide(counts, size)
+    return NTo1Report(n=n, exception=exc, counts=counts, domain_size=size, irregular=irregular)
 
 
 def is_n_to_1(f, domain, n: int) -> bool:

@@ -444,6 +444,8 @@ class Field:
     def mul(self, a: int, b: int) -> int:
         a = self.check(a)
         b = self.check(b)
+        if self.m == 1:
+            return a * b % self.p
         if a == 0 or b == 0:
             return 0
         if self.order <= _LOG_TABLE_CAP:

@@ -3,7 +3,7 @@
 Sparse exponent-coefficient pairs are the canonical form, because the
 construction families use exponents far above the field size (reduction
 mod x^q - x is explicit, never silent).  A dense view exists for Horner
-evaluation and for compose on low-degree polynomials.  eval_rows
+evaluation and shift on low-degree polynomials.  eval_rows
 evaluates many polynomials over the whole field in the log domain, one
 table gather per distinct exponent, no per-term powering; eval_all is its
 one-row case.  eval_coeff_rows evaluates dense coefficient rows, and
@@ -32,7 +32,6 @@ from .errors import (
 )
 from .fields import Field, exact_log
 
-_COMPOSE_DEGREE_CAP = 64
 _DENSE_CAP = 1 << 22
 
 
@@ -159,16 +158,6 @@ class Poly:
         for c in reversed(self.dense()):
             acc = [ctx.add(lo, ctx.mul(b, hi)) for lo, hi in zip([c] + acc, acc + [0])]
         return Poly.from_dense(ctx, acc)
-
-    def compose(self, inner: "Poly") -> "Poly":
-        """Symbolic self(inner(x)); both degrees gated at 64."""
-        if self.degree > _COMPOSE_DEGREE_CAP or inner.degree > _COMPOSE_DEGREE_CAP:
-            raise DegreeTooHigh("compose is only for degree <= 64 operands")
-        ctx = self.ctx
-        acc = Poly.zero(ctx)
-        for c in reversed(self.dense()):
-            acc = acc * inner + Poly.constant(ctx, c)
-        return acc
 
     def reduce_exponents(self) -> "Poly":
         """Reduce mod x^q - x as a map on all of GF(q): e -> ((e-1) mod (q-1)) + 1."""

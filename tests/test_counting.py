@@ -1,5 +1,6 @@
 """The n-to-1 definition itself: classification, membership, oracles."""
 
+import ast
 import random
 
 import numpy as np
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nto1 import (
-    Field, LinearizedPoly, Poly, classify, classify_rows, histogram, is_n_to_1,
-    linearized_oracle, monomial_oracle, report_matches,
+    Field, LinearizedPoly, Poly, classify, classify_rows, counting, histogram, is_n_to_1,
+    linearized_oracle, monomial_oracle, report_matches, verify,
 )
 from nto1.counting import _decide, n_to_1_rows, row_blocks
 from nto1.errors import ExceptionCountMismatch, FieldMismatch, NTo1Error, ZeroInput
@@ -45,8 +46,8 @@ def test_exception_count_mismatch_is_a_typed_error():
     assert issubclass(ExceptionCountMismatch, NTo1Error)
     assert not issubclass(ExceptionCountMismatch, AssertionError)
     with pytest.raises(ExceptionCountMismatch):
-        _decide({0: 1, 1: 3, 2: 3}, 8)
-    assert _decide({0: 1, 1: 3, 2: 3}, 7) == (3, (0, 1), False)
+        _decide(np.array([1, 3, 3]), 8)
+    assert _decide(np.array([1, 3, 3]), 7) == (3, (0, 1), False)
 
 
 def test_small_count_must_be_unique():
@@ -190,6 +191,157 @@ def test_report_serialization():
     rep = classify(Poly(F7, [(3, 1)]))
     assert rep.to_json() == ('{"domain_size":7,"exception":[0,1],'
                              '"irregular":false,"n":3}')
+
+
+# ----------------------------------------------------------------------
+# classify decides on the fiber counts; the decision on the value -> count
+# histogram it replaced is the oracle.
+# ----------------------------------------------------------------------
+
+def _decide_on_histogram(hist, domain_size):
+    """The decision on a fiber-size multiset: (n, exception, irregular)."""
+    distinct = sorted(set(hist.values()))
+    if len(distinct) == 1:
+        return distinct[0], None, False
+    if len(distinct) == 2:
+        small, big = distinct
+        small_values = [v for v, c in hist.items() if c == small]
+        if len(small_values) == 1:
+            if domain_size % big != small:
+                raise ExceptionCountMismatch(
+                    f"exception count {small} is not #A mod n = {domain_size} mod {big}")
+            return big, (small_values[0], small), False
+    return 0, None, True
+
+
+def _oracle_maps():
+    """(name, map, domain): every shape of input classify takes."""
+    rng = np.random.default_rng(11)
+    rnd = random.Random(11)
+    F16, F27 = Field(2, 4), Field(3, 3)
+    yield from ((f"random {i}", rng.integers(0, int(rng.integers(1, 40)), int(rng.integers(1, 60))), None)
+                for i in range(200))
+    yield from ((f"rows {i}", row, None) for i, row in enumerate(_random_rows(rng, 40, 64)))
+    for ctx in (F7, F8, F16, Field(3, 2), F27):
+        yield from ((f"n={n} {ctx}", verify._n_to_1_table(ctx, n, rnd), None) for n in range(2, 9))
+    yield from (("constant", np.full(9, 4), None), ("identity", np.arange(13), None),
+                ("one point", np.array([5]), None), ("lone exception", table([1, 4, 4, 4]), None),
+                ("irregular", table([2, 3, 3, 1]), None), ("two small", table([3, 1, 1]), None))
+    yield "on a domain", np.arange(16) % 5, np.array([0, 1, 5, 6, 10, 15])
+    yield "on a domain list", np.arange(30) % 7, list(range(3, 30, 2))
+    yield from ((f"poly {d}", Poly(F27, [(d, 1), (1, 2)]), None) for d in range(1, 27))
+    yield from ((f"poly {d} on units", Poly(F7, [(d, 3)]), np.arange(1, 7)) for d in range(1, 7))
+    for ctx, q_sub in ((F16, 2), (F16, 4), (Field(3, 4), 9)):
+        for _ in range(10):
+            L = LinearizedPoly(ctx, q_sub, [rnd.randrange(ctx.order) for _ in range(4 if q_sub < 4 else 2)])
+            yield f"linearized {L}", L, None
+
+
+def test_classify_decides_as_the_histogram_oracle():
+    seen = set()
+    for name, f, domain in _oracle_maps():
+        rep = classify(f, domain)
+        hist = histogram(f, domain)
+        want = _decide_on_histogram(hist, sum(hist.values()))
+        assert (rep.n, rep.exception, rep.irregular) == want, name
+        assert rep.histogram == hist and rep.domain_size == sum(hist.values()), name
+        assert all(type(v) in (int, bool) for v in (rep.n, rep.irregular, *(rep.exception or ()))), name
+        seen.add((rep.irregular, rep.exception is None))
+    assert seen == {(False, True), (False, False), (True, True)}
+
+
+def test_decide_raises_where_the_histogram_oracle_does():
+    # a lone small fiber whose size is not #A mod n; a full table cannot
+    # give one, so the counts are passed with a domain size that disagrees
+    cases = [([1, 3, 3], 8), ([0, 2, 0, 3, 3], 9), ([3, 3, 3, 0, 2], 12), ([1, 5], 7), ([4, 0, 1], 7),
+             ([1, 3, 3], 7), ([2, 2, 2], 5), ([2, 3, 3, 2], 10), ([0, 0, 6], 6)]
+    raised = 0
+    for counts, size in cases:
+        hist = {v: c for v, c in enumerate(counts) if c}
+        try:
+            want = _decide_on_histogram(hist, size)
+        except ExceptionCountMismatch as exc:
+            raised += 1
+            with pytest.raises(ExceptionCountMismatch) as got:
+                _decide(np.array(counts), size)
+            assert str(got.value) == str(exc), (counts, size)
+        else:
+            assert _decide(np.array(counts), size) == want, (counts, size)
+    assert raised == 5
+
+
+# The values of these reports before classify stopped building the
+# histogram dict eagerly.
+PINNED_REPORTS = [
+    ((7, 1), [0, 0, 0, 1],
+     "NTo1Report(n=3, exception=(0, 1), histogram={0: 1, 1: 3, 6: 3}, domain_size=7, irregular=False)",
+     '{"domain_size":7,"exception":[0,1],"irregular":false,"n":3}'),
+    ((7, 1), [0, 1, 1],
+     "NTo1Report(n=2, exception=(5, 1), histogram={0: 2, 2: 2, 5: 1, 6: 2}, domain_size=7, irregular=False)",
+     '{"domain_size":7,"exception":[5,1],"irregular":false,"n":2}'),
+    ((2, 4), [0, 0, 0, 0, 0, 1],
+     "NTo1Report(n=5, exception=(0, 1), histogram={0: 1, 1: 5, 10: 5, 11: 5}, domain_size=16, "
+     "irregular=False)",
+     '{"domain_size":16,"exception":[0,1],"irregular":false,"n":5}'),
+    ((2, 4), [0, 1, 1],
+     "NTo1Report(n=2, exception=None, histogram={0: 2, 1: 2, 6: 2, 7: 2, 10: 2, 11: 2, 12: 2, 13: 2}, "
+     "domain_size=16, irregular=False)",
+     '{"domain_size":16,"exception":null,"irregular":false,"n":2}'),
+    ((3, 3), [0] * 13 + [1],
+     "NTo1Report(n=13, exception=(0, 1), histogram={0: 1, 1: 13, 2: 13}, domain_size=27, irregular=False)",
+     '{"domain_size":27,"exception":[0,1],"irregular":false,"n":13}'),
+    ((3, 3), [0, 0, 1, 1],
+     "NTo1Report(n=0, exception=None, histogram={0: 2, 1: 3, 2: 1, 3: 1, 5: 1, 7: 3, 8: 1, 10: 1, 11: 1, "
+     "12: 1, 14: 3, 18: 1, 20: 3, 21: 1, 22: 1, 23: 1, 25: 1, 26: 1}, domain_size=27, irregular=True)",
+     '{"domain_size":27,"exception":null,"irregular":true,"n":0}'),
+]
+
+
+@pytest.mark.parametrize("field,dense,text,js", PINNED_REPORTS)
+def test_report_repr_json_histogram_and_equality_are_pinned(field, dense, text, js):
+    f = Poly.from_dense(Field(*field), dense)
+    rep = classify(f)
+    assert repr(rep) == str(rep) == text
+    assert rep.to_json() == js
+    hist = ast.literal_eval(text[text.index("histogram=") + 10:text.index(", domain_size")])
+    assert rep.histogram == hist and list(rep.histogram) == sorted(hist)
+    same = classify(f.eval_all())
+    assert same == rep and not same != rep and same is not rep
+    others = [classify(Poly.from_dense(Field(*g), d))
+              for g, d, _, _ in PINNED_REPORTS if (g, d) != (field, dense)]
+    assert all(other != rep for other in others)
+    assert rep != text and rep != hist
+
+
+def test_equal_verdicts_on_other_histograms_are_unequal_reports():
+    # same n, exception, size and irregular flag; only the histogram differs
+    a, b = classify(np.array([0, 1, 1, 6, 1, 6, 6])), classify(np.array([0, 1, 1, 5, 1, 5, 5]))
+    assert (a.n, a.exception, a.domain_size, a.irregular) == (b.n, b.exception, b.domain_size, b.irregular)
+    assert a != b and a == classify(Poly(F7, [(3, 1)]))
+
+
+def test_classify_builds_no_histogram_until_it_is_read(monkeypatch):
+    built = []
+    real = counting._histogram_dict
+
+    def spy(*args):
+        built.append(args)
+        return real(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("classify called counting.histogram")
+
+    monkeypatch.setattr(counting, "_histogram_dict", spy)
+    monkeypatch.setattr(counting, "histogram", refuse)
+    rep = classify(Poly(F7, [(3, 1)]))
+    assert (rep.n, rep.exception, rep.domain_size, rep.irregular) == (3, (0, 1), 7, False)
+    assert rep.to_json() and report_matches(rep, 3)
+    assert built == [] and "histogram" not in vars(rep)
+    repr(rep)
+    assert len(built) == 1 and "histogram" in vars(rep)
+    assert rep.histogram is rep.histogram and len(built) == 1
+    other = classify(np.arange(5))
+    assert other != rep and len(built) == 2 and "histogram" in vars(other)
 
 
 # ----------------------------------------------------------------------

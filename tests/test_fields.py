@@ -285,6 +285,18 @@ def _assert_add_neg_match_scalar(F, a, b):
     assert np.array_equal(F.sub_vec(a, b), F.add_vec(a, neg)), F
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_prime_field_mul_is_residue_mul_on_every_pair(p):
+    F = Field(p, 1)
+    for a in range(p):
+        for b in range(p):
+            assert F.mul(a, b) == F._raw_mul(a, b) == a * b % p, (p, a, b)
+    assert type(F.mul(np.int64(p - 1), p - 1)) is int
+    for a, b in ((p, 1), (1, p), (-1, 1), (1, 2.0)):
+        with pytest.raises(FieldMismatch):
+            F.mul(a, b)
+
+
 @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
 def test_add_vec_and_neg_vec_match_scalar_on_every_pair(p, m):
     F = Field(p, m)

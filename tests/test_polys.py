@@ -111,14 +111,6 @@ def test_apply_affine_definition(coeffs, a, b, c):
         assert g(x) == F25.add(F25.mul(a, f(F25.add(x, b))), c)
 
 
-def test_compose():
-    f = Poly.from_dense(F7, [1, 0, 1])       # 1 + x^2
-    g = Poly.from_dense(F7, [2, 3])          # 2 + 3x
-    h = f.compose(g)
-    for x in F7.elements():
-        assert h(x) == f(g(x))
-
-
 def test_reduce_exponents_preserves_the_map():
     f = Poly(F27, [(0, 2), (1, 1), (26, 3), (27, 5), (53, 4)])
     g = f.reduce_exponents()
