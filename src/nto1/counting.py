@@ -184,6 +184,7 @@ def classify(f, domain=None) -> NTo1Report:
     if size == 0:
         raise ZeroInput("empty domain")
     n, exc, irregular = _decide(counts, size)
+    counts.flags.writeable = False
     return NTo1Report(n=n, exception=exc, counts=counts, domain_size=size, irregular=irregular)
 
 

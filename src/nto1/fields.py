@@ -290,7 +290,8 @@ class Field:
 
     def _find_primitive(self) -> int:
         factors = _prime_factors(self.order - 1)
-        for cand in range(1, self.order):
+        # for m > 1 no constant is primitive: GF(p)* has order p - 1 < q - 1
+        for cand in range(1 if self.m == 1 else self.p, self.order):
             if self._is_primitive(cand, factors):
                 return cand
         raise ReducibleModulus("no primitive element found")  # pragma: no cover

@@ -14,10 +14,11 @@ batched over value rows (roots_of_unity_interpolate_rows, whose one-row
 case is roots_of_unity_interpolate); the test suite checks it against a
 Vandermonde solve.
 
-row_reduce is the package's one exact elimination: a scalar Gauss-Jordan
-through a Field's own scalar ops, so it needs no log tables.
-LinearizedPoly.rank reduces a single m x m digit matrix over GF(p) with
-it, through matrix_rank, with no change of basis to GF(q_sub).
+row_reduce is the package's one exact elimination: a scalar Gauss-Jordan,
+on residues over a prime field and through a Field's own scalar ops over
+an extension, so it needs no log tables.  LinearizedPoly.rank gathers a
+single m x m digit matrix over GF(p) from the log tables and reduces it
+with row_reduce, through matrix_rank, with no change of basis to GF(q_sub).
 """
 
 from __future__ import annotations
@@ -406,22 +407,24 @@ class LinearizedPoly:
     def eval_all(self) -> np.ndarray:
         return self.as_poly().eval_all()
 
-    def kernel(self) -> list[int]:
-        vals = self.eval_all()
-        return [int(x) for x in np.nonzero(vals == 0)[0]]
-
     def rank(self) -> int:
         """Rank as a GF(q_sub)-linear map; computed once per instance.
 
-        The integer p^i encodes xbar^i, so the digit vectors of L(p^i) for
-        i < m span the image over GF(p); one row_reduce over GF(p) gives its
-        GF(p)-dimension.  The image is a GF(q_sub)-subspace, so that
-        dimension is exactly sub_degree times the rank."""
+        The integer p^i encodes xbar^i, and row i of an m x m matrix over
+        GF(p) holds the digits of L(p^i): a sum of m x T log-domain terms
+        a_j (p^i)^(q_sub^j), one gather (FieldTooLarge above the 2^20 gate).
+        The rows span the image, a GF(q_sub)-subspace, so its GF(p)-rank is
+        exactly sub_degree times the rank."""
         if self._rank is None:
             ctx = self.ctx
-            fmap = self.as_poly()
-            rows = [ctx.coeffs(fmap(ctx.p ** i)) for i in range(ctx.m)]
-            self._rank = matrix_rank(Field(ctx.p, 1), rows) // self.sub_degree
+            ctx._ensure_tables()
+            p, n, log = ctx.p, ctx.order - 1, ctx._log
+            pows = np.asarray(ctx._pow_p, dtype=np.int64)
+            terms = [(pow(self.q_sub, j, n), c) for j, c in enumerate(self.l_coeffs) if c]
+            frob, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 2).T
+            vals = ctx._exp[(log[pows][:, None] * frob) % n + log[coeffs]]
+            rows = (vals[:, :, None] // pows % p).sum(axis=1) % p
+            self._rank = matrix_rank(Field(p, 1), rows.tolist()) // self.sub_degree
         return self._rank
 
 
@@ -450,15 +453,34 @@ def value_table(f, ctx: Field | None = None):
 def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
     """In-place RREF over ctx; returns the rank.
 
-    Scalar Gauss-Jordan with ctx's own check, inv, mul, add and neg, so
-    it needs no log tables and works at any order.  Every entry is checked
-    on entry (FieldMismatch), rows of unequal length raise DegreeMismatch,
-    and the reduced rows are written back into rows as lists of ints."""
+    Scalar Gauss-Jordan, so it needs no log tables and works at any order:
+    on residues mod p over a prime field, through ctx's own inv, mul, add
+    and neg over an extension.  Every entry is checked on entry
+    (FieldMismatch), rows of unequal length raise DegreeMismatch, and the
+    reduced rows are written back into rows as lists of ints."""
     ncols = len(rows[0]) if rows else 0
     for i, row in enumerate(rows):
         if len(row) != ncols:
             raise DegreeMismatch(f"row {i} has {len(row)} entries, row 0 has {ncols}")
         rows[i] = [ctx.check(v) for v in row]
+    if ctx.m == 1:  # residue arithmetic, no field calls
+        p = ctx.p
+
+        def scale(row):  # row / row[0]
+            inv = pow(row[0], -1, p)
+            return [inv * v % p for v in row]
+
+        def eliminate(row, prow):  # row - row[0] * prow
+            f = row[0]
+            return [(a - f * b) % p for a, b in zip(row, prow)]
+    else:
+        def scale(row):
+            inv = ctx.inv(row[0])
+            return [ctx.mul(inv, v) for v in row]
+
+        def eliminate(row, prow):
+            f = ctx.neg(row[0])
+            return [ctx.add(a, ctx.mul(f, b)) if b else a for a, b in zip(row, prow)]
     r = 0
     for col in range(ncols):
         if r == len(rows):
@@ -468,13 +490,11 @@ def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         # columns left of col are already zero in the pivot row
-        inv = ctx.inv(rows[r][col])
-        prow = rows[r] = [0] * col + [ctx.mul(inv, v) for v in rows[r][col:]]
+        tail = scale(rows[r][col:])
+        rows[r] = [0] * col + tail
         for i, row in enumerate(rows):
             if i != r and row[col]:
-                f = ctx.neg(row[col])
-                rows[i] = row[:col] + [ctx.add(a, ctx.mul(f, b)) if b else a
-                                       for a, b in zip(row[col:], prow[col:])]
+                rows[i] = row[:col] + eliminate(row[col:], tail)
         r += 1
     return r
 

@@ -301,12 +301,15 @@ PINNED_REPORTS = [
 def test_report_repr_json_histogram_and_equality_are_pinned(field, dense, text, js):
     f = Poly.from_dense(Field(*field), dense)
     rep = classify(f)
+    with pytest.raises(ValueError):  # read-only: the histogram is built from counts when read
+        rep.counts[0] = 5
     assert repr(rep) == str(rep) == text
     assert rep.to_json() == js
     hist = ast.literal_eval(text[text.index("histogram=") + 10:text.index(", domain_size")])
     assert rep.histogram == hist and list(rep.histogram) == sorted(hist)
     same = classify(f.eval_all())
     assert same == rep and not same != rep and same is not rep
+    assert not same.counts.flags.writeable
     others = [classify(Poly.from_dense(Field(*g), d))
               for g, d, _, _ in PINNED_REPORTS if (g, d) != (field, dense)]
     assert all(other != rep for other in others)

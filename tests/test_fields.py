@@ -86,6 +86,17 @@ def test_beta_is_primitive():
     assert F27.element_order(F27.beta) == 26
 
 
+def test_default_beta_is_the_first_primitive_element():
+    # the ascending search from 1 that Field used before it skipped GF(p)
+    for p in filter(fields._is_prime, range(2, 65)):
+        m = 2
+        while p ** m <= 4096:
+            F = Field(p, m)
+            factors = fields._prime_factors(F.order - 1)
+            assert F.beta == next(c for c in range(1, F.order) if F._is_primitive(c, factors)), (p, m)
+            m += 1
+
+
 def test_pow_and_frobenius():
     for a in F9.elements():
         acc = 1

@@ -193,9 +193,11 @@ class TestLinearizedPoly:
         assert L.rank() == matrix_rank(F16, rows)
 
 
-# (p, m, sub_degree): prime and extension subfields, odd p, q <= 729
+# (p, m, sub_degree): prime and extension subfields, odd p, the sweep's
+# extremes (q = 2^12, 3^7 and 61^2) and a prime field
 RANK_TOWERS = [(2, 4, 2), (2, 6, 1), (2, 6, 2), (2, 6, 3), (3, 4, 1), (3, 4, 2),
-               (3, 6, 3), (5, 2, 1), (5, 2, 2), (7, 2, 1)]
+               (3, 6, 3), (5, 2, 1), (5, 2, 2), (7, 2, 1), (2, 12, 1), (2, 12, 4),
+               (3, 7, 1), (61, 2, 1), (61, 2, 2), (5, 1, 1)]
 
 
 @pytest.mark.parametrize("p,m,k", RANK_TOWERS)
@@ -205,13 +207,23 @@ def test_rank_matches_brute_force_kernel(p, m, k):
     q_sub, rel = p ** k, m // k
     rng = random.Random(p * 1000 + m * 10 + k)
     lists = [[], [1]] + [[rng.randrange(ctx.order) for _ in range(rel)] for _ in range(6)]
+    c = rng.randrange(1, ctx.order)
+    lists += [[0] * rel, [3], [0] * (rel - 1) + [c]]  # all-zero and one-term maps
     if rel > 1:
-        c = rng.randrange(1, ctx.order)
         lists.append([ctx.neg(c), c])  # c(x^q_sub - x) kills GF(q_sub): rank rel - 1
     for coeffs in lists:
         L = LinearizedPoly(ctx, q_sub, coeffs)
         zeros = int(np.count_nonzero(L.eval_all() == 0))
         assert q_sub ** (rel - L.rank()) == zeros, coeffs
+        # the digit rows of L(xbar^i) by scalar evaluation
+        scalar = [ctx.coeffs(L(p ** i)) for i in range(m)]
+        assert L.rank() == matrix_rank(Field(p, 1), scalar) // k, coeffs
+
+
+def test_rank_needs_log_tables():
+    # the rank gathers from the log tables, like eval_all on the same map
+    with pytest.raises(FieldTooLarge):
+        LinearizedPoly(Field(2, 21), 2, [1]).rank()
 
 
 # ----------------------------------------------------------------------
@@ -219,7 +231,7 @@ def test_rank_matches_brute_force_kernel(p, m, k):
 # replaced, kept here as oracles.
 # ----------------------------------------------------------------------
 
-ORACLE_FIELDS = [Field(2, 1), Field(2, 4), Field(3, 1), F27, F25, F7, Field(13, 1)]
+ORACLE_FIELDS = [Field(2, 1), Field(2, 4), Field(3, 1), F27, F25, F7, Field(13, 1), Field(61, 1)]
 
 
 def _eval_all_oracle(f):
