@@ -33,10 +33,7 @@ from .lowdeg import (
     QuarticSearch, cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly,
     quartic_3to1_search,
 )
-from .polys import (
-    LinearizedPoly, Poly, apply_affine, eval_rows, is_additive, normalize,
-    roots_of_unity_interpolate,
-)
+from .polys import LinearizedPoly, Poly, eval_rows, is_additive
 from .verify import RUNNERS, RunResult, run
 from .walsh import (
     CycloInt, PhiGadget, additive_convolution, char_sum, phi_prime_power,

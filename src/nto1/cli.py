@@ -59,6 +59,15 @@ def _parse_int(text, what):
     except ValueError:
         raise UsageError(f"{what}: {text!r} is not an integer")
 
+def _parse_digits(text, p, what):
+    """Base-p digits c0:c1:...; a digit outside [0, p) is refused, not
+    reduced mod p as Field does for library callers."""
+    digits = [_parse_int(c, what) for c in text.split(":")]
+    for d in digits:
+        if not 0 <= d < p:
+            raise UsageError(f"{what}: digit {d} is outside [0, {p})")
+    return digits
+
 def _build_field(args):
     if getattr(args, "spec", None):
         try:
@@ -74,14 +83,14 @@ def _build_field(args):
         m = _parse_int(kv["m"], "--field m")
         modulus = None
         if "modulus" in kv:
-            modulus = [_parse_int(c, "--field modulus") for c in kv["modulus"].split(":")]
+            modulus = _parse_digits(kv["modulus"], p, "--field modulus")
         return Field(p, m, modulus)
     raise UsageError("a field is required: --field p=..,m=.. or --spec file.json")
 
 def _parse_elem(ctx, text, what):
     text = text.strip()
     if ":" in text:
-        return ctx.element([_parse_int(c, what) for c in text.split(":")])
+        return ctx.element(_parse_digits(text, ctx.p, what))
     return ctx.check(_parse_int(text, what))
 
 def _parse_poly(ctx, text):
@@ -410,15 +419,17 @@ def build_parser():
     p = sub.add_parser("classify", help="brute-force n-to-1 report for a map")
     _add_field_opts(p)
     _add_gate_opts(p)
-    p.add_argument("--poly", help='polynomial like "x^3 + 2*x + 1" (integer-coded coefficients)')
-    p.add_argument("--table", help="comma-separated value table over the whole field")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--poly", help='polynomial like "x^3 + 2*x + 1" (integer-coded coefficients)')
+    source.add_argument("--table", help="comma-separated value table over the whole field")
     p.set_defaults(fn=cmd_classify)
 
     p = sub.add_parser("walsh", help="exact Walsh zero-row table and spectral verdict")
     _add_field_opts(p)
     _add_gate_opts(p)
-    p.add_argument("--poly")
-    p.add_argument("--table")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--poly")
+    source.add_argument("--table")
     p.add_argument("--gadget", choices=("phi1", "phi2"), default="phi1",
                    help="phi1: n=2 (q odd); phi2: n=p^k")
     p.add_argument("--k", type=int, default=1, help="exponent for phi2 (n=p^k)")

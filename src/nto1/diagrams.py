@@ -191,11 +191,8 @@ def condition3(d: DiagramSpec) -> Optional[bool]:
     # hypothesis #A = #S (mod n) makes the two t candidates agree
     if t != len(d.S) % d.n:
         raise HypothesisViolated("#A = #S (mod n)", (len(d.A), len(d.S), d.n))
+    # is_n_to_1 has required exactly one value of g with t preimages
     exceptional = np.flatnonzero(np.bincount(d.g[d.S]) == t)
-    if len(exceptional) != 1:
-        # t == n would make the exception invisible; cannot happen since
-        # 0 < t < n here, and is_n_to_1 guarantees exactly one such value
-        return None
     return int(np.count_nonzero(d.lambar[d.A] == exceptional[0])) == 1
 
 

@@ -33,10 +33,6 @@ class FieldTooLarge(NTo1Error):
     pass
 
 
-class ConstantPolynomial(NTo1Error):
-    pass
-
-
 class DomainTooLarge(NTo1Error):
     pass
 
@@ -75,10 +71,6 @@ class HistogramLostMass(NTo1Error):
 
 class PowerSumNotRational(NTo1Error):
     """A Walsh power sum S_j came out outside the rational integers."""
-
-
-class NormalFormViolated(NTo1Error):
-    """normalize produced a polynomial outside its normal form."""
 
 
 class ExceptionCountMismatch(NTo1Error):

@@ -589,17 +589,7 @@ class Field:
         return out
 
     def scalar_mul_vec(self, c: int, a):
-        self.check(c)
-        a = np.asarray(a, dtype=np.int64)
-        if c == 0:
-            return np.zeros(a.shape, dtype=np.int64)
-        self._ensure_tables()
-        n = self.order - 1
-        lc = int(self._log[c])
-        out = np.zeros(a.shape, dtype=np.int64)
-        mask = a != 0
-        out[mask] = self._exp[(self._log[a[mask]] + lc) % n]
-        return out
+        return self.mul_vec(self.check(c), a)
 
     def pow_vec(self, a, e: int):
         """a^e elementwise for e >= 1 (0^e = 0)."""
@@ -677,7 +667,6 @@ class SubfieldEmbed:
             raise DegreeMismatch(f"GF({sub.p}^{sub.m}) is not a subfield of GF({big.p}^{big.m})")
         self.big = big
         self.sub = sub
-        self.sub_degree = sub.m
         self.rel_degree = big.m // sub.m
         self.q_sub = sub.order
         self.embed_table = _memo(("embed", big.p, big.m, big.modulus, big.beta,

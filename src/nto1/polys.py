@@ -10,9 +10,8 @@ one-row case.  eval_coeff_rows evaluates dense coefficient rows, and
 affine_rows maps each to a*f(x+b) + c (Poly.shift is its scalar oracle).
 
 Interpolation at the ell-th roots of unity is the closed-form inverse DFT,
-batched over value rows (roots_of_unity_interpolate_rows, whose one-row
-case is roots_of_unity_interpolate); the test suite checks it against a
-Vandermonde solve.
+batched over value rows (roots_of_unity_interpolate_rows); the test suite
+checks it against a Vandermonde solve.
 
 row_reduce is the package's one exact elimination: a scalar Gauss-Jordan,
 on residues over a prime field and through a Field's own scalar ops over
@@ -28,8 +27,7 @@ import math
 import numpy as np
 
 from .errors import (
-    ConstantPolynomial, DegreeMismatch, DegreeTooHigh, FieldMismatch, NormalFormViolated,
-    SingularSystem, ZeroInput,
+    DegreeMismatch, DegreeTooHigh, FieldMismatch, SingularSystem, ZeroInput,
 )
 from .fields import Field, exact_log
 
@@ -323,36 +321,6 @@ def _unpack(ctx: Field, acc: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def normalize(f: Poly):
-    """Return (g, (a, b, c)) with g(x) = a*f(x+b) + c monic, g(0) = 0, and the
-    x^{d-1} coefficient killed when gcd(p, d) = 1 (left alone otherwise, b=0)."""
-    d = f.degree
-    if d < 1:
-        raise ConstantPolynomial("cannot normalize a constant")
-    ctx = f.ctx
-    a = ctx.inv(f.coeff(d))
-    if math.gcd(ctx.p, d) == 1:
-        # monic form has x^{d-1} coefficient a*c_{d-1} + d*b; solve for b
-        b = ctx.neg(ctx.div(ctx.mul(a, f.coeff(d - 1)), d % ctx.p))
-    else:
-        b = 0
-    c = ctx.neg(ctx.mul(a, f(b)))
-    g = apply_affine(f, a, b, c)
-    if g.coeff(d) != 1 or g.coeff(0) != 0:
-        raise NormalFormViolated(f"{g} is not monic of degree {d} with g(0) = 0")
-    if math.gcd(ctx.p, d) == 1 and g.coeff(d - 1) != 0:
-        raise NormalFormViolated(f"{g} keeps an x^{d - 1} term although gcd(p, d) = 1")
-    return g, (a, b, c)
-
-
-def apply_affine(f: Poly, a: int, b: int, c: int) -> Poly:
-    """a*f(x+b) + c: the one-row case of affine_rows; degree gated at 4096."""
-    if f.degree > 4096:
-        raise DegreeTooHigh("an affine map of a very high-degree polynomial")
-    ctx = f.ctx
-    return Poly.from_dense(ctx, affine_rows(ctx, [f.dense() or [0]], [a], [b], [c])[0].tolist())
-
-
 def additive_witness(ctx: Field, vals: np.ndarray):
     """First x with f(x+y) != f(x) + f(y) for some y, f the whole-field
     value table vals; None when f is additive.  Exhaustive: q vector
@@ -501,14 +469,6 @@ def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
 
 def matrix_rank(ctx: Field, mat: list[list[int]]) -> int:
     return row_reduce(ctx, [list(row) for row in mat])
-
-
-def roots_of_unity_interpolate(ctx: Field, omega: int, values: list[int]) -> list[int]:
-    """Coefficients of the unique polynomial h of degree < ell = len(values)
-    with h(omega^i) = values[i], for omega of multiplicative order exactly
-    ell: the one-row case of roots_of_unity_interpolate_rows."""
-    values = [ctx.check(v) for v in values]
-    return roots_of_unity_interpolate_rows(ctx, omega, [values])[0].tolist()
 
 
 def roots_of_unity_interpolate_rows(ctx: Field, omega: int, values) -> np.ndarray:

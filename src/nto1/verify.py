@@ -18,8 +18,8 @@ import random
 import numpy as np
 
 from .counting import (
-    classify, classify_rows, is_n_to_1, linearized_oracle, n_to_1_rows, report_matches,
-    row_blocks,
+    classify, classify_rows, is_n_to_1, linearized_oracle, monomial_oracle, n_to_1_rows,
+    report_matches, row_blocks,
 )
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
@@ -87,7 +87,7 @@ def run_monomial(seed=SEED):
             ds = range(lo + 1, hi + 1)
             reps = classify_rows(np.stack([ctx.pow_vec(xs, d) for d in ds]), q)
             for d, (got, exc, irregular) in zip(ds, reps):
-                n = math.gcd(d, q - 1)
+                n = monomial_oracle(ctx, 1, d)
                 want_exc = (0, 1) if n > 1 else None
                 ok = got == n and not irregular and exc == want_exc
                 rows.append((q, d, got, int(ok)))

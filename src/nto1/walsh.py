@@ -54,21 +54,6 @@ class CycloInt:
         self.p = p
         self.coeffs = _reduce(coeffs, p)
 
-    def _check(self, other: "CycloInt"):
-        if self.p != other.p:
-            raise ZeroInput("mixed cyclotomic orders")
-
-    def __mul__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        p = self.p
-        out = [0] * p
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[(i + j) % p] += a * b
-        return CycloInt(p, out)
-
     def is_rational(self) -> bool:
         return all(c == 0 for c in self.coeffs[1:])
 

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from nto1 import Field, verify
+from nto1 import Field, cli, verify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -21,6 +21,17 @@ def run_cli(*args, env_extra=None):
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "nto1.cli", *args],
                           capture_output=True, text=True, env=env, timeout=600)
+
+
+def main_in_process(monkeypatch, capsys, *args):
+    """cli.main(args) in this process: (exit code, stdout, stderr)."""
+    monkeypatch.delenv("NTO1_NIGHTLY", raising=False)
+    try:
+        rc = cli.main(list(args))
+    except SystemExit as e:  # argparse refuses bad usage with exit 2
+        rc = e.code
+    out = capsys.readouterr()
+    return rc, out.out, out.err
 
 
 def data_rows(stdout):
@@ -146,6 +157,37 @@ def test_usage_errors_exit_2():
                       ("x^3-", "dangling '-' in 'x^3-'")):
         r = run_cli("classify", "--field", "p=7,m=1", "--poly", poly)
         assert r.returncode == 2 and msg in r.stderr, r.stderr
+
+
+def test_digits_outside_the_prime_field_exit_2(monkeypatch, capsys):
+    # a digit is refused, not reduced mod p; Field itself stays lenient
+    table = ",".join(["3:0"] + ["0"] * 8)
+    for args, msg in (
+            (("field", "--field", "p=5,m=2", "--element", "7:1"), "--element: digit 7 is outside [0, 5)"),
+            (("field", "--field", "p=5,m=2", "--element=-1:0"), "--element: digit -1 is outside [0, 5)"),
+            (("field", "--field", "p=5,m=2,modulus=7:0:1"), "--field modulus: digit 7 is outside [0, 5)"),
+            (("classify", "--field", "p=3,m=2", "--table", table), "--table: digit 3 is outside [0, 3)"),
+            (("construct", "miu2", "--field", "p=5,m=2", "--r", "1", "--values", "1:5,1"),
+             "--values: digit 5 is outside [0, 5)"),
+            (("construct", "gouzao1", "--q1", "3", "--delta", "0:3"), "--delta: digit 3 is outside [0, 3)")):
+        rc, out, err = main_in_process(monkeypatch, capsys, *args)
+        assert (rc, out, err) == (2, "", f"nto1: {msg}\n"), args
+    assert Field(5, 2).element([7, 1]) == 7
+    rc, out, _ = main_in_process(monkeypatch, capsys, "field", "--field", "p=5,m=2", "--element", "4:1")
+    assert rc == 0 and json.loads(out) == {"code": 9, "coeffs": [4, 1], "order": 24}
+    rc, out, _ = main_in_process(monkeypatch, capsys, "field", "--field", "p=5,m=2,modulus=2:0:1")
+    assert rc == 0 and json.loads(out)["modulus"] == [2, 0, 1]
+
+
+@pytest.mark.parametrize("command", ["classify", "walsh"])
+def test_poly_and_table_exclude_each_other(monkeypatch, capsys, command):
+    rc, out, err = main_in_process(monkeypatch, capsys, command, "--field", "p=3,m=1",
+                                   "--poly", "x", "--table", "0,1,2")
+    assert rc == 2 and not out and "argument --table: not allowed with argument --poly" in err, err
+    rc, out, err = main_in_process(monkeypatch, capsys, command, "--field", "p=3,m=1")
+    assert (rc, out, err) == (2, "", "nto1: a map is required: --poly or --table\n")
+    rc, out, _ = main_in_process(monkeypatch, capsys, command, "--field", "p=3,m=1", "--table", "0,1,2")
+    assert rc == 0 and out
 
 
 def test_params_option_is_gone():

@@ -10,7 +10,7 @@ import pytest
 
 from nto1 import (
     Field, LinearizedPoly, PiecewiseSpec, Poly, SubfieldEmbed, classify, is_n_to_1,
-    monomial_oracle, roots_of_unity_interpolate, verify_diagram,
+    monomial_oracle, verify_diagram,
 )
 from nto1 import families
 from nto1.counting import n_to_1_rows
@@ -23,6 +23,7 @@ from nto1.families import (
     random_piecewise, reduced_blowup, shift_power_poly, solve_piecewise,
     sweep_shift_power, trace_class_reps,
 )
+from nto1.polys import roots_of_unity_interpolate_rows
 
 
 def assert_equivalent(inst):
@@ -242,7 +243,8 @@ def _scalar_branch_table(ctx, r, values):
     element: the reference for branch_tables."""
     ell = len(values)
     s = (ctx.order - 1) // ell
-    h = Poly.from_dense(ctx, roots_of_unity_interpolate(ctx, ctx.unit_root(ell), values))
+    coeffs = roots_of_unity_interpolate_rows(ctx, ctx.unit_root(ell), [values])[0]
+    h = Poly.from_dense(ctx, coeffs.tolist())
     return np.array([ctx.mul(ctx.pow(x, r), h(ctx.pow(x, s))) for x in ctx.elements()])
 
 

@@ -119,14 +119,20 @@ def test_unit_root_and_power_class():
 
 
 def test_vec_kernels_match_scalar_ops():
-    for F in (F16, Field(7, 1)):
+    for F in (F16, Field(7, 1), F27):
         xs = F.elements_array()
         ys = np.roll(xs, 3)
         assert all(int(v) == F.add(int(x), int(y)) for v, x, y in zip(F.add_vec(xs, ys), xs, ys))
         assert all(int(v) == F.mul(int(x), int(y)) for v, x, y in zip(F.mul_vec(xs, ys), xs, ys))
         assert all(int(v) == F.pow(int(x), 5) for v, x in zip(F.pow_vec(xs, 5), xs))
-        c = F.beta
-        assert all(int(v) == F.mul(c, int(x)) for v, x in zip(F.scalar_mul_vec(c, xs), xs))
+        # scalar_mul_vec keeps the input's shape, 0-d included, and zero entries
+        for c in (0, 1, F.beta):
+            for a in (np.int64(F.beta), np.int64(0), xs, np.stack([xs, ys, np.zeros_like(xs)])):
+                got = F.scalar_mul_vec(c, a)
+                assert got.dtype == np.int64 and got.shape == np.shape(a)
+                assert got.ravel().tolist() == [F.mul(c, int(x)) for x in np.ravel(a)]
+        with pytest.raises(FieldMismatch):
+            F.scalar_mul_vec(F.order, xs)
 
 
 def test_trace_table_on_a_cold_field():

@@ -1,4 +1,4 @@
-"""Polynomial algebra, evaluation routes, normalization, linear solving."""
+"""Polynomial algebra, evaluation routes, affine maps, linear solving."""
 
 import random
 
@@ -7,14 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from nto1 import (
-    Field, LinearizedPoly, Poly, apply_affine, eval_rows, is_additive, normalize,
-    roots_of_unity_interpolate,
-)
-from nto1 import fields, polys
-from nto1.errors import (
-    DegreeMismatch, FieldMismatch, FieldTooLarge, NormalFormViolated, SingularSystem,
-)
+from nto1 import Field, LinearizedPoly, Poly, eval_rows, is_additive
+from nto1 import fields
+from nto1.errors import DegreeMismatch, FieldMismatch, FieldTooLarge, SingularSystem
 from nto1.polys import (
     affine_rows, eval_coeff_rows, matrix_rank, roots_of_unity_interpolate_rows, row_reduce,
 )
@@ -37,7 +32,7 @@ def solve_linear(ctx, mat, rhs):
 
 def vandermonde_solve(ctx, points, values):
     """Coefficients of the unique polynomial of degree < len(points) through
-    (points[i], values[i]): the oracle for roots_of_unity_interpolate."""
+    (points[i], values[i]): the oracle for roots_of_unity_interpolate_rows."""
     n = len(points)
     mat = [[ctx.pow(pt, j) if j else 1 for j in range(n)] for pt in points]
     return solve_linear(ctx, mat, list(values))
@@ -106,7 +101,7 @@ def test_shift_is_translation(coeffs, b, x):
 @given(dense7, st.integers(1, 24), st.integers(0, 24), st.integers(0, 24))
 def test_apply_affine_definition(coeffs, a, b, c):
     f = Poly.from_dense(F25, coeffs)
-    g = apply_affine(f, a, b, c)
+    g = Poly.from_dense(F25, affine_rows(F25, [f.dense() or [0]], [a], [b], [c])[0].tolist())
     for x in range(0, 25, 4):
         assert g(x) == F25.add(F25.mul(a, f(F25.add(x, b))), c)
 
@@ -117,34 +112,6 @@ def test_reduce_exponents_preserves_the_map():
     assert all(e == 0 or 1 <= e <= 26 for e, _ in g.terms)
     for x in F27.elements():
         assert f(x) == g(x)
-
-
-def test_normalize_shape():
-    f = Poly.from_dense(F7, [4, 2, 5, 3])  # cubic, gcd(p, d) = 1
-    g, (a, b, c) = normalize(f)
-    assert g.coeff(3) == 1
-    assert g.coeff(0) == 0
-    assert g.coeff(2) == 0  # the shift kills x^(d-1) when p does not divide d
-    assert apply_affine(f, a, b, c) == g
-
-
-def test_normalize_char_divides_degree():
-    f = Poly.from_dense(F27, [1, 2, 0, 2])  # degree 3 = p: no shift available
-    g, (a, b, c) = normalize(f)
-    assert g.coeff(3) == 1 and g.coeff(0) == 0
-    assert apply_affine(f, a, b, c) == g
-
-
-@pytest.mark.parametrize("wrong", [
-    lambda f, a, b, c: Poly(f.ctx, [(3, 2), (1, 1)]),          # not monic
-    lambda f, a, b, c: Poly(f.ctx, [(3, 1), (0, 4)]),          # g(0) != 0
-    lambda f, a, b, c: Poly(f.ctx, [(3, 1), (2, 5), (1, 1)]),  # x^(d-1) left with gcd(p, d) = 1
-])
-def test_normalize_postconditions_are_typed_errors(monkeypatch, wrong):
-    # checked with a typed error, so python -O keeps them
-    monkeypatch.setattr(polys, "apply_affine", wrong)
-    with pytest.raises(NormalFormViolated):
-        normalize(Poly.from_dense(F7, [4, 2, 5, 3]))
 
 
 def test_vandermonde_interpolates():
@@ -316,7 +283,7 @@ def test_shift_and_apply_affine_match_oracle(ctx):
             assert g == _shift_oracle(f, b)
             assert [g(x) for x in ctx.elements()] == [f(ctx.add(x, b)) for x in ctx.elements()]
             a, c = rng.randrange(1, q), rng.randrange(q)
-            h = apply_affine(f, a, b, c)
+            h = Poly.from_dense(ctx, affine_rows(ctx, [f.dense() or [0]], [a], [b], [c])[0].tolist())
             assert h == _shift_oracle(f, b).scale(a) + Poly.constant(ctx, c)
             assert h.eval_all().tolist() == [ctx.add(ctx.mul(a, f(ctx.add(x, b))), c)
                                              for x in ctx.elements()]
@@ -485,7 +452,7 @@ def test_roots_of_unity_interpolate_matches_vandermonde(ctx):
         cases = [[0] * ell, [rng.randrange(1, q)] * ell]
         cases += [[rng.choice([0, rng.randrange(q)]) for _ in range(ell)] for _ in range(4)]
         for values in cases:
-            coeffs = roots_of_unity_interpolate(ctx, omega, values)
+            coeffs = roots_of_unity_interpolate_rows(ctx, omega, [values])[0].tolist()
             assert coeffs == vandermonde_solve(ctx, points, values), (ell, values)
             h = Poly.from_dense(ctx, coeffs)
             assert [h(pt) for pt in points] == values
@@ -567,6 +534,6 @@ def test_batched_interpolation_matches_vandermonde_row_by_row(ctx):
 def test_roots_of_unity_interpolate_needs_exact_order():
     ctx = Field(13, 1)
     with pytest.raises(SingularSystem):
-        roots_of_unity_interpolate(ctx, ctx.unit_root(2), [1, 2, 3, 4])  # order 2, not 4
+        roots_of_unity_interpolate_rows(ctx, ctx.unit_root(2), [[1, 2, 3, 4]])  # order 2, not 4
     with pytest.raises(SingularSystem):
-        roots_of_unity_interpolate(ctx, ctx.unit_root(12), [1, 2, 3])
+        roots_of_unity_interpolate_rows(ctx, ctx.unit_root(12), [[1, 2, 3]])
