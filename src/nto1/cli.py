@@ -122,7 +122,8 @@ def _parse_poly(ctx, text):
                 exp = 1
         else:
             coeff = _parse_int(tok, "--poly coefficient")
-        coeff = ctx.check(coeff % ctx.order if coeff >= 0 else coeff)
+        if not 0 <= coeff < ctx.order:  # refused, not reduced mod q
+            raise UsageError(f"--poly: coefficient {coeff} is outside [0, {ctx.order})")
         if neg:
             coeff = ctx.neg(coeff)
         terms.append((exp, coeff))
@@ -317,7 +318,7 @@ def cmd_construct(args):
         if args.delta is None:
             raise UsageError("construct needs --delta (big-field element)")
         delta = _parse_elem(big, args.delta, "--delta")
-        inst = build_shift_power(emb, family, delta, q1=q1, strict=False)
+        inst = build_shift_power(emb, family, delta, q1=q1)
         return _emit_construct(
             family, inst, {"field": big.spec_dict(), "subfield": emb.sub.spec_dict()},
             {"q1": q1, "delta": list(big.coeffs(delta)), "e": inst.meta["e"], "n": inst.n,
@@ -333,7 +334,7 @@ def cmd_construct(args):
     values = [_parse_elem(ctx, t, "--values") for t in args.values.split(",")]
     if len(values) != ell:
         raise UsageError(f"{family} takes exactly {ell} branch values")
-    inst = build_branch_interpolation(ctx, r, values, strict=False)
+    inst = build_branch_interpolation(ctx, r, values)
     h, s = inst.meta["h"], inst.meta["s"]
     return _emit_construct(
         family, inst, {"field": ctx.spec_dict()},
@@ -369,6 +370,9 @@ def cmd_verify_theorem(args):
         if args.field:
             raise UsageError("--all conflicts with --field: --all runs every sweep "
                              "unfiltered; use --field with one theorem id")
+        if args.id:
+            raise UsageError(f"--all conflicts with the theorem id {args.id!r}: "
+                             "--all runs every sweep; give one or the other")
         rows, failures = [], []
         for tid in verify.RUNNERS:
             r = verify.run(tid, seed=args.seed)

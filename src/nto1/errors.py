@@ -78,7 +78,8 @@ class ExceptionCountMismatch(NTo1Error):
 
 
 class HypothesisViolated(NTo1Error):
-    """A construction hypothesis failed; carries the hypothesis name and a witness."""
+    """A hypothesis of the square failed (diagrams.condition3); carries its
+    name and a witness.  Family builders record theirs in violations."""
 
     def __init__(self, name, witness=None):
         self.name = name

@@ -3,16 +3,15 @@
 Each builder assembles a map on a big carrier together with its reduced
 partner on a small one, checks the hypotheses that make the transfer
 valid, and returns a FamilyInstance bundling the map, the partner, the
-wiring, and any broken hypotheses.  strict=True raises HypothesisViolated
-on the first broken check; strict=False records the breakage and builds
-anyway, so a dubious construction can still be classified honestly.
+wiring, and any broken hypotheses.  A broken hypothesis is recorded in
+FamilyInstance.violations and the map is built anyway, so a dubious
+construction can still be classified honestly; inst.ok says it is clean.
 
 Parameters that make the construction itself meaningless (a modulus that
-does not divide, a carrier that does not exist) raise ValueError in
-either mode; the strict/permissive split only covers hypotheses the
-built map can survive breaking.  Every map comes in through
-polys.value_table, so one that is not a map over the field is a
-FieldMismatch.
+does not divide, a carrier that does not exist) raise ValueError; only
+hypotheses the built map can survive breaking are recorded.  Every map
+comes in through polys.value_table, so one that is not a map over the
+field is a FieldMismatch.
 """
 
 import math
@@ -21,7 +20,7 @@ import numpy as np
 
 from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, Violation
-from .errors import ConstructionMismatch, HypothesisViolated
+from .errors import ConstructionMismatch
 from .fields import exact_log
 from .polys import (
     LinearizedPoly, Poly, additive_witness, eval_coeff_rows, is_additive,
@@ -82,21 +81,11 @@ class FamilyInstance:
                 f"|domain|={len(self.domain)}, {tag})")
 
 
-class _Checker:
-    """Collects broken hypotheses, or raises on the first one when strict."""
-
-    def __init__(self, family, strict):
-        self.family = family
-        self.strict = strict
-        self.violations = []
-
-    def require(self, ok, hypothesis, witness=None):
-        if ok:
-            return True
-        if self.strict:
-            raise HypothesisViolated(f"{self.family}: {hypothesis}", witness)
-        self.violations.append(Violation(hypothesis, witness))
-        return False
+def _require(violations, ok, hypothesis, witness=None):
+    """Record hypothesis as broken unless ok; returns ok."""
+    if not ok:
+        violations.append(Violation(hypothesis, witness))
+    return ok
 
 
 def _first(idx):
@@ -127,7 +116,7 @@ def _subfield_linear_ok(emb, t):
 # additive split: f(x) = h(psi(x))*phi(x) + g(psi(x))
 # ---------------------------------------------------------------------------
 
-def build_additive_split(emb, psi, psibar, phi, h, g, n, strict=True):
+def build_additive_split(emb, psi, psibar, phi, h, g, n):
     """f(x) = h(psi(x))*phi(x) + g(psi(x)) against its reduced partner
     fbar(s) = h(s)*phi(s) + psibar(g(s)) on S = psi(field).
 
@@ -136,43 +125,43 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n, strict=True):
     kernel and size checks below, f is n-to-1 exactly when fbar is.
     """
     big, sub = emb.big, emb.sub
-    chk = _Checker("additive-split", strict)
+    broken = []
     psi_t, psibar_t, phi_t, h_t, g_t = (value_table(f, big)[1]
                                         for f in (psi, psibar, phi, h, g))
 
-    chk.require(n >= 1 and sub.order % n == 0, "n divides the subfield size", n)
+    _require(broken, n >= 1 and sub.order % n == 0, "n divides the subfield size", n)
     ok, w = _additive_ok(big, psi, psi_t)
-    chk.require(ok, "psi additive", w)
+    _require(broken, ok, "psi additive", w)
     ok, w = _additive_ok(big, phi, phi_t)
-    chk.require(ok, "phi additive", w)
+    _require(broken, ok, "phi additive", w)
     ok, w = _additive_ok(big, psibar, psibar_t)
-    chk.require(ok, "psibar additive", w)
+    _require(broken, ok, "psibar additive", w)
     if ok:
-        chk.require(_subfield_linear_ok(emb, psibar_t), "psibar subfield-linear")
+        _require(broken, _subfield_linear_ok(emb, psibar_t), "psibar subfield-linear")
     bad = _first(np.flatnonzero(phi_t[psi_t] != psibar_t[phi_t]))
-    chk.require(bad is None, "phi after psi equals psibar after phi", bad)
+    _require(broken, bad is None, "phi after psi equals psibar after phi", bad)
 
     S, Sbar = np.unique(psi_t), np.unique(psibar_t)
-    chk.require(len(S) == len(Sbar), "images of psi and psibar have one size",
-                (len(S), len(Sbar)))
-    chk.require(len(S) > 1 and len(S) % n == 0,
-                "n divides the image size, image nontrivial", len(S))
+    _require(broken, len(S) == len(Sbar), "images of psi and psibar have one size",
+             (len(S), len(Sbar)))
+    _require(broken, len(S) > 1 and len(S) % n == 0,
+             "n divides the image size, image nontrivial", len(S))
     hS = h_t[S]
     bad = _first(S[(hS == 0) | (big.pow_vec(hS, emb.q_sub) != hS)])
-    chk.require(bad is None, "h sends the image into the subfield units", bad)
+    _require(broken, bad is None, "h sends the image into the subfield units", bad)
     meet = np.flatnonzero((phi_t == 0) & (psi_t == 0))
-    chk.require(meet.tolist() == [0], "kernels of phi and psi meet only at 0",
-                meet[:3].tolist())
+    _require(broken, meet.tolist() == [0], "kernels of phi and psi meet only at 0",
+             meet[:3].tolist())
     ker_sizes = (int(np.count_nonzero(psi_t == 0)), int(np.count_nonzero(psibar_t == 0)))
-    chk.require(ker_sizes[0] == ker_sizes[1], "kernels of psi and psibar have one size",
-                ker_sizes)
+    _require(broken, ker_sizes[0] == ker_sizes[1], "kernels of psi and psibar have one size",
+             ker_sizes)
 
     f_t = big.add_vec(big.mul_vec(h_t[psi_t], phi_t), g_t[psi_t])
     fbar_t = big.add_vec(big.mul_vec(h_t, phi_t), psibar_t[g_t])
     xs = big.elements_array()
     return FamilyInstance("additive-split", big, f_t, xs, n, fbar_t,
                           (xs, S, Sbar, psi_t, psibar_t),
-                          meta={"q": sub.order}, violations=chk.violations)
+                          meta={"q": sub.order}, violations=broken)
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +183,7 @@ def _structural_q_poly(emb, L):
     return bad is None, bad
 
 
-def build_linearized_mix(emb, L1, L2, L3, g, n, strict=True):
+def build_linearized_mix(emb, L1, L2, L3, g, n):
     """f(x) = L1(x) + L2(x)*g(L3(x)) against fbar(s) = L1(s) + L2(s)*g(s)
     on S = L3(field).
 
@@ -205,41 +194,41 @@ def build_linearized_mix(emb, L1, L2, L3, g, n, strict=True):
     """
     big, sub = emb.big, emb.sub
     q = sub.order
-    chk = _Checker("linearized-mix", strict)
+    broken = []
     for name, L in (("L1", L1), ("L2", L2), ("L3", L3)):
         ok, w = _structural_q_poly(emb, L)
-        chk.require(ok, f"{name} linearized with subfield coefficients", w)
+        _require(broken, ok, f"{name} linearized with subfield coefficients", w)
     L1_t, L2_t, L3_t, g_t = (value_table(f, big)[1] for f in (L1, L2, L3, g))
 
     S = np.unique(L3_t)
     gS = g_t[S]
     bad = _first(S[big.pow_vec(gS, q) != gS])
-    chk.require(bad is None, "g sends the image of L3 into the subfield", bad)
-    chk.require(n >= 1 and q % n == 0, "n divides the subfield size", n)
-    chk.require(len(S) % n == 0, "n divides the image size", len(S))
-    chk.require((len(S) - q) % n == 0,
-                "image size congruent to the subfield size mod n", (len(S), q))
+    _require(broken, bad is None, "g sends the image of L3 into the subfield", bad)
+    _require(broken, n >= 1 and q % n == 0, "n divides the subfield size", n)
+    _require(broken, len(S) % n == 0, "n divides the image size", len(S))
+    _require(broken, (len(S) - q) % n == 0,
+             "image size congruent to the subfield size mod n", (len(S), q))
     ker3 = L3_t == 0
     for y, gy in zip(S.tolist(), gS.tolist()):
         Fy = big.add_vec(L1_t, big.scalar_mul_vec(gy, L2_t))
         meet = np.nonzero((Fy == 0) & ker3)[0]
-        if not chk.require(meet.tolist() == [0],
-                           "ker(L1 + g(y)*L2) meets ker(L3) only at 0",
-                           (y, meet[:3].tolist())):
+        if not _require(broken, meet.tolist() == [0],
+                        "ker(L1 + g(y)*L2) meets ker(L3) only at 0",
+                        (y, meet[:3].tolist())):
             break
 
     f_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t[L3_t]))
     fbar_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t))
     xs = big.elements_array()
     return FamilyInstance("linearized-mix", big, f_t, xs, n, fbar_t, (xs, S, S, L3_t, L3_t),
-                          meta={"q": q}, violations=chk.violations)
+                          meta={"q": q}, violations=broken)
 
 
 # ---------------------------------------------------------------------------
 # coset power: f(x) = x^r h(x^s) on units, g(y) = y^r h(y)^s on roots of unity
 # ---------------------------------------------------------------------------
 
-def build_coset_power(ctx, r, s, h, n, strict=True):
+def build_coset_power(ctx, r, s, h, n):
     """f(x) = x^r h(x^s) on the whole field against g(y) = y^r h(y)^s on
     the ell-th roots of unity, ell = (q-1)/s.
 
@@ -251,21 +240,23 @@ def build_coset_power(ctx, r, s, h, n, strict=True):
     if r < 1 or s < 1 or (q - 1) % s:
         raise ValueError(f"need r >= 1 and s dividing {q - 1}, got r={r} s={s}")
     ell = (q - 1) // s
-    chk = _Checker("coset-power", strict)
-    chk.require(math.gcd(r, s) == 1, "r coprime to s", (r, s))
-    chk.require(n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
+    broken = []
+    _require(broken, math.gcd(r, s) == 1, "r coprime to s", (r, s))
+    _require(broken, n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
     _, h_t = value_table(h, ctx)
     mu = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     bad = _first(mu[h_t[mu] == 0])
-    chk.require(bad is None, "h never zero on the root group", bad)
+    _require(broken, bad is None, "h never zero on the root group", bad)
     return _coset_square("coset-power", ctx, r, s, s, h_t, n, mu, True,
-                         {"r": r, "s": s, "ell": ell}, chk.violations)
+                         {"r": r, "s": s, "ell": ell}, broken)
 
 
 def _coset_square(family, ctx, r, s, e, h_t, n, carrier, with_zero, meta, violations):
     """f(x) = x^r h(x^s) against its reduced partner y^r h(y)^e, both over
     the whole field, the partner read on carrier; wired through x^s on
-    the units.  f(0) = 0, so with_zero reads f on 0 too, a size-1 fiber."""
+    the units.  f(0) = 0, so with_zero reads f on 0 too, a size-1 fiber.
+    A one-point carrier (ell = 1, or the units of GF(2)) is no square."""
+    _require(violations, len(carrier) > 1, "#S > 1", len(carrier))
     x_r, lam_t, f_t = _coset_rows(ctx, r, s, h_t)
     g_t = ctx.mul_vec(x_r, ctx.pow_vec(h_t, e))
     xs = ctx.elements_array()
@@ -317,7 +308,7 @@ def coset_power_monomial_n(ctx, r, s, h):
 # norm lift: pull a construction up an extension through the norm map
 # ---------------------------------------------------------------------------
 
-def build_norm_lift(emb, r, h_sub, n, strict=True):
+def build_norm_lift(emb, r, h_sub, n):
     """f(x) = x^r h(N(x)) on the big units, N the norm onto the subfield,
     against g(y) = y^r h(y)^m on the subfield units (m the extension
     degree).
@@ -336,20 +327,20 @@ def build_norm_lift(emb, r, h_sub, n, strict=True):
     s = (big.order - 1) // (q - 1)
     if r < 1:
         raise ValueError("r must be positive")
-    chk = _Checker("norm-lift", strict)
-    chk.require(math.gcd(q - 1, m) == 1,
-                "extension degree coprime to the subfield unit order", (q - 1, m))
-    chk.require(n >= 1 and (q - 1) % n == 0, "n divides the subfield unit order", n)
-    chk.require(math.gcd(r, s) == 1, "r coprime to the norm exponent", (r, s))
+    broken = []
+    _require(broken, math.gcd(q - 1, m) == 1,
+             "extension degree coprime to the subfield unit order", (q - 1, m))
+    _require(broken, n >= 1 and (q - 1) % n == 0, "n divides the subfield unit order", n)
+    _require(broken, math.gcd(r, s) == 1, "r coprime to the norm exponent", (r, s))
     _, hs_t = value_table(h_sub, sub)
     bad = _first(np.flatnonzero(hs_t[1:] == 0) + 1)
-    chk.require(bad is None, "h never zero on the subfield units", bad)
+    _require(broken, bad is None, "h never zero on the subfield units", bad)
 
     h_big = Poly(big, [(e, emb.embed(c)) for e, c in h_sub.terms])
     embed_t = emb.embed_table
     inst = _coset_square("norm-lift", big, r, s, m, h_big.eval_all(), n,
                          np.sort(embed_t[1:]), False,
-                         {"r": r, "s": s, "h": h_sub}, chk.violations)
+                         {"r": r, "s": s, "h": h_sub}, broken)
     # the same reduced map in the subfield's own codec must embed onto it
     g_sub = sub.mul_vec(sub.pow_vec(sub.elements_array(), r), sub.pow_vec(hs_t, m))
     moved = np.flatnonzero(embed_t[g_sub[1:]] != inst.reduced[embed_t[1:]])
@@ -369,7 +360,7 @@ def frobenius_twist(f, j):
     return out.reduce_exponents()
 
 
-def build_two_branch_lift(emb, r, a, b, strict=True):
+def build_two_branch_lift(emb, r, a, b):
     """Lift of the two-branch construction through an extension of degree
     p^t: f(x) = x^r * ((a-b)/2 * x^((Q-1)/2) + (a+b)/2)^(1/p^t) on the big
     units, the root meaning the inverse of the p^t-power bijection.
@@ -388,15 +379,15 @@ def build_two_branch_lift(emb, r, a, b, strict=True):
     s_sub = (sub.order - 1) // 2
     # the reduced partner is the plain two-branch map, so its hypotheses
     # ride along: they are what make the meta predicate decide 2-to-1-ness
-    chk = _Checker("two-branch-lift", strict)
-    chk.require(sub.order % 4 == 3, "subfield size 3 mod 4", sub.order)
-    chk.require(math.gcd(r, s_sub) == 1,
-                "r coprime to half the subfield unit order", (r, s_sub))
+    broken = []
+    _require(broken, sub.order % 4 == 3, "subfield size 3 mod 4", sub.order)
+    _require(broken, math.gcd(r, s_sub) == 1,
+             "r coprime to half the subfield unit order", (r, s_sub))
     h0 = Poly(sub, [(s_sub, sub.div(sub.sub(a, b), 2)),
                     (0, sub.div(sub.add(a, b), 2))])
     h_root = frobenius_twist(h0, (-t) % k)
-    inst = build_norm_lift(emb, r, h_root, 2, strict=strict)
-    inst.violations = tuple(chk.violations) + inst.violations
+    inst = build_norm_lift(emb, r, h_root, 2)
+    inst.violations = tuple(broken) + inst.violations
     inst.family = "two-branch-lift"
     inst.meta.update({"a": a, "b": b, "t": t,
                       "predicate": branch_case_predicate(sub, r, [a, b])})
@@ -407,7 +398,7 @@ def build_two_branch_lift(emb, r, a, b, strict=True):
 # branch interpolation: two-, three-, and four-way splits of the unit group
 # ---------------------------------------------------------------------------
 
-def build_branch_interpolation(ctx, r, values, strict=True):
+def build_branch_interpolation(ctx, r, values):
     """f = x^r h(x^s) with h interpolating values[i] at the i-th power of a
     fixed generator of the ell-th roots of unity; ell = len(values),
     s = (q-1)/ell, claimed n = ell.
@@ -422,14 +413,14 @@ def build_branch_interpolation(ctx, r, values, strict=True):
     s = (q - 1) // ell
     if r < 1:
         raise ValueError("r must be positive")
-    chk = _Checker("branch-interpolation", strict)
-    chk.require(math.gcd(r, s) == 1, "r coprime to s", (r, s))
+    broken = []
+    _require(broken, math.gcd(r, s) == 1, "r coprime to s", (r, s))
     values = [ctx.check(v) for v in values]
     coeffs, h_t = _interpolate_rows("branch-interpolation", ctx, [values])
     points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     return _coset_square("branch-interpolation", ctx, r, s, s, h_t[0], ell, points, True,
                          {"r": r, "s": s, "values": tuple(values),
-                          "h": Poly.from_dense(ctx, coeffs[0].tolist())}, chk.violations)
+                          "h": Poly.from_dense(ctx, coeffs[0].tolist())}, broken)
 
 
 def branch_tables(ctx, r, values):
@@ -525,7 +516,7 @@ class PiecewiseSpec:
                 f"targets={self.targets}, levels={self.levels})")
 
 
-def solve_piecewise(ctx, spec, strict=True):
+def solve_piecewise(ctx, spec):
     """Interpolate h so f = x^r h(x^s) realizes the branch plan, then build
     the coset construction on it.
 
@@ -539,24 +530,24 @@ def solve_piecewise(ctx, spec, strict=True):
     ell = (q - 1) // s
     if len(spec.targets) != ell or len(spec.levels) != ell:
         raise ValueError(f"need {ell} targets and {ell} levels")
-    chk = _Checker("piecewise", strict)
-    chk.require(all(0 <= a < ell for a in spec.targets),
-                "targets within the root group", spec.targets)
-    chk.require(all(0 <= mi < s for mi in spec.levels),
-                "levels within a fiber", spec.levels)
-    chk.require(n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
+    broken = []
+    _require(broken, all(0 <= a < ell for a in spec.targets),
+             "targets within the root group", spec.targets)
+    _require(broken, all(0 <= mi < s for mi in spec.levels),
+             "levels within a fiber", spec.levels)
+    _require(broken, n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
     counts = {}
     for a in spec.targets:
         counts[a] = counts.get(a, 0) + 1
-    chk.require(all(c == n for c in counts.values()),
-                "each chosen target hit exactly n times", counts)
+    _require(broken, all(c == n for c in counts.values()),
+             "each chosen target hit exactly n times", counts)
 
     points = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     bvals = [ctx.exp_of((ell * spec.levels[i] + spec.targets[i] - i * r) % (q - 1))
              for i in range(ell)]
     coeffs, h_t = _interpolate_rows("piecewise", ctx, [bvals])
     h = Poly.from_dense(ctx, coeffs[0].tolist())
-    inst = build_coset_power(ctx, r, s, h_t[0], n, strict=strict)
+    inst = build_coset_power(ctx, r, s, h_t[0], n)
     # points[a] = omega^a, so the plan is read straight off the roots
     missed = np.flatnonzero(inst.reduced[points] != points[np.asarray(spec.targets) % ell])
     if missed.size:
@@ -564,7 +555,7 @@ def solve_piecewise(ctx, spec, strict=True):
             f"piecewise: the reduced map misses the plan at root {missed[0]} of {spec}")
     inst.family = "piecewise"
     inst.meta.update({"spec": spec, "h": h})
-    inst.violations = tuple(chk.violations) + inst.violations
+    inst.violations = tuple(broken) + inst.violations
     return inst
 
 
@@ -590,7 +581,7 @@ def random_piecewise(ctx, rng):
 # translate link: f(x) = g(x^(q^k) - x + delta) + c*x
 # ---------------------------------------------------------------------------
 
-def build_translate_link(ctx, q, k, g, c, delta, n, strict=True):
+def build_translate_link(ctx, q, k, g, c, delta, n):
     """f(x) = g(psi(x)) + c*x with psi(x) = x^(q^k) - x + delta, against
     h(y) = g(y)^(q^k) - g(y) + c*y + (1-c)*delta on S = psi(field).
 
@@ -605,19 +596,19 @@ def build_translate_link(ctx, q, k, g, c, delta, n, strict=True):
     if not 1 <= k <= m - 1:
         raise ValueError(f"k must lie in [1, {m - 1}]")
     ell = math.gcd(k, m)
-    chk = _Checker("translate-link", strict)
+    broken = []
     c = ctx.check(c)
     delta = ctx.check(delta)
-    chk.require(c != 0 and ctx.pow(c, q ** ell) == c,
-                "c a unit of the linking subfield", c)
-    chk.require(n >= 1 and ctx.order % n == 0, "n divides the field size", n)
+    _require(broken, c != 0 and ctx.pow(c, q ** ell) == c,
+             "c a unit of the linking subfield", c)
+    _require(broken, n >= 1 and ctx.order % n == 0, "n divides the field size", n)
 
     xs = ctx.elements_array()
     qk = q ** k
     psi_t = ctx.add_vec(ctx.sub_vec(ctx.pow_vec(xs, qk), xs), delta)
     S = np.unique(psi_t)
-    chk.require((ctx.order - len(S)) % n == 0,
-                "domain and carrier sizes congruent mod n", (ctx.order, len(S)))
+    _require(broken, (ctx.order - len(S)) % n == 0,
+             "domain and carrier sizes congruent mod n", (ctx.order, len(S)))
     _, g_t = value_table(g, ctx)
     cx = ctx.scalar_mul_vec(c, xs)
     f_t = ctx.add_vec(g_t[psi_t], cx)
@@ -626,12 +617,12 @@ def build_translate_link(ctx, q, k, g, c, delta, n, strict=True):
     # the square closes exactly when the k-th q-Frobenius fixes c; check it
     # directly so a bad c surfaces with a witness
     bad = _first(np.flatnonzero(psi_t[f_t] != h_t[psi_t]))
-    chk.require(bad is None, "square commutes", bad)
+    _require(broken, bad is None, "square commutes", bad)
 
     return FamilyInstance("translate-link", ctx, f_t, xs, n, h_t, (xs, S, S, psi_t, psi_t),
                           meta={"q": q, "k": k, "ell": ell, "c": c, "delta": delta,
                                 "fiber": q ** ell},
-                          violations=chk.violations)
+                          violations=broken)
 
 
 def reduced_blowup(inst):
@@ -712,7 +703,7 @@ def shift_power_predicate(emb, variant, delta, q1=None):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def build_shift_power(emb, variant, delta, q1=None, strict=True):
+def build_shift_power(emb, variant, delta, q1=None):
     """One tabulated shape (x^q - x + delta)^e + x on the quadratic
     extension, wired through the translate link with c = 1, plus its
     trace-class predicate in meta."""
@@ -720,15 +711,14 @@ def build_shift_power(emb, variant, delta, q1=None, strict=True):
     if emb.rel_degree != 2:
         raise ValueError("needs a quadratic extension")
     e, n, gate, note = shift_power_profile(emb, variant, q1)
-    chk = _Checker(variant, strict)
-    if note:
-        chk.require(gate, note, (q1, emb.sub.order))
+    broken = []
+    _require(broken, gate, note, (q1, emb.sub.order))
     inst = build_translate_link(big, emb.sub.order, 1, Poly.monomial(big, 1, e),
-                                1, delta, n, strict=strict)
+                                1, delta, n)
     inst.family = variant
     inst.meta.update({"e": e, "q1": q1, "trace": emb.trace(delta),
                       "predicate": shift_power_predicate(emb, variant, delta, q1)})
-    inst.violations = tuple(chk.violations) + inst.violations
+    inst.violations = tuple(broken) + inst.violations
     return inst
 
 
@@ -753,7 +743,13 @@ def trace_class_reps(emb):
 
 def sweep_shift_power(emb, variant, q1=None):
     """Predicate against brute force, one delta per trace class; rows of
-    (trace, delta, predicted, verified), ascending in the trace."""
+    (trace, delta, predicted, verified), ascending in the trace.
+    ValueError where the variant's arithmetic gate fails: the predicate is
+    not claimed for that tower."""
+    _, _, gate, note = shift_power_profile(emb, variant, q1)
+    if not gate:
+        raise ValueError(f"{variant}: the arithmetic gate {note} fails "
+                         f"for this tower, so the predicate is not claimed")
     rows = []
     for tval, delta in trace_class_reps(emb).items():
         inst = build_shift_power(emb, variant, delta, q1=q1)

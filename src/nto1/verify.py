@@ -24,7 +24,7 @@ from .counting import (
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
     branch_case_predicate, branch_tables, build_translate_link,
-    random_piecewise, shift_power_profile, solve_piecewise, sweep_shift_power,
+    random_piecewise, solve_piecewise, sweep_shift_power,
 )
 from .fields import Field, SubfieldEmbed, _is_prime, exact_log
 from .lowdeg import (
@@ -314,12 +314,7 @@ def run_piecewisegenerel(seed=SEED):
 
 def shift_power_sweep(emb, variant, q1=None):
     """sweep_shift_power as agreement rows (trace, delta, predicate, brute)
-    and the first witness.  ValueError where the variant's arithmetic gate
-    fails: the predicate is not claimed for that tower."""
-    _, _, gate_ok, gate_note = shift_power_profile(emb, variant, q1)
-    if not gate_ok:
-        raise ValueError(f"{variant}: the arithmetic gate {gate_note} fails "
-                         f"for this tower, so the predicate is not claimed")
+    and the first witness; sweep_shift_power refuses a failed gate."""
     return agreement(sweep_shift_power(emb, variant, q1=q1),
                      lambda tval, delta: f"trace={tval} delta={delta}")
 
@@ -379,7 +374,7 @@ def run_zcriterion(seed=SEED):
         delta = rng.randrange(ctx.order)
         i_max = j * (mm // j - ell)
         n = p ** rng.randrange(0, i_max + 1)
-        inst = build_translate_link(ctx, q, k, g, c, delta, n, strict=False)
+        inst = build_translate_link(ctx, q, k, g, c, delta, n)
         if not inst.ok:
             continue
         made += 1

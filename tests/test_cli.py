@@ -38,125 +38,159 @@ def data_rows(stdout):
     return [line for line in stdout.splitlines() if line and not line.startswith("#")]
 
 
-def test_classify_cubic_over_gf7():
+def test_classify_cubic_over_gf7(monkeypatch, capsys):
+    # the installed entry point, in a fresh interpreter
     r = run_cli("classify", "--field", "p=7,m=1", "--poly", "x^3")
     assert r.returncode == 0, r.stderr
     assert r.stdout.strip() == '{"domain_size":7,"exception":[0,1],"irregular":false,"n":3}'
     # a leading minus needs the = form, or argparse reads it as an option
-    r = run_cli("classify", "--field", "p=7,m=1", "--poly=-x^2+1")
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.strip() == '{"domain_size":7,"exception":[1,1],"irregular":false,"n":2}'
+    rc, out, err = main_in_process(monkeypatch, capsys, "classify", "--field", "p=7,m=1",
+                                   "--poly=-x^2+1")
+    assert rc == 0, err
+    assert out.strip() == '{"domain_size":7,"exception":[1,1],"irregular":false,"n":2}'
 
 
-def test_field_resolution_and_element_decode():
-    r = run_cli("field", "--field", "p=3,m=2")
-    assert r.returncode == 0, r.stderr
-    assert json.loads(r.stdout) == {"beta": [1, 1], "m": 2, "modulus": [1, 0, 1], "p": 3}
-    r = run_cli("field", "--field", "p=3,m=2", "--element", "5")
-    assert json.loads(r.stdout) == {"code": 5, "coeffs": [2, 1], "order": 8}
+def test_field_resolution_and_element_decode(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "field", "--field", "p=3,m=2")
+    assert rc == 0, err
+    assert json.loads(out) == {"beta": [1, 1], "m": 2, "modulus": [1, 0, 1], "p": 3}
+    _, out, _ = main_in_process(monkeypatch, capsys, "field", "--field", "p=3,m=2", "--element", "5")
+    assert json.loads(out) == {"code": 5, "coeffs": [2, 1], "order": 8}
 
 
-def test_verify_theorem_with_field_filter():
-    r = run_cli("verify-theorem", "de3p3", "--field", "p=3,m=3")
-    assert r.returncode == 0, r.stderr
-    lines = r.stdout.splitlines()
+def test_verify_theorem_with_field_filter(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "verify-theorem", "de3p3",
+                                   "--field", "p=3,m=3")
+    assert rc == 0, err
+    lines = out.splitlines()
     assert lines[0].startswith("#schema=de3p3.v1:q,a,b,predicate,brute")
-    rows = [line.split(",") for line in data_rows(r.stdout)]
+    rows = [line.split(",") for line in data_rows(out)]
     assert len(rows) == 729
     assert all(row[3] == row[4] for row in rows)
     assert sum(row[3] == "1" for row in rows) == 13
 
 
-def test_lowdeg_cubic_rows_match_the_verify_rows():
+def test_lowdeg_cubic_rows_match_the_verify_rows(monkeypatch, capsys):
     by_field = {}
     for q, a, b, pred, got in verify.run("de3p3").rows:
         by_field.setdefault(q, []).append((a, b, pred, got))
     for q, b, pred, got in verify.run("de3pne3").rows:
         by_field.setdefault(q, []).append((0, b, pred, got))
     for field, q in (("p=3,m=2", 9), ("p=7,m=1", 7), ("p=2,m=4", 16)):
-        r = run_cli("lowdeg", "--degree", "3", "--field", field)
-        assert r.returncode == 0, r.stderr
-        assert r.stdout.startswith("#schema=lowdeg3.v1:a,b,predicted,brute_force,agree\n")
+        rc, out, err = main_in_process(monkeypatch, capsys, "lowdeg", "--degree", "3",
+                                       "--field", field)
+        assert rc == 0, err
+        assert out.startswith("#schema=lowdeg3.v1:a,b,predicted,brute_force,agree\n")
         want = [f"{a},{b},{p},{g},{int(p == g)}" for a, b, p, g in by_field[q]]
         assert len(want) == (q * q if q == 9 else q)
-        assert data_rows(r.stdout) == want
+        assert data_rows(out) == want
 
 
-def test_sweep_rows_match_the_verify_rows():
+def test_sweep_rows_match_the_verify_rows(monkeypatch, capsys):
     sub, big = Field(3, 3), Field(3, 6)
-    r = run_cli("sweep", "gouzao1", "--q1", "27")
-    assert r.returncode == 0, r.stderr
+    rc, out, err = main_in_process(monkeypatch, capsys, "sweep", "gouzao1", "--q1", "27")
+    assert rc == 0, err
     rows = verify.run("gouzao1").rows
-    assert f"#positives={sum(row[2] for row in rows)}\n" in r.stdout
-    assert data_rows(r.stdout) == [
+    assert f"#positives={sum(row[2] for row in rows)}\n" in out
+    assert data_rows(out) == [
         f"{':'.join(map(str, sub.coeffs(t)))},{':'.join(map(str, big.coeffs(d)))},{p},{g},{int(p == g)}"
         for t, d, p, g in rows]
     for family, q, r_, count in (("miu2", 11, 3, 11 ** 2), ("miu2", 7, 5, 7 ** 2),
                                  ("miu3", 13, 5, 4 ** 3), ("nmiu3", 13, 5, 5 ** 4)):
-        r = run_cli("sweep", family, "--field", f"p={q},m=1", "--r", str(r_))
-        assert r.returncode == 0, r.stderr
+        rc, out, err = main_in_process(monkeypatch, capsys, "sweep", family,
+                                       "--field", f"p={q},m=1", "--r", str(r_))
+        assert rc == 0, err
         want = [",".join(map(str, row[2:] + (int(row[-2] == row[-1]),)))
                 for row in verify.run(family).rows if row[:2] == (q, r_)]
         assert len(want) == count
-        assert data_rows(r.stdout) == want
+        assert data_rows(out) == want
 
 
-def test_sweep_with_one_point_per_branch():
+def test_sweep_with_one_point_per_branch(monkeypatch, capsys):
     # s = (q-1)/ell = 1: ell-1 zero branch values make the map ell-to-1
     for args in (("miu2", "--field", "p=3,m=1"), ("nmiu3", "--field", "p=5,m=1"),
                  ("miu3", "--field", "p=2,m=2")):
-        r = run_cli("sweep", *args, "--r", "1")
-        assert r.returncode == 0, r.stderr
-        rows = data_rows(r.stdout)
-        assert rows and all(row.endswith(",1") for row in rows), r.stdout
+        rc, out, err = main_in_process(monkeypatch, capsys, "sweep", *args, "--r", "1")
+        assert rc == 0, err
+        rows = data_rows(out)
+        assert rows and all(row.endswith(",1") for row in rows), out
 
 
-def test_construct_tower_family():
-    r = run_cli("construct", "gouzao1", "--q1", "27", "--m", "1", "--delta", "1")
-    assert r.returncode == 0, r.stderr
-    out = json.loads(r.stdout)
+def test_construct_tower_family(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "construct", "gouzao1", "--q1", "27",
+                                   "--m", "1", "--delta", "1")
+    assert rc == 0, err
+    out = json.loads(out)
     assert out["family"] == "gouzao1"
     assert out["predicate"] is True
     assert out["brute_force"] is True
     assert out["agree"] is True
 
 
-def test_construct_branch_family():
-    r = run_cli("construct", "miu2", "--field", "p=7,m=1", "--r", "1",
-                "--values", "1,1")
-    assert r.returncode == 0, r.stderr
-    out = json.loads(r.stdout)
+def test_construct_branch_family(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "construct", "miu2", "--field", "p=7,m=1",
+                                   "--r", "1", "--values", "1,1")
+    assert rc == 0, err
+    out = json.loads(out)
     assert out["agree"] is True
 
 
-def test_walsh_table_smoke():
-    r = run_cli("walsh", "--field", "p=3,m=2", "--poly", "x^2")
-    assert r.returncode == 0, r.stderr
-    assert "#verdict=1" in r.stdout and "#brute=1" in r.stdout
-    assert len(data_rows(r.stdout)) == 9
+def test_walsh_table_smoke(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "walsh", "--field", "p=3,m=2",
+                                   "--poly", "x^2")
+    assert rc == 0, err
+    assert "#verdict=1" in out and "#brute=1" in out
+    assert len(data_rows(out)) == 9
 
 
-def test_usage_errors_exit_2():
-    assert run_cli("classify", "--field", "p=4,m=1", "--poly", "x").returncode == 2
-    assert run_cli("verify-theorem", "nosuch").returncode == 2
+def test_usage_errors_exit_2(monkeypatch, capsys):
+    def rc(*args):
+        return main_in_process(monkeypatch, capsys, *args)[0]
+
+    assert rc("classify", "--field", "p=4,m=1", "--poly", "x") == 2
+    assert rc("verify-theorem", "nosuch") == 2
     # r=3 shares a factor with (q-1)/2 = 3: outside the theorem, not a sweep row
-    assert run_cli("sweep", "miu2", "--field", "p=7,m=1", "--r", "3").returncode == 2
+    assert rc("sweep", "miu2", "--field", "p=7,m=1", "--r", "3") == 2
     # a malformed --field filter is refused with the field's own message
     for field, msg in (("p=3", "--field needs p=<prime>,m=<degree>"),
                        ("p=4,m=1", "p=4 is not a prime")):
-        r = run_cli("verify-theorem", "de3p3", "--field", field)
-        assert r.returncode == 2 and msg in r.stderr, r.stderr
+        code, _, err = main_in_process(monkeypatch, capsys, "verify-theorem", "de3p3",
+                                       "--field", field)
+        assert code == 2 and msg in err, err
     # --all never filters, so a field filter beside it is a conflict, not
     # ignored; verify-theorem takes no --spec at all
     for extra, msg in ((("--field", "p=4,m=1"), "--all conflicts with --field"),
                        (("--field", "p=7,m=1"), "--all conflicts with --field"),
                        (("--spec", "f.json"), "unrecognized arguments: --spec")):
-        r = run_cli("verify-theorem", "--all", *extra)
-        assert r.returncode == 2 and msg in r.stderr and not r.stdout, r.stderr
+        code, out, err = main_in_process(monkeypatch, capsys, "verify-theorem", "--all", *extra)
+        assert code == 2 and msg in err and not out, err
     for poly, msg in (("x^-1", "negative exponent in 'x^-1'"),
                       ("x^3-", "dangling '-' in 'x^3-'")):
-        r = run_cli("classify", "--field", "p=7,m=1", "--poly", poly)
-        assert r.returncode == 2 and msg in r.stderr, r.stderr
+        code, _, err = main_in_process(monkeypatch, capsys, "classify", "--field", "p=7,m=1",
+                                       "--poly", poly)
+        assert code == 2 and msg in err, err
+
+
+def test_verify_all_conflicts_with_a_theorem_id(monkeypatch, capsys):
+    # --all runs every sweep, so a theorem id beside it is a conflict, not ignored
+    want = ("nto1: --all conflicts with the theorem id 'walsh': --all runs every sweep; "
+            "give one or the other\n")
+    for args in (("walsh", "--all"), ("--all", "walsh")):
+        assert main_in_process(monkeypatch, capsys, "verify-theorem", *args) == (2, "", want)
+
+
+def test_poly_coefficients_outside_the_field_exit_2(monkeypatch, capsys):
+    # a coefficient is an element code in [0, q): refused, not reduced mod q
+    for field, poly, msg in (("p=5,m=1", "x^2 + 5", "coefficient 5 is outside [0, 5)"),
+                             ("p=5,m=1", "7*x", "coefficient 7 is outside [0, 5)"),
+                             ("p=5,m=2", "25*x", "coefficient 25 is outside [0, 25)"),
+                             ("p=5,m=2", "x - 32", "coefficient 32 is outside [0, 25)")):
+        got = main_in_process(monkeypatch, capsys, "classify", "--field", field, "--poly", poly)
+        assert got == (2, "", f"nto1: --poly: {msg}\n"), (field, poly)
+    # the largest code is still an element
+    rc, out, _ = main_in_process(monkeypatch, capsys, "classify", "--field", "p=5,m=2",
+                                 "--poly", "24*x")
+    assert rc == 0 and json.loads(out)["n"] == 1
 
 
 def test_digits_outside_the_prime_field_exit_2(monkeypatch, capsys):
@@ -190,31 +224,36 @@ def test_poly_and_table_exclude_each_other(monkeypatch, capsys, command):
     assert rc == 0 and out
 
 
-def test_params_option_is_gone():
-    for args in (("sweep", "miu2", "--field", "p=7,m=1", "--params", "r=1"),
-                 ("construct", "gouzao1", "--params", "q1=27,delta=5")):
-        r = run_cli(*args)
-        assert r.returncode == 2 and "unrecognized arguments: --params" in r.stderr, r.stderr
+def test_params_option_is_gone(monkeypatch, capsys):
+    # argparse's own exit 2, once through a fresh interpreter
+    r = run_cli("sweep", "miu2", "--field", "p=7,m=1", "--params", "r=1")
+    assert r.returncode == 2 and "unrecognized arguments: --params" in r.stderr, r.stderr
+    rc, _, err = main_in_process(monkeypatch, capsys, "construct", "gouzao1",
+                                 "--params", "q1=27,delta=5")
+    assert rc == 2 and "unrecognized arguments: --params" in err, err
 
 
 @pytest.mark.parametrize("command", [("sweep",), ("construct", "--delta", "1")])
-def test_q1_not_a_prime_power_exit_2(command):
+def test_q1_not_a_prime_power_exit_2(monkeypatch, capsys, command):
     for q1 in ("0", "1", "6"):
-        r = run_cli(command[0], "gouzao1", "--q1", q1, *command[1:])
-        assert r.returncode == 2 and r.stderr == f"nto1: --q1 {q1} is not a prime power\n", r.stderr
+        rc, _, err = main_in_process(monkeypatch, capsys, command[0], "gouzao1", "--q1", q1,
+                                     *command[1:])
+        assert rc == 2 and err == f"nto1: --q1 {q1} is not a prime power\n", err
 
 
-def test_diagram_needs_exactly_one_source(tmp_path):
-    r = run_cli("diagram", "--seed", "5")
-    assert r.returncode == 2 and "one of the arguments --in --random is required" in r.stderr
+def test_diagram_needs_exactly_one_source(monkeypatch, capsys, tmp_path):
+    rc, _, err = main_in_process(monkeypatch, capsys, "diagram", "--seed", "5")
+    assert rc == 2 and "one of the arguments --in --random is required" in err
     path = tmp_path / "square.json"
     path.write_text("{}")
-    r = run_cli("diagram", "--in", str(path), "--random")
-    assert r.returncode == 2 and "not allowed with argument" in r.stderr, r.stderr
+    rc, _, err = main_in_process(monkeypatch, capsys, "diagram", "--in", str(path), "--random")
+    assert rc == 2 and "not allowed with argument" in err, err
 
 
-def test_diagram_in_refuses_malformed_labels(tmp_path):
-    spec = json.loads(run_cli("diagram", "--random", "--seed", "3", "--n", "2").stdout)["spec"]
+def test_diagram_in_refuses_malformed_labels(monkeypatch, capsys, tmp_path):
+    _, out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "3",
+                                "--n", "2")
+    spec = json.loads(out)["spec"]
     a = spec["A"][0]
     for key, value, msg in (
             ("A", [[0, 1], *spec["A"][1:]], "A: [0, 1] is not a label, an int in [0, 2^20)"),
@@ -224,18 +263,20 @@ def test_diagram_in_refuses_malformed_labels(tmp_path):
             ("f", [pair for pair in spec["f"] if pair[0] != a], f"f has no pair for {a}")):
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps({**spec, key: value}))
-        r = run_cli("diagram", "--in", str(path))
-        assert (r.returncode, r.stdout) == (2, ""), r.stderr
-        assert r.stderr == f"nto1: --in {path}: {msg}\n"
+        rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--in", str(path))
+        assert (rc, out) == (2, ""), err
+        assert err == f"nto1: --in {path}: {msg}\n"
 
 
 def test_domain_gate_exit_3_and_nightly_override():
+    # exit 3 and the NTO1_NIGHTLY=1 override, through a fresh interpreter
     args = ("classify", "--field", "p=2,m=14", "--poly", "x^3")
     assert run_cli(*args).returncode == 3
     assert run_cli(*args, env_extra={"NTO1_NIGHTLY": "1"}).returncode == 0
 
 
 def test_quartic_hits_exit_1_with_witness():
+    # exit 1 with its witness on stderr, through a fresh interpreter
     r = run_cli("lowdeg", "--field", "p=5,m=1", "--degree", "4")
     assert r.returncode == 1
     assert "#exhaustive=1" in r.stdout
@@ -243,50 +284,56 @@ def test_quartic_hits_exit_1_with_witness():
     assert r.stderr.strip()
 
 
-def test_quartic_search_exhaustive_at_the_cap():
-    r = run_cli("lowdeg", "--field", "p=7,m=3", "--degree", "4")
-    assert r.returncode == 0, r.stderr
-    assert "#exhaustive=1\n" in r.stdout and "#tried=40353607\n" in r.stdout
-    assert not data_rows(r.stdout)
-    r = run_cli("lowdeg", "--field", "p=7,m=3", "--degree", "4", "--seed", "3")
-    assert r.returncode == 2 and "unrecognized arguments: --seed 3" in r.stderr, r.stderr
+def test_quartic_search_exhaustive_at_the_cap(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "lowdeg", "--field", "p=7,m=3",
+                                   "--degree", "4")
+    assert rc == 0, err
+    assert "#exhaustive=1\n" in out and "#tried=40353607\n" in out
+    assert not data_rows(out)
+    rc, _, err = main_in_process(monkeypatch, capsys, "lowdeg", "--field", "p=7,m=3",
+                                 "--degree", "4", "--seed", "3")
+    assert rc == 2 and "unrecognized arguments: --seed 3" in err, err
 
 
-def test_sweep_schema_line():
-    r = run_cli("sweep", "miu2", "--field", "p=7,m=1", "--r", "1")
-    assert r.returncode == 0, r.stderr
-    assert r.stdout.splitlines()[0].startswith("#schema=")
+def test_sweep_schema_line(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "sweep", "miu2", "--field", "p=7,m=1",
+                                   "--r", "1")
+    assert rc == 0, err
+    assert out.splitlines()[0].startswith("#schema=")
 
 
-def test_byte_determinism():
+def test_byte_determinism(monkeypatch, capsys):
+    # one run in a fresh interpreter (its own hash seed, cold memo), one here
     a = run_cli("verify-theorem", "miu2")
-    b = run_cli("verify-theorem", "miu2")
-    assert a.returncode == b.returncode == 0
-    assert a.stdout == b.stdout
+    b_rc, b_out, _ = main_in_process(monkeypatch, capsys, "verify-theorem", "miu2")
+    assert a.returncode == b_rc == 0
+    assert a.stdout == b_out
     c = run_cli("diagram", "--random", "--seed", "5", "--n", "3")
-    d = run_cli("diagram", "--random", "--seed", "5", "--n", "3")
-    assert c.stdout == d.stdout and c.returncode == 0
+    _, d_out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "5",
+                                  "--n", "3")
+    assert c.stdout == d_out and c.returncode == 0
 
 
-def test_diagram_roundtrip(tmp_path):
-    r = run_cli("diagram", "--random", "--seed", "3", "--n", "2")
-    assert r.returncode == 0, r.stderr
-    out = json.loads(r.stdout)
+def test_diagram_roundtrip(monkeypatch, capsys, tmp_path):
+    rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "3",
+                                   "--n", "2")
+    assert rc == 0, err
+    out = json.loads(out)
     assert out["verified"] is True
     path = tmp_path / "square.json"
     path.write_text(json.dumps(out["spec"]))
-    r2 = run_cli("diagram", "--in", str(path))
-    assert r2.returncode == 0, r2.stderr
-    assert json.loads(r2.stdout)["verified"] is True
+    rc2, out2, err2 = main_in_process(monkeypatch, capsys, "diagram", "--in", str(path))
+    assert rc2 == 0, err2
+    assert json.loads(out2)["verified"] is True
 
 
-def test_verify_all_summary():
-    r = run_cli("verify-theorem", "--all")
-    assert r.returncode == 1
-    lines = r.stdout.splitlines()
+def test_verify_all_summary(monkeypatch, capsys):
+    rc, out, err = main_in_process(monkeypatch, capsys, "verify-theorem", "--all")
+    assert rc == 1
+    lines = out.splitlines()
     assert lines[0].startswith("#schema=verify-all.v1:id,rows,ok")
-    rows = [line.split(",") for line in data_rows(r.stdout)]
+    rows = [line.split(",") for line in data_rows(out)]
     assert len(rows) == 18
     failing = sorted(row[0] for row in rows if row[2] == "0")
     assert failing == ["gouzao3", "quartic"]
-    assert "quartic:" in r.stderr and "gouzao3:" in r.stderr
+    assert "quartic:" in err and "gouzao3:" in err

@@ -3,6 +3,7 @@ enforcement, and the closed-form predicates."""
 
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,7 +15,7 @@ from nto1 import (
 )
 from nto1 import families
 from nto1.counting import n_to_1_rows
-from nto1.errors import ConstructionMismatch, FieldMismatch, HypothesisViolated
+from nto1.errors import ConstructionMismatch, FieldMismatch
 from nto1.families import (
     branch_case_predicate, branch_constant_predicate, branch_tables, build_additive_split,
     build_branch_interpolation, build_coset_power, build_linearized_mix,
@@ -57,9 +58,8 @@ def test_additive_split_equivalence():
                 break
             psi, phi = _sub_coeff_qpolys(emb, rng, 2)
             g = Poly.monomial(emb.big, 1, 2)
-            try:
-                inst = build_additive_split(emb, psi, psi, phi, Poly.constant(emb.big, 1), g, n)
-            except HypothesisViolated:
+            inst = build_additive_split(emb, psi, psi, phi, Poly.constant(emb.big, 1), g, n)
+            if not inst.ok:
                 continue
             clean += 1
             assert_equivalent(inst)
@@ -71,11 +71,9 @@ def test_additive_split_rejects_nonadditive_psi():
     big = emb.big
     square = Poly.monomial(big, 1, 2)  # not additive in char 3
     ident = Poly.x(big)
-    with pytest.raises(HypothesisViolated):
-        build_additive_split(emb, square, square, ident, Poly.constant(big, 1), ident, 1)
-    inst = build_additive_split(emb, square, square, ident, Poly.constant(big, 1), ident, 1,
-                                strict=False)
+    inst = build_additive_split(emb, square, square, ident, Poly.constant(big, 1), ident, 1)
     assert not inst.ok
+    assert inst.violations[0].hypothesis == "psi additive"
     assert any("additive" in v.hypothesis for v in inst.violations)
 
 
@@ -91,9 +89,8 @@ def test_linearized_mix_equivalence():
             break
         L1, L2, L3 = _sub_coeff_qpolys(emb, rng, 3)
         n = rng.choice([1, 3])
-        try:
-            inst = build_linearized_mix(emb, L1, L2, L3, norm, n)
-        except HypothesisViolated:
+        inst = build_linearized_mix(emb, L1, L2, L3, norm, n)
+        if not inst.ok:
             continue
         clean += 1
         assert_equivalent(inst)
@@ -113,7 +110,7 @@ def test_coset_power_monomial_shadow():
                 h = Poly.monomial(ctx, ctx.pow(ctx.beta, s), t)  # beta^s is an ell-th root
                 n = coset_power_monomial_n(ctx, r, s, h)
                 assert n is not None
-                inst = build_coset_power(ctx, r, s, h, n, strict=False)
+                inst = build_coset_power(ctx, r, s, h, n)
                 rep = inst.classify()
                 assert rep.n == n
                 assert rep.exception == ((0, 1) if n > 1 else None)
@@ -126,6 +123,42 @@ def test_coset_power_s1_is_the_monomial_rule():
             h = Poly.monomial(ctx, 1, t)
             n = coset_power_monomial_n(ctx, r, 1, h)
             assert n == monomial_oracle(ctx, 1, ((r + t - 1) % 10) + 1)
+
+
+def test_coset_square_with_one_root_records_it():
+    # ell = (q-1)/s = 1 leaves a one-point carrier, which is no square
+    ctx = Field(13, 1)
+    inst = build_coset_power(ctx, 1, 12, Poly.monomial(ctx, 1, 0), 1)
+    assert [(v.hypothesis, v.witness) for v in inst.violations] == [("#S > 1", 1)]
+    assert not verify_diagram(inst.diagram()).ok
+    emb = SubfieldEmbed(Field(2, 3), Field(2, 1))  # one subfield unit
+    inst = build_norm_lift(emb, 1, Poly.constant(emb.sub, 1), 1)
+    assert [(v.hypothesis, v.witness) for v in inst.violations] == [("#S > 1", 1)]
+    assert not verify_diagram(inst.diagram()).ok
+
+
+def test_clean_coset_squares_pass_verify_diagram():
+    # inst.ok is the one test of a clean instance, so it must imply the square
+    checked = 0
+    for ctx in (Field(7, 1), Field(13, 1), Field(2, 4)):
+        q = ctx.order
+        for s in (d for d in range(1, q) if (q - 1) % d == 0):
+            ell = (q - 1) // s
+            for r in range(1, q - 1, 2):
+                for t in range(3):
+                    h = Poly.monomial(ctx, ctx.pow(ctx.beta, s), t)
+                    for n in (d for d in range(1, ell + 1) if ell % d == 0):
+                        inst = build_coset_power(ctx, r, s, h, n)
+                        assert not inst.ok or verify_diagram(inst.diagram()).ok, inst
+                        checked += inst.ok
+    for big, sub in (((2, 3), (2, 1)), ((3, 3), (3, 1)), ((2, 6), (2, 2)), ((5, 3), (5, 1))):
+        emb = SubfieldEmbed(Field(*big), Field(*sub))
+        for r in (1, 2, 3, 5):
+            for hc in range(1, emb.sub.order):
+                inst = build_norm_lift(emb, r, Poly.constant(emb.sub, hc), 1)
+                assert not inst.ok or verify_diagram(inst.diagram()).ok, inst
+                checked += inst.ok
+    assert checked > 100
 
 
 # -- norm lift -----------------------------------------------------------------
@@ -152,21 +185,20 @@ def test_norm_lift_codec_disagreement_is_a_typed_error(monkeypatch):
 
 def test_norm_lift_enforces_r_coprime_to_norm_exponent():
     emb = SubfieldEmbed(Field(3, 3), Field(3, 1))
-    with pytest.raises(HypothesisViolated):
-        build_norm_lift(emb, 13, Poly.constant(emb.sub, 1), 2)  # s = 13
+    inst = build_norm_lift(emb, 13, Poly.constant(emb.sub, 1), 2)  # s = 13
+    assert inst.violations[0].hypothesis == "r coprime to the norm exponent"
+    assert inst.violations[0].witness == (13, 13)
 
 
 def test_raw_tables_are_refused_where_terms_are_read():
     emb = SubfieldEmbed(Field(3, 4), Field(3, 2))
     x = Poly.x(emb.big)
-    with pytest.raises(HypothesisViolated, match="L1 linearized with subfield coefficients"):
-        build_linearized_mix(emb, np.arange(81), x, x, x, 3)
-    inst = build_linearized_mix(emb, np.arange(81), x, x, x, 3, strict=False)
+    inst = build_linearized_mix(emb, np.arange(81), x, x, x, 3)
     assert inst.violations[0].hypothesis == "L1 linearized with subfield coefficients"
     assert inst.violations[0].witness == "raw value table ndarray"
     with pytest.raises(TypeError, match="embeds the coefficients of h_sub"):
         build_norm_lift(SubfieldEmbed(Field(3, 3), Field(3, 1)), 1,
-                        np.ones(3, dtype=np.int64), 2, strict=False)
+                        np.ones(3, dtype=np.int64), 2)
 
 
 # -- two-branch lift ------------------------------------------------------------
@@ -186,9 +218,8 @@ def test_two_branch_lift_exhaustive_gf3_to_gf27():
     for r in (1, 2, 3):
         for a in range(3):
             for b in range(3):
-                try:
-                    inst = build_two_branch_lift(emb, r, a, b)
-                except HypothesisViolated:
+                inst = build_two_branch_lift(emb, r, a, b)
+                if not inst.ok:
                     continue
                 checked += 1
                 assert inst.holds() == inst.meta["predicate"], (r, a, b)
@@ -199,9 +230,8 @@ def test_two_branch_lift_needs_the_downstairs_hypotheses():
     # GF(5) has q = 1 mod 4: the two-branch criterion is not claimed there,
     # and the lift must not pretend otherwise
     emb = SubfieldEmbed(Field(5, 5), Field(5, 1))
-    with pytest.raises(HypothesisViolated):
-        build_two_branch_lift(emb, 1442, 1, 3)
-    inst = build_two_branch_lift(emb, 1442, 1, 3, strict=False)
+    inst = build_two_branch_lift(emb, 1442, 1, 3)
+    assert inst.violations[0].hypothesis == "subfield size 3 mod 4"
     assert any("3 mod 4" in v.hypothesis for v in inst.violations)
 
 
@@ -224,14 +254,14 @@ def test_branch_interpolation_mini_sweep():
         for a in range(7):
             for b in range(7):
                 pred = branch_case_predicate(ctx, r, [a, b])
-                inst = build_branch_interpolation(ctx, r, [a, b], strict=False)
+                inst = build_branch_interpolation(ctx, r, [a, b])
                 assert inst.holds() == pred, (r, a, b)
 
 
 def test_branch_interpolation_hits_its_values():
     ctx = Field(13, 1)
     values = [5, 0, 7]
-    inst = build_branch_interpolation(ctx, 2, values, strict=False)
+    inst = build_branch_interpolation(ctx, 2, values)
     h = inst.meta["h"]
     omega = ctx.unit_root(3)
     for i, v in enumerate(values):
@@ -267,7 +297,7 @@ def test_block_verdicts_match_scalar_built_maps():
                 assert got.tolist() == [w.tolist() for w in want], (q, ell, r)
                 assert (n_to_1_rows(got, q, ell).tolist()
                         == [is_n_to_1(w, None, ell) for w in want]), (q, ell, r)
-                inst = build_branch_interpolation(ctx, r, rows[0], strict=False)
+                inst = build_branch_interpolation(ctx, r, rows[0])
                 assert inst.f.tolist() == got[0].tolist()
 
 
@@ -324,8 +354,9 @@ def test_piecewise_off_plan_is_a_typed_error(monkeypatch):
 def test_piecewise_rejects_unbalanced_targets():
     ctx = Field(7, 1)
     spec = PiecewiseSpec(r=1, s=1, n=2, targets=[0, 0, 0, 1, 2, 2], levels=[0] * 6)
-    with pytest.raises(HypothesisViolated):
-        solve_piecewise(ctx, spec)
+    inst = solve_piecewise(ctx, spec)
+    assert inst.violations[0].hypothesis == "each chosen target hit exactly n times"
+    assert inst.violations[0].witness == {0: 3, 1: 1, 2: 2}
 
 
 # -- translate link ------------------------------------------------------------------
@@ -341,7 +372,7 @@ def test_translate_link_equivalence():
                 break
             g = Poly.from_dense(ctx, [rng.randrange(ctx.order) for _ in range(4)])
             delta = rng.randrange(ctx.order)
-            inst = build_translate_link(ctx, q, 1, g, 1, delta, ctx.p, strict=False)
+            inst = build_translate_link(ctx, q, 1, g, 1, delta, ctx.p)
             if not inst.ok:
                 continue
             made += 1
@@ -355,7 +386,7 @@ def test_translate_link_exceptional_reduced_blows_up_irregular():
     ctx = Field(2, 4)
     for gc, delta in (([1, 3, 15, 4], 0), ([4, 0, 14, 13], 13)):
         inst = build_translate_link(ctx, 4, 1, Poly.from_dense(ctx, gc),
-                                    1, delta, 2, strict=False)
+                                    1, delta, 2)
         assert inst.ok
         assert inst.classify_reduced().exception is not None
         assert inst.classify().irregular
@@ -364,8 +395,9 @@ def test_translate_link_exceptional_reduced_blows_up_irregular():
 def test_translate_link_rejects_bad_c():
     ctx = Field(2, 4)
     # c = beta generates GF(16), not the linking subfield GF(4)
-    with pytest.raises(HypothesisViolated):
-        build_translate_link(ctx, 4, 1, Poly.x(ctx), ctx.beta, 0, 2)
+    inst = build_translate_link(ctx, 4, 1, Poly.x(ctx), ctx.beta, 0, 2)
+    assert inst.violations[0].hypothesis == "c a unit of the linking subfield"
+    assert inst.violations[0].witness == ctx.beta
 
 
 # -- tabulated shift-power shapes ------------------------------------------------------
@@ -399,6 +431,18 @@ def test_shift_power_small_sweep_counts():
     assert sum(pred for _, _, pred, _ in rows) == 14
 
 
+def test_shift_power_gate_is_decided_once():
+    # gcd((3*q1*q - 1)/2, q - 1) = gcd(40, 8) = 8 over GF(81)/GF(9) with q1 = 3
+    emb = SubfieldEmbed(Field(3, 4), Field(3, 2))
+    note = "gcd((3*q1*q - 1)/2, q - 1) = 1"
+    with pytest.raises(ValueError, match=re.escape(
+            f"gouzao1: the arithmetic gate {note} fails for this tower, "
+            "so the predicate is not claimed")):
+        sweep_shift_power(emb, "gouzao1", 3)
+    inst = build_shift_power(emb, "gouzao1", 0, q1=3)  # one instance is built and flagged
+    assert (inst.violations[0].hypothesis, inst.violations[0].witness) == (note, (3, 9))
+
+
 def test_shift_power_tower_validation():
     emb = SubfieldEmbed(Field(3, 6), Field(3, 3))
     with pytest.raises(ValueError):
@@ -422,19 +466,19 @@ def _one_instance_per_builder():
     big = emb.big
     psi, phi = _sub_coeff_qpolys(emb, rng, 2)
     h, g = Poly.constant(big, 1), Poly.monomial(big, 1, 2)
-    out.append((build_additive_split(emb, psi, psi, phi, h, g, 2, strict=False),
+    out.append((build_additive_split(emb, psi, psi, phi, h, g, 2),
                 lambda y: big.add(big.mul(h(y), phi(y)), psi(g(y)))))
 
     emb3 = SubfieldEmbed(Field(3, 4), Field(3, 2))
     big3 = emb3.big
     L1, L2, L3 = _sub_coeff_qpolys(emb3, rng, 3)
     norm = Poly.monomial(big3, 1, 1 + emb3.q_sub)
-    out.append((build_linearized_mix(emb3, L1, L2, L3, norm, 3, strict=False),
+    out.append((build_linearized_mix(emb3, L1, L2, L3, norm, 3),
                 lambda y: big3.add(L1(y), big3.mul(L2(y), norm(y)))))
 
     f13 = Field(13, 1)
     hc = Poly.from_dense(f13, [2, 1])
-    out.append((build_coset_power(f13, 5, 3, hc, 2, strict=False),
+    out.append((build_coset_power(f13, 5, 3, hc, 2),
                 lambda y: f13.mul(f13.pow(y, 5), f13.pow(hc(y), 3))))
 
     lift = SubfieldEmbed(Field(3, 3), Field(3, 1))
@@ -444,15 +488,15 @@ def _one_instance_per_builder():
         r, h_sub = inst.meta["r"], inst.meta["h"]
         return lambda y: up.mul(up.pow(y, r), up.pow(lift.embed(h_sub(lift.project(y))), 3))
 
-    inst = build_norm_lift(lift, 7, Poly.from_dense(sub, [1, 1, 1]), 2, strict=False)
+    inst = build_norm_lift(lift, 7, Poly.from_dense(sub, [1, 1, 1]), 2)
     assert inst.meta["sub_reduced"].tolist() == [
         sub.mul(sub.pow(y, 7), sub.pow(inst.meta["h"](y), 3)) for y in sub.elements()]
     out.append((inst, norm_formula(inst)))
-    inst = build_two_branch_lift(lift, 1, 1, 2, strict=False)
+    inst = build_two_branch_lift(lift, 1, 1, 2)
     out.append((inst, norm_formula(inst)))
 
     values = [5, 0, 7]
-    inst = build_branch_interpolation(f13, 5, values, strict=False)
+    inst = build_branch_interpolation(f13, 5, values)
     roots = dict(zip(f13.roots_of_unity(3), values))
     out.append((inst, lambda y: f13.mul(f13.pow(y, 5), f13.pow(roots[y], 4))))
 
@@ -464,7 +508,7 @@ def _one_instance_per_builder():
     f16 = Field(2, 4)
     gt = Poly.from_dense(f16, [1, 3, 15, 4])
     c = next(c for c in range(2, 16) if f16.pow(c, 4) == c)  # a unit of GF(4)
-    out.append((build_translate_link(f16, 4, 1, gt, c, 13, 2, strict=False),
+    out.append((build_translate_link(f16, 4, 1, gt, c, 13, 2),
                 lambda y: f16.add(f16.add(f16.sub(f16.pow(gt(y), 4), gt(y)), f16.mul(c, y)),
                                   f16.mul(f16.sub(1, c), 13))))
 
@@ -528,12 +572,11 @@ def _bad_maps(ctx):
 _F13, _F16 = Field(13, 1), Field(2, 4)
 _X16 = Poly.x(_F16)
 MAP_DOORS = {
-    "coset_power": (_F13, lambda h: build_coset_power(_F13, 1, 2, h, 1, strict=False)),
+    "coset_power": (_F13, lambda h: build_coset_power(_F13, 1, 2, h, 1)),
     "coset_power_monomial": (_F13, lambda h: coset_power_monomial(_F13, 2, h)),
-    "translate_link": (_F16, lambda g: build_translate_link(_F16, 4, 1, g, 1, 0, 2,
-                                                            strict=False)),
+    "translate_link": (_F16, lambda g: build_translate_link(_F16, 4, 1, g, 1, 0, 2)),
     "additive_split": (_F16, lambda h: build_additive_split(
-        SubfieldEmbed(_F16, Field(2, 2)), _X16, _X16, _X16, h, _X16, 2, strict=False)),
+        SubfieldEmbed(_F16, Field(2, 2)), _X16, _X16, _X16, h, _X16, 2)),
 }
 
 
