@@ -36,7 +36,7 @@ from .lowdeg import (
 from .polys import LinearizedPoly, Poly, eval_rows, is_additive
 from .verify import RUNNERS, RunResult, run
 from .walsh import (
-    CycloInt, PhiGadget, additive_convolution, char_sum, phi_prime_power,
+    PhiGadget, additive_convolution, char_sum, phi_prime_power,
     phi_two, spectral_verdict, validate_phi, walsh, walsh_zero_table,
 )
 

@@ -227,11 +227,15 @@ def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
     and wire f as a random bijection fiber-by-fiber.  The g profile is drawn
     from four shapes: strictly n-to-1, n-to-1 with a singleton exception
     (condition3 holds), n-to-1 with a fat exceptional fiber (condition3
-    fails), and irregular.
+    fails), and irregular.  At n = 1 (permutations) no exceptional fiber
+    size 1 <= t < n exists, so only strict and irregular are drawn.
+    ValueError when n < 1, or when no draw fits in max_set points.
     """
     if n is None:
         n = rng.choice([2, 2, 3, 3, 4, 5])
-    mode = rng.choice(["strict", "exc1", "excfat", "irregular"])
+    if n < 1:
+        raise ValueError(f"diagram needs n >= 1, got n={n}")
+    mode = rng.choice(["strict", "exc1", "excfat", "irregular"] if n > 1 else ["strict", "irregular"])
 
     for _ in range(200):
         # g fiber sizes over the image; #S = sum of sizes
@@ -322,4 +326,4 @@ def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
         f[cursor] = targets
         return DiagramSpec(A=A, S=S, Sbar=Sbar, f=f, g=g,
                            lam=lam, lambar=lambar, n=n)
-    raise RuntimeError("diagram sampling failed to converge")
+    raise ValueError(f"no random diagram with n={n} and at most max_set={max_set} points in 200 draws")

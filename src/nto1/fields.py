@@ -50,6 +50,8 @@ from .errors import (
 )
 
 _PRIME_CAP = 2 ** 31
+# trial divisors stop here, so every n below 2^48 factors
+_TRIAL_BOUND = 2 ** 24
 _LOG_TABLE_CAP = 2 ** 20
 
 # Process-wide construction memo; keys by their first entry:
@@ -95,14 +97,26 @@ def _is_prime(p: int) -> bool:
 
 
 def _prime_factors(n: int) -> list[int]:
-    out = []
+    """The distinct prime factors of n >= 1, ascending, by trial division up
+    to _TRIAL_BOUND, 2^16 divisors per numpy block.  FieldTooLarge when the
+    cofactor left over is above _TRIAL_BOUND^2, where it may be composite."""
+    out, whole = [], n
     d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
+    while d <= _TRIAL_BOUND and d * d <= n:
+        ds = np.arange(d, min(d + 2 ** 16, math.isqrt(n), _TRIAL_BOUND) + 1, dtype=np.int64)
+        # n mod ds by Horner on 32-bit limbs: r < 2^24, so r * 2^32 + limb fits int64
+        r = np.zeros_like(ds)
+        for shift in range(n.bit_length() // 32 * 32, -1, -32):
+            r = ((r << 32) | ((n >> shift) & 0xFFFFFFFF)) % ds
+        for x in ds[r == 0].tolist():
+            if n % x == 0:  # false for composite x: its prime factors are gone
+                out.append(x)
+                while n % x == 0:
+                    n //= x
+        d = int(ds[-1]) + 1
+    if n > _TRIAL_BOUND ** 2:
+        raise FieldTooLarge(f"cannot factor {whole}: its cofactor {n} is above 2^48 "
+                            "with no prime factor up to 2^24")
     if n > 1:
         out.append(n)
     return out
@@ -252,12 +266,15 @@ class Field:
                 raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
         self._pow_p = tuple(p ** i for i in range(m))
-        if beta is None:
-            self.beta = _memo(("beta", p, m, self.modulus), self._find_primitive)
-        else:
-            self.beta = self.element(beta)
-            if not self._is_primitive(self.beta, _prime_factors(self.order - 1)):
-                raise ReducibleModulus("supplied beta is not primitive")
+        try:  # both branches factor q - 1; name q if that fails
+            if beta is None:
+                self.beta = _memo(("beta", p, m, self.modulus), self._find_primitive)
+            else:
+                self.beta = self.element(beta)
+                if not self._is_primitive(self.beta, _prime_factors(self.order - 1)):
+                    raise ReducibleModulus("supplied beta is not primitive")
+        except FieldTooLarge as e:
+            raise FieldTooLarge(f"GF({p}^{m}), q = {self.order}: {e}") from None
         self._lock = threading.RLock()
         self._exp = None
         self._log = None
@@ -403,8 +420,7 @@ class Field:
     def exp_of(self, i: int) -> int:
         """beta^i."""
         self._ensure_tables()
-        n = self.order - 1
-        return int(self._exp[i % n if n else 0])
+        return int(self._exp[i % (self.order - 1)])
 
     def log(self, a: int) -> int:
         """Discrete log base beta; a must be nonzero."""

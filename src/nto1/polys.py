@@ -81,12 +81,6 @@ class Poly:
     def degree(self) -> int:
         return self.terms[-1][0] if self.terms else -1
 
-    def coeff(self, e: int) -> int:
-        for te, tc in self.terms:
-            if te == e:
-                return tc
-        return 0
-
     def dense(self) -> list[int]:
         d = self.degree
         if d >= _DENSE_CAP:

@@ -2,19 +2,24 @@
 
 Everything here is integer or rational arithmetic: the verdict is an exact
 equality against 1 or 0, so floating point has no place.  omega is a
-primitive p-th root of unity; Z[omega] elements are stored reduced, with
-the omega^{p-1} coordinate eliminated through 1 + omega + ... + omega^{p-1} = 0.
+primitive p-th root of unity, and a Z[omega] value is a count vector: p
+integers c with value sum_i c_i omega^i.  Since 1 + omega + ... + omega^{p-1}
+= 0, c and c + k(1, ..., 1) are the same value; the value is rational iff
+c_1 = ... = c_{p-1}, and it is then c_0 - c_{p-1}.
 
 The spectral test needs the power sums S_j at v = 0 of the j-fold additive
 convolution of T: v -> W_F(0, v).  By the orthogonality of additive
 characters, sum_v W_F(0, v) omega^{-tr(yv)} = q N_y with N_y = |f^{-1}(y)|,
-so S_j = q^{j-1} sum_y N_y^j for every j.  `_fiber_sizes` reads the N_y off
-one character transform of T; `additive_convolution`, which builds the
-whole convolution table, is kept as the reference the tests compare against.
+so S_j = q^{j-1} M_j with the fiber moments M_j = sum_y N_y^j.  The paper's
+char sum A_0 + sum_j A_j p^{m-jm} S_j is therefore A_0 + sum_j A_j M_j.
+`_fiber_sizes` reads the N_y off one character transform of T;
+`additive_convolution`, which builds the whole convolution table, is kept
+as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -33,63 +38,20 @@ _PHI_J_CAP = 8
 _PHI_DEN_CAP = 2 ** 31
 
 
-def _reduce(coeffs: list[int], p: int) -> tuple:
-    last = coeffs[p - 1]
-    if last:
-        coeffs = [c - last for c in coeffs]
-        coeffs[p - 1] = 0
-    return tuple(int(c) for c in coeffs)
-
-
-class CycloInt:
-    """Z[omega] value as p integer coordinates on 1, omega, ..., omega^{p-1},
-    kept in reduced form (last coordinate zero)."""
-
-    __slots__ = ("p", "coeffs")
-
-    def __init__(self, p: int, coeffs):
-        coeffs = list(coeffs)
-        if len(coeffs) != p:
-            raise ZeroInput(f"need {p} coordinates, got {len(coeffs)}")
-        self.p = p
-        self.coeffs = _reduce(coeffs, p)
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational():
-            raise ZeroInput(f"{self!r} is not a rational integer")
-        return self.coeffs[0]
-
-    def __eq__(self, other):
-        if isinstance(other, int):
-            return self.is_rational() and self.coeffs[0] == other
-        return isinstance(other, CycloInt) and self.p == other.p and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.p, self.coeffs))
-
-    def __repr__(self):
-        return f"CycloInt(p={self.p}, {list(self.coeffs)})"
-
-
 @dataclass(frozen=True)
 class PhiGadget:
     """Rational polynomial phi whose value pattern on fiber sizes encodes the
-    n-to-1 verdict: sum_j A_j p^{m-jm} S_j equals 1 (nondivisor mode) or 0
-    (divisor mode) exactly when the map is n-to-1."""
+    n-to-1 verdict: A_0 + sum_j A_j M_j equals the bound, 0 when n | q and
+    1 otherwise, exactly when the map is n-to-1."""
 
     coeffs: tuple  # Fractions A_0..A_J
-    mode: str  # "nondivisor" | "divisor"
     n: int
     p: int
     m: int
-    k: Optional[int] = None
 
     @property
     def bound(self) -> Fraction:
-        return Fraction(1) if self.mode == "nondivisor" else Fraction(0)
+        return Fraction(0) if self.order % self.n == 0 else Fraction(1)
 
     @property
     def order(self) -> int:
@@ -100,7 +62,7 @@ def phi_two(p: int, m: int) -> PhiGadget:
     """X(X-2)^2, the 2-to-1 pattern for odd q."""
     if p == 2:
         raise ZeroInput("nondivisor mode needs n=2 coprime to q")
-    return PhiGadget(coeffs=(Fraction(0), Fraction(4), Fraction(-4), Fraction(1)), mode="nondivisor", n=2, p=p, m=m)
+    return PhiGadget(coeffs=(Fraction(0), Fraction(4), Fraction(-4), Fraction(1)), n=2, p=p, m=m)
 
 
 def phi_prime_power(p: int, m: int, k: int = 1) -> PhiGadget:
@@ -108,38 +70,32 @@ def phi_prime_power(p: int, m: int, k: int = 1) -> PhiGadget:
     if not 1 <= k <= m:
         raise ZeroInput(f"need 1 <= k <= m, got k={k}")
     pk = p ** k
-    return PhiGadget(coeffs=(Fraction(0), Fraction(pk * pk), Fraction(-2 * pk), Fraction(1)), mode="divisor", n=pk, p=p, m=m, k=k)
+    return PhiGadget(coeffs=(Fraction(0), Fraction(pk * pk), Fraction(-2 * pk), Fraction(1)), n=pk, p=p, m=m)
 
 
 def validate_phi(g: PhiGadget):
-    """Evaluate phi over every integer in [0, p^m] and check the mode's exact
-    pattern.  Returns (ok, violating_X)."""
+    """Evaluate phi over every integer in [0, p^m] and check the pattern
+    that makes the char sum decide n-to-1: phi(0) = phi(n) = 0; with
+    t = q mod n > 0, phi(t) = 1; phi(X) > bound at every other X.
+    Returns (ok, violating_X)."""
     if len(g.coeffs) - 1 > _PHI_J_CAP:
         return False, None
     if any(Fraction(c).denominator > _PHI_DEN_CAP for c in g.coeffs):
         return False, None
     q = g.order
-
-    def phi(x: int) -> Fraction:
-        acc = Fraction(0)
-        for a in reversed(g.coeffs):
-            acc = acc * x + a
-        return acc
-
-    # nondivisor: 0 on {0, n}, 1 at q mod n, above 1 elsewhere;
-    # prime power: 0 on {0, p^k}, positive elsewhere
-    if g.mode == "nondivisor":
-        if q % g.n == 0:
-            return False, None
-        zeros, t, floor = {0, g.n}, q % g.n, 1
-    else:
-        zeros, t, floor = {0, g.p ** g.k if g.k else g.n}, None, 0
+    t = q % g.n
+    # v = den * phi(X) in Python ints, den the common denominator
+    den = math.lcm(*(Fraction(c).denominator for c in g.coeffs))
+    ints = [int(Fraction(c) * den) for c in reversed(g.coeffs)]
+    floor = int(g.bound) * den
     for X in range(q + 1):
-        v = phi(X)
-        if X in zeros:
+        v = 0
+        for a in ints:
+            v = v * X + a
+        if X in (0, g.n):
             ok = v == 0
         elif X == t:
-            ok = v == 1
+            ok = v == den
         else:
             ok = v > floor
         if not ok:
@@ -147,21 +103,21 @@ def validate_phi(g: PhiGadget):
     return True, None
 
 
-def walsh(f, u: int, v: int, ctx: Optional[Field] = None) -> CycloInt:
-    """W_F(u, v) = sum_x omega^{tr(v f(x)) + tr(u x)}, exact in Z[omega]."""
+def walsh(f, u: int, v: int, ctx: Optional[Field] = None) -> np.ndarray:
+    """W_F(u, v) = sum_x omega^{tr(v f(x)) + tr(u x)} as its (p,) count
+    vector; at u = 0 it is row v of walsh_zero_table."""
     ctx, values = value_table(f, ctx)
     if ctx.order > _WALSH_DOMAIN_CAP:
         raise DomainTooLarge(f"field order {ctx.order} exceeds 2^12")
     tr = ctx.trace_to_prime_table()
     xs = ctx.elements_array()
     expo = (tr[ctx.scalar_mul_vec(v, values)] + tr[ctx.scalar_mul_vec(u, xs)]) % ctx.p
-    counts = np.bincount(expo, minlength=ctx.p)
-    return CycloInt(ctx.p, counts.tolist())
+    return np.bincount(expo, minlength=ctx.p)
 
 
 def walsh_zero_table(f, ctx: Optional[Field] = None) -> np.ndarray:
-    """All W_F(0, v) at once, as a (q, p) integer matrix of unreduced
-    root-of-unity counts (row v = multiplicities of omega^0..omega^{p-1})."""
+    """All W_F(0, v) at once, as a (q, p) integer matrix of count vectors
+    (row v = multiplicities of omega^0..omega^{p-1})."""
     ctx, values = value_table(f, ctx)
     if ctx.order > _WALSH_DOMAIN_CAP:
         raise DomainTooLarge(f"field order {ctx.order} exceeds 2^12")
@@ -178,27 +134,16 @@ def walsh_zero_table(f, ctx: Optional[Field] = None) -> np.ndarray:
     return out
 
 
-def _cyclic_rows(row: np.ndarray, mat: np.ndarray, p: int) -> np.ndarray:
-    """row (*) each row of mat, cyclic convolution mod X^p - 1."""
-    out = np.zeros_like(mat)
-    for i in range(p):
-        a = int(row[i])
-        if a:
-            out += a * np.roll(mat, i, axis=1)
-    return out
-
-
 def additive_convolution(ctx: Field, U: np.ndarray, T: np.ndarray) -> np.ndarray:
     """R[w] = sum_{v1 + v2 = w} U[v1] * T[v2], the additive-group convolution
-    with Z[X]/(X^p - 1) multiplication along rows."""
-    q, p = T.shape
+    with Z[X]/(X^p - 1) multiplication along rows: omega^i times a count
+    vector is its cyclic shift by i."""
     R = np.zeros_like(T)
     xs = ctx.elements_array()
-    for v in range(q):
-        if not U[v].any():
-            continue
-        w_idx = ctx.add_vec(np.int64(v), xs)
-        R[w_idx] += _cyclic_rows(U[v], T, p)
+    for v in range(len(T)):
+        w = ctx.add_vec(np.int64(v), xs)
+        for i in np.flatnonzero(U[v]).tolist():
+            R[w] += U[v][i] * np.roll(T, i, axis=1)
     return R
 
 
@@ -226,57 +171,49 @@ def _fiber_sizes(ctx: Field, T: np.ndarray) -> np.ndarray:
     for _ in range(ctx.m):
         H = (H.reshape(-1, p * p) @ K).reshape(-1, p, p).transpose(1, 0, 2)
     H = H.reshape(q, p)
-    # rational iff coordinates 1..p-1 agree; the value is then h_0 - h_{p-1}
     val = H[:, 0] - H[:, -1]
     bad = (H[:, 1:] != H[:, -1:]).any(axis=1) | (val % q != 0) | (val < 0)
     if bad.any():
         u = int(np.flatnonzero(bad)[0])
-        raise PowerSumNotRational(f"character sum {CycloInt(p, H[u].tolist())!r} at u={u} "
+        raise PowerSumNotRational(f"character sum {H[u].tolist()} at u={u} "
                                   f"is not q = {q} times a fiber size")
     return val // q
 
 
-def _power_sums(ctx: Field, T: np.ndarray, J: int) -> list:
-    """[S_1, ..., S_J] as Python ints: S_j, the j-fold additive-convolution
-    power of the Walsh zero table T at v = 0, is q^{j-1} sum_y N_y^j."""
+def _fiber_moments(ctx: Field, T: np.ndarray, J: int) -> list:
+    """[M_1, ..., M_J] as Python ints, M_j = sum_y N_y^j for the map whose
+    Walsh zero table is T: the power sum S_j is q^{j-1} M_j."""
     counts = np.bincount(_fiber_sizes(ctx, T)).tolist()  # counts[n] = #{y : N_y = n}
-    return [ctx.order ** (j - 1) * sum(c * n ** j for n, c in enumerate(counts) if c)
-            for j in range(1, J + 1)]
+    return [sum(c * n ** j for n, c in enumerate(counts) if c) for j in range(1, J + 1)]
 
 
 def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
     """The exact characterization value A_0 + sum_j A_j p^{m-jm} S_j, where
-    S_j is the j-fold additive-convolution power of v -> W_F(0, v) at v = 0.
+    S_j is the j-fold additive-convolution power of v -> W_F(0, v) at v = 0,
+    computed as A_0 + sum_j A_j M_j on the fiber moments.
 
-    Every S_j comes from one character transform of the Walsh zero table
+    Every M_j comes from one character transform of the Walsh zero table
     (see _fiber_sizes), for every gadget degree validate_phi accepts.  Raises
     PowerSumNotRational if the transform does not give q times a fiber size,
     which would mean the table is not a Walsh table."""
     ctx, values = value_table(f, ctx)
-    _gadget_degree(ctx, gadget)
     return _char_sum_of_table(ctx, walsh_zero_table(values, ctx), gadget)
 
 
-def _gadget_degree(ctx: Field, gadget: PhiGadget) -> int:
+def _char_sum_of_table(ctx: Field, T: np.ndarray, gadget: PhiGadget) -> Fraction:
+    """char_sum from an already built Walsh zero table T of the map."""
     J = len(gadget.coeffs) - 1
     if J > _PHI_J_CAP:
         raise DegreeTooHigh(f"char_sum supports degree <= {_PHI_J_CAP}, got {J}")
     if gadget.p != ctx.p or gadget.m != ctx.m:
         raise ZeroInput("gadget was built for a different field")
-    return J
-
-
-def _char_sum_of_table(ctx: Field, T: np.ndarray, gadget: PhiGadget) -> Fraction:
-    """char_sum from an already built Walsh zero table T of the map."""
-    J = _gadget_degree(ctx, gadget)
-    p, m = ctx.p, ctx.m
     total = Fraction(gadget.coeffs[0])
-    for j, s_j in enumerate(_power_sums(ctx, T, J), start=1):
-        total += Fraction(gadget.coeffs[j]) * Fraction(p) ** (m - j * m) * s_j
+    for j, m_j in enumerate(_fiber_moments(ctx, T, J), start=1):
+        total += Fraction(gadget.coeffs[j]) * m_j
     return total
 
 
 def spectral_verdict(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> bool:
-    """True iff the characterization sum sits exactly at the mode's bound,
+    """True iff the characterization sum sits exactly at the gadget's bound,
     which holds iff f is gadget.n-to-1."""
     return char_sum(f, gadget, ctx) == gadget.bound

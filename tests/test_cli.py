@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -266,6 +267,39 @@ def test_diagram_in_refuses_malformed_labels(monkeypatch, capsys, tmp_path):
         rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--in", str(path))
         assert (rc, out) == (2, ""), err
         assert err == f"nto1: --in {path}: {msg}\n"
+
+
+@pytest.mark.parametrize("args,msg", [
+    (("--n", "0"), "nto1: diagram needs n >= 1, got n=0\n"),
+    (("--n", "-2"), "nto1: diagram needs n >= 1, got n=-2\n"),
+    (("--max-set", "0"), "nto1: no random diagram with n=5 and at most max_set=0 points in 200 draws\n"),
+    (("--max-set", "1"), "nto1: no random diagram with n=5 and at most max_set=1 points in 200 draws\n"),
+    (("--n", "7", "--max-set", "3"),
+     "nto1: no random diagram with n=7 and at most max_set=3 points in 200 draws\n"),
+])
+def test_random_diagram_refusals_exit_2(monkeypatch, capsys, args, msg):
+    rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--random", *args)
+    assert (rc, out, err) == (2, "", msg)
+
+
+@pytest.mark.parametrize("seed", range(1, 7))
+def test_random_diagram_at_n_1(monkeypatch, capsys, seed):
+    """n = 1 draws only the strict and irregular shapes: no exceptional
+    fiber size 1 <= t < n exists."""
+    rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--random",
+                                   "--seed", str(seed), "--n", "1")
+    assert (rc, err) == (0, ""), err
+    res = json.loads(out)
+    assert res["verified"] and res["transfer"]["n"] == 1
+
+
+def test_field_with_unfactorable_unit_order_exit_2(monkeypatch, capsys):
+    """2^61 - 1 is prime and above 2^48: refused quickly, naming q."""
+    start = time.perf_counter()
+    rc, out, err = main_in_process(monkeypatch, capsys, "field", "--field", "p=2,m=61")
+    assert time.perf_counter() - start < 2
+    assert (rc, out) == (2, "")
+    assert err.startswith("nto1: GF(2^61), q = 2305843009213693952: cannot factor "), err
 
 
 def test_domain_gate_exit_3_and_nightly_override():

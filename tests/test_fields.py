@@ -97,6 +97,46 @@ def test_default_beta_is_the_first_primitive_element():
             m += 1
 
 
+def _naive_prime_factors(n):
+    out, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return out + ([n] if n > 1 else [])
+
+
+def test_prime_factors_by_blocked_trial_division():
+    for n in range(1, 3000):
+        assert fields._prime_factors(n) == _naive_prime_factors(n), n
+    # products of primes from several 2^16-divisor blocks, up to the 2^24 bound
+    primes = [2, 3, 5, 7, 65521, 65537, 131071, 1000003]
+    rng = random.Random(61)
+    for _ in range(50):
+        chosen = sorted(rng.sample(primes, rng.randrange(1, 5)))
+        n = 1
+        for r in chosen:
+            n *= r ** rng.randrange(1, 3)
+        assert fields._prime_factors(n) == chosen, n
+    assert fields._prime_factors(6 * 65537 ** 2 * 16777213 ** 2) == [2, 3, 65537, 16777213]
+    # cofactors just under the 2^48 reach: 2^59 - 1 and 2^49 - 1
+    assert fields._prime_factors(2 ** 59 - 1) == [179951, 3203431780337]
+    assert fields._prime_factors(2 ** 49 - 1) == [127, 4432676798593]
+    # limbs above 2^64: 2^64 + 1 = 274177 * 67280421310721
+    assert fields._prime_factors(2 ** 64 + 1) == [274177, 67280421310721]
+    assert Field(2, 49).element_order(Field(2, 49).beta) == 2 ** 49 - 1
+
+
+def test_unfactorable_unit_order_is_field_too_large():
+    # 2^61 - 1 is prime and above 2^48, so trial division up to 2^24 cannot settle it
+    with pytest.raises(FieldTooLarge, match="cannot factor 2305843009213693951"):
+        fields._prime_factors(2 ** 61 - 1)
+    with pytest.raises(FieldTooLarge, match=r"GF\(2\^61\), q = 2305843009213693952"):
+        Field(2, 61)
+
+
 def test_pow_and_frobenius():
     for a in F9.elements():
         acc = 1

@@ -1,8 +1,8 @@
 """Sweep witnesses: a row the batch classifier rejects still gets the
 one-map witness text, built from classify's own report; agreement keeps
 the first predicate-vs-brute disagreement; branch_sweep refuses cases
-outside its criterion; the normalize rows are pinned by hash, and a
-corrupted affine row still gets a witness."""
+outside its criterion; the normalize and walsh rows are pinned by hash,
+and a corrupted affine row still gets a witness."""
 
 import hashlib
 import re
@@ -16,6 +16,13 @@ from nto1 import Field, classify, verify
 NORMALIZE_ROWS_SHA256 = {
     20260817: "c62780abfe3b8a1b9888ce9e4cd3b1dc8f93a99389e95bcc9e8f545e69e7ccdc",
     7: "57add419d5daad5a917c8312e2569eb81a853e76af49976c2f33c7f3b205567f",
+}
+
+# sha256 of repr(verify.run("walsh", seed=s).rows), as the CycloInt walsh
+# layer with S_j rescaling produced them; count vectors and moments must match.
+WALSH_ROWS_SHA256 = {
+    20260817: "2ff02934c0be962130ff2a760551ca086f4efd212ff311af80e9674777fb607b",
+    7: "705e006e75a996eecde47feacbc2c1e8346a92f248db73e9a26c49ce7c4afe09",
 }
 
 
@@ -62,6 +69,13 @@ def test_normalize_rows_are_pinned(seed):
     res = verify.run("normalize", seed=seed)
     assert res.ok
     assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == NORMALIZE_ROWS_SHA256[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(WALSH_ROWS_SHA256))
+def test_walsh_rows_are_pinned(seed):
+    res = verify.run("walsh", seed=seed)
+    assert res.ok
+    assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == WALSH_ROWS_SHA256[seed]
 
 
 def test_normalize_witness_names_a_corrupted_affine_row(monkeypatch):

@@ -1,4 +1,4 @@
-"""Exact cyclotomic arithmetic and the spectral n-to-1 test."""
+"""Exact Walsh count vectors and the spectral n-to-1 test."""
 
 import importlib
 import random
@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from nto1 import (
-    CycloInt, Field, LinearizedPoly, PhiGadget, Poly, additive_convolution,
+    Field, LinearizedPoly, PhiGadget, Poly, additive_convolution,
     char_sum, histogram, is_n_to_1, phi_prime_power, phi_two,
     spectral_verdict, validate_phi, walsh, walsh_zero_table,
 )
 from nto1.errors import DegreeTooHigh, FieldMismatch, NTo1Error, PowerSumNotRational, ZeroInput
+from nto1.fields import _is_prime
 from nto1.verify import _n_to_1_table
 
 walsh_mod = importlib.import_module("nto1.walsh")  # `nto1.walsh` is the function
@@ -20,12 +21,6 @@ walsh_mod = importlib.import_module("nto1.walsh")  # `nto1.walsh` is the functio
 F7 = Field(7, 1)
 F9 = Field(3, 2)
 F25 = Field(5, 2)
-
-
-def test_cycloint_relation():
-    # 1 + w + ... + w^(p-1) = 0 in Z[w]
-    one_of_each = CycloInt(5, [1, 1, 1, 1, 1])
-    assert one_of_each == CycloInt(5, [0, 0, 0, 0, 0])
 
 
 def test_gadgets_validate():
@@ -38,6 +33,33 @@ def test_gadgets_validate():
         phi_two(2, 4)  # n = 2 divides q
     with pytest.raises(ZeroInput):
         phi_prime_power(3, 2, 3)
+
+
+def test_every_builtin_gadget_validates_with_its_derived_bound():
+    """phi_two (odd q) and phi_prime_power(p, m, k), 1 <= k <= m, at every
+    prime power q <= 4096: validate_phi accepts each, and the bound is 0
+    exactly when n | q."""
+    checked = 0
+    for p in filter(_is_prime, range(2, 4097)):
+        m = 1
+        while p ** m <= 4096:
+            gadgets = [phi_prime_power(p, m, k) for k in range(1, m + 1)]
+            if p != 2:
+                gadgets.append(phi_two(p, m))
+            for g in gadgets:
+                assert validate_phi(g) == (True, None), g
+                assert g.bound == (0 if p ** m % g.n == 0 else 1), g
+            checked += len(gadgets)
+            m += 1
+    assert checked == 1317
+
+
+def test_a_gadget_is_judged_against_its_own_n():
+    """The bound follows n: X(X-5)^2 over GF(5) relabelled n = 3 has bound 1,
+    and validate_phi then asks phi(5 mod 3) = 1, which fails at X = 2."""
+    g = PhiGadget(phi_prime_power(5, 1).coeffs, 3, 5, 1)
+    assert g.bound == 1
+    assert validate_phi(g) == (False, 2)
 
 
 def test_zero_table_shape_and_trivial_row():
@@ -53,7 +75,7 @@ def test_zero_table_rows_equal_walsh():
         f = Poly(F, [(3, 1), (1, 1)])
         W = walsh_zero_table(f, F)
         for v in F.elements():
-            assert walsh(f, 0, v, F) == CycloInt(F.p, list(W[v]))
+            assert np.array_equal(walsh(f, 0, v, F), W[v])
 
 
 def test_two_to_one_verdict():
@@ -112,46 +134,59 @@ def _convolution_powers(ctx, T, J):
     return out
 
 
+def _rational(c):
+    """The integer value sum_i c_i omega^i of a count vector c, which must be
+    rational: c_1 = ... = c_{p-1}, and the value is then c_0 - c_{p-1}."""
+    c = [int(x) for x in c]
+    assert all(x == c[-1] for x in c[1:]), c
+    return c[0] - c[-1]
+
+
 def _char_sum_from(g, sums):
+    """The paper's A_0 + sum_j A_j p^{m-jm} S_j from count vectors S_j."""
     p, m = g.p, g.m
     return g.coeffs[0] + sum(
-        Fraction(g.coeffs[j]) * Fraction(p) ** (m - j * m) * CycloInt(p, s.tolist()).as_int()
+        Fraction(g.coeffs[j]) * Fraction(p) ** (m - j * m) * _rational(s)
         for j, s in enumerate(sums, start=1))
 
 
-def _gadget(roots, mode, n, p, m, k=None):
+def _gadget(roots, n, p, m):
     """The PhiGadget of prod_{r in roots} (X - r)."""
     coeffs = [Fraction(1)]
     for r in roots:
         coeffs = [Fraction(0)] + coeffs
         for i in range(len(coeffs) - 1):
             coeffs[i] -= r * coeffs[i + 1]
-    return PhiGadget(tuple(coeffs), mode, n, p, m, k)
+    return PhiGadget(tuple(coeffs), n, p, m)
 
 
 @pytest.mark.parametrize("p,m", SPECTRAL_FIELDS)
 def test_power_sums_match_convolution_oracle(p, m):
+    """Each fiber moment M_j, j <= 8, is S_j / q^{j-1} for the power sum S_j
+    read off the j-fold additive_convolution power."""
     J = walsh_mod._PHI_J_CAP
     ctx = Field(p, m)
+    q = ctx.order
     for tbl in _tables(ctx, seed=100 * p + m):
         T = walsh_zero_table(tbl, ctx)
         want = _convolution_powers(ctx, T, J)
-        assert walsh_mod._power_sums(ctx, T, J) == [CycloInt(p, s.tolist()).as_int() for s in want]
+        moments = walsh_mod._fiber_moments(ctx, T, J)
+        for j, (m_j, s_j) in enumerate(zip(moments, want, strict=True), start=1):
+            assert m_j * q ** (j - 1) == _rational(s_j), j
         for g in [phi_prime_power(p, m, 1)] + ([phi_two(p, m)] if p != 2 else []):
             assert char_sum(tbl, g, ctx) == _char_sum_from(g, want[:3])
 
 
 @pytest.mark.parametrize("p,m", SPECTRAL_FIELDS)
 def test_power_sums_count_fiber_tuples(p, m):
-    """S_j = q^{j-1} sum_y N_y^j: the v-sum over v_1 + ... + v_j = 0 leaves
-    the j-tuples of x with one common image, q^{j-1} times each."""
+    """M_j = sum_y N_y^j counts the j-tuples of x with one common image; the
+    v-sum over v_1 + ... + v_j = 0 in S_j counts each q^{j-1} times."""
     ctx = Field(p, m)
-    q = ctx.order
     J = walsh_mod._PHI_J_CAP
     for tbl in _tables(ctx, seed=200 * p + m):
         N = list(histogram(tbl).values())
-        sums = walsh_mod._power_sums(ctx, walsh_zero_table(tbl, ctx), J)
-        assert sums == [q ** (j - 1) * sum(n ** j for n in N) for j in range(1, J + 1)]
+        moments = walsh_mod._fiber_moments(ctx, walsh_zero_table(tbl, ctx), J)
+        assert moments == [sum(n ** j for n in N) for j in range(1, J + 1)]
 
 
 def test_char_sum_at_the_domain_cap():
@@ -165,10 +200,11 @@ def test_char_sum_at_the_domain_cap():
 
 
 def test_degree_eight_char_sum_at_the_domain_cap():
-    """X^2 (X-2)^6 in divisor mode, n = 2, against sum_y phi(N_y) in Python ints."""
+    """X^2 (X-2)^6 with n = 2 dividing q, against sum_y phi(N_y) in Python ints."""
     F = Field(2, 12)
     q = F.order
-    g = _gadget([0, 0] + [2] * 6, "divisor", 2, 2, 12, k=1)
+    g = _gadget([0, 0] + [2] * 6, 2, 2, 12)
+    assert g.bound == 0
     assert len(g.coeffs) - 1 == walsh_mod._PHI_J_CAP
     assert validate_phi(g) == (True, None)
 
@@ -209,7 +245,8 @@ def test_degree_six_nondivisor_gadget():
         if p == 2:
             continue
         ctx = Field(p, m)
-        g = _gadget([0, 0, 2, 2, 2, 2], "nondivisor", 2, p, m)
+        g = _gadget([0, 0, 2, 2, 2, 2], 2, p, m)
+        assert g.bound == 1
         assert validate_phi(g) == (True, None)
         dom = tuple(ctx.elements())
         for tbl in _tables(ctx, seed=300 * p + m):
@@ -217,7 +254,7 @@ def test_degree_six_nondivisor_gadget():
 
 
 def test_gadget_above_the_phi_cap_is_refused():
-    g = _gadget([0, 0] + [2] * 7, "nondivisor", 2, 3, 2)
+    g = _gadget([0, 0] + [2] * 7, 2, 3, 2)
     assert validate_phi(g) == (False, None)
     with pytest.raises(DegreeTooHigh):
         char_sum(Poly.x(F9), g, F9)
