@@ -8,7 +8,7 @@ returns the built map next to the reduced partner it was derived from.
 
 from .counting import (
     NTo1Report, classify, classify_rows, histogram, is_n_to_1, linearized_oracle,
-    monomial_oracle, report_matches,
+    monomial_oracle,
 )
 from .diagrams import (
     DiagramSpec, FiberReport, TransferVerdict, Violation, condition3,
@@ -30,8 +30,7 @@ from .families import (
 )
 from .fields import Field, SubfieldEmbed, field_from_spec
 from .lowdeg import (
-    QuarticSearch, cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly,
-    quartic_3to1_search,
+    QuarticSearch, cubic_char3_is3to1, cubic_charne3_is3to1, quartic_3to1_search,
 )
 from .polys import LinearizedPoly, Poly, eval_rows, is_additive
 from .verify import RUNNERS, RunResult, run

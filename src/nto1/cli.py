@@ -77,6 +77,9 @@ def _build_field(args):
             raise UsageError(f"--spec {args.spec}: {e}")
     if getattr(args, "field", None):
         kv = _parse_kv(args.field, "--field")
+        unknown = sorted(kv.keys() - {"p", "m", "modulus"})
+        if unknown:
+            raise UsageError(f"--field: unknown key {unknown[0]!r}; the keys are p, m and modulus")
         if "p" not in kv or "m" not in kv:
             raise UsageError("--field needs p=<prime>,m=<degree>")
         p = _parse_int(kv["p"], "--field p")
@@ -142,11 +145,11 @@ def _parse_map(ctx, args):
         return np.asarray(vals, dtype=np.int64)
     raise UsageError("a map is required: --poly or --table")
 
-def _gate(size, args, what):
+def _gate(size, args):
     if os.environ.get("NTO1_NIGHTLY") == "1" or getattr(args, "nightly", False):
         return
     if size > _GATE:
-        raise GateExceeded(f"{what} over {size} elements exceeds the gate {_GATE}; pass --nightly or set NTO1_NIGHTLY=1")
+        raise GateExceeded(f"{args.command} over {size} elements exceeds the gate {_GATE}; pass --nightly or set NTO1_NIGHTLY=1")
 
 
 # -- output -----------------------------------------------------------------
@@ -194,7 +197,7 @@ def cmd_field(args):
 
 def cmd_classify(args):
     ctx = _build_field(args)
-    _gate(ctx.order, args, "classify")
+    _gate(ctx.order, args)
     f = _parse_map(ctx, args)
     rep = classify(f)
     sys.stdout.write(rep.to_json() + "\n")
@@ -203,7 +206,7 @@ def cmd_classify(args):
 
 def cmd_walsh(args):
     ctx = _build_field(args)
-    _gate(ctx.order, args, "walsh")
+    _gate(ctx.order, args)
     f = _parse_map(ctx, args)
     if args.gadget == "phi1":
         gadget = phi_two(ctx.p, ctx.m)
@@ -229,7 +232,7 @@ def cmd_walsh(args):
 
 def cmd_lowdeg(args):
     ctx = _build_field(args)
-    _gate(ctx.order, args, "lowdeg")
+    _gate(ctx.order, args)
     if args.degree == 3:
         rows, bad = verify.agreement(
             verify.cubic_sweep(ctx),
@@ -254,7 +257,7 @@ def cmd_diagram(args):
     else:
         rng = random.Random(args.seed)
         d = random_diagram(rng, n=args.n, max_set=args.max_set)
-    _gate(len(d.A), args, "diagram")
+    _gate(len(d.A), args)
     rep = verify_diagram(d)
     out = {"spec": d.to_json_dict(), "verified": rep.ok,
            "violations": [v.hypothesis for v in rep.violations]}
@@ -275,21 +278,33 @@ def cmd_diagram(args):
                     f"transfer fails: forward {v.forward_ok}, backward {v.backward_ok}")
 
 
-def _shift_power_tower(args, family):
-    q1 = args.q1
-    if q1 is not None:
-        primes = _prime_factors(q1)
-        if len(primes) != 1:
-            raise UsageError(f"--q1 {q1} is not a prime power")
-        sub = Field(primes[0], exact_log(q1, primes[0]) * args.m)
-    else:
-        if family in ("gouzao1", "gouzao2", "2gouzao1"):
-            raise UsageError(f"{family} needs --q1")
+def _refuse(args, *names):
+    """UsageError naming the first given option of names, which the family never reads."""
+    for name in names:
+        if getattr(args, name, None) is not None:
+            raise UsageError(f"{args.family} takes no --{name}")
+
+def _shift_power_tower(args):
+    """The quadratic tower of a shift-power variant over its subfield:
+    --field (or --spec) when one is given, else GF(q1) from --q1."""
+    _refuse(args, "r", "values")
+    if args.q1 is None or args.field or args.spec:
         sub = _build_field(args)
+    else:
+        primes = _prime_factors(args.q1)
+        if len(primes) != 1:
+            raise UsageError(f"--q1 {args.q1} is not a prime power")
+        sub = Field(primes[0], exact_log(args.q1, primes[0]))
     # gated before the tower is built: an embedding needs the big field's log tables
-    _gate(sub.order ** 2, args, args.command)
-    big = Field(sub.p, 2 * sub.m)
-    return SubfieldEmbed(big, sub), q1
+    _gate(sub.order ** 2, args)
+    return SubfieldEmbed(Field(sub.p, 2 * sub.m), sub)
+
+def _branch_field(args):
+    """A branch family's field, gated, and its number of branches."""
+    _refuse(args, "q1", "delta")
+    ctx = _build_field(args)
+    _gate(ctx.order, args)
+    return ctx, _BRANCH_FAMILIES[args.family]
 
 def _emit_construct(family, inst, fields, params, fpoly, pred):
     """One construct record: the built map, its predicate against brute
@@ -313,7 +328,7 @@ def _emit_construct(family, inst, fields, params, fpoly, pred):
 def cmd_construct(args):
     family = args.family
     if family in SHIFT_POWER_VARIANTS:
-        emb, q1 = _shift_power_tower(args, family)
+        emb, q1 = _shift_power_tower(args), args.q1
         big = emb.big
         if args.delta is None:
             raise UsageError("construct needs --delta (big-field element)")
@@ -325,9 +340,7 @@ def cmd_construct(args):
              "trace": list(emb.sub.coeffs(inst.meta["trace"]))},
             shift_power_poly(big, emb.sub.order, inst.meta["e"], delta),
             bool(inst.meta["predicate"]))
-    ell = _BRANCH_FAMILIES[family]
-    ctx = _build_field(args)
-    _gate(ctx.order, args, "construct")
+    ctx, ell = _branch_field(args)
     r = args.r
     if r is None or args.values is None:
         raise UsageError(f"{family} needs --r and --values")
@@ -347,16 +360,14 @@ def cmd_construct(args):
 def cmd_sweep(args):
     family = args.family
     if family in SHIFT_POWER_VARIANTS:
-        emb, q1 = _shift_power_tower(args, family)
-        rows, bad = verify.shift_power_sweep(emb, family, q1)
+        emb = _shift_power_tower(args)
+        rows, bad = verify.shift_power_sweep(emb, family, args.q1)
         return _emit_agreement(
             f"sweep-{family}.v1", "trace,delta,predicate,brute",
             [(_elem_str(emb.sub, t), _elem_str(emb.big, d), pred, got)
              for t, d, pred, got in rows],
             bad, comments=(f"positives={sum(row[2] for row in rows)}",))
-    ell = _BRANCH_FAMILIES[family]
-    ctx = _build_field(args)
-    _gate(ctx.order, args, "sweep")
+    ctx, ell = _branch_field(args)
     if args.r is None:
         raise UsageError(f"sweep {family} needs --r")
     rows, bad = verify.agreement(verify.branch_sweep(ctx, args.r, ell),
@@ -402,8 +413,9 @@ def cmd_verify_theorem(args):
 # -- wiring -----------------------------------------------------------------
 
 def _add_field_opts(p):
-    p.add_argument("--field", help="inline field spec p=<prime>,m=<degree>[,modulus=c0:c1:...]")
-    p.add_argument("--spec", help="path to a field spec JSON file")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--field", help="inline field spec p=<prime>,m=<degree>[,modulus=c0:c1:...]")
+    source.add_argument("--spec", help="path to a field spec JSON file")
 
 def _add_gate_opts(p):
     p.add_argument("--nightly", action="store_true",
@@ -460,9 +472,7 @@ def build_parser():
     p.add_argument("family", choices=families)
     _add_field_opts(p)
     _add_gate_opts(p)
-    p.add_argument("--q1", type=int, help="base subfield order for the tower variants")
-    p.add_argument("--m", type=int, default=1,
-                   help="tower exponent: the base field is GF(q1^m) (default 1)")
+    p.add_argument("--q1", type=int, help="tower variants: the subfield is GF(q1) unless --field gives it")
     p.add_argument("--delta", help="shift element of the big field (code or c0:c1:...)")
     p.add_argument("--r", type=int, help="power exponent for the branch families")
     p.add_argument("--values", help="comma-separated branch values")
@@ -473,7 +483,6 @@ def build_parser():
     _add_field_opts(p)
     _add_gate_opts(p)
     p.add_argument("--q1", type=int)
-    p.add_argument("--m", type=int, default=1)
     p.add_argument("--r", type=int)
     p.set_defaults(fn=cmd_sweep)
 

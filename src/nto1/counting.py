@@ -107,12 +107,12 @@ def _decide(counts, size: int):
     return 0, None, True
 
 
-def row_blocks(count: int, width: int) -> list:
-    """Consecutive (lo, hi) ranges covering range(count), each of at most
-    _BLOCK_ELEMS // width rows (at least one), so a batch of rows of this
-    width stays near 2^14 entries."""
+def row_blocks(count: int, width: int):
+    """Lazily, consecutive (lo, hi) ranges covering range(count), each of
+    at most _BLOCK_ELEMS // width rows (at least one), so a batch of rows
+    of this width stays near 2^14 entries."""
     step = max(1, _BLOCK_ELEMS // width)
-    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]
+    return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 
 def row_counts(V: np.ndarray, q: int) -> np.ndarray:
@@ -194,19 +194,6 @@ def is_n_to_1(f, domain, n: int) -> bool:
     decision (_fits) as n_to_1_rows, on one bincount."""
     counts, size = _counts(f, domain)
     return n >= 1 and bool(_fits(counts, size, n))
-
-
-def report_matches(report: NTo1Report, n: int) -> bool:
-    """Does a classify() report certify n-to-1 at exactly this n, with the
-    definition's exception pattern?"""
-    if report.irregular:
-        return False
-    if report.n == n:
-        if report.domain_size % n == 0:
-            return report.exception is None
-        return report.exception is not None and report.exception[1] == report.domain_size % n
-    # degenerate fits (e.g. constant map on a small domain) are not certified here
-    return False
 
 
 # ----------------------------------------------------------------------

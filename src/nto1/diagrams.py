@@ -250,7 +250,8 @@ def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
             im = rng.randrange(2, 5)
             sizes = [rng.randrange(1, n + 2) for _ in range(im)]
         k = sum(sizes)
-        if k < 2:
+        # every point of Sbar gets a lambar-fiber of size >= 1, so #A >= k
+        if k < 2 or k > max_set:
             continue
 
         Sbar = list(range(k))

@@ -647,8 +647,6 @@ SHIFT_POWER_VARIANTS = ("gouzao1", "gouzao2", "gouzao3", "2gouzao1", "2gouzao2")
 
 
 def _check_tower(q, q1, p):
-    if q1 is None:
-        raise ValueError("this variant needs q1")
     if not exact_log(q1, p):
         raise ValueError(f"q1={q1} is not a power of {p} above 1")
     if exact_log(q, q1) is None:
@@ -657,8 +655,14 @@ def _check_tower(q, q1, p):
 
 def shift_power_profile(emb, variant, q1=None):
     """Exponent, claimed n, and the arithmetic gate of one tabulated shape,
-    as (e, n, gate_ok, gate_note)."""
+    as (e, n, gate_ok, gate_note).  ValueError when a variant built on
+    GF(q1) lacks q1, or one that is not gets a q1."""
+    if variant not in SHIFT_POWER_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}")
     q = emb.sub.order
+    takes_q1 = variant in ("gouzao1", "gouzao2", "2gouzao1")
+    if takes_q1 != (q1 is not None):
+        raise ValueError(f"{variant} needs q1" if takes_q1 else f"{variant} takes no q1")
     if variant in ("gouzao1", "gouzao2"):
         _check_tower(q, q1, 3)
         e = 6 * q1 if variant == "gouzao1" else 3 * q1 + 1
@@ -671,11 +675,9 @@ def shift_power_profile(emb, variant, q1=None):
     if variant == "2gouzao1":
         _check_tower(q, q1, 2)
         return q1 + 1, q1, True, None
-    if variant == "2gouzao2":
-        if emb.sub.p != 2:
-            raise ValueError("needs characteristic 2")
-        return 3 * q, 2, True, None
-    raise ValueError(f"unknown variant {variant!r}")
+    if emb.sub.p != 2:  # 2gouzao2
+        raise ValueError("needs characteristic 2")
+    return 3 * q, 2, True, None
 
 
 def shift_power_predicate(emb, variant, delta, q1=None):

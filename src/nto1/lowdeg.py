@@ -17,7 +17,6 @@ import numpy as np
 from .counting import n_to_1_rows, row_blocks
 from .errors import DomainTooLarge, WrongCharacteristic
 from .fields import Field
-from .polys import Poly
 
 _SEARCH_Q_CAP = 343
 
@@ -44,10 +43,6 @@ def cubic_charne3_is3to1(ctx: Field, b: int) -> bool:
     if ctx.p == 2:
         return ctx.m % 2 == 0
     return (ctx.order - 1) % 3 == 0
-
-
-def cubic_poly(ctx: Field, a: int, b: int) -> Poly:
-    return Poly(ctx, [(3, 1), (2, a), (1, b)])
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .counting import (
     classify, classify_rows, is_n_to_1, linearized_oracle, monomial_oracle, n_to_1_rows,
-    report_matches, row_blocks,
+    row_blocks,
 )
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
@@ -27,9 +27,7 @@ from .families import (
     random_piecewise, solve_piecewise, sweep_shift_power,
 )
 from .fields import Field, SubfieldEmbed, _is_prime, exact_log
-from .lowdeg import (
-    cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly, quartic_3to1_search,
-)
+from .lowdeg import cubic_char3_is3to1, cubic_charne3_is3to1, quartic_3to1_search
 from .polys import LinearizedPoly, Poly, affine_rows, eval_coeff_rows
 from .walsh import phi_prime_power, phi_two, spectral_verdict
 
@@ -120,14 +118,18 @@ def run_linearized(seed=SEED):
 def cubic_sweep(ctx):
     """Yield (a, b, predicate, brute) for the cubic criterion over ctx:
     every (a, b) in characteristic 3, (0, b) otherwise, where the
-    criterion is claimed for x^3 + b x alone."""
-    if ctx.p == 3:
-        cases = ((a, b, cubic_char3_is3to1(ctx, a, b))
-                 for a, b in itertools.product(ctx.elements(), repeat=2))
-    else:
-        cases = ((0, b, cubic_charne3_is3to1(ctx, b)) for b in ctx.elements())
-    for a, b, pred in cases:
-        yield a, b, pred, report_matches(classify(cubic_poly(ctx, a, b)), 3)
+    criterion is claimed for x^3 + b x alone.  The brute side is
+    n_to_1_rows at 3 on the dense rows [0, b, a, 1], one row block at a time."""
+    q = ctx.order
+    for lo, hi in row_blocks(q * q if ctx.p == 3 else q, q):
+        idx = np.arange(lo, hi, dtype=np.int64)
+        a, b = divmod(idx, q) if ctx.p == 3 else (np.zeros_like(idx), idx)
+        rows = np.stack([np.zeros_like(idx), b, a, np.ones_like(idx)], axis=1)
+        brute = n_to_1_rows(eval_coeff_rows(ctx, rows), q, 3)
+        for a_, b_, got in zip(a.tolist(), b.tolist(), brute.tolist()):
+            pred = (cubic_char3_is3to1(ctx, a_, b_) if ctx.p == 3
+                    else cubic_charne3_is3to1(ctx, b_))
+            yield a_, b_, pred, got
 
 
 def run_de3p3(seed=SEED):

@@ -49,6 +49,10 @@ class PhiGadget:
     p: int
     m: int
 
+    def __post_init__(self):
+        if self.n < 1:
+            raise ZeroInput(f"a gadget needs n >= 1, got n={self.n}")
+
     @property
     def bound(self) -> Fraction:
         return Fraction(0) if self.order % self.n == 0 else Fraction(1)

@@ -119,13 +119,73 @@ def test_sweep_with_one_point_per_branch(monkeypatch, capsys):
 
 def test_construct_tower_family(monkeypatch, capsys):
     rc, out, err = main_in_process(monkeypatch, capsys, "construct", "gouzao1", "--q1", "27",
-                                   "--m", "1", "--delta", "1")
+                                   "--delta", "1")
     assert rc == 0, err
     out = json.loads(out)
     assert out["family"] == "gouzao1"
     assert out["predicate"] is True
     assert out["brute_force"] is True
     assert out["agree"] is True
+    assert (out["subfield"]["m"], out["field"]["m"]) == (3, 6)
+
+
+def test_tower_subfield_has_one_door(monkeypatch, capsys):
+    # --field gives the subfield when present, with q1 beside it
+    rc, out, err = main_in_process(monkeypatch, capsys, "construct", "gouzao1", "--q1", "3",
+                                   "--field", "p=3,m=2", "--delta", "1")
+    assert rc == 0, err
+    out = json.loads(out)
+    assert (out["subfield"]["m"], out["field"]["m"], out["params"]["q1"]) == (2, 4, 3)
+    # families decide alone which variants take q1
+    for args, msg in ((("construct", "gouzao1", "--field", "p=3,m=3", "--delta", "1"),
+                       "gouzao1 needs q1"),
+                      (("construct", "gouzao3", "--q1", "27", "--delta", "1"), "gouzao3 takes no q1"),
+                      (("sweep", "2gouzao2", "--field", "p=2,m=4", "--q1", "16"),
+                       "2gouzao2 takes no q1")):
+        assert main_in_process(monkeypatch, capsys, *args) == (2, "", f"nto1: {msg}\n"), args
+    rc, _, err = main_in_process(monkeypatch, capsys, "construct", "gouzao1", "--q1", "27",
+                                 "--m", "1", "--delta", "1")
+    assert rc == 2 and "unrecognized arguments: --m 1" in err, err
+
+
+@pytest.mark.parametrize("args,msg", [
+    (("construct", "miu2", "--field", "p=7,m=1", "--r", "1", "--values", "1,1", "--q1", "7"),
+     "nto1: miu2 takes no --q1\n"),
+    (("construct", "nmiu3", "--field", "p=13,m=1", "--r", "1", "--values", "1,1,1,1", "--delta", "1"),
+     "nto1: nmiu3 takes no --delta\n"),
+    (("sweep", "miu3", "--field", "p=13,m=1", "--r", "1", "--q1", "13"),
+     "nto1: miu3 takes no --q1\n"),
+    (("construct", "gouzao1", "--q1", "27", "--delta", "1", "--r", "1"),
+     "nto1: gouzao1 takes no --r\n"),
+    (("construct", "2gouzao1", "--q1", "4", "--delta", "1", "--values", "1"),
+     "nto1: 2gouzao1 takes no --values\n"),
+    (("sweep", "gouzao2", "--q1", "27", "--r", "1"), "nto1: gouzao2 takes no --r\n"),
+    (("classify", "--field", "p=7,m=1,foo=3", "--poly", "x^2"),
+     "nto1: --field: unknown key 'foo'; the keys are p, m and modulus\n"),
+    (("verify-theorem", "de3p3", "--field", "p=3,m=2,n=3"),
+     "nto1: --field: unknown key 'n'; the keys are p, m and modulus\n"),
+])
+def test_options_a_command_never_reads_exit_2(monkeypatch, capsys, args, msg):
+    assert main_in_process(monkeypatch, capsys, *args) == (2, "", msg)
+
+
+def test_spec_and_field_exclude_each_other(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "gf7.json"
+    path.write_text(json.dumps(Field(7, 1).spec_dict()))
+    rc, out, _ = main_in_process(monkeypatch, capsys, "classify", "--spec", str(path), "--poly", "x^2")
+    assert rc == 0 and json.loads(out)["n"] == 2
+    rc, out, err = main_in_process(monkeypatch, capsys, "classify", "--field", "p=5,m=1",
+                                   "--spec", str(path), "--poly", "x^2")
+    assert rc == 2 and not out and "argument --spec: not allowed with argument --field" in err, err
+
+
+def test_lowdeg_cubic_over_gf2_exits_1(monkeypatch, capsys):
+    # x^3 + x is the zero map on GF(2), 3-to-1 by the definition (one fiber
+    # of #A mod 3 = 2 preimages), while the criterion says no
+    rc, out, err = main_in_process(monkeypatch, capsys, "lowdeg", "--degree", "3",
+                                   "--field", "p=2,m=1")
+    assert (rc, err) == (1, "b=1: predicate False, brute True\n")
+    assert data_rows(out) == ["0,0,0,0,1", "0,1,0,1,0"]
 
 
 def test_construct_branch_family(monkeypatch, capsys):
@@ -280,6 +340,15 @@ def test_diagram_in_refuses_malformed_labels(monkeypatch, capsys, tmp_path):
 def test_random_diagram_refusals_exit_2(monkeypatch, capsys, args, msg):
     rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--random", *args)
     assert (rc, out, err) == (2, "", msg)
+
+
+def test_random_diagram_refuses_a_large_n_before_building(monkeypatch, capsys):
+    # #A >= #Sbar >= n here, so every draw is refused before any list is built
+    start = time.perf_counter()
+    got = main_in_process(monkeypatch, capsys, "diagram", "--random", "--n", "20000")
+    assert time.perf_counter() - start < 1
+    assert got == (2, "", "nto1: no random diagram with n=20000 and at most max_set=100 "
+                          "points in 200 draws\n")
 
 
 @pytest.mark.parametrize("seed", range(1, 7))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from nto1 import (
     Field, LinearizedPoly, Poly, classify, classify_rows, counting, histogram, is_n_to_1,
-    linearized_oracle, monomial_oracle, report_matches, verify,
+    linearized_oracle, monomial_oracle, verify,
 )
 from nto1.counting import _decide, n_to_1_rows, row_blocks
 from nto1.errors import ExceptionCountMismatch, FieldMismatch, NTo1Error, ZeroInput
@@ -72,11 +72,28 @@ def test_is_n_to_1_reads_the_definition_literally():
     assert is_n_to_1(np.arange(5), dom, 1)
 
 
-def test_report_matches():
-    rep = classify(Poly(F7, [(3, 1)]))
-    assert report_matches(rep, 3)
-    assert not report_matches(rep, 2)
-    assert not report_matches(classify(table([2, 2, 3])), 2)
+def test_classify_names_one_n():
+    assert classify(Poly(F7, [(3, 1)])).n == 3
+    assert classify(table([2, 2, 3])).n == 0  # irregular: not n-to-1 for any n
+
+
+@given(st.lists(st.integers(1, 6), min_size=1, max_size=8), st.data())
+@settings(max_examples=60)
+def test_definition_and_classify_agree_once_the_domain_holds_n(sizes, data):
+    # with #A >= n, some fiber has n preimages, so the definition at n and
+    # classify's canonical n are the same question
+    t = table(sizes)
+    n = data.draw(st.integers(1, t.size))
+    assert is_n_to_1(t, None, n) == (classify(t).n == n)
+
+
+def test_constant_map_below_n_is_n_to_1_but_classifies_as_its_domain():
+    # #A < n: the one fiber holds #A mod n = #A, so the definition holds,
+    # while classify names n = #A
+    for size, n in ((1, 2), (2, 3), (5, 7)):
+        const = np.zeros(size, dtype=np.int64)
+        assert is_n_to_1(const, None, n)
+        assert classify(const).n == size != n
 
 
 @given(st.integers(1, 6), st.integers(0, 10 ** 6))
@@ -338,7 +355,7 @@ def test_classify_builds_no_histogram_until_it_is_read(monkeypatch):
     monkeypatch.setattr(counting, "histogram", refuse)
     rep = classify(Poly(F7, [(3, 1)]))
     assert (rep.n, rep.exception, rep.domain_size, rep.irregular) == (3, (0, 1), 7, False)
-    assert rep.to_json() and report_matches(rep, 3)
+    assert rep.to_json()
     assert built == [] and "histogram" not in vars(rep)
     repr(rep)
     assert len(built) == 1 and "histogram" in vars(rep)
@@ -419,10 +436,10 @@ def _random_rows(rng, rows, q):
        st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=20, deadline=None)
 def test_classify_rows_in_blocks_matches_classify(q, full, extra, seed):
-    step = row_blocks(10 ** 6, q)[0][1]
+    step = next(row_blocks(10 ** 6, q))[1]
     rows = full * step + 1 + extra % (step - 1)  # never a multiple of the block
     V = _random_rows(np.random.default_rng(seed), rows, q)
-    blocks = row_blocks(rows, q)
+    blocks = list(row_blocks(rows, q))
     assert blocks[0][0] == 0 and blocks[-1][1] == rows
     assert all(hi - lo <= max(1, 2 ** 14 // q) for lo, hi in blocks)
     got = []

@@ -447,6 +447,10 @@ def test_shift_power_tower_validation():
     emb = SubfieldEmbed(Field(3, 6), Field(3, 3))
     with pytest.raises(ValueError):
         build_shift_power(emb, "gouzao1", 0, q1=12)  # not a power of 3
+    with pytest.raises(ValueError, match="^gouzao1 needs q1$"):
+        build_shift_power(emb, "gouzao1", 0)
+    with pytest.raises(ValueError, match="^gouzao3 takes no q1$"):
+        sweep_shift_power(emb, "gouzao3", q1=27)
     with pytest.raises(ValueError):
         build_shift_power(emb, "2gouzao2", 0)  # wrong characteristic
     deep = SubfieldEmbed(Field(2, 8), Field(2, 2))

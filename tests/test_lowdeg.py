@@ -4,30 +4,53 @@ import numpy as np
 import pytest
 
 from nto1 import (
-    Field, Poly, classify, cubic_char3_is3to1, cubic_charne3_is3to1, cubic_poly,
-    is_n_to_1, quartic_3to1_search, report_matches,
+    Field, Poly, cubic_char3_is3to1, cubic_charne3_is3to1, is_n_to_1,
+    quartic_3to1_search, verify,
 )
 from nto1.counting import n_to_1_rows, row_blocks
 from nto1.errors import DomainTooLarge, WrongCharacteristic
-from nto1.verify import _prime_powers
+from nto1.verify import _prime_powers, cubic_sweep
+
+
+def _cubic_is_3to1(ctx, a, b):
+    """The definition at 3 on x^3 + a x^2 + b x, one map at a time."""
+    return is_n_to_1(Poly(ctx, [(3, 1), (2, a), (1, b)]), None, 3)
 
 
 def test_cubic_char3_exhaustive_gf9():
     ctx = Field(3, 2)
-    for a in ctx.elements():
-        for b in ctx.elements():
-            pred = cubic_char3_is3to1(ctx, a, b)
-            got = report_matches(classify(cubic_poly(ctx, a, b)), 3)
-            assert pred == got, (a, b)
+    cases = [(a, b, _cubic_is_3to1(ctx, a, b)) for a in ctx.elements() for b in ctx.elements()]
+    assert all(cubic_char3_is3to1(ctx, a, b) == want for a, b, want in cases)
+    assert list(cubic_sweep(ctx)) == [(a, b, want, want) for a, b, want in cases]
 
 
 def test_cubic_charne3_exhaustive():
     for p, m in ((2, 2), (7, 1), (13, 1)):
         ctx = Field(p, m)
-        for b in ctx.elements():
-            pred = cubic_charne3_is3to1(ctx, b)
-            got = report_matches(classify(cubic_poly(ctx, 0, b)), 3)
-            assert pred == got, (ctx.order, b)
+        cases = [(0, b, _cubic_is_3to1(ctx, 0, b)) for b in ctx.elements()]
+        assert all(cubic_charne3_is3to1(ctx, b) == want for _, b, want in cases), ctx.order
+        assert list(cubic_sweep(ctx)) == [(0, b, want, want) for _, b, want in cases]
+
+
+def test_gf2_zero_cubic_counts_as_3_to_1():
+    # x^3 + x is the zero map on GF(2): one fiber of #A mod 3 = 2 preimages
+    ctx = Field(2, 1)
+    assert _cubic_is_3to1(ctx, 0, 1)
+    assert list(cubic_sweep(ctx)) == [(0, 0, False, False), (0, 1, False, True)]
+
+
+def test_cubic_sweep_builds_one_block_per_step(monkeypatch):
+    real, blocks = verify.eval_coeff_rows, []
+
+    def spy(ctx, rows):
+        blocks.append(len(rows))
+        return real(ctx, rows)
+
+    monkeypatch.setattr(verify, "eval_coeff_rows", spy)
+    sweep = cubic_sweep(Field(2, 13))
+    assert blocks == []
+    assert next(sweep) == (0, 0, False, False)
+    assert blocks == [2]  # 2^14 entries: two rows of 2^13
 
 
 def test_wrong_characteristic_raises():

@@ -1,8 +1,8 @@
 """Sweep witnesses: a row the batch classifier rejects still gets the
 one-map witness text, built from classify's own report; agreement keeps
 the first predicate-vs-brute disagreement; branch_sweep refuses cases
-outside its criterion; the normalize and walsh rows are pinned by hash,
-and a corrupted affine row still gets a witness."""
+outside its criterion; the normalize, walsh, cubic and agwcore2 rows are
+pinned by hash, and a corrupted affine row still gets a witness."""
 
 import hashlib
 import re
@@ -23,6 +23,18 @@ NORMALIZE_ROWS_SHA256 = {
 WALSH_ROWS_SHA256 = {
     20260817: "2ff02934c0be962130ff2a760551ca086f4efd212ff311af80e9674777fb607b",
     7: "705e006e75a996eecde47feacbc2c1e8346a92f248db73e9a26c49ce7c4afe09",
+}
+
+# sha256 of repr(verify.run(id, seed=s).rows): the cubic rows as the
+# per-pair classify route produced them, the agwcore2 rows as random_diagram
+# drew them before it refused an oversized draw early; both must match.
+ROWS_SHA256 = {
+    ("de3p3", 20260817): "e84505ae2655919026854e86339d39bbe858f2d4b54521f1d7c5777c2dd38593",
+    ("de3p3", 7): "e84505ae2655919026854e86339d39bbe858f2d4b54521f1d7c5777c2dd38593",
+    ("de3pne3", 20260817): "b731b2eceb4e2606a4254603597d54d2dc9942bdfcca558ea96a10b70e966df3",
+    ("de3pne3", 7): "b731b2eceb4e2606a4254603597d54d2dc9942bdfcca558ea96a10b70e966df3",
+    ("agwcore2", 20260817): "d3d0ef6cbfe624050f9d693f65e934a4b37cbfeb5bff79ac822b9cb806dfde55",
+    ("agwcore2", 7): "bb055196ec68d3bf9780562819f6661d91cee26e2287ea74dabe070829c5d653",
 }
 
 
@@ -135,3 +147,10 @@ def test_branch_sweep_refuses_cases_outside_the_criterion():
         verify.branch_sweep(Field(7, 1), 1, 4)
     with pytest.raises(ValueError, match=r"^the criterion needs r coprime to \(q-1\)/2; r=3 is not$"):
         verify.branch_sweep(Field(7, 1), 3, 2)
+
+
+@pytest.mark.parametrize("theorem_id,seed", sorted(ROWS_SHA256))
+def test_cubic_and_diagram_rows_are_pinned(theorem_id, seed):
+    res = verify.run(theorem_id, seed=seed)
+    assert res.ok
+    assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == ROWS_SHA256[theorem_id, seed]

@@ -62,6 +62,13 @@ def test_a_gadget_is_judged_against_its_own_n():
     assert validate_phi(g) == (False, 2)
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_a_gadget_needs_n_at_least_1(n):
+    # n = 0 once divided by zero in bound; n = -2 passed with bound 1
+    with pytest.raises(ZeroInput, match=f"^a gadget needs n >= 1, got n={n}$"):
+        PhiGadget((Fraction(0), Fraction(1)), n, 3, 2)
+
+
 def test_zero_table_shape_and_trivial_row():
     f = Poly(F9, [(2, 1)])
     W = walsh_zero_table(f, F9)
