@@ -21,7 +21,7 @@ from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, random_diagram, transfer, verify_diagram
 from .errors import GateExceeded, NTo1Error
 from .families import (
-    SHIFT_POWER_VARIANTS, branch_case_predicate, build_branch_interpolation,
+    Q1_VARIANTS, SHIFT_POWER_VARIANTS, branch_case_predicate, build_branch_interpolation,
     build_shift_power, shift_power_poly,
 )
 from .fields import Field, SubfieldEmbed, _prime_factors, exact_log, field_from_spec
@@ -288,6 +288,9 @@ def _shift_power_tower(args):
     """The quadratic tower of a shift-power variant over its subfield:
     --field (or --spec) when one is given, else GF(q1) from --q1."""
     _refuse(args, "r", "values")
+    if args.q1 is None and not (args.field or args.spec) and args.family in Q1_VARIANTS:
+        raise UsageError(f"{args.family} needs a subfield: --q1 <prime power>, "
+                         "--field p=..,m=.. or --spec file.json")
     if args.q1 is None or args.field or args.spec:
         sub = _build_field(args)
     else:

@@ -644,6 +644,7 @@ def reduced_blowup(inst):
 # ---------------------------------------------------------------------------
 
 SHIFT_POWER_VARIANTS = ("gouzao1", "gouzao2", "gouzao3", "2gouzao1", "2gouzao2")
+Q1_VARIANTS = ("gouzao1", "gouzao2", "2gouzao1")  # built on a GF(q1) below the subfield
 
 
 def _check_tower(q, q1, p):
@@ -660,7 +661,7 @@ def shift_power_profile(emb, variant, q1=None):
     if variant not in SHIFT_POWER_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     q = emb.sub.order
-    takes_q1 = variant in ("gouzao1", "gouzao2", "2gouzao1")
+    takes_q1 = variant in Q1_VARIANTS
     if takes_q1 != (q1 is not None):
         raise ValueError(f"{variant} needs q1" if takes_q1 else f"{variant} takes no q1")
     if variant in ("gouzao1", "gouzao2"):

@@ -593,9 +593,12 @@ class Field:
         return self.add_vec(a, self.neg_vec(b))
 
     def mul_vec(self, a, b):
-        self._ensure_tables()
+        """a * b elementwise; on GF(p) a * b mod p, with no tables."""
         a = np.asarray(a, dtype=np.int64)
         b = np.asarray(b, dtype=np.int64)
+        if self.m == 1:  # residues below p < 2^31: products stay below 2^62
+            return a * b % self.p
+        self._ensure_tables()
         n = self.order - 1
         mask = (a != 0) & (b != 0)
         out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)

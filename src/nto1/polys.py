@@ -4,8 +4,10 @@ Sparse exponent-coefficient pairs are the canonical form, because the
 construction families use exponents far above the field size (reduction
 mod x^q - x is explicit, never silent).  A dense view exists for Horner
 evaluation and shift on low-degree polynomials.  eval_rows
-evaluates many polynomials over the whole field in the log domain, one
-table gather per distinct exponent, no per-term powering; eval_all is its
+evaluates many polynomials over the whole field with no per-term
+powering: over GF(p) as one exact int64 product of the coefficient
+matrix with the Vandermonde rows x^e mod p, over GF(p^m), m > 1, in
+the log domain, one table gather per distinct exponent; eval_all is its
 one-row case.  eval_coeff_rows evaluates dense coefficient rows, and
 affine_rows maps each to a*f(x+b) + c (Poly.shift is its scalar oracle).
 
@@ -32,6 +34,7 @@ from .errors import (
 from .fields import Field, exact_log
 
 _DENSE_CAP = 1 << 22
+_SUM_TERMS = (1 << 22) - 1  # this many products below 2^40, plus p, stay below 2^63
 
 
 class Poly:
@@ -186,17 +189,29 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
 
     The columns are the distinct exponents e >= 1 across the rows, not a
     dense range, so sparse high-degree polynomials cost one column per
-    exponent.  Each column is one log-domain gather: c*x^e is
-    exp[(log x * (e mod n)) mod n + log c] at x != 0 (n = q - 1) and 0 at
-    x = 0.  exp holds 2n entries, so only the n-long exponent vector is
-    reduced mod n; the product stays below n^2 <= 2^40 at the 2^20
-    log-table gate.  A row whose coefficient in a column is zero has
-    log c = -1, still a valid index, and is masked to 0.  Constant terms
-    fill their row.  Terms are summed by XOR for p = 2, and as plain
-    residues reduced mod p once at the end for m = 1.  For odd p and m > 1
-    each term is one packed int64 holding its m base-p digits in bit
-    fields of width 63 // m (Field._packed_digits), so it costs one gather
-    and one add.  A field gains at most p - 1 per term, so after
+    exponent; each e is reduced mod n = q - 1 as a Python int first, and
+    e = 0 mod n gives x^e = 1 at x != 0.  Constant terms fill their row.
+
+    Over GF(p) the table is one exact int64 product: out = (consts + C @ V)
+    mod p for the (rows, terms) coefficient matrix C and the Vandermonde
+    rows V[j, x] = x^(e_j) mod p, each V[j, 0] = 0 and the rest of it one
+    gather exp[(log x * (e_j mod n)) mod n].  V is built in chunks of
+    k <= rows exponents, so it never holds more entries than out.  The
+    log-table gate gives p <= 2^20, so each product is below 2^40, and k
+    terms sum below k*(p-1)^2 + p < 2^63 for every k < 2^22.  So out is
+    reduced mod p before a chunk would take the terms summed since its
+    last reduction past 2^22 - 1, and once at the end; a one-row
+    evaluation, one exponent per chunk, thus reduces once, not per term.
+
+    Over GF(p^m), m > 1, each column is one log-domain gather: c*x^e is
+    exp[(log x * (e mod n)) mod n + log c] at x != 0 and 0 at x = 0.  exp
+    holds 2n entries, so only the n-long exponent vector is reduced mod n;
+    the product stays below n^2 <= 2^40 at the 2^20 log-table gate.  A
+    row whose coefficient in a column is zero has log c = -1, still a
+    valid index, and is masked to 0.  Terms are summed by XOR for p = 2.
+    For odd p each term is one packed int64 holding its m base-p digits
+    in bit fields of width 63 // m (Field._packed_digits), so it costs one
+    gather and one add.  A field gains at most p - 1 per term, so after
     cap = (2^width - 1) // (p - 1) terms, at least 15 below the 2^20 gate
     (3^12: width 5; see fields._packed_headroom), the sum is unpacked and
     packed again before any field can carry into the next.  The values are
@@ -204,15 +219,13 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
     rows = len(polys)
     consts = [0] * rows
     cols = {}  # exponent -> coefficient of every row
-    filled = 0
     for i, f in enumerate(polys):
         for e, c in f.terms:
             if e == 0:
                 consts[i] = c
             else:
                 cols.setdefault(e, [0] * rows)[i] = c
-                filled += 1
-    return _eval_terms(ctx, consts, cols, filled)
+    return _eval_terms(ctx, consts, list(cols), list(cols.values()))
 
 
 def eval_coeff_rows(ctx: Field, coeffs) -> np.ndarray:
@@ -220,8 +233,9 @@ def eval_coeff_rows(ctx: Field, coeffs) -> np.ndarray:
     dense coefficients, constant first, are a row of the (T, k) matrix
     coeffs, entries in [0, q) or FieldMismatch.  eval_rows without Poly objects."""
     coeffs = _coeff_matrix(ctx, coeffs)
-    cols = {e: col for e, col in enumerate(coeffs.T.tolist()) if e and any(col)}
-    return _eval_terms(ctx, coeffs[:, 0].tolist(), cols, int(np.count_nonzero(coeffs[:, 1:])))
+    cols = coeffs[:, 1:].T
+    used = np.flatnonzero(cols.any(axis=1))
+    return _eval_terms(ctx, coeffs[:, 0].tolist(), (used + 1).tolist(), cols[used])
 
 
 def _coeff_matrix(ctx: Field, coeffs, what="coefficient rows") -> np.ndarray:
@@ -253,54 +267,70 @@ def affine_rows(ctx: Field, coeffs, a, b, c) -> np.ndarray:
     return out
 
 
-def _eval_terms(ctx: Field, consts: list, cols: dict, filled: int) -> np.ndarray:
-    """The evaluation behind eval_rows: consts[t] + sum_e cols[e][t] x^e for
-    each row t, as a (len(consts), q) table; cols maps each exponent
-    e >= 1 to one coefficient per row, filled of them nonzero, and no
-    column is all zero."""
+def _eval_terms(ctx: Field, consts: list, exps: list, coeffs) -> np.ndarray:
+    """The evaluation behind eval_rows: consts[t] + sum_j coeffs[j][t] x^exps[j]
+    for each row t, as a (len(consts), q) table; exps are distinct ints
+    >= 1, and no row of the (len(exps), len(consts)) matrix coeffs, an
+    array or nested lists, is all zero."""
     q, p = ctx.order, ctx.p
     rows = len(consts)
     out = np.zeros((rows, q), dtype=np.int64)
     if any(consts):
         out += np.asarray(consts, dtype=np.int64)[:, None]
-    if not cols:
+    if not exps:
         return out
     ctx._ensure_tables()
     n = q - 1
     exp, log, log_x = ctx._exp, ctx._log, ctx._log[1:]
+    es = [e % n for e in exps]  # in Python ints: e may be far above 2^63
+    if ctx.m == 1:
+        es, C = np.array(es, dtype=np.int64), np.asarray(coeffs, dtype=np.int64).T
+        k = min(rows, _SUM_TERMS)
+        V = np.zeros((min(k, len(es)), q), dtype=np.int64)  # V[:, 0] = 0^e = 0
+        summed = 0  # terms added to out since it was last reduced mod p
+        for lo in range(0, len(es), k):
+            hi = min(lo + k, len(es))
+            if summed + hi - lo > _SUM_TERMS:
+                out %= p
+                summed = 0
+            idx = log_x * es[lo:hi, None]
+            idx %= n
+            np.take(exp, idx, out=V[:hi - lo, 1:], mode="clip")  # idx < n; clip skips a buffer
+            out += C[:, lo:hi] @ V[:hi - lo]
+            summed += hi - lo
+        out %= p
+        return out
     if rows == 1:  # a scalar log c is the cheapest broadcast; no zero coefficients
-        log_c, zero = [int(log[c]) for (c,) in cols.values()], None
+        log_c, zero = [int(log[c]) for (c,) in coeffs], None
     else:
-        coeffs = np.array(list(cols.values()), dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=np.int64)
         log_c = log[coeffs][:, :, None]
-        zero = coeffs == 0 if filled < coeffs.size else None
+        zero = coeffs == 0
+        if not zero.any():
+            zero = None
     units = out[0, 1:] if rows == 1 else out[:, 1:]
-    single = len(cols) == 1 and not any(consts)
-    digits = p != 2 and ctx.m > 1 and not single
+    single = len(exps) == 1 and not any(consts)
+    digits = p != 2 and not single
     if digits:
         packed, width, cap = ctx._packed_digits()
         acc = np.repeat(packed[consts], n).reshape(units.shape)
         terms = 1  # the constant counts as one term
-    for j, e in enumerate(cols):
-        t = exp[(log_x * (e % n)) % n + log_c[j]]
+    for j, e in enumerate(es):
+        t = exp[(log_x * e) % n + log_c[j]]
         if zero is not None:
             t[zero[j]] = 0
         if single:
             units[:] = t
         elif p == 2:
             units ^= t
-        elif digits:
+        else:
             if terms == cap:
                 acc = packed[_unpack(ctx, acc, width)]
                 terms = 1
             acc += packed[t]
             terms += 1
-        else:
-            units += t
     if digits:
         units[:] = _unpack(ctx, acc, width)
-    elif p != 2 and not single:
-        units %= p
     return out
 
 

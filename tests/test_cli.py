@@ -148,6 +148,13 @@ def test_tower_subfield_has_one_door(monkeypatch, capsys):
     assert rc == 2 and "unrecognized arguments: --m 1" in err, err
 
 
+@pytest.mark.parametrize("args", [("construct", "gouzao1", "--delta", "1"),
+                                  ("sweep", "gouzao1")])
+def test_tower_family_without_a_subfield_names_q1(monkeypatch, capsys, args):
+    msg = "nto1: gouzao1 needs a subfield: --q1 <prime power>, --field p=..,m=.. or --spec file.json\n"
+    assert main_in_process(monkeypatch, capsys, *args) == (2, "", msg)
+
+
 @pytest.mark.parametrize("args,msg", [
     (("construct", "miu2", "--field", "p=7,m=1", "--r", "1", "--values", "1,1", "--q1", "7"),
      "nto1: miu2 takes no --q1\n"),

@@ -354,6 +354,29 @@ def test_prime_field_mul_is_residue_mul_on_every_pair(p):
             F.mul(a, b)
 
 
+def test_prime_field_mul_vec_is_scalar_mul_with_add_vecs_shapes():
+    for p in filter(fields._is_prime, range(2, 100)):
+        F = Field(p, 1)
+        xs = F.elements_array()
+        a, b = np.repeat(xs, p), np.tile(xs, p)
+        assert F.mul_vec(a, b).tolist() == [F.mul(x, y) for x, y in zip(a.tolist(), b.tolist())], p
+        # broadcasts and 0-d inputs come back as add_vec's do
+        for u, v in ((xs[:, None], xs[None, :]), (np.int64(p - 1), xs), (p - 1, np.int64(p - 1)),
+                     (np.int64(1), np.int64(p - 1)), (xs[1:4], 2)):
+            got, like = F.mul_vec(u, v), F.add_vec(u, v)
+            assert (type(got), got.dtype, np.shape(got)) == (type(like), like.dtype, np.shape(like))
+        assert F._exp is None, p  # no tables
+
+
+def test_mul_vec_over_the_largest_prime_below_2_31_needs_no_tables():
+    p = 2147483647
+    F = Field(p, 1)
+    a = np.array([p - 1, p - 1, 0, 1, 2 ** 30], dtype=np.int64)
+    assert F.mul_vec(a, a).tolist() == [F.mul(x, x) for x in a.tolist()]
+    assert int(F.mul_vec(p - 1, p - 1)) == F.mul(p - 1, p - 1) == 1
+    assert F.add_vec(p - 1, 1) == 0 and F._exp is None
+
+
 @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
 def test_add_vec_and_neg_vec_match_scalar_on_every_pair(p, m):
     F = Field(p, m)

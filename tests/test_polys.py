@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nto1 import Field, LinearizedPoly, Poly, eval_rows, is_additive
-from nto1 import fields
+from nto1 import fields, polys
 from nto1.errors import DegreeMismatch, FieldMismatch, FieldTooLarge, SingularSystem
 from nto1.polys import (
     affine_rows, eval_coeff_rows, matrix_rank, roots_of_unity_interpolate_rows, row_reduce,
@@ -381,6 +381,67 @@ def test_eval_rows_matches_oracle_and_pointwise(ctx):
     single = [Poly(ctx, [(5, c)]) for c in (0, 1, q - 1, 0)]
     assert eval_rows(ctx, single).tolist() == [[f(x) for x in ctx.elements()] for f in single]
     assert eval_rows(ctx, []).shape == (0, q)
+
+
+# ----------------------------------------------------------------------
+# Prime fields: one int64 product of coefficients and Vandermonde rows.
+# ----------------------------------------------------------------------
+
+def _horner_mod_p(row, x, p):
+    """The dense row (constant first) at x, by Horner in Python ints mod p."""
+    acc = 0
+    for c in reversed(row):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def test_eval_coeff_rows_is_horner_mod_p_on_every_prime_below_400():
+    rng = random.Random(400)
+    for p in filter(fields._is_prime, range(2, 400)):
+        ctx = Field(p, 1)
+        rows = [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
+        rows += [[0] * 6, [rng.randrange(1, p)] + [0] * 5,
+                 [rng.choice([0, 0, rng.randrange(p)]) for _ in range(6)]]
+        table = eval_coeff_rows(ctx, rows)
+        assert table.dtype == np.int64 and table.shape == (len(rows), p)
+        assert table.tolist() == [[_horner_mod_p(row, x, p) for x in range(p)] for row in rows], p
+    # rows that are only a constant, and all-zero rows, need no exponent at all
+    assert eval_coeff_rows(Field(5, 1), [[3, 0], [0, 0]]).tolist() == [[3] * 5, [0] * 5]
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 101])
+def test_one_row_eval_rows_with_many_sparse_exponents_over_gf_p(p, monkeypatch):
+    # one row: every exponent is a chunk of its own
+    ctx, n = Field(p, 1), p - 1
+    rng = random.Random(p)
+    exps = [n, 5 * n, 2 ** 70 + 5, 2 ** 90, 10 ** 6 + 3] + rng.sample(range(1, 4 * p), 6)
+    f = Poly(ctx, [(e, rng.randrange(1, p)) for e in exps] + [(0, rng.randrange(p))])
+    assert len(f.terms) > 2
+    want = [sum(c * pow(x, e, p) for e, c in f.terms) % p for x in range(p)]
+    row = eval_rows(ctx, [f])[0]
+    assert row.tolist() == want == _eval_all_oracle(f).tolist()
+    assert np.array_equal(row, f.eval_all())
+    # reduced mod p every third term instead of once at the end
+    monkeypatch.setattr(polys, "_SUM_TERMS", 3)
+    assert eval_rows(ctx, [f])[0].tolist() == want
+
+
+def test_eval_over_the_largest_prime_under_the_log_table_gate(monkeypatch):
+    p = 1048573
+    assert fields._is_prime(p) and all(not fields._is_prime(r) for r in range(p + 1, 2 ** 20))
+    ctx = Field(p, 1)
+    # every coefficient is p - 1, and so is every odd power of x = p - 1:
+    # those products are (p - 1)^2, the largest there are; two rows make
+    # chunks of two exponents, so the five exponents take three chunks
+    exps = [1, 3, 2 ** 70 + 5, p - 1, 2 * (p - 1)]
+    fs = [Poly(ctx, [(e, p - 1) for e in exps] + [(0, p - 1)]), Poly(ctx, [(e, p - 1) for e in exps])]
+    table = eval_rows(ctx, fs)
+    xs = [0, 1, 2, p - 2, p - 1] + random.Random(p).sample(range(p), 20)
+    for f, row in zip(fs, table):
+        assert [int(row[x]) for x in xs] == [f(x) for x in xs], f
+    # a reduction mod p between every two chunks gives the same table
+    monkeypatch.setattr(polys, "_SUM_TERMS", 2)
+    assert np.array_equal(eval_rows(ctx, fs), table)
 
 
 # ----------------------------------------------------------------------
