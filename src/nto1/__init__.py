@@ -25,8 +25,7 @@ from .families import (
     build_norm_lift, build_shift_power, build_translate_link,
     build_two_branch_lift, coset_power_monomial, coset_power_monomial_n,
     frobenius_twist, random_piecewise, reduced_blowup, shift_power_poly,
-    shift_power_predicate, shift_power_profile, solve_piecewise,
-    sweep_shift_power, trace_class_reps,
+    shift_power_predicate, shift_power_profile, solve_piecewise, trace_class_reps,
 )
 from .fields import Field, SubfieldEmbed, field_from_spec
 from .lowdeg import (

@@ -232,7 +232,8 @@ def cmd_walsh(args):
 
 def cmd_lowdeg(args):
     ctx = _build_field(args)
-    _gate(ctx.order, args)
+    # the cubic sweep enumerates every (a, b) in characteristic 3
+    _gate(ctx.order ** 2 if args.degree == 3 and ctx.p == 3 else ctx.order, args)
     if args.degree == 3:
         rows, bad = verify.agreement(
             verify.cubic_sweep(ctx),
@@ -373,6 +374,8 @@ def cmd_sweep(args):
     ctx, ell = _branch_field(args)
     if args.r is None:
         raise UsageError(f"sweep {family} needs --r")
+    # branch_sweep enumerates ell-tuples: of every element at ell = 2, else of ell + 1 classes
+    _gate((ctx.order if ell == 2 else ell + 1) ** ell, args)
     rows, bad = verify.agreement(verify.branch_sweep(ctx, args.r, ell),
                                  lambda *values: f"values={values}")
     cols = ",".join(f"v{i}" for i in range(ell)) + ",predicate,brute"

@@ -656,8 +656,11 @@ def _check_tower(q, q1, p):
 
 def shift_power_profile(emb, variant, q1=None):
     """Exponent, claimed n, and the arithmetic gate of one tabulated shape,
-    as (e, n, gate_ok, gate_note).  ValueError when a variant built on
-    GF(q1) lacks q1, or one that is not gets a q1."""
+    as (e, n, gate_ok, gate_note).  ValueError off a quadratic extension,
+    or when a variant built on GF(q1) lacks q1, or one that is not gets a
+    q1."""
+    if emb.rel_degree != 2:
+        raise ValueError("needs a quadratic extension")
     if variant not in SHIFT_POWER_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     q = emb.sub.order
@@ -681,11 +684,10 @@ def shift_power_profile(emb, variant, q1=None):
     return 3 * q, 2, True, None
 
 
-def shift_power_predicate(emb, variant, delta, q1=None):
+def shift_power_predicate(emb, variant, T, q1=None):
     """The trace-class test each tabulated shape claims equivalent to
-    being n-to-1, evaluated in the base subfield."""
+    being n-to-1, on T = tr(delta), an element of the base subfield."""
     sub = emb.sub
-    T = emb.trace(delta)
     if variant == "gouzao1":
         return T != 0 and sub.power_class(T, 2) == 1
     if variant == "gouzao2":
@@ -711,16 +713,15 @@ def build_shift_power(emb, variant, delta, q1=None):
     extension, wired through the translate link with c = 1, plus its
     trace-class predicate in meta."""
     big = emb.big
-    if emb.rel_degree != 2:
-        raise ValueError("needs a quadratic extension")
     e, n, gate, note = shift_power_profile(emb, variant, q1)
     broken = []
     _require(broken, gate, note, (q1, emb.sub.order))
     inst = build_translate_link(big, emb.sub.order, 1, Poly.monomial(big, 1, e),
                                 1, delta, n)
+    T = emb.trace(delta)
     inst.family = variant
-    inst.meta.update({"e": e, "q1": q1, "trace": emb.trace(delta),
-                      "predicate": shift_power_predicate(emb, variant, delta, q1)})
+    inst.meta.update({"e": e, "q1": q1, "trace": T,
+                      "predicate": shift_power_predicate(emb, variant, T, q1)})
     inst.violations = tuple(broken) + inst.violations
     return inst
 
@@ -743,18 +744,3 @@ def trace_class_reps(emb):
     traces, first = np.unique(emb.trace_table(), return_index=True)
     return dict(zip(traces.tolist(), first.tolist()))
 
-
-def sweep_shift_power(emb, variant, q1=None):
-    """Predicate against brute force, one delta per trace class; rows of
-    (trace, delta, predicted, verified), ascending in the trace.
-    ValueError where the variant's arithmetic gate fails: the predicate is
-    not claimed for that tower."""
-    _, _, gate, note = shift_power_profile(emb, variant, q1)
-    if not gate:
-        raise ValueError(f"{variant}: the arithmetic gate {note} fails "
-                         f"for this tower, so the predicate is not claimed")
-    rows = []
-    for tval, delta in trace_class_reps(emb).items():
-        inst = build_shift_power(emb, variant, delta, q1=q1)
-        rows.append((tval, delta, inst.meta["predicate"], inst.holds()))
-    return rows

@@ -611,12 +611,21 @@ class Field:
         return self.mul_vec(self.check(c), a)
 
     def pow_vec(self, a, e: int):
-        """a^e elementwise for e >= 1 (0^e = 0)."""
+        """a^e elementwise for e >= 1 (0^e = 0).  Above the log-table gate
+        GF(p) squares and multiplies residues, products below 2^62, on
+        the exponent folded into [1, p - 1]."""
         if e < 1:
             raise ZeroInput("pow_vec requires e >= 1")
-        self._ensure_tables()
         a = np.asarray(a, dtype=np.int64)
         n = self.order - 1
+        if self.m == 1 and self.order > _LOG_TABLE_CAP:
+            out = np.ones_like(a)
+            for bit in bin((e - 1) % n + 1)[2:]:
+                out = out * out % self.p
+                if bit == "1":
+                    out = out * a % self.p
+            return out
+        self._ensure_tables()
         out = np.zeros(a.shape, dtype=np.int64)
         mask = a != 0
         out[mask] = self._exp[(self._log[a[mask]] * (e % n)) % n]

@@ -23,8 +23,8 @@ from .counting import (
 )
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
-    branch_case_predicate, branch_tables, build_translate_link,
-    random_piecewise, solve_piecewise, sweep_shift_power,
+    branch_case_predicate, branch_tables, build_translate_link, random_piecewise,
+    shift_power_predicate, shift_power_profile, solve_piecewise, trace_class_reps,
 )
 from .fields import Field, SubfieldEmbed, _is_prime, exact_log
 from .lowdeg import cubic_char3_is3to1, cubic_charne3_is3to1, quartic_3to1_search
@@ -315,9 +315,24 @@ def run_piecewisegenerel(seed=SEED):
 
 
 def shift_power_sweep(emb, variant, q1=None):
-    """sweep_shift_power as agreement rows (trace, delta, predicate, brute)
-    and the first witness; sweep_shift_power refuses a failed gate."""
-    return agreement(sweep_shift_power(emb, variant, q1=q1),
+    """Agreement rows (trace, delta, predicate, brute) of (x^q - x + delta)^e + x,
+    one delta per trace class (trace_class_reps), and the first witness;
+    ValueError where the arithmetic gate fails.  The brute side is the
+    definition: x^q - x and y^e built once, then build_shift_power's maps
+    without its square, one row block of deltas per n_to_1_rows at n; the
+    predicate reads each class's trace."""
+    e, n, gate, note = shift_power_profile(emb, variant, q1)
+    if not gate:
+        raise ValueError(f"{variant}: the arithmetic gate {note} fails "
+                         f"for this tower, so the predicate is not claimed")
+    big, q, reps = emb.big, emb.big.order, trace_class_reps(emb)
+    xs, deltas = big.elements_array(), np.array(list(reps.values()), dtype=np.int64)
+    psi, power = big.sub_vec(big.pow_vec(xs, emb.q_sub), xs), big.pow_vec(xs, e)
+    brute = np.concatenate([
+        n_to_1_rows(big.add_vec(power[big.add_vec(psi, deltas[lo:hi, None])], xs), q, n)
+        for lo, hi in row_blocks(len(reps), q)])
+    return agreement(((t, d, shift_power_predicate(emb, variant, t, q1), got)
+                      for (t, d), got in zip(reps.items(), brute.tolist())),
                      lambda tval, delta: f"trace={tval} delta={delta}")
 
 

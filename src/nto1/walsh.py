@@ -62,6 +62,14 @@ class PhiGadget:
         return self.p ** self.m
 
 
+@lru_cache(maxsize=None)
+def _scaled(coeffs: tuple) -> tuple:
+    """(den, ints) of a gadget's coefficients: den their common denominator
+    and ints[j] = den * A_j as Python ints, so phi = sum_j ints[j] X^j / den."""
+    den = math.lcm(*(Fraction(c).denominator for c in coeffs))
+    return den, tuple(int(Fraction(c) * den) for c in coeffs)
+
+
 def phi_two(p: int, m: int) -> PhiGadget:
     """X(X-2)^2, the 2-to-1 pattern for odd q."""
     if p == 2:
@@ -88,13 +96,11 @@ def validate_phi(g: PhiGadget):
         return False, None
     q = g.order
     t = q % g.n
-    # v = den * phi(X) in Python ints, den the common denominator
-    den = math.lcm(*(Fraction(c).denominator for c in g.coeffs))
-    ints = [int(Fraction(c) * den) for c in reversed(g.coeffs)]
+    den, ints = _scaled(g.coeffs)  # v = den * phi(X) in Python ints
     floor = int(g.bound) * den
     for X in range(q + 1):
         v = 0
-        for a in ints:
+        for a in reversed(ints):
             v = v * X + a
         if X in (0, g.n):
             ok = v == 0
@@ -211,10 +217,9 @@ def _char_sum_of_table(ctx: Field, T: np.ndarray, gadget: PhiGadget) -> Fraction
         raise DegreeTooHigh(f"char_sum supports degree <= {_PHI_J_CAP}, got {J}")
     if gadget.p != ctx.p or gadget.m != ctx.m:
         raise ZeroInput("gadget was built for a different field")
-    total = Fraction(gadget.coeffs[0])
-    for j, m_j in enumerate(_fiber_moments(ctx, T, J), start=1):
-        total += Fraction(gadget.coeffs[j]) * m_j
-    return total
+    den, ints = _scaled(gadget.coeffs)
+    return Fraction(ints[0] + sum(a * m_j for a, m_j in zip(ints[1:], _fiber_moments(ctx, T, J))),
+                    den)
 
 
 def spectral_verdict(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> bool:

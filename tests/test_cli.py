@@ -378,6 +378,20 @@ def test_field_with_unfactorable_unit_order_exit_2(monkeypatch, capsys):
     assert err.startswith("nto1: GF(2^61), q = 2305843009213693952: cannot factor "), err
 
 
+def test_sweeps_are_gated_on_the_cases_they_enumerate(monkeypatch, capsys):
+    # q^2 cases from q = 243 (cubic pairs (a, b)) and q = 97 (two-branch value pairs)
+    msg = "nto1: {} over {} elements exceeds the gate 8192; pass --nightly or set NTO1_NIGHTLY=1\n"
+    assert main_in_process(monkeypatch, capsys, "lowdeg", "--degree", "3",
+                           "--field", "p=3,m=5") == (3, "", msg.format("lowdeg", 243 ** 2))
+    rc, out, err = main_in_process(monkeypatch, capsys, "lowdeg", "--degree", "3",
+                                   "--field", "p=3,m=4")
+    assert rc == 0 and len(data_rows(out)) == 81 ** 2, err
+    sweep = ("sweep", "miu2", "--field", "p=97,m=1", "--r", "1")
+    assert main_in_process(monkeypatch, capsys, *sweep) == (3, "", msg.format("sweep", 97 ** 2))
+    rc, out, err = main_in_process(monkeypatch, capsys, *sweep, "--nightly")
+    assert rc == 0 and len(data_rows(out)) == 97 ** 2, err
+
+
 def test_domain_gate_exit_3_and_nightly_override():
     # exit 3 and the NTO1_NIGHTLY=1 override, through a fresh interpreter
     args = ("classify", "--field", "p=2,m=14", "--poly", "x^3")

@@ -13,7 +13,7 @@ from nto1 import (
     Field, LinearizedPoly, PiecewiseSpec, Poly, SubfieldEmbed, classify, is_n_to_1,
     monomial_oracle, verify_diagram,
 )
-from nto1 import families
+from nto1 import families, verify
 from nto1.counting import n_to_1_rows
 from nto1.errors import ConstructionMismatch, FieldMismatch
 from nto1.families import (
@@ -21,8 +21,7 @@ from nto1.families import (
     build_branch_interpolation, build_coset_power, build_linearized_mix,
     build_norm_lift, build_shift_power, build_translate_link,
     build_two_branch_lift, coset_power_monomial, coset_power_monomial_n, frobenius_twist,
-    random_piecewise, reduced_blowup, shift_power_poly, solve_piecewise,
-    sweep_shift_power, trace_class_reps,
+    random_piecewise, reduced_blowup, shift_power_poly, solve_piecewise, trace_class_reps,
 )
 from nto1.polys import roots_of_unity_interpolate_rows
 
@@ -426,7 +425,7 @@ def test_shift_power_predicate_is_a_trace_class_invariant():
 
 def test_shift_power_small_sweep_counts():
     emb = SubfieldEmbed(Field(2, 8), Field(2, 4))
-    rows = sweep_shift_power(emb, "2gouzao2")
+    rows, _ = verify.shift_power_sweep(emb, "2gouzao2")
     assert all(pred == got for _, _, pred, got in rows)
     assert sum(pred for _, _, pred, _ in rows) == 14
 
@@ -438,7 +437,7 @@ def test_shift_power_gate_is_decided_once():
     with pytest.raises(ValueError, match=re.escape(
             f"gouzao1: the arithmetic gate {note} fails for this tower, "
             "so the predicate is not claimed")):
-        sweep_shift_power(emb, "gouzao1", 3)
+        verify.shift_power_sweep(emb, "gouzao1", 3)
     inst = build_shift_power(emb, "gouzao1", 0, q1=3)  # one instance is built and flagged
     assert (inst.violations[0].hypothesis, inst.violations[0].witness) == (note, (3, 9))
 
@@ -450,7 +449,7 @@ def test_shift_power_tower_validation():
     with pytest.raises(ValueError, match="^gouzao1 needs q1$"):
         build_shift_power(emb, "gouzao1", 0)
     with pytest.raises(ValueError, match="^gouzao3 takes no q1$"):
-        sweep_shift_power(emb, "gouzao3", q1=27)
+        verify.shift_power_sweep(emb, "gouzao3", q1=27)
     with pytest.raises(ValueError):
         build_shift_power(emb, "2gouzao2", 0)  # wrong characteristic
     deep = SubfieldEmbed(Field(2, 8), Field(2, 2))

@@ -377,6 +377,17 @@ def test_mul_vec_over_the_largest_prime_below_2_31_needs_no_tables():
     assert F.add_vec(p - 1, 1) == 0 and F._exp is None
 
 
+def test_pow_vec_over_the_largest_prime_below_2_31_needs_no_tables():
+    p = 2147483647
+    F = Field(p, 1)
+    a = np.array([[0, 1, 2, p - 1], [2 ** 30, 12345, p - 2, 7]], dtype=np.int64)
+    for e in (1, 2, 3, p - 1, p, 2 ** 70 + 5, 3 * (p - 1)):
+        got = F.pow_vec(a, e)
+        assert got.shape == a.shape
+        assert got.ravel().tolist() == [pow(x, e, p) for x in a.ravel().tolist()], e
+    assert F._exp is None
+
+
 @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
 def test_add_vec_and_neg_vec_match_scalar_on_every_pair(p, m):
     F = Field(p, m)

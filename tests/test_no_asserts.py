@@ -1,10 +1,12 @@
 """No assert statement in the package: python -O strips them, so every
-invariant the package relies on is a typed error instead."""
+invariant the package relies on is a typed error instead.  And the
+package stays within its line budget."""
 
 import ast
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "nto1"
+LINE_BUDGET = 4096  # src/nto1/*.py, counted as wc -l counts: newline bytes
 
 
 def test_package_has_no_assert_statements():
@@ -13,3 +15,8 @@ def test_package_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in src/nto1: {', '.join(found)}"
+
+
+def test_package_stays_within_its_line_budget():
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= LINE_BUDGET, f"src/nto1 has {lines} lines, over the budget of {LINE_BUDGET}"

@@ -339,6 +339,15 @@ def test_row_reduce_rejects_out_of_range_entries():
     assert row_reduce(F7, [[], []]) == 0
 
 
+def test_affine_rows_above_the_log_table_gate():
+    ctx = Field(2147483647, 1)
+    f = Poly.from_dense(ctx, [1, 2, 3])
+    h = Poly.from_dense(ctx, affine_rows(ctx, [[1, 2, 3]], [1], [2], [3])[0].tolist())
+    want = _shift_oracle(f, 2).scale(1) + Poly.constant(ctx, 3)
+    assert h == want == f.shift(2) + Poly.constant(ctx, 3)
+    assert ctx._exp is None
+
+
 def test_elimination_above_the_log_table_gate():
     big = Field(1048583, 1)  # a prime above the 2^20 log-table gate
     p = big.order

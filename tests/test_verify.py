@@ -1,15 +1,19 @@
 """Sweep witnesses: a row the batch classifier rejects still gets the
 one-map witness text, built from classify's own report; agreement keeps
 the first predicate-vs-brute disagreement; branch_sweep refuses cases
-outside its criterion; the normalize, walsh, cubic and agwcore2 rows are
-pinned by hash, and a corrupted affine row still gets a witness."""
+outside its criterion; the normalize, walsh, cubic, agwcore2 and
+shift-power rows are pinned by hash, and a corrupted affine row still gets
+a witness."""
 
 import hashlib
 import re
 
 import pytest
 
-from nto1 import Field, classify, verify
+from nto1 import Field, SubfieldEmbed, classify, verify
+from nto1.families import (
+    Q1_VARIANTS, SHIFT_POWER_VARIANTS, build_shift_power, trace_class_reps,
+)
 
 # sha256 of repr(verify.run("normalize", seed=s).rows), as the scalar
 # Poly.shift route produced them; the batched affine_rows route must match.
@@ -27,7 +31,8 @@ WALSH_ROWS_SHA256 = {
 
 # sha256 of repr(verify.run(id, seed=s).rows): the cubic rows as the
 # per-pair classify route produced them, the agwcore2 rows as random_diagram
-# drew them before it refused an oversized draw early; both must match.
+# drew them before it refused an oversized draw early, the shift-power rows
+# as one translate-link square per trace class decided them; all must match.
 ROWS_SHA256 = {
     ("de3p3", 20260817): "e84505ae2655919026854e86339d39bbe858f2d4b54521f1d7c5777c2dd38593",
     ("de3p3", 7): "e84505ae2655919026854e86339d39bbe858f2d4b54521f1d7c5777c2dd38593",
@@ -35,7 +40,18 @@ ROWS_SHA256 = {
     ("de3pne3", 7): "b731b2eceb4e2606a4254603597d54d2dc9942bdfcca558ea96a10b70e966df3",
     ("agwcore2", 20260817): "d3d0ef6cbfe624050f9d693f65e934a4b37cbfeb5bff79ac822b9cb806dfde55",
     ("agwcore2", 7): "bb055196ec68d3bf9780562819f6661d91cee26e2287ea74dabe070829c5d653",
+    ("gouzao1", 20260817): "56bead356839fd72cdbabdd9a7d8d9c99e6316db6d1a16b000fc008122189e94",
+    ("gouzao1", 7): "56bead356839fd72cdbabdd9a7d8d9c99e6316db6d1a16b000fc008122189e94",
+    ("gouzao2", 20260817): "56de04259a558c1221fff1d5c432071eeffba22d2ec0f5c654c7398cdfe49941",
+    ("gouzao2", 7): "56de04259a558c1221fff1d5c432071eeffba22d2ec0f5c654c7398cdfe49941",
+    ("gouzao3", 20260817): "0ace0943cf95994e813ecc64b8c5d5f3e5842a7534056b7773bdc3018652717a",
+    ("gouzao3", 7): "0ace0943cf95994e813ecc64b8c5d5f3e5842a7534056b7773bdc3018652717a",
+    ("2gouzao1", 20260817): "2672726025f4e845d0efb01e3f5cf294b5da5a858546067b12d4eef96134e30d",
+    ("2gouzao1", 7): "2672726025f4e845d0efb01e3f5cf294b5da5a858546067b12d4eef96134e30d",
+    ("2gouzao2", 20260817): "c3d0fc72730fe93bba972518fab0cf030bb265f2efbaa87183ca0496a4a3fc0d",
+    ("2gouzao2", 7): "c3d0fc72730fe93bba972518fab0cf030bb265f2efbaa87183ca0496a4a3fc0d",
 }
+SHIFT_POWER_PINS = sorted(k for k in ROWS_SHA256 if k[0] in SHIFT_POWER_VARIANTS)
 
 
 def test_monomial_witness_comes_from_classify(monkeypatch):
@@ -149,8 +165,58 @@ def test_branch_sweep_refuses_cases_outside_the_criterion():
         verify.branch_sweep(Field(7, 1), 3, 2)
 
 
-@pytest.mark.parametrize("theorem_id,seed", sorted(ROWS_SHA256))
+@pytest.mark.parametrize("theorem_id,seed", sorted(set(ROWS_SHA256) - set(SHIFT_POWER_PINS)))
 def test_cubic_and_diagram_rows_are_pinned(theorem_id, seed):
     res = verify.run(theorem_id, seed=seed)
     assert res.ok
     assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == ROWS_SHA256[theorem_id, seed]
+
+
+@pytest.mark.parametrize("theorem_id,seed", SHIFT_POWER_PINS)
+def test_shift_power_rows_are_pinned(theorem_id, seed):
+    res = verify.run(theorem_id, seed=seed)
+    # gouzao3 stays red: its runner pins the published 6 classes, the sweep finds 13
+    assert res.ok == (theorem_id != "gouzao3")
+    assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == ROWS_SHA256[theorem_id, seed]
+
+
+# one small tower per variant: (variant, big (p, m), q1)
+SHIFT_POWER_TOWERS = [("gouzao1", (3, 4), 9), ("gouzao2", (3, 4), 9), ("gouzao3", (3, 4), None),
+                      ("2gouzao1", (2, 6), 2), ("2gouzao2", (2, 6), None)]
+
+
+@pytest.mark.parametrize("variant,big,q1", SHIFT_POWER_TOWERS)
+def test_shift_power_sweep_brute_column_is_the_square_verdict(variant, big, q1):
+    p, m = big
+    emb = SubfieldEmbed(Field(p, m), Field(p, m // 2))
+    rows, _ = verify.shift_power_sweep(emb, variant, q1)
+    assert [row[:2] for row in rows] == list(trace_class_reps(emb).items())
+    for tval, delta, pred, got in rows:
+        inst = build_shift_power(emb, variant, delta, q1=q1)
+        assert inst.ok and inst.meta["trace"] == tval
+        assert (pred, got) == (int(inst.meta["predicate"]), int(inst.holds()))
+
+
+def test_shift_power_tower_census():
+    """Every variant on every quadratic tower up to 3^8 and 2^12, at every
+    q1 that cuts the subfield: the predicate equals brute force wherever
+    the arithmetic gate holds, and the gate refuses the rest."""
+    checked, refused = 0, []
+    for p, top in ((3, 8), (2, 12)):
+        for k in range(1, top // 2 + 1):
+            emb = SubfieldEmbed(Field(p, 2 * k), Field(p, k))
+            for variant in SHIFT_POWER_VARIANTS:
+                if variant.startswith("2") != (p == 2):
+                    continue
+                q1s = [p ** j for j in range(1, k + 1) if k % j == 0]
+                for q1 in q1s if variant in Q1_VARIANTS else [None]:
+                    try:
+                        rows, witness = verify.shift_power_sweep(emb, variant, q1)
+                    except ValueError as e:
+                        assert "the arithmetic gate" in str(e), e
+                        refused.append((variant, p ** k, q1))
+                        continue
+                    assert witness is None, (variant, p ** k, q1, witness)
+                    assert len(rows) == p ** k
+                    checked += 1
+    assert (checked, len(refused)) == (36, 4), refused
