@@ -16,6 +16,7 @@ import os
 import random
 import re
 import sys
+from dataclasses import asdict
 
 from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, random_diagram, transfer, verify_diagram
@@ -209,9 +210,10 @@ def cmd_walsh(args):
     _gate(ctx.order, args)
     f = _parse_map(ctx, args)
     if args.gadget == "phi1":
+        _refuse("walsh --gadget phi1", args, "k")
         gadget = phi_two(ctx.p, ctx.m)
     else:
-        gadget = phi_prime_power(ctx.p, ctx.m, args.k)
+        gadget = phi_prime_power(ctx.p, ctx.m, 1 if args.k is None else args.k)
     table = walsh_zero_table(f, ctx)
     cs = _char_sum_of_table(ctx, table, gadget)
     verdict = cs == gadget.bound
@@ -248,6 +250,7 @@ def cmd_lowdeg(args):
 
 def cmd_diagram(args):
     if args.infile:
+        _refuse("diagram --in", args, "n", "max_set", "seed")
         try:
             with open(args.infile) as fh:
                 d = DiagramSpec.from_json_dict(json.load(fh))
@@ -256,8 +259,8 @@ def cmd_diagram(args):
         except KeyError as e:
             raise UsageError(f"--in {args.infile}: missing key {e}")
     else:
-        rng = random.Random(args.seed)
-        d = random_diagram(rng, n=args.n, max_set=args.max_set)
+        rng = random.Random(verify.SEED if args.seed is None else args.seed)
+        d = random_diagram(rng, n=args.n, max_set=100 if args.max_set is None else args.max_set)
     _gate(len(d.A), args)
     rep = verify_diagram(d)
     out = {"spec": d.to_json_dict(), "verified": rep.ok,
@@ -266,29 +269,22 @@ def cmd_diagram(args):
         _emit_json(out)
         return _verdict(f"diagram hypotheses fail: {rep.violations[0].hypothesis}")
     v = transfer(d, rep)
-    out["transfer"] = {
-        "n": v.n,
-        "f_n_to_1": v.f_n_to_1,
-        "g_n_to_1": v.g_n_to_1,
-        "condition3": v.condition3,
-        "forward_ok": v.forward_ok,
-        "backward_ok": v.backward_ok,
-    }
+    out["transfer"] = asdict(v)
     _emit_json(out)
     return _verdict(None if v.forward_ok and v.backward_ok else
                     f"transfer fails: forward {v.forward_ok}, backward {v.backward_ok}")
 
 
-def _refuse(args, *names):
-    """UsageError naming the first given option of names, which the family never reads."""
+def _refuse(who, args, *names):
+    """UsageError naming the first given option of names, which who never reads."""
     for name in names:
         if getattr(args, name, None) is not None:
-            raise UsageError(f"{args.family} takes no --{name}")
+            raise UsageError(f"{who} takes no --{name.replace('_', '-')}")
 
 def _shift_power_tower(args):
     """The quadratic tower of a shift-power variant over its subfield:
     --field (or --spec) when one is given, else GF(q1) from --q1."""
-    _refuse(args, "r", "values")
+    _refuse(args.family, args, "r", "values")
     if args.q1 is None and not (args.field or args.spec) and args.family in Q1_VARIANTS:
         raise UsageError(f"{args.family} needs a subfield: --q1 <prime power>, "
                          "--field p=..,m=.. or --spec file.json")
@@ -305,7 +301,7 @@ def _shift_power_tower(args):
 
 def _branch_field(args):
     """A branch family's field, gated, and its number of branches."""
-    _refuse(args, "q1", "delta")
+    _refuse(args.family, args, "q1", "delta")
     ctx = _build_field(args)
     _gate(ctx.order, args)
     return ctx, _BRANCH_FAMILIES[args.family]
@@ -454,7 +450,7 @@ def build_parser():
     source.add_argument("--table")
     p.add_argument("--gadget", choices=("phi1", "phi2"), default="phi1",
                    help="phi1: n=2 (q odd); phi2: n=p^k")
-    p.add_argument("--k", type=int, default=1, help="exponent for phi2 (n=p^k)")
+    p.add_argument("--k", type=int, help="exponent for phi2 (n=p^k)")
     p.set_defaults(fn=cmd_walsh)
 
     p = sub.add_parser("lowdeg", help="cubic criterion sweep or quartic 3-to-1 search")
@@ -468,9 +464,9 @@ def build_parser():
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--in", dest="infile", help="diagram JSON file")
     source.add_argument("--random", action="store_true", help="draw a random verified square")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--max-set", type=int, default=100)
-    p.add_argument("--seed", type=int, default=verify.SEED)
+    p.add_argument("--n", type=int)
+    p.add_argument("--max-set", type=int)
+    p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_diagram)
 
     families = SHIFT_POWER_VARIANTS + tuple(_BRANCH_FAMILIES)

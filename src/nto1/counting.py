@@ -59,7 +59,7 @@ def _counts(f, domain):
     """(bincount, size) of an int64 value table, or of a polynomial's
     eval_all(), read on domain (an index array) when given.  A negative
     entry is a FieldMismatch, caught from bincount at no extra pass."""
-    if isinstance(f, (Poly, LinearizedPoly)):
+    if isinstance(f, Poly):
         f = f.eval_all()
     if not (isinstance(f, np.ndarray) and f.dtype.kind in "iu"):
         raise TypeError(f"unsupported map object {type(f)!r}; maps are integer value tables")

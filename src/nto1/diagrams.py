@@ -62,6 +62,20 @@ def _labels(xs, what):
     return np.array(xs, dtype=np.int64)
 
 
+def positive_n(n):
+    """n when it is a positive int, else ValueError naming it."""
+    if type(n) is not int or n < 1:
+        raise ValueError(f"n must be a positive int, got {n!r}")
+    return n
+
+
+def _distinct(x):
+    """The sorted distinct entries of an int array: a sort and a compare
+    of neighbours, where np.unique would import numpy.ma."""
+    x = np.sort(x)
+    return x[np.diff(x, prepend=x[:1] - 1) != 0]
+
+
 class DiagramSpec:
     """One commutative square.  A, S and Sbar are int64 label arrays in
     codec order (the serialization order); f, g, lam and lambar are int64
@@ -74,9 +88,7 @@ class DiagramSpec:
             raise SetTooLarge(f"sets up to {_LABEL_CAP} elements supported")
         if min(x.min(initial=0) for x in (self.A, self.S, self.Sbar)) < 0:
             raise ValueError("labels must be nonnegative")
-        if type(n) is not int or n < 1:
-            raise ValueError(f"n must be a positive int, got {n!r}")
-        self.n = n
+        self.n = positive_n(n)
 
     def to_json_dict(self):
         def pairs(table, domain):
@@ -92,8 +104,8 @@ class DiagramSpec:
             "n": self.n,
         }
 
-    @classmethod
-    def from_json_dict(cls, d):
+    @staticmethod
+    def from_json_dict(d):
         """Inverse of to_json_dict.  Every label must be an int in
         [0, 2^20), no set may repeat one, and every map needs exactly one
         pair for each point of its domain; ValueError names the first part
@@ -102,7 +114,7 @@ class DiagramSpec:
             raise ValueError("a diagram is a JSON object")
         A, S, Sbar = (_labels(d[k], k) for k in ("A", "S", "Sbar"))
         for name, labels in (("A", A), ("S", S), ("Sbar", Sbar)):
-            if len(np.unique(labels)) < len(labels):
+            if len(_distinct(labels)) < len(labels):
                 raise ValueError(f"{name} repeats a label")
 
         def table(name, domain):
@@ -111,7 +123,7 @@ class DiagramSpec:
                     and all(isinstance(p, list) and len(p) == 2 for p in pairs)):
                 raise ValueError(f"{name} must be a list of [label, label] pairs")
             keys, vals = (_labels([p[i] for p in pairs], name) for i in (0, 1))
-            if len(np.unique(keys)) < len(keys):
+            if len(_distinct(keys)) < len(keys):
                 raise ValueError(f"{name} pairs a label twice")
             t = np.full(1 + max(keys.max(initial=-1), domain.max(initial=-1)), -1)
             t[keys] = vals
@@ -120,8 +132,8 @@ class DiagramSpec:
                 raise ValueError(f"{name} has no pair for {missing[0]}")
             return t
 
-        return cls(A, S, Sbar, table("f", A), table("g", S),
-                   table("lam", A), table("lambar", A), d["n"])
+        return DiagramSpec(A, S, Sbar, table("f", A), table("g", S),
+                           table("lam", A), table("lambar", A), d["n"])
 
 
 def _marks(labels, size):
@@ -172,7 +184,7 @@ def verify_diagram(d: DiagramSpec) -> FiberReport:
     # bijective reduces to: injective and sizes match
     fiber = np.bincount(lamA, minlength=size)
     target = np.bincount(lambarA, minlength=size)
-    images = np.bincount(np.unique(lamA * size + fA) // size, minlength=size)
+    images = np.bincount(_distinct(lamA * size + fA) // size, minlength=size)
     bad = d.S[(images[d.S] != fiber[d.S]) | (fiber[d.S] != target[gS])]
     violations += [Violation("f bijective from lam-fiber to lambar-fiber", s)
                    for s in bad.tolist()]

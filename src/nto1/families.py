@@ -2,13 +2,15 @@
 
 Each builder assembles a map on a big carrier together with its reduced
 partner on a small one, checks the hypotheses that make the transfer
-valid, and returns a FamilyInstance bundling the map, the partner, the
-wiring, and any broken hypotheses.  A broken hypothesis is recorded in
+valid, and returns a FamilyInstance: the commutative square itself (a
+DiagramSpec, so verify_diagram and transfer take it as it is) plus any
+broken hypotheses.  A broken hypothesis is recorded in
 FamilyInstance.violations and the map is built anyway, so a dubious
 construction can still be classified honestly; inst.ok says it is clean.
 
-Parameters that make the construction itself meaningless (a modulus that
-does not divide, a carrier that does not exist) raise ValueError; only
+Parameters that make the construction itself meaningless (n < 1, a
+modulus that does not divide, a carrier that does not exist) raise
+ValueError before any work; only
 hypotheses the built map can survive breaking are recorded.  Every map
 comes in through polys.value_table, so one that is not a map over the
 field is a FieldMismatch.
@@ -19,33 +21,27 @@ import math
 import numpy as np
 
 from .counting import classify, is_n_to_1
-from .diagrams import DiagramSpec, Violation
+from .diagrams import DiagramSpec, Violation, positive_n
 from .errors import ConstructionMismatch
 from .fields import exact_log
 from .polys import (
-    LinearizedPoly, Poly, additive_witness, eval_coeff_rows, is_additive,
+    Poly, additive_witness, eval_coeff_rows, is_additive,
     roots_of_unity_interpolate_rows, value_table,
 )
 
 
-class FamilyInstance:
-    """A built map, its reduced partner, and the wiring between them.
+class FamilyInstance(DiagramSpec):
+    """A built map and its reduced partner as one commutative square.
 
-    f and reduced are int64 value tables over the whole field, indexed by
-    element code; domain is the int64 index array f is read on.  The
-    wiring is (A, S, Sbar, lam, lambar): three index arrays and the two
-    whole-field projection tables, which diagram() hands to DiagramSpec as
-    they are; the reduced map is read on its carrier S."""
+    The square is the DiagramSpec's own: f, g (the reduced map), lam and
+    lambar are int64 value tables over the whole field, indexed by element
+    code, and g is read on its carrier S.  domain is the int64 index array
+    f is read on: A, with 0 added where 0 -> 0 lies off the square."""
 
-    def __init__(self, family, ctx, f, domain, n, reduced, wiring,
+    def __init__(self, family, ctx, domain, A, S, Sbar, f, g, lam, lambar, n,
                  meta=None, violations=()):
-        self.family = family
-        self.ctx = ctx
-        self.f = f
-        self.domain = domain
-        self.n = int(n)
-        self.reduced = reduced
-        self.wiring = wiring
+        super().__init__(A, S, Sbar, f, g, lam, lambar, n)
+        self.family, self.ctx, self.domain = family, ctx, domain
         self.meta = dict(meta or {})
         self.violations = tuple(violations)
 
@@ -53,27 +49,18 @@ class FamilyInstance:
     def ok(self):
         return not self.violations
 
-    @property
-    def carrier(self):
-        return self.wiring[1]
-
     def classify(self):
         return classify(self.f[self.domain])
 
     def classify_reduced(self):
-        return classify(self.reduced[self.carrier])
+        return classify(self.g[self.S])
 
     def holds(self):
         """Brute-force the claimed n on the built map."""
         return is_n_to_1(self.f[self.domain], None, self.n)
 
     def holds_reduced(self):
-        return is_n_to_1(self.reduced[self.carrier], None, self.n)
-
-    def diagram(self):
-        """The commutative square, ready for independent verification."""
-        A, S, Sbar, lam, lambar = self.wiring
-        return DiagramSpec(A, S, Sbar, self.f, self.reduced, lam, lambar, self.n)
+        return is_n_to_1(self.g[self.S], None, self.n)
 
     def __repr__(self):
         tag = "ok" if self.ok else f"{len(self.violations)} broken"
@@ -95,8 +82,6 @@ def _first(idx):
 
 def _additive_ok(ctx, f, t):
     """(ok, witness) for f(x+y) = f(x) + f(y); structural when possible."""
-    if isinstance(f, LinearizedPoly):
-        return True, None
     if isinstance(f, Poly):
         return is_additive(f), None
     w = additive_witness(ctx, t)
@@ -124,12 +109,13 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n):
     marked out by emb, h sending S into that subfield's units.  With the
     kernel and size checks below, f is n-to-1 exactly when fbar is.
     """
+    positive_n(n)
     big, sub = emb.big, emb.sub
     broken = []
     psi_t, psibar_t, phi_t, h_t, g_t = (value_table(f, big)[1]
                                         for f in (psi, psibar, phi, h, g))
 
-    _require(broken, n >= 1 and sub.order % n == 0, "n divides the subfield size", n)
+    _require(broken, sub.order % n == 0, "n divides the subfield size", n)
     ok, w = _additive_ok(big, psi, psi_t)
     _require(broken, ok, "psi additive", w)
     ok, w = _additive_ok(big, phi, phi_t)
@@ -141,7 +127,7 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n):
     bad = _first(np.flatnonzero(phi_t[psi_t] != psibar_t[phi_t]))
     _require(broken, bad is None, "phi after psi equals psibar after phi", bad)
 
-    S, Sbar = np.unique(psi_t), np.unique(psibar_t)
+    S, Sbar = np.flatnonzero(np.bincount(psi_t)), np.flatnonzero(np.bincount(psibar_t))
     _require(broken, len(S) == len(Sbar), "images of psi and psibar have one size",
              (len(S), len(Sbar)))
     _require(broken, len(S) > 1 and len(S) % n == 0,
@@ -159,9 +145,8 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n):
     f_t = big.add_vec(big.mul_vec(h_t[psi_t], phi_t), g_t[psi_t])
     fbar_t = big.add_vec(big.mul_vec(h_t, phi_t), psibar_t[g_t])
     xs = big.elements_array()
-    return FamilyInstance("additive-split", big, f_t, xs, n, fbar_t,
-                          (xs, S, Sbar, psi_t, psibar_t),
-                          meta={"q": sub.order}, violations=broken)
+    return FamilyInstance("additive-split", big, xs, xs, S, Sbar, f_t, fbar_t, psi_t, psibar_t,
+                          n, meta={"q": sub.order}, violations=broken)
 
 
 # ---------------------------------------------------------------------------
@@ -169,15 +154,11 @@ def build_additive_split(emb, psi, psibar, phi, h, g, n):
 # ---------------------------------------------------------------------------
 
 def _structural_q_poly(emb, L):
-    """Terms must all be c*x^(q^i) with c in the subfield; (ok, witness).
-    A raw value table has no terms to read, so it fails."""
-    if not isinstance(L, (Poly, LinearizedPoly)):
+    """Terms must all be c*x^(q^i) with c in the subfield; (ok, witness),
+    the witness the first term (e, c) that is not.  A raw value table has
+    no terms to read, so it fails."""
+    if not isinstance(L, Poly):
         return False, f"raw value table {type(L).__name__}"
-    if isinstance(L, LinearizedPoly):
-        if L.q_sub != emb.q_sub:
-            return False, ("base", L.q_sub)
-        bad = next((c for c in L.l_coeffs if c and not emb.in_subfield(c)), None)
-        return bad is None, bad
     bad = next(((e, c) for e, c in L.terms
                 if exact_log(e, emb.q_sub) is None or not emb.in_subfield(c)), None)
     return bad is None, bad
@@ -192,6 +173,7 @@ def build_linearized_mix(emb, L1, L2, L3, g, n):
     into the subfield.  Fiber injectivity needs ker(L1 + g(y)*L2) to meet
     ker(L3) only at 0 for every y in S.
     """
+    positive_n(n)
     big, sub = emb.big, emb.sub
     q = sub.order
     broken = []
@@ -200,11 +182,11 @@ def build_linearized_mix(emb, L1, L2, L3, g, n):
         _require(broken, ok, f"{name} linearized with subfield coefficients", w)
     L1_t, L2_t, L3_t, g_t = (value_table(f, big)[1] for f in (L1, L2, L3, g))
 
-    S = np.unique(L3_t)
+    S = np.flatnonzero(np.bincount(L3_t))  # the image of L3, sorted
     gS = g_t[S]
     bad = _first(S[big.pow_vec(gS, q) != gS])
     _require(broken, bad is None, "g sends the image of L3 into the subfield", bad)
-    _require(broken, n >= 1 and q % n == 0, "n divides the subfield size", n)
+    _require(broken, q % n == 0, "n divides the subfield size", n)
     _require(broken, len(S) % n == 0, "n divides the image size", len(S))
     _require(broken, (len(S) - q) % n == 0,
              "image size congruent to the subfield size mod n", (len(S), q))
@@ -220,7 +202,7 @@ def build_linearized_mix(emb, L1, L2, L3, g, n):
     f_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t[L3_t]))
     fbar_t = big.add_vec(L1_t, big.mul_vec(L2_t, g_t))
     xs = big.elements_array()
-    return FamilyInstance("linearized-mix", big, f_t, xs, n, fbar_t, (xs, S, S, L3_t, L3_t),
+    return FamilyInstance("linearized-mix", big, xs, xs, S, S, f_t, fbar_t, L3_t, L3_t, n,
                           meta={"q": q}, violations=broken)
 
 
@@ -236,13 +218,14 @@ def build_coset_power(ctx, r, s, h, n):
     when g is n-to-1 on the roots; the domain adds 0 -> 0, the lone
     size-1 exception once n > 1.
     """
+    positive_n(n)
     q = ctx.order
     if r < 1 or s < 1 or (q - 1) % s:
         raise ValueError(f"need r >= 1 and s dividing {q - 1}, got r={r} s={s}")
     ell = (q - 1) // s
     broken = []
     _require(broken, math.gcd(r, s) == 1, "r coprime to s", (r, s))
-    _require(broken, n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
+    _require(broken, ell % n == 0, "n divides the root group order", (n, ell))
     _, h_t = value_table(h, ctx)
     mu = np.asarray(ctx.roots_of_unity(ell), dtype=np.int64)
     bad = _first(mu[h_t[mu] == 0])
@@ -261,9 +244,8 @@ def _coset_square(family, ctx, r, s, e, h_t, n, carrier, with_zero, meta, violat
     g_t = ctx.mul_vec(x_r, ctx.pow_vec(h_t, e))
     xs = ctx.elements_array()
     units = xs[1:]
-    return FamilyInstance(family, ctx, f_t, xs if with_zero else units, n, g_t,
-                          (units, carrier, carrier, lam_t, lam_t),
-                          meta=meta, violations=violations)
+    return FamilyInstance(family, ctx, xs if with_zero else units, units, carrier, carrier,
+                          f_t, g_t, lam_t, lam_t, n, meta=meta, violations=violations)
 
 
 def _coset_rows(ctx, r, s, h):
@@ -322,6 +304,7 @@ def build_norm_lift(emb, r, h_sub, n):
     if not isinstance(h_sub, Poly):
         raise TypeError(f"norm-lift embeds the coefficients of h_sub, so it must be a Poly, "
                         f"not {type(h_sub).__name__}")
+    positive_n(n)
     big, sub = emb.big, emb.sub
     q, m = sub.order, emb.rel_degree
     s = (big.order - 1) // (q - 1)
@@ -330,7 +313,7 @@ def build_norm_lift(emb, r, h_sub, n):
     broken = []
     _require(broken, math.gcd(q - 1, m) == 1,
              "extension degree coprime to the subfield unit order", (q - 1, m))
-    _require(broken, n >= 1 and (q - 1) % n == 0, "n divides the subfield unit order", n)
+    _require(broken, (q - 1) % n == 0, "n divides the subfield unit order", n)
     _require(broken, math.gcd(r, s) == 1, "r coprime to the norm exponent", (r, s))
     _, hs_t = value_table(h_sub, sub)
     bad = _first(np.flatnonzero(hs_t[1:] == 0) + 1)
@@ -343,7 +326,7 @@ def build_norm_lift(emb, r, h_sub, n):
                          {"r": r, "s": s, "h": h_sub}, broken)
     # the same reduced map in the subfield's own codec must embed onto it
     g_sub = sub.mul_vec(sub.pow_vec(sub.elements_array(), r), sub.pow_vec(hs_t, m))
-    moved = np.flatnonzero(embed_t[g_sub[1:]] != inst.reduced[embed_t[1:]])
+    moved = np.flatnonzero(embed_t[g_sub[1:]] != inst.g[embed_t[1:]])
     if moved.size:
         raise ConstructionMismatch(
             f"norm-lift: the subfield-coded reduced map disagrees at unit {moved[0] + 1}")
@@ -523,8 +506,8 @@ def solve_piecewise(ctx, spec):
     Exact postconditions, each a ConstructionMismatch when broken: h at
     the i-th root equals beta^(ell*levels[i] + targets[i] - i*r), and the
     reduced map sends the i-th root to omega^targets[i]."""
+    s, r, n = spec.s, spec.r, positive_n(spec.n)
     q = ctx.order
-    s, r, n = spec.s, spec.r, spec.n
     if s < 1 or (q - 1) % s:
         raise ValueError(f"s must divide {q - 1}")
     ell = (q - 1) // s
@@ -535,7 +518,7 @@ def solve_piecewise(ctx, spec):
              "targets within the root group", spec.targets)
     _require(broken, all(0 <= mi < s for mi in spec.levels),
              "levels within a fiber", spec.levels)
-    _require(broken, n >= 1 and ell % n == 0, "n divides the root group order", (n, ell))
+    _require(broken, ell % n == 0, "n divides the root group order", (n, ell))
     counts = {}
     for a in spec.targets:
         counts[a] = counts.get(a, 0) + 1
@@ -549,7 +532,7 @@ def solve_piecewise(ctx, spec):
     h = Poly.from_dense(ctx, coeffs[0].tolist())
     inst = build_coset_power(ctx, r, s, h_t[0], n)
     # points[a] = omega^a, so the plan is read straight off the roots
-    missed = np.flatnonzero(inst.reduced[points] != points[np.asarray(spec.targets) % ell])
+    missed = np.flatnonzero(inst.g[points] != points[np.asarray(spec.targets) % ell])
     if missed.size:
         raise ConstructionMismatch(
             f"piecewise: the reduced map misses the plan at root {missed[0]} of {spec}")
@@ -589,6 +572,7 @@ def build_translate_link(ctx, q, k, g, c, delta, n):
     c a unit of that subfield makes f injective on every fiber and closes
     the square, so f is n-to-1 exactly when h is on S.
     """
+    positive_n(n)
     j = exact_log(q, ctx.p)
     if not j or ctx.m % j:
         raise ValueError(f"q={q} does not cut GF({ctx.p}^{ctx.m}) as a subfield")
@@ -601,12 +585,12 @@ def build_translate_link(ctx, q, k, g, c, delta, n):
     delta = ctx.check(delta)
     _require(broken, c != 0 and ctx.pow(c, q ** ell) == c,
              "c a unit of the linking subfield", c)
-    _require(broken, n >= 1 and ctx.order % n == 0, "n divides the field size", n)
+    _require(broken, ctx.order % n == 0, "n divides the field size", n)
 
     xs = ctx.elements_array()
     qk = q ** k
     psi_t = ctx.add_vec(ctx.sub_vec(ctx.pow_vec(xs, qk), xs), delta)
-    S = np.unique(psi_t)
+    S = np.flatnonzero(np.bincount(psi_t))  # the image of psi, sorted
     _require(broken, (ctx.order - len(S)) % n == 0,
              "domain and carrier sizes congruent mod n", (ctx.order, len(S)))
     _, g_t = value_table(g, ctx)
@@ -619,22 +603,22 @@ def build_translate_link(ctx, q, k, g, c, delta, n):
     bad = _first(np.flatnonzero(psi_t[f_t] != h_t[psi_t]))
     _require(broken, bad is None, "square commutes", bad)
 
-    return FamilyInstance("translate-link", ctx, f_t, xs, n, h_t, (xs, S, S, psi_t, psi_t),
+    return FamilyInstance("translate-link", ctx, xs, xs, S, S, f_t, h_t, psi_t, psi_t, n,
                           meta={"q": q, "k": k, "ell": ell, "c": c, "delta": delta,
                                 "fiber": q ** ell},
                           violations=broken)
 
 
 def reduced_blowup(inst):
-    """With f bijective on every wiring fiber, each preimage count c >= 1
-    occurs at factor times as many values of f as of the reduced map
-    (factor the common fiber size).  Returns (factor, ok, witness); the
-    witness is a count whose frequencies disagree."""
-    A, S = inst.wiring[0], inst.wiring[1]
+    """With f bijective on every lam-fiber, each preimage count c >= 1
+    occurs at factor times as many values of f on A as of g on S (factor
+    the common fiber size).  Returns (factor, ok, witness); the witness is
+    a count whose frequencies disagree."""
+    A, S = inst.A, inst.S
     factor = len(A) // len(S)
     # profile[c] = how many values have exactly c preimages, c <= len(A)
     pf = np.bincount(np.bincount(inst.f[A]), minlength=len(A) + 1)
-    pg = np.bincount(np.bincount(inst.reduced[S]), minlength=len(A) + 1)
+    pg = np.bincount(np.bincount(inst.g[S]), minlength=len(A) + 1)
     off = _first(np.flatnonzero(pf[1:] != factor * pg[1:]) + 1)
     return factor, off is None, off
 
@@ -740,7 +724,10 @@ def shift_power_poly(big, q, e, delta):
 
 def trace_class_reps(emb):
     """The first big-field element of each trace value onto the subfield,
-    keyed by that value in ascending order."""
-    traces, first = np.unique(emb.trace_table(), return_index=True)
-    return dict(zip(traces.tolist(), first.tolist()))
+    keyed by that value in ascending order; the trace is onto, so every
+    subfield element is a key."""
+    t = emb.trace_table()
+    first = np.full(emb.sub.order, len(t))
+    np.minimum.at(first, t, np.arange(len(t)))
+    return dict(enumerate(first.tolist()))
 

@@ -372,11 +372,11 @@ def is_additive(f: Poly) -> bool:
     return additive_witness(ctx, f.eval_all()) is None
 
 
-class LinearizedPoly:
-    """sum a_i x^{q_sub^i} over GF(q_sub^rel): additive and GF(q_sub)-linear."""
+class LinearizedPoly(Poly):
+    """sum a_i x^{q_sub^i} over GF(q_sub^rel): additive and GF(q_sub)-linear.
+    A Poly with those terms; l_coeffs holds every a_i, i < rel_degree."""
 
     def __init__(self, ctx: Field, q_sub: int, l_coeffs):
-        self.ctx = ctx
         k = exact_log(q_sub, ctx.p)
         if not k or ctx.m % k:
             raise DegreeMismatch(f"q_sub={q_sub} is not a valid subfield size for {ctx!r}")
@@ -389,15 +389,7 @@ class LinearizedPoly:
         l_coeffs += [0] * (self.rel_degree - len(l_coeffs))
         self.l_coeffs = tuple(l_coeffs)
         self._rank = None
-
-    def as_poly(self) -> Poly:
-        return Poly(self.ctx, [(self.q_sub ** i, c) for i, c in enumerate(self.l_coeffs)])
-
-    def __call__(self, x: int) -> int:
-        return self.as_poly()(x)
-
-    def eval_all(self) -> np.ndarray:
-        return self.as_poly().eval_all()
+        super().__init__(ctx, [(q_sub ** i, c) for i, c in enumerate(l_coeffs)])
 
     def rank(self) -> int:
         """Rank as a GF(q_sub)-linear map; computed once per instance.
@@ -424,7 +416,7 @@ def value_table(f, ctx: Field | None = None):
     """(field, whole-field int64 value table) of a map: a polynomial, over
     ctx when ctx is given, or a raw table of q integer entries in [0, q)
     over ctx.  Anything else over ctx is a FieldMismatch."""
-    if isinstance(f, (Poly, LinearizedPoly)):
+    if isinstance(f, Poly):
         if ctx is not None and f.ctx != ctx:
             raise FieldMismatch(f"a polynomial over {f.ctx!r} used as a map on {ctx!r}")
         return f.ctx, f.eval_all()

@@ -7,6 +7,7 @@ import sys
 import time
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from nto1 import Field, cli, verify
 
@@ -171,9 +172,26 @@ def test_tower_family_without_a_subfield_names_q1(monkeypatch, capsys, args):
      "nto1: --field: unknown key 'foo'; the keys are p, m and modulus\n"),
     (("verify-theorem", "de3p3", "--field", "p=3,m=2,n=3"),
      "nto1: --field: unknown key 'n'; the keys are p, m and modulus\n"),
+    (("walsh", "--field", "p=3,m=2", "--poly", "x^2", "--k", "2"),
+     "nto1: walsh --gadget phi1 takes no --k\n"),
+    (("walsh", "--field", "p=3,m=2", "--poly", "x^2", "--gadget", "phi2", "--k", "0"),
+     "nto1: need 1 <= k <= m, got k=0\n"),
 ])
 def test_options_a_command_never_reads_exit_2(monkeypatch, capsys, args, msg):
     assert main_in_process(monkeypatch, capsys, *args) == (2, "", msg)
+
+
+def test_diagram_in_takes_no_random_options(monkeypatch, capsys, tmp_path):
+    _, out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random")
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(json.loads(out)["spec"]))
+    for args, name in ((("--n", "7", "--max-set", "3", "--seed", "9"), "n"),
+                       (("--max-set", "3"), "max-set"), (("--seed", "9"), "seed")):
+        got = main_in_process(monkeypatch, capsys, "diagram", "--in", str(path), *args)
+        assert got == (2, "", f"nto1: diagram --in takes no --{name}\n"), args
+    # the --random defaults are the ones a bare --random reads
+    assert main_in_process(monkeypatch, capsys, "diagram", "--random", "--max-set", "100",
+                           "--seed", str(verify.SEED))[1] == out
 
 
 def test_spec_and_field_exclude_each_other(monkeypatch, capsys, tmp_path):
@@ -461,3 +479,83 @@ def test_verify_all_summary(monkeypatch, capsys):
     failing = sorted(row[0] for row in rows if row[2] == "0")
     assert failing == ["gouzao3", "quartic"]
     assert "quartic:" in err and "gouzao3:" in err
+
+
+def test_sweeps_and_diagrams_never_import_numpy_ma(monkeypatch, capsys, tmp_path):
+    # np.unique imports numpy.ma on its first call, at a cost in time and memory the package avoids
+    _, out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "5")
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(json.loads(out)["spec"]))
+    script = (
+        "import contextlib, io, sys\n"
+        "from nto1 import cli\n"
+        "for argv in (['verify-theorem', 'agwcore2'], ['verify-theorem', 'gouzao1'],\n"
+        f"             ['verify-theorem', 'zcriterion'], ['diagram', '--in', {str(path)!r}]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env,
+                       timeout=120)
+    assert (r.returncode, r.stdout) == (0, "False\n"), r.stderr
+
+
+# -- fuzz: every argv ends in an exit code, never a traceback -------------------------
+
+_FIELDS = ("p=2,m=1", "p=2,m=3", "p=2,m=4", "p=2,m=6", "p=3,m=2", "p=3,m=3", "p=5,m=1",
+           "p=5,m=2", "p=7,m=1", "p=13,m=1", "p=3,m=2,modulus=1:0:1", "p=4,m=1", "p=3",
+           "p=x,m=1", "p=3,m=0", "q=9", "")
+_INTS = ("-2", "0", "1", "2", "3", "5", "x", "1.5")
+_OPTIONS = {  # per command: (flag, values); a value None is a bare flag
+    "field": (("--field", _FIELDS), ("--spec", ("missing.json", "spec.json", "bad.json")),
+              ("--element", ("0", "5", "1:1", "1:9", "x", "999", "-1"))),
+    "classify": (("--field", _FIELDS), ("--poly", ("x^3", "x^2 + 1", "2*x - x^4", "x^-1", "-", "y")),
+                 ("--table", ("0,1", "1,1,0,0,1,1,0,0,1", "a,b")), ("--nightly", (None,))),
+    "walsh": (("--field", _FIELDS), ("--poly", ("x^2", "x^3 + x", "x^")), ("--table", ("0,1", "z")),
+              ("--gadget", ("phi1", "phi2", "phi3")), ("--k", _INTS)),
+    "lowdeg": (("--field", _FIELDS), ("--degree", ("3", "4", "5", "x"))),
+    "diagram": (("--in", ("missing.json", "square.json", "bad.json")), ("--random", (None,)),
+                ("--n", _INTS), ("--max-set", _INTS + ("40",)), ("--seed", _INTS)),
+    "construct": (("--field", _FIELDS), ("--q1", ("2", "3", "4", "6", "9", "-3")),
+                  ("--delta", ("0", "1", "5", "0:3", "1:1", "x")), ("--r", _INTS),
+                  ("--values", ("1,1", "1,2,3", "1,1,1,1", "0,0", "1:5,1", "a", ""))),
+    "sweep": (("--field", _FIELDS), ("--q1", ("2", "3", "4", "6", "9", "0")), ("--r", _INTS),
+              ("--nightly", (None,))),
+    "verify-theorem": (("--field", _FIELDS), ("--seed", _INTS)),
+}
+_HEADS = {  # positional words after the command; verify-theorem --all and the slow ids left out
+    "construct": ("gouzao1", "gouzao2", "gouzao3", "2gouzao1", "2gouzao2", "miu2", "miu3",
+                  "nmiu3", "nope"),
+    "verify-theorem": ("monomial", "de3p3", "de3pne3", "quartic", "agwcore2", "miu2", "miu3",
+                       "gouzao1", "gouzao3", "2gouzao1", "2gouzao2", "zcriterion", "nope", None),
+}
+_HEADS["sweep"] = _HEADS["construct"]
+_LIKELY = {"--field", "--poly", "--degree", "--random", "--q1", "--delta", "--r", "--values"}
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_fuzz_ends_in_an_exit_code(monkeypatch, capsys, tmp_path, data):
+    """Random argv over all eight commands, small fields and malformed
+    values: every run returns 0 to 3 or is argparse's exit 2, and every
+    exit 2 says why on stderr.  tmp_path is one directory for all examples."""
+    monkeypatch.chdir(tmp_path)
+    if not (tmp_path / "square.json").exists():
+        (tmp_path / "spec.json").write_text(json.dumps(Field(3, 2).spec_dict()))
+        (tmp_path / "bad.json").write_text("{")
+        _, out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "5")
+        (tmp_path / "square.json").write_text(json.dumps(json.loads(out)["spec"]))
+    command = data.draw(st.sampled_from(sorted(_OPTIONS)))
+    argv = [command]
+    if command in _HEADS:
+        head = data.draw(st.sampled_from(_HEADS[command]))
+        argv += [head] if head else []
+    for flag, values in _OPTIONS[command]:
+        if data.draw(st.integers(0, 2)) < (2 if flag in _LIKELY else 1):
+            value = data.draw(st.sampled_from(values))
+            argv += [flag] if value is None else [flag, value]
+    rc, out, err = main_in_process(monkeypatch, capsys, *argv)
+    assert rc in (0, 1, 2, 3), (argv, rc)
+    if rc == 2:
+        assert err.strip(), argv

@@ -32,7 +32,7 @@ def assert_equivalent(inst):
     assert inst.holds() == inst.holds_reduced()
     factor, ok, witness = reduced_blowup(inst)
     assert ok, (factor, witness)
-    assert verify_diagram(inst.diagram()).ok
+    assert verify_diagram(inst).ok
 
 
 # -- additive split ----------------------------------------------------------
@@ -129,11 +129,11 @@ def test_coset_square_with_one_root_records_it():
     ctx = Field(13, 1)
     inst = build_coset_power(ctx, 1, 12, Poly.monomial(ctx, 1, 0), 1)
     assert [(v.hypothesis, v.witness) for v in inst.violations] == [("#S > 1", 1)]
-    assert not verify_diagram(inst.diagram()).ok
+    assert not verify_diagram(inst).ok
     emb = SubfieldEmbed(Field(2, 3), Field(2, 1))  # one subfield unit
     inst = build_norm_lift(emb, 1, Poly.constant(emb.sub, 1), 1)
     assert [(v.hypothesis, v.witness) for v in inst.violations] == [("#S > 1", 1)]
-    assert not verify_diagram(inst.diagram()).ok
+    assert not verify_diagram(inst).ok
 
 
 def test_clean_coset_squares_pass_verify_diagram():
@@ -148,14 +148,14 @@ def test_clean_coset_squares_pass_verify_diagram():
                     h = Poly.monomial(ctx, ctx.pow(ctx.beta, s), t)
                     for n in (d for d in range(1, ell + 1) if ell % d == 0):
                         inst = build_coset_power(ctx, r, s, h, n)
-                        assert not inst.ok or verify_diagram(inst.diagram()).ok, inst
+                        assert not inst.ok or verify_diagram(inst).ok, inst
                         checked += inst.ok
     for big, sub in (((2, 3), (2, 1)), ((3, 3), (3, 1)), ((2, 6), (2, 2)), ((5, 3), (5, 1))):
         emb = SubfieldEmbed(Field(*big), Field(*sub))
         for r in (1, 2, 3, 5):
             for hc in range(1, emb.sub.order):
                 inst = build_norm_lift(emb, r, Poly.constant(emb.sub, hc), 1)
-                assert not inst.ok or verify_diagram(inst.diagram()).ok, inst
+                assert not inst.ok or verify_diagram(inst).ok, inst
                 checked += inst.ok
     assert checked > 100
 
@@ -198,6 +198,18 @@ def test_raw_tables_are_refused_where_terms_are_read():
     with pytest.raises(TypeError, match="embeds the coefficients of h_sub"):
         build_norm_lift(SubfieldEmbed(Field(3, 3), Field(3, 1)), 1,
                         np.ones(3, dtype=np.int64), 2)
+
+
+
+def test_structural_q_poly_reads_terms():
+    # a q^2-polynomial is a q-polynomial; a 2-polynomial with an x^2 term is
+    # not a 4-polynomial, and its first such term is the witness
+    emb = SubfieldEmbed(Field(2, 8), Field(2, 2))
+    c = emb.embed(2)
+    assert families._structural_q_poly(emb, LinearizedPoly(emb.big, 16, [1, c])) == (True, None)
+    L = LinearizedPoly(emb.big, 2, [1, c, 1])
+    assert families._structural_q_poly(emb, L) == (False, (2, c))
+    assert L == Poly(emb.big, [(1, 1), (2, c), (4, 1)])
 
 
 # -- two-branch lift ------------------------------------------------------------
@@ -333,7 +345,7 @@ def test_piecewise_lands_on_the_plan():
             assert rep.n == spec.n and rep.exception == (0, 1)
             omega = ctx.pow(ctx.beta, spec.s)
             for i, a in enumerate(spec.targets):
-                assert inst.reduced[ctx.pow(omega, i)] == ctx.pow(omega, a)
+                assert inst.g[ctx.pow(omega, i)] == ctx.pow(omega, a)
 
 
 def test_piecewise_off_plan_is_a_typed_error(monkeypatch):
@@ -341,7 +353,7 @@ def test_piecewise_off_plan_is_a_typed_error(monkeypatch):
 
     def off_plan(*args, **kwargs):
         inst = build(*args, **kwargs)
-        inst.reduced = np.zeros_like(inst.reduced)
+        inst.g = np.zeros_like(inst.g)
         return inst
 
     monkeypatch.setattr(families, "build_coset_power", off_plan)
@@ -421,6 +433,15 @@ def test_shift_power_predicate_is_a_trace_class_invariant():
         i2 = build_shift_power(emb, "gouzao3", d2)
         assert i1.meta["predicate"] == i2.meta["predicate"]
         assert i1.holds() == i2.holds()
+
+
+
+@pytest.mark.parametrize("big,sub", [((3, 4), (3, 2)), ((2, 6), (2, 3)), ((2, 6), (2, 2)),
+                                     ((5, 2), (5, 1))])
+def test_trace_class_reps_are_the_first_index_of_each_trace(big, sub):
+    emb = SubfieldEmbed(Field(*big), Field(*sub))
+    traces, first = np.unique(emb.trace_table(), return_index=True)
+    assert trace_class_reps(emb) == dict(zip(traces.tolist(), first.tolist()))
 
 
 def test_shift_power_small_sweep_counts():
@@ -533,31 +554,43 @@ def test_maps_are_tables_and_agree_with_the_diagram():
     assert len({inst.family for inst, _ in cases}) == 9
     for inst, formula in cases:
         q = inst.ctx.order
-        for t in (inst.f, inst.reduced):
+        for t in (inst.f, inst.g):
             assert t.dtype == np.int64 and t.shape == (q,), inst
-        assert inst.domain.dtype == np.int64 and inst.carrier.dtype == np.int64
-        carrier = inst.carrier.tolist()
-        assert inst.reduced[inst.carrier].tolist() == [formula(y) for y in carrier], inst
-
-        d = inst.diagram()
-        for t in (d.A, d.S, d.Sbar, d.f, d.g, d.lam, d.lambar):
+        for t in (inst.domain, inst.A, inst.S, inst.Sbar, inst.lam, inst.lambar):
             assert t.dtype == np.int64, inst
-        assert d.S.tolist() == carrier
+        assert inst.g[inst.S].tolist() == [formula(y) for y in inst.S.tolist()], inst
+
         domain = inst.domain.tolist()
-        assert set(domain) - set(d.A.tolist()) <= {0}  # 0 -> 0 is the only point off the square
+        assert set(domain) - set(inst.A.tolist()) <= {0}  # 0 -> 0 is the only point off the square
         # the square's own sets, with 0 -> 0 added back where the domain has it
-        f, A = d.f.copy(), d.A
+        f, A = inst.f.copy(), inst.A
         if 0 in domain and 0 not in A:
             f[0], A = 0, np.append(A, 0)
         assert inst.holds() == is_n_to_1(f, A, inst.n), inst
-        assert inst.holds_reduced() == is_n_to_1(d.g, d.S, inst.n), inst
+        assert inst.holds_reduced() == is_n_to_1(inst.g, inst.S, inst.n), inst
         assert inst.classify() == classify(f, domain=A), inst
-        assert inst.classify_reduced() == classify(d.g, domain=d.S), inst
+        assert inst.classify_reduced() == classify(inst.g, domain=inst.S), inst
 
-        factor = len(d.A) // len(d.S)
-        pf, pg = _profile(d.f[d.A]), _profile(d.g[d.S])
+        factor = len(inst.A) // len(inst.S)
+        pf, pg = _profile(inst.f[inst.A]), _profile(inst.g[inst.S])
         off = sorted(c for c in set(pf) | set(pg) if pf[c] != factor * pg[c])
         assert reduced_blowup(inst) == (factor, not off, off[0] if off else None), inst
+
+
+
+@pytest.mark.parametrize("n", [0, -2])
+def test_builders_refuse_n_below_1_before_any_work(n):
+    # every other argument is None, so any work before the n check would raise otherwise
+    msg = f"^n must be a positive int, got {n}$"
+    h = Poly.x(Field(3, 1))
+    for build in (lambda: build_additive_split(None, None, None, None, None, None, n),
+                  lambda: build_linearized_mix(None, None, None, None, None, n),
+                  lambda: build_coset_power(None, None, None, None, n),
+                  lambda: build_norm_lift(None, None, h, n),
+                  lambda: build_translate_link(None, None, None, None, None, None, n),
+                  lambda: solve_piecewise(None, PiecewiseSpec(1, 1, n, [], []))):
+        with pytest.raises(ValueError, match=msg):
+            build()
 
 
 # -- the map door ----------------------------------------------------------------------

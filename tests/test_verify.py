@@ -1,9 +1,8 @@
 """Sweep witnesses: a row the batch classifier rejects still gets the
 one-map witness text, built from classify's own report; agreement keeps
 the first predicate-vs-brute disagreement; branch_sweep refuses cases
-outside its criterion; the normalize, walsh, cubic, agwcore2 and
-shift-power rows are pinned by hash, and a corrupted affine row still gets
-a witness."""
+outside its criterion; every runner's rows are pinned by hash at two
+seeds, and a corrupted affine row still gets a witness."""
 
 import hashlib
 import re
@@ -32,7 +31,9 @@ WALSH_ROWS_SHA256 = {
 # sha256 of repr(verify.run(id, seed=s).rows): the cubic rows as the
 # per-pair classify route produced them, the agwcore2 rows as random_diagram
 # drew them before it refused an oversized draw early, the shift-power rows
-# as one translate-link square per trace class decided them; all must match.
+# as one translate-link square per trace class decided them, and the other
+# eight as LinearizedPoly and FamilyInstance stood before either became a
+# subclass of Poly and DiagramSpec; all must match.
 ROWS_SHA256 = {
     ("de3p3", 20260817): "e84505ae2655919026854e86339d39bbe858f2d4b54521f1d7c5777c2dd38593",
     ("de3p3", 7): "e84505ae2655919026854e86339d39bbe858f2d4b54521f1d7c5777c2dd38593",
@@ -50,8 +51,26 @@ ROWS_SHA256 = {
     ("2gouzao1", 7): "2672726025f4e845d0efb01e3f5cf294b5da5a858546067b12d4eef96134e30d",
     ("2gouzao2", 20260817): "c3d0fc72730fe93bba972518fab0cf030bb265f2efbaa87183ca0496a4a3fc0d",
     ("2gouzao2", 7): "c3d0fc72730fe93bba972518fab0cf030bb265f2efbaa87183ca0496a4a3fc0d",
+    ("monomial", 20260817): "64d3d7097e81e169bd157283630635b428885a3c2c5529003a78a81c007b0262",
+    ("monomial", 7): "64d3d7097e81e169bd157283630635b428885a3c2c5529003a78a81c007b0262",
+    ("linearized", 20260817): "02dcabce20f68e8b3feaf32bdb0ca9669a1f92b72ebc4f127a133f911ad62d4b",
+    ("linearized", 7): "311df7d67143ed487bff0db641914af0d40a379c79d4de782a372a1f87496bb3",
+    ("quartic", 20260817): "37e65ba28253827a1f1b42f5ecde1fd650a51d8cafe023688f1508265dc90f69",
+    ("quartic", 7): "37e65ba28253827a1f1b42f5ecde1fd650a51d8cafe023688f1508265dc90f69",
+    ("miu2", 20260817): "0027c70a3562f47bb2047b857a0524fb16834bcb8fb8367c5a4e0708a49293ba",
+    ("miu2", 7): "0027c70a3562f47bb2047b857a0524fb16834bcb8fb8367c5a4e0708a49293ba",
+    ("miu3", 20260817): "ad371056ea538f8d21a8071b861cd985ed7063ddab3bd767186a99cda47b8977",
+    ("miu3", 7): "ad371056ea538f8d21a8071b861cd985ed7063ddab3bd767186a99cda47b8977",
+    ("nmiu3", 20260817): "46961eacd7e0aec06a979dab81141f5cd9f6b6aecbeba081af616d7fa1763b6b",
+    ("nmiu3", 7): "46961eacd7e0aec06a979dab81141f5cd9f6b6aecbeba081af616d7fa1763b6b",
+    ("piecewisegenerel", 20260817): "9046fa7fa4430ec074ad260d9ef07cbcd10ad1e972bc18fa8baf3f29ef864a42",
+    ("piecewisegenerel", 7): "b7cd5279072014a8351487ac04c57eabeba8d8d2c257b47ef1edffae39b7dd7a",
+    ("zcriterion", 20260817): "d845aa16ec954a3edbe96b1b7cbe0482d0f5e468869fe7e4c9b79ffe09aa0d52",
+    ("zcriterion", 7): "69a9298a16bf6d65e1bfc58fc4ed8a8d831a1cd0077f9bf57657b67125ba1616",
 }
 SHIFT_POWER_PINS = sorted(k for k in ROWS_SHA256 if k[0] in SHIFT_POWER_VARIANTS)
+CUBIC_DIAGRAM_PINS = sorted(k for k in ROWS_SHA256 if k[0] in ("de3p3", "de3pne3", "agwcore2"))
+OTHER_PINS = sorted(set(ROWS_SHA256) - set(SHIFT_POWER_PINS) - set(CUBIC_DIAGRAM_PINS))
 
 
 def test_monomial_witness_comes_from_classify(monkeypatch):
@@ -165,10 +184,18 @@ def test_branch_sweep_refuses_cases_outside_the_criterion():
         verify.branch_sweep(Field(7, 1), 3, 2)
 
 
-@pytest.mark.parametrize("theorem_id,seed", sorted(set(ROWS_SHA256) - set(SHIFT_POWER_PINS)))
+@pytest.mark.parametrize("theorem_id,seed", CUBIC_DIAGRAM_PINS)
 def test_cubic_and_diagram_rows_are_pinned(theorem_id, seed):
     res = verify.run(theorem_id, seed=seed)
     assert res.ok
+    assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == ROWS_SHA256[theorem_id, seed]
+
+
+@pytest.mark.parametrize("theorem_id,seed", OTHER_PINS)
+def test_other_sweep_rows_are_pinned(theorem_id, seed):
+    res = verify.run(theorem_id, seed=seed)
+    # quartic stays red: the no-3-to-1-quartics claim fails at q = 5
+    assert res.ok == (theorem_id != "quartic")
     assert hashlib.sha256(repr(res.rows).encode()).hexdigest() == ROWS_SHA256[theorem_id, seed]
 
 
