@@ -15,11 +15,11 @@ Interpolation at the ell-th roots of unity is the closed-form inverse DFT,
 batched over value rows (roots_of_unity_interpolate_rows); the test suite
 checks it against a Vandermonde solve.
 
-row_reduce is the package's one exact elimination: a scalar Gauss-Jordan,
-on residues over a prime field and through a Field's own scalar ops over
-an extension, so it needs no log tables.  LinearizedPoly.rank gathers a
-single m x m digit matrix over GF(p) from the log tables and reduces it
-with row_reduce, through matrix_rank, with no change of basis to GF(q_sub).
+row_reduce is the scalar exact elimination over any field: Gauss-Jordan
+on residues over a prime field, through the Field's own scalar ops over
+an extension, with no log tables.  linearized_ranks ranks q-polynomials in
+a batch: one (B, m, m) GF(p) digit stack gathered from the log tables, one
+fraction-free elimination of the stack mod p (_stacked_rank, int64-exact).
 """
 
 from __future__ import annotations
@@ -215,11 +215,13 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
     cap = (2^width - 1) // (p - 1) terms, at least 15 below the 2^20 gate
     (3^12: width 5; see fields._packed_headroom), the sum is unpacked and
     packed again before any field can carry into the next.  The values are
-    unpacked once at the end."""
+    unpacked once at the end.  A row over another field is a FieldMismatch."""
     rows = len(polys)
     consts = [0] * rows
     cols = {}  # exponent -> coefficient of every row
     for i, f in enumerate(polys):
+        if f.ctx != ctx:
+            raise FieldMismatch(f"row {i} is a polynomial over {f.ctx!r}, evaluated over {ctx!r}")
         for e, c in f.terms:
             if e == 0:
                 consts[i] = c
@@ -392,24 +394,42 @@ class LinearizedPoly(Poly):
         super().__init__(ctx, [(q_sub ** i, c) for i, c in enumerate(l_coeffs)])
 
     def rank(self) -> int:
-        """Rank as a GF(q_sub)-linear map; computed once per instance.
+        """Rank as a GF(q_sub)-linear map, computed once: see linearized_ranks."""
+        return self._rank if self._rank is not None else linearized_ranks([self])[0]
 
-        The integer p^i encodes xbar^i, and row i of an m x m matrix over
-        GF(p) holds the digits of L(p^i): a sum of m x T log-domain terms
-        a_j (p^i)^(q_sub^j), one gather (FieldTooLarge above the 2^20 gate).
-        The rows span the image, a GF(q_sub)-subspace, so its GF(p)-rank is
-        exactly sub_degree times the rank."""
-        if self._rank is None:
-            ctx = self.ctx
-            ctx._ensure_tables()
-            p, n, log = ctx.p, ctx.order - 1, ctx._log
-            pows = np.asarray(ctx._pow_p, dtype=np.int64)
-            terms = [(pow(self.q_sub, j, n), c) for j, c in enumerate(self.l_coeffs) if c]
-            frob, coeffs = np.array(terms, dtype=np.int64).reshape(-1, 2).T
-            vals = ctx._exp[(log[pows][:, None] * frob) % n + log[coeffs]]
-            rows = (vals[:, :, None] // pows % p).sum(axis=1) % p
-            self._rank = matrix_rank(Field(p, 1), rows.tolist()) // self.sub_degree
-        return self._rank
+
+def linearized_ranks(Ls) -> list[int]:
+    """Rank of each LinearizedPoly of the list Ls, all over one field, also
+    cached on each L for L.rank().
+
+    The integer p^i encodes xbar^i, and row i of L's m x m matrix over
+    GF(p) holds the digits of L(p^i) = sum_j a_j (p^i)^(Q^j), Q = q_sub;
+    the rows span the image, a GF(Q)-subspace, so their GF(p)-rank is
+    sub_degree times the rank.  Per Q, the (B, m, rel) values
+    exp[(log p^i * Q^j) mod n + log a_j] are one log-domain gather
+    (FieldTooLarge above the 2^20 gate), summed mod p one digit position
+    at a time into the (B, m, m) digit stack; one _stacked_rank ranks it.
+    B = 1 costs more than row_reduce: some ten numpy calls per column."""
+    ctx = Ls[0].ctx if Ls else None
+    if any(L.ctx != ctx for L in Ls):
+        raise FieldMismatch(f"linearized_ranks needs polynomials over one field, {ctx!r}")
+    if not Ls:
+        return []
+    ctx._ensure_tables()
+    p, n, exp, log = ctx.p, ctx.order - 1, ctx._exp, ctx._log
+    log_x = log[np.asarray(ctx._pow_p, dtype=np.int64)][:, None]
+    stack = np.empty((len(Ls), ctx.m, ctx.m), dtype=np.int64)
+    for Q in {L.q_sub for L in Ls}:
+        idx = [b for b, L in enumerate(Ls) if L.q_sub == Q]
+        coeffs = np.array([Ls[b].l_coeffs for b in idx], dtype=np.int64)
+        frob = np.array([pow(Q, j, n) for j in range(coeffs.shape[1])], dtype=np.int64)
+        vals = exp[(log_x * frob) % n + log[coeffs][:, None, :]]  # log 0 = -1: masked next
+        vals *= (coeffs != 0)[:, None, :]
+        for d, pd in enumerate(ctx._pow_p):
+            stack[idx, :, d] = (vals // pd % p).sum(axis=2) % p
+    for L, r in zip(Ls, _stacked_rank(stack, p).tolist()):
+        L._rank = r // L.sub_degree
+    return [L._rank for L in Ls]
 
 
 def value_table(f, ctx: Field | None = None):
@@ -485,6 +505,36 @@ def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
 
 def matrix_rank(ctx: Field, mat: list[list[int]]) -> int:
     return row_reduce(ctx, [list(row) for row in mat])
+
+
+def _stacked_rank(stack: np.ndarray, p: int) -> np.ndarray:
+    """GF(p)-rank of every matrix of a (B, r, c) int64 stack with entries in
+    [0, p), by one fraction-free forward elimination of the stack in place.
+    Per column, each matrix with a nonzero entry there at or below its
+    rank so far swaps the first such row up as its pivot row; every row
+    below becomes pivot * row - f * pivot_row mod p, f its entry in the
+    column, and every row above pivot * row mod p.  Both products are at
+    most (p - 1)^2, so the difference lies within +-p^2 < 2^62 for every
+    p < 2^31 (Field's bound on p) and int64 is exact."""
+    rank = np.zeros(len(stack), dtype=np.int64)
+    row = np.arange(stack.shape[1])
+    for col in range(stack.shape[2]):
+        live = (stack[:, :, col] != 0) & (row >= rank[:, None])
+        b = np.flatnonzero(live.any(axis=1))
+        if not b.size:
+            continue
+        top, piv = rank[b], live[b].argmax(axis=1)
+        prow = stack[b, piv, col:]
+        stack[b, piv, col:] = stack[b, top, col:]
+        f = np.where(row > top[:, None], stack[b, :, col], 0)[:, :, None]
+        sub = stack[b, :, col:]
+        sub *= prow[:, None, :1]
+        sub -= f * prow[:, None, :]
+        sub %= p
+        sub[np.arange(b.size), top] = prow
+        stack[b, :, col:] = sub
+        rank[b] += 1
+    return rank
 
 
 def roots_of_unity_interpolate_rows(ctx: Field, omega: int, values) -> np.ndarray:

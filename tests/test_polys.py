@@ -11,7 +11,8 @@ from nto1 import Field, LinearizedPoly, Poly, eval_rows, is_additive
 from nto1 import fields, polys
 from nto1.errors import DegreeMismatch, FieldMismatch, FieldTooLarge, SingularSystem
 from nto1.polys import (
-    affine_rows, eval_coeff_rows, matrix_rank, roots_of_unity_interpolate_rows, row_reduce,
+    _stacked_rank, affine_rows, eval_coeff_rows, linearized_ranks, matrix_rank,
+    roots_of_unity_interpolate_rows, row_reduce,
 )
 
 
@@ -185,6 +186,85 @@ def test_rank_matches_brute_force_kernel(p, m, k):
         # the digit rows of L(xbar^i) by scalar evaluation
         scalar = [ctx.coeffs(L(p ** i)) for i in range(m)]
         assert L.rank() == matrix_rank(Field(p, 1), scalar) // k, coeffs
+
+
+def _digit_rank(L):
+    """L's rank from the digit rows of L(xbar^i), by scalar evaluation and
+    row_reduce over GF(p): the oracle of linearized_ranks."""
+    ctx = L.ctx
+    rows = [ctx.coeffs(L(ctx.p ** i)) for i in range(ctx.m)]
+    return matrix_rank(Field(ctx.p, 1), rows) // L.sub_degree
+
+
+@pytest.mark.parametrize("p,m,k", RANK_TOWERS)
+def test_linearized_ranks_match_the_scalar_digit_rank(p, m, k):
+    # one call over every subfield of GF(p^m), the tower's own q_sub included,
+    # in a shuffled order, with all-zero, one-term and rank-deficient maps
+    ctx = Field(p, m)
+    rng = random.Random(p * 1000 + m * 10 + k + 1)
+    Ls, known = [], {}  # known: the rank of the all-zero and rank-deficient maps
+    for j in [d for d in range(1, m + 1) if m % d == 0]:
+        rel = m // j
+        c = rng.randrange(1, ctx.order)
+        lists = [[c], [0] * (rel - 1) + [c]]
+        lists += [[rng.randrange(ctx.order) for _ in range(rel)] for _ in range(6 if j == k else 2)]
+        Ls += [LinearizedPoly(ctx, p ** j, coeffs) for coeffs in lists]
+        Ls.append(LinearizedPoly(ctx, p ** j, [0] * rel))
+        known[Ls[-1]] = 0
+        if rel > 1:  # c(x^q_sub - x) kills GF(q_sub): rank rel - 1
+            Ls.append(LinearizedPoly(ctx, p ** j, [ctx.neg(c), c]))
+            known[Ls[-1]] = rel - 1
+    rng.shuffle(Ls)
+    assert len({L.q_sub for L in Ls}) == sum(m % d == 0 for d in range(1, m + 1))
+    want = [_digit_rank(L) for L in Ls]
+    assert all(r == known[L] for L, r in zip(Ls, want) if L in known)
+    assert linearized_ranks(Ls) == want
+    assert [L.rank() for L in Ls] == want  # cached by the batch
+    fresh = [LinearizedPoly(ctx, L.q_sub, L.l_coeffs) for L in Ls]
+    assert [L.rank() for L in fresh] == want  # one polynomial at a time
+    assert linearized_ranks([]) == []
+
+
+def test_linearized_ranks_need_one_field():
+    Ls = [LinearizedPoly(F27, 3, [1]), LinearizedPoly(Field(3, 2), 3, [1])]
+    with pytest.raises(FieldMismatch):
+        linearized_ranks(Ls)
+
+
+STACK_PRIMES = [2, 3, 61, 1048583, 2 ** 31 - 1]
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_stacked_rank_matches_row_reduce(p):
+    # random (B, r, c) stacks: square and not, zero rows and columns, rows
+    # that combine other rows, and entries p - 1, whose products (p - 1)^2
+    # are the largest the int64 elimination meets (below 2^62 at p = 2^31 - 1)
+    ctx = Field(p, 1)
+    rng = random.Random(p)
+
+    def entry():
+        return rng.choice([0, 1, p - 1, rng.randrange(p)])
+
+    for r, c in [(1, 1), (3, 3), (5, 5), (12, 12), (2, 6), (6, 2), (4, 7), (7, 4), (0, 3), (3, 0)]:
+        mats = []
+        for _ in range(8):
+            mat = [[entry() for _ in range(c)] for _ in range(r)]
+            if r > 2 and c:
+                mat[rng.randrange(r)] = [0] * c
+                zcol = rng.randrange(c)
+                for row in mat:
+                    row[zcol] = 0
+                a, b = rng.randrange(p), rng.randrange(p)
+                mat[-1] = [(a * x + b * y) % p for x, y in zip(mat[0], mat[1])]
+            mats.append(mat)
+        mats.append([[p - 1] * c for _ in range(r)])
+        stack = np.array(mats, dtype=np.int64).reshape(len(mats), r, c)
+        want = [row_reduce(ctx, [list(map(int, row)) for row in mat]) for mat in stack]
+        assert _stacked_rank(stack, p).tolist() == want, (p, r, c)
+        # reduced in place: entries stay residues, rows from the rank on are zero
+        assert stack.size == 0 or 0 <= stack.min() <= stack.max() < p
+        assert all(not stack[i, k:].any() for i, k in enumerate(want))
+    assert _stacked_rank(np.zeros((0, 4, 4), dtype=np.int64), p).tolist() == []
 
 
 def test_rank_needs_log_tables():
@@ -390,6 +470,16 @@ def test_eval_rows_matches_oracle_and_pointwise(ctx):
     single = [Poly(ctx, [(5, c)]) for c in (0, 1, q - 1, 0)]
     assert eval_rows(ctx, single).tolist() == [[f(x) for x in ctx.elements()] for f in single]
     assert eval_rows(ctx, []).shape == (0, q)
+
+
+def test_eval_rows_refuses_a_row_over_another_field():
+    F9 = Field(3, 2)
+    f8 = Poly(Field(2, 3), [(3, 7), (1, 5)])  # codes below 9: read as GF(9), a wrong table
+    with pytest.raises(FieldMismatch, match=r"row 1 .*Field\(p=2, m=3\).*Field\(p=3, m=2\)"):
+        eval_rows(F9, [Poly.x(F9), f8])
+    f27 = Poly(F27, [(1, 20)])  # code 20 is no element of GF(9)
+    with pytest.raises(FieldMismatch, match=r"row 0 .*Field\(p=3, m=3\).*Field\(p=3, m=2\)"):
+        eval_rows(F9, [f27])
 
 
 # ----------------------------------------------------------------------

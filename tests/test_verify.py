@@ -4,6 +4,7 @@ the first predicate-vs-brute disagreement; branch_sweep refuses cases
 outside its criterion; every runner's rows are pinned by hash at two
 seeds, and a corrupted affine row still gets a witness."""
 
+import collections
 import hashlib
 import re
 
@@ -88,6 +89,35 @@ def test_monomial_witness_comes_from_classify(monkeypatch):
     assert not res.ok
     assert res.witness == f"q=7 d=1: expected n=1, got {classify(ctx.pow_vec(ctx.elements_array(), 1))}"
     assert (7, 1, 5, 0) in res.rows and len(res.rows) == 2365
+
+
+def test_linearized_witness_names_the_first_wrong_row_in_draw_order(monkeypatch):
+    # the oracle is wrong on draws 350 and 351 of GF(16) and on 700; the
+    # brute side decides draw 351 (q_sub 2) before draw 350 (q_sub 16), as
+    # it runs each field's q_sub groups in turn, yet draw order decides
+    real = verify.linearized_oracle
+    seen = []
+
+    def wrong(L):
+        seen.append(L)
+        return real(L) + (len(seen) in (351, 352, 701))
+
+    clean = verify.run("linearized").rows
+    monkeypatch.setattr(verify, "linearized_oracle", wrong)
+    res = verify.run("linearized")
+    assert len(seen) == len(res.rows) == 4000
+    assert [i for i, row in enumerate(res.rows) if not row[-1]] == [350, 351, 700]
+    assert res.rows[350][1] == 16 and res.rows[351][1] == 2
+    assert [row[:-1] for row in res.rows] == [row[:-1] for row in clean]
+    L = seen[350]
+    ctx = L.ctx
+    assert ctx.order == 16 and res.rows[350][:3] == (16, L.q_sub, L.rank())
+    hist = collections.Counter(L(x) for x in ctx.elements())
+    n = 16 // len(hist)
+    assert set(hist.values()) == {n}
+    assert res.witness == (f"q=16 base={L.q_sub} coeffs={L.l_coeffs}: NTo1Report(n={n}, "
+                           f"exception=None, histogram={dict(sorted(hist.items()))}, "
+                           f"domain_size=16, irregular=False)")
 
 
 def test_normalize_witness_comes_from_classify(monkeypatch):
