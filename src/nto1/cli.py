@@ -22,8 +22,8 @@ from .counting import classify, is_n_to_1
 from .diagrams import DiagramSpec, random_diagram, transfer, verify_diagram
 from .errors import GateExceeded, NTo1Error
 from .families import (
-    Q1_VARIANTS, SHIFT_POWER_VARIANTS, branch_case_predicate, build_branch_interpolation,
-    build_shift_power, shift_power_poly,
+    BRANCH_FAMILIES, Q1_VARIANTS, SHIFT_POWER_VARIANTS, branch_case_predicate,
+    build_branch_interpolation, build_shift_power, shift_power_poly,
 )
 from .fields import Field, SubfieldEmbed, _prime_factors, exact_log, field_from_spec
 from .lowdeg import quartic_3to1_search
@@ -32,8 +32,6 @@ from .walsh import _char_sum_of_table, phi_prime_power, phi_two, walsh_zero_tabl
 from . import verify
 
 _GATE = 1 << 13
-
-_BRANCH_FAMILIES = {"miu2": 2, "miu3": 3, "nmiu3": 4}
 
 
 class UsageError(Exception):
@@ -304,7 +302,7 @@ def _branch_field(args):
     _refuse(args.family, args, "q1", "delta")
     ctx = _build_field(args)
     _gate(ctx.order, args)
-    return ctx, _BRANCH_FAMILIES[args.family]
+    return ctx, BRANCH_FAMILIES[args.family]
 
 def _emit_construct(family, inst, fields, params, fpoly, pred):
     """One construct record: the built map, its predicate against brute
@@ -469,7 +467,7 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_diagram)
 
-    families = SHIFT_POWER_VARIANTS + tuple(_BRANCH_FAMILIES)
+    families = SHIFT_POWER_VARIANTS + tuple(BRANCH_FAMILIES)
     p = sub.add_parser("construct", help="build one family instance and check its predicate")
     p.add_argument("family", choices=families)
     _add_field_opts(p)

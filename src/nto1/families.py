@@ -518,7 +518,6 @@ def solve_piecewise(ctx, spec):
              "targets within the root group", spec.targets)
     _require(broken, all(0 <= mi < s for mi in spec.levels),
              "levels within a fiber", spec.levels)
-    _require(broken, ell % n == 0, "n divides the root group order", (n, ell))
     counts = {}
     for a in spec.targets:
         counts[a] = counts.get(a, 0) + 1
@@ -629,6 +628,7 @@ def reduced_blowup(inst):
 
 SHIFT_POWER_VARIANTS = ("gouzao1", "gouzao2", "gouzao3", "2gouzao1", "2gouzao2")
 Q1_VARIANTS = ("gouzao1", "gouzao2", "2gouzao1")  # built on a GF(q1) below the subfield
+BRANCH_FAMILIES = {"miu2": 2, "miu3": 3, "nmiu3": 4}  # family -> its number of branches ell
 
 
 def _check_tower(q, q1, p):

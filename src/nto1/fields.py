@@ -16,7 +16,8 @@ the default beta per (p, m, modulus); the log/exp tables and the Zech
 table per (p, m, modulus, beta); the packed digit table per (p, m); every
 SubfieldEmbed's embedding table per modulus and beta of both fields.
 Every Field(...) call still returns a new object, but objects with the
-same key share that data, and shared arrays are read-only.
+same key share that data, and shared arrays are read-only, as are the
+cached trace tables.
 
 Vector addition never walks digits below the log-table gate: p = 2 adds
 by XOR, GF(p) adds residues, and odd p with m > 1 adds in the log domain
@@ -750,7 +751,7 @@ class SubfieldEmbed:
         return self.project(t)
 
     def trace_table(self) -> np.ndarray:
-        """Vectorized trace of every big-field element, as subfield indices."""
+        """Vectorized trace of every big-field element, as subfield indices; read-only."""
         if self._tr_table is None:
             big = self.big
             t = big.elements_array()
@@ -764,5 +765,6 @@ class SubfieldEmbed:
             t = section[t]
             if t.min() < 0:
                 raise TraceOutsideField(f"trace table left the embedded GF({self.sub.p}^{self.sub.m})")
+            t.flags.writeable = False
             self._tr_table = t
         return self._tr_table

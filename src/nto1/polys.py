@@ -16,8 +16,7 @@ batched over value rows (roots_of_unity_interpolate_rows); the test suite
 checks it against a Vandermonde solve.
 
 row_reduce is the scalar exact elimination over any field: Gauss-Jordan
-on residues over a prime field, through the Field's own scalar ops over
-an extension, with no log tables.  linearized_ranks ranks q-polynomials in
+through the Field's own scalar ops.  linearized_ranks ranks q-polynomials in
 a batch: one (B, m, m) GF(p) digit stack gathered from the log tables, one
 fraction-free elimination of the stack mod p (_stacked_rank, int64-exact).
 """
@@ -302,15 +301,12 @@ def _eval_terms(ctx: Field, consts: list, exps: list, coeffs) -> np.ndarray:
             summed += hi - lo
         out %= p
         return out
-    if rows == 1:  # a scalar log c is the cheapest broadcast; no zero coefficients
-        log_c, zero = [int(log[c]) for (c,) in coeffs], None
-    else:
-        coeffs = np.asarray(coeffs, dtype=np.int64)
-        log_c = log[coeffs][:, :, None]
-        zero = coeffs == 0
-        if not zero.any():
-            zero = None
-    units = out[0, 1:] if rows == 1 else out[:, 1:]
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    log_c = log[coeffs][:, :, None]
+    zero = coeffs == 0
+    if not zero.any():
+        zero = None
+    units = out[:, 1:]
     single = len(exps) == 1 and not any(consts)
     digits = p != 2 and not single
     if digits:
@@ -457,9 +453,9 @@ def value_table(f, ctx: Field | None = None):
 def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
     """In-place RREF over ctx; returns the rank.
 
-    Scalar Gauss-Jordan, so it needs no log tables and works at any order:
-    on residues mod p over a prime field, through ctx's own inv, mul, add
-    and neg over an extension.  Every entry is checked on entry
+    Scalar Gauss-Jordan through ctx's own inv, mul, add and neg, so it
+    works at any order: below the 2^20 gate inv reads the log tables,
+    GF(p)'s too, and above it powers.  Every entry is checked on entry
     (FieldMismatch), rows of unequal length raise DegreeMismatch, and the
     reduced rows are written back into rows as lists of ints."""
     ncols = len(rows[0]) if rows else 0
@@ -467,24 +463,6 @@ def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
         if len(row) != ncols:
             raise DegreeMismatch(f"row {i} has {len(row)} entries, row 0 has {ncols}")
         rows[i] = [ctx.check(v) for v in row]
-    if ctx.m == 1:  # residue arithmetic, no field calls
-        p = ctx.p
-
-        def scale(row):  # row / row[0]
-            inv = pow(row[0], -1, p)
-            return [inv * v % p for v in row]
-
-        def eliminate(row, prow):  # row - row[0] * prow
-            f = row[0]
-            return [(a - f * b) % p for a, b in zip(row, prow)]
-    else:
-        def scale(row):
-            inv = ctx.inv(row[0])
-            return [ctx.mul(inv, v) for v in row]
-
-        def eliminate(row, prow):
-            f = ctx.neg(row[0])
-            return [ctx.add(a, ctx.mul(f, b)) if b else a for a, b in zip(row, prow)]
     r = 0
     for col in range(ncols):
         if r == len(rows):
@@ -494,11 +472,14 @@ def row_reduce(ctx: Field, rows: list[list[int]]) -> int:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         # columns left of col are already zero in the pivot row
-        tail = scale(rows[r][col:])
+        inv = ctx.inv(rows[r][col])
+        tail = [ctx.mul(inv, v) for v in rows[r][col:]]
         rows[r] = [0] * col + tail
         for i, row in enumerate(rows):
             if i != r and row[col]:
-                rows[i] = row[:col] + eliminate(row[col:], tail)
+                f = ctx.neg(row[col])
+                rows[i] = row[:col] + [ctx.add(a, ctx.mul(f, b)) if b else a
+                                       for a, b in zip(row[col:], tail)]
         r += 1
     return r
 

@@ -23,8 +23,9 @@ from .counting import (
 )
 from .diagrams import random_diagram, transfer, verify_diagram
 from .families import (
-    branch_case_predicate, branch_tables, build_translate_link, random_piecewise,
-    shift_power_predicate, shift_power_profile, solve_piecewise, trace_class_reps,
+    BRANCH_FAMILIES, branch_case_predicate, branch_tables, build_translate_link,
+    random_piecewise, shift_power_predicate, shift_power_profile, solve_piecewise,
+    trace_class_reps,
 )
 from .fields import Field, SubfieldEmbed, _is_prime, exact_log
 from .lowdeg import cubic_char3_is3to1, cubic_charne3_is3to1, quartic_3to1_search
@@ -292,17 +293,17 @@ def _branch_class_run(ctxs, ell):
 
 def run_miu2(seed=SEED):
     """Two-branch criterion, exhaustive (a, b, r) over GF(7) and GF(11)."""
-    return _branch_class_run((Field(7, 1), Field(11, 1)), 2)
+    return _branch_class_run((Field(7, 1), Field(11, 1)), BRANCH_FAMILIES["miu2"])
 
 
 def run_miu3(seed=SEED):
     """Three-branch criterion over GF(13), all power-class triples."""
-    return _branch_class_run((Field(13, 1),), 3)
+    return _branch_class_run((Field(13, 1),), BRANCH_FAMILIES["miu3"])
 
 
 def run_nmiu3(seed=SEED):
     """Four-branch criterion over GF(13), all power-class quadruples."""
-    return _branch_class_run((Field(13, 1),), 4)
+    return _branch_class_run((Field(13, 1),), BRANCH_FAMILIES["nmiu3"])
 
 
 def run_piecewisegenerel(seed=SEED):
@@ -396,8 +397,8 @@ def run_zcriterion(seed=SEED):
         k = rng.randrange(1, m)
         ell = math.gcd(k, m)
         g = Poly.from_dense(ctx, [rng.randrange(ctx.order) for _ in range(5)])
-        cs = [c for c in range(1, ctx.order) if ctx.pow(c, q ** ell) == c]
-        c = rng.choice(cs)
+        units = ctx.elements_array()[1:]
+        c = rng.choice(units[ctx.pow_vec(units, q ** ell) == units].tolist())
         delta = rng.randrange(ctx.order)
         i_max = j * (mm // j - ell)
         n = p ** rng.randrange(0, i_max + 1)

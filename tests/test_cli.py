@@ -9,7 +9,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nto1 import Field, cli, verify
+from nto1 import Field, Poly, cli, verify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -559,3 +559,18 @@ def test_cli_fuzz_ends_in_an_exit_code(monkeypatch, capsys, tmp_path, data):
     assert rc in (0, 1, 2, 3), (argv, rc)
     if rc == 2:
         assert err.strip(), argv
+
+
+_PARSE_FIELDS = [Field(2, 1), Field(7, 1), Field(3, 2), Field(2, 4), Field(5, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_parse_poly_reads_back_what_repr_writes(data):
+    """--poly text round-trips: _parse_poly of Poly's repr, without its
+    'Poly(' and ')', is the polynomial, the zero polynomial included."""
+    ctx = data.draw(st.sampled_from(_PARSE_FIELDS))
+    q = ctx.order
+    terms = data.draw(st.lists(st.tuples(st.integers(0, 3 * q), st.integers(0, q - 1)), max_size=6))
+    for f in (Poly(ctx, terms), Poly.zero(ctx)):
+        assert cli._parse_poly(ctx, repr(f)[5:-1]) == f

@@ -370,6 +370,14 @@ def test_piecewise_rejects_unbalanced_targets():
     assert inst.violations[0].witness == {0: 3, 1: 1, 2: 2}
 
 
+def test_piecewise_names_each_broken_hypothesis_once():
+    # n = 2 does not divide the root group order 3: one violation for that, not two
+    inst = solve_piecewise(Field(7, 1), PiecewiseSpec(1, 2, 2, [0, 1, 2], [0, 0, 0]))
+    names = [v.hypothesis for v in inst.violations]
+    assert "n divides the root group order" in names
+    assert len(names) == len(set(names)), names
+
+
 # -- translate link ------------------------------------------------------------------
 
 def test_translate_link_equivalence():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from nto1 import (
-    Field, LinearizedPoly, PhiGadget, Poly, additive_convolution,
+    Field, LinearizedPoly, PhiGadget, Poly, SubfieldEmbed, additive_convolution,
     char_sum, histogram, is_n_to_1, phi_prime_power, phi_two,
     spectral_verdict, validate_phi, walsh, walsh_zero_table,
 )
@@ -83,6 +83,16 @@ def test_zero_table_rows_equal_walsh():
         W = walsh_zero_table(f, F)
         for v in F.elements():
             assert np.array_equal(walsh(f, 0, v, F), W[v])
+
+
+def test_cached_trace_tables_are_read_only():
+    # a write into a shared trace table would change every later spectral result of its field
+    f = Poly(F9, [(2, 1), (1, 3)])
+    before = walsh_zero_table(f, F9)
+    for table in (F9.trace_to_prime_table(), SubfieldEmbed(Field(3, 4), F9).trace_table()):
+        with pytest.raises(ValueError):
+            table[:] = 0
+    assert np.array_equal(walsh_zero_table(f, F9), before)
 
 
 def test_two_to_one_verdict():
