@@ -193,11 +193,10 @@ def _p_gcd(a, f, p):
     return a
 
 
-def _p_pow_frobenius(r, f, p):
-    """r(x)^p mod f, by square-and-multiply on the exponent p."""
+def _p_pow(r, e, f, p):
+    """r(x)^e mod f, by square-and-multiply."""
     result = [1]
     base = list(r)
-    e = p
     while e:
         if e & 1:
             result = _p_mod(_p_mul(result, base, p), f, p)
@@ -214,14 +213,11 @@ def _is_irreducible(f, p) -> bool:
         return True
     r = [0, 1]
     for _ in range(m // 2):
-        r = _p_pow_frobenius(r, f, p)
-        diff = list(r)
-        while len(diff) < 2:
-            diff.append(0)
+        r = _p_pow(r, p, f, p)
+        diff = list(r) + [0] * (2 - len(r))
         diff[1] = (diff[1] - 1) % p
         _p_trim(diff)
-        g = _p_gcd(f, diff, p)
-        if len(g) - 1 >= 1:
+        if len(_p_gcd(f, diff, p)) > 1:
             return False
     return True
 
@@ -231,12 +227,7 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
     # i.e. c_0 is the most significant digit of the counter.  For m > 1 the
     # candidates with c_0 = 0 are multiples of x, so the counter starts past them.
     for k in range(p ** (m - 1) if m > 1 else 0, p ** m):
-        rev = []
-        t = k
-        for _ in range(m):
-            rev.append(t % p)
-            t //= p
-        coeffs = rev[::-1] + [1]
+        coeffs = [k // p ** i % p for i in reversed(range(m))] + [1]
         if _is_irreducible(coeffs, p):
             return coeffs
     raise ReducibleModulus(f"no irreducible of degree {m} over GF({p})")  # pragma: no cover
@@ -292,14 +283,7 @@ class Field:
         return self.element(prod)
 
     def _raw_pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
-            if e & 1:
-                result = self._raw_mul(result, base)
-            base = self._raw_mul(base, base)
-            e >>= 1
-        return result
+        return self.element(_p_pow(self.coeffs(a), e, list(self.modulus), self.p))
 
     def _is_primitive(self, a: int, factors) -> bool:
         """factors: the prime factors of q - 1."""
@@ -475,8 +459,8 @@ class Field:
         a = self.check(a)
         if a == 0:
             raise DivisionByZero("inverse of zero")
-        if self.order > _LOG_TABLE_CAP:
-            return self._raw_pow(a, self.order - 2)
+        if self.order > _LOG_TABLE_CAP:  # GF(p) by the built-in pow, else coefficient lists
+            return pow(a, -1, self.p) if self.m == 1 else self._raw_pow(a, self.order - 2)
         self._ensure_tables()
         n = self.order - 1
         return int(self._exp[(n - self._log[a]) % n])
@@ -494,7 +478,7 @@ class Field:
             raise DivisionByZero("negative power of zero")
         n = self.order - 1
         if self.order > _LOG_TABLE_CAP:
-            return self._raw_pow(a, e % n)
+            return pow(a, e % n, self.p) if self.m == 1 else self._raw_pow(a, e % n)
         self._ensure_tables()
         return int(self._exp[(self._log[a] * (e % n)) % n])
 

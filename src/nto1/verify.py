@@ -18,7 +18,7 @@ import random
 import numpy as np
 
 from .counting import (
-    classify, classify_rows, is_n_to_1, linearized_oracle, monomial_oracle, n_to_1_rows,
+    classify, classify_rows, linearized_oracle, monomial_oracle, n_to_1_rows,
     row_blocks,
 )
 from .diagrams import random_diagram, transfer, verify_diagram
@@ -32,7 +32,7 @@ from .lowdeg import cubic_char3_is3to1, cubic_charne3_is3to1, quartic_3to1_searc
 from .polys import (
     LinearizedPoly, Poly, affine_rows, eval_coeff_rows, eval_rows, linearized_ranks,
 )
-from .walsh import phi_prime_power, phi_two, spectral_verdict
+from .walsh import char_sum_rows, fiber_size_rows, phi_prime_power, phi_two
 
 SEED = 20260817
 
@@ -197,33 +197,28 @@ def _n_to_1_table(ctx, n, rng):
 
 def run_walsh(seed=SEED):
     """Spectral verdicts at n=2 and n=p against brute force on a mixed
-    corpus of 500 maps per field."""
+    corpus of 500 maps per field, held as one (500, q) value matrix and
+    decided in row blocks of about 2^14 (map, v, x) entries: per block,
+    one fiber_size_rows read by both gadgets and n_to_1_rows at 2 and p."""
     rng = random.Random(seed)
     rows, witness = [], None
-    for p, m in ((3, 2), (5, 2), (3, 3)):
+    kinds = ["random"] * 170 + ["two"] * 165 + ["p"] * 165
+    for p, m, q in ((3, 2, 9), (5, 2, 25), (3, 3, 27)):
         ctx = Field(p, m)
-        g2 = phi_two(p, m)
-        gp = phi_prime_power(p, m, 1)
-        corpus = []
-        for i in range(170):
-            corpus.append(("random", np.asarray(
-                [rng.randrange(ctx.order) for _ in range(ctx.order)],
-                dtype=np.int64)))
-        for i in range(165):
-            corpus.append(("two", _n_to_1_table(ctx, 2, rng)))
-        for i in range(165):
-            corpus.append(("p", _n_to_1_table(ctx, p, rng)))
-        for i, (kind, tbl) in enumerate(corpus):
-            v2 = spectral_verdict(tbl, g2, ctx)
-            t2 = is_n_to_1(tbl, None, 2)
-            vp = spectral_verdict(tbl, gp, ctx)
-            tp = is_n_to_1(tbl, None, p)
-            ok = v2 == t2 and vp == tp
-            rows.append((ctx.order, i, kind, int(v2), int(t2), int(vp),
-                         int(tp)))
-            if not ok and witness is None:
-                witness = (f"GF({ctx.order}) map {i} ({kind}): "
-                           f"phi1 {v2} vs {t2}, phi2 {vp} vs {tp}")
+        gadgets = (phi_two(p, m), phi_prime_power(p, m, 1))
+        V = np.empty((len(kinds), q), dtype=np.int64)
+        for i, kind in enumerate(kinds):
+            V[i] = ([rng.randrange(q) for _ in range(q)] if kind == "random"
+                    else _n_to_1_table(ctx, 2 if kind == "two" else p, rng))
+        for lo, hi in row_blocks(len(kinds), q * q):
+            sums = char_sum_rows(ctx, fiber_size_rows(ctx, V[lo:hi]), *gadgets)
+            spectral = [[s == g.bound for s in col] for g, col in zip(gadgets, sums)]
+            brute = [n_to_1_rows(V[lo:hi], q, g.n).tolist() for g in gadgets]
+            for i, v2, vp, t2, tp in zip(range(lo, hi), *spectral, *brute):
+                rows.append((q, i, kinds[i], int(v2), int(t2), int(vp), int(tp)))
+                if (v2 != t2 or vp != tp) and witness is None:
+                    witness = (f"GF({q}) map {i} ({kinds[i]}): "
+                               f"phi1 {v2} vs {t2}, phi2 {vp} vs {tp}")
     return RunResult(witness, rows, "q,i,kind,phi1,brute2,phi2,brutep")
 
 

@@ -12,7 +12,11 @@ convolution of T: v -> W_F(0, v).  By the orthogonality of additive
 characters, sum_v W_F(0, v) omega^{-tr(yv)} = q N_y with N_y = |f^{-1}(y)|,
 so S_j = q^{j-1} M_j with the fiber moments M_j = sum_y N_y^j.  The paper's
 char sum A_0 + sum_j A_j p^{m-jm} S_j is therefore A_0 + sum_j A_j M_j.
-`_fiber_sizes` reads the N_y off one character transform of T;
+`fiber_size_rows` is the one blocked kernel: a (B, q) matrix of value
+tables in, the (B, q) fiber sizes out, through per block one trace-exponent
+gather, one bincount for every (map, v) count vector, the m batched
+character-kernel matmuls and the rationality check.  `walsh_zero_table`,
+`char_sum` and `spectral_verdict` are its one-row case.
 `additive_convolution`, which builds the whole convolution table, is kept
 as the reference the tests compare against.
 """
@@ -27,13 +31,17 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegreeTooHigh, DomainTooLarge, PowerSumNotRational, ZeroInput
+from .counting import _BLOCK_ELEMS, row_blocks, row_counts
+from .errors import (
+    DegreeTooHigh, DomainTooLarge, FieldMismatch, PowerSumNotRational, ZeroInput,
+)
 from .fields import Field
 from .polys import value_table
 
 _WALSH_DOMAIN_CAP = 2 ** 12
-# elements per vectorised block, so that q = 2^12 never allocates q^2 at once
-_BLOCK_ELEMS = 2 ** 16
+# (map, v, x) entries per block of the spectral kernel: a pass holds two
+# int64 arrays of this size, so a quarter block keeps each at 32 KB
+_PASS_ELEMS = _BLOCK_ELEMS // 4
 _PHI_J_CAP = 8
 _PHI_DEN_CAP = 2 ** 31
 
@@ -90,9 +98,8 @@ def validate_phi(g: PhiGadget):
     that makes the char sum decide n-to-1: phi(0) = phi(n) = 0; with
     t = q mod n > 0, phi(t) = 1; phi(X) > bound at every other X.
     Returns (ok, violating_X)."""
-    if len(g.coeffs) - 1 > _PHI_J_CAP:
-        return False, None
-    if any(Fraction(c).denominator > _PHI_DEN_CAP for c in g.coeffs):
+    if (len(g.coeffs) - 1 > _PHI_J_CAP
+            or any(Fraction(c).denominator > _PHI_DEN_CAP for c in g.coeffs)):
         return False, None
     q = g.order
     t = q % g.n
@@ -126,22 +133,10 @@ def walsh(f, u: int, v: int, ctx: Optional[Field] = None) -> np.ndarray:
 
 
 def walsh_zero_table(f, ctx: Optional[Field] = None) -> np.ndarray:
-    """All W_F(0, v) at once, as a (q, p) integer matrix of count vectors
-    (row v = multiplicities of omega^0..omega^{p-1})."""
+    """All W_F(0, v) as a (q, p) matrix of count vectors (row v counts
+    omega^0..omega^{p-1}): the one-row case of fiber_size_rows' tables."""
     ctx, values = value_table(f, ctx)
-    if ctx.order > _WALSH_DOMAIN_CAP:
-        raise DomainTooLarge(f"field order {ctx.order} exceeds 2^12")
-    q, p = ctx.order, ctx.p
-    tr = ctx.trace_to_prime_table()
-    out = np.empty((q, p), dtype=np.int64)
-    rows = max(1, _BLOCK_ELEMS // q)
-    for start in range(0, q, rows):
-        vs = np.arange(start, min(start + rows, q), dtype=np.int64)
-        # row i of the block counts its exponents in bins i*p .. i*p + p - 1
-        expo = tr[ctx.mul_vec(vs[:, None], values[None, :])]
-        expo += p * np.arange(len(vs), dtype=np.int64)[:, None]
-        out[vs] = np.bincount(expo.ravel(), minlength=len(vs) * p).reshape(len(vs), p)
-    return out
+    return _zero_tables(ctx, values[None])[0]
 
 
 def additive_convolution(ctx: Field, U: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -168,58 +163,102 @@ def _character_kernel(p: int) -> np.ndarray:
     return K
 
 
-def _fiber_sizes(ctx: Field, T: np.ndarray) -> np.ndarray:
-    """N with q N[u] = sum_v T[v] omega^{<u, v>} over the base-p digit pairing,
-    for the Walsh zero table T: m stages, each an int64 matmul of the (q/p, p^2)
-    table with the kernel that pairs the last digit and moves it to the front.
-    Coordinates stay counts of at most q^2.  Digit and trace pairings are both
-    nondegenerate, so the N[u] are the fiber sizes N_y in some order.  Raises
-    PowerSumNotRational unless every sum is q times an integer N >= 0."""
-    q, p = ctx.order, ctx.p
+def _zero_tables(ctx: Field, V: np.ndarray) -> np.ndarray:
+    """(b, q, p) Walsh zero tables of the maps whose value tables are the
+    rows of V: T[r, v] counts tr(v V[r, x]) over x, read as tr_exp[lg[v] +
+    lg[V[r, x]]] from lg = log (2n at 0, n = q - 1) and tr_exp[k] =
+    tr(beta^k) (0 from 2n), built per call and never memoised.  A pass
+    gathers at most _PASS_ELEMS (r, v, x) entries and bincounts them."""
+    b, q = V.shape
+    if q > _WALSH_DOMAIN_CAP:
+        raise DomainTooLarge(f"field order {q} exceeds 2^12")
+    p, n = ctx.p, q - 1
+    ctx._ensure_tables()
+    lg = np.where(ctx._log < 0, 2 * n, ctx._log)
+    tr_exp = np.zeros(4 * n + 1, dtype=np.int64)
+    tr_exp[:2 * n] = ctx.trace_to_prime_table()[ctx._exp]
+    lv = lg[V][:, None, :]
+    T = np.empty((b, q, p), dtype=np.int64)
+    step = max(1, _PASS_ELEMS // (b * q))
+    for lo in range(0, q, step):
+        k = min(step, q - lo)
+        expo = tr_exp[lg[lo:lo + k, None] + lv]
+        # row (r, v) of the pass counts its exponents in its own p bins
+        expo += p * np.arange(b * k, dtype=np.int64).reshape(b, k, 1)
+        T[:, lo:lo + k] = np.bincount(expo.ravel(), minlength=b * k * p).reshape(b, k, p)
+    return T
+
+
+def _transform(ctx: Field, T: np.ndarray, first: int = 0) -> np.ndarray:
+    """N with q N[r, u] = sum_v T[r, v] omega^{<u, v>} over the base-p digit
+    pairing, for a (b, q, p) stack of Walsh zero tables: m batched int64
+    matmuls of the (b, q/p, p^2) stack with the kernel that pairs the last
+    digit and moves it to the front; counts stay at most q^2.  Digit and
+    trace pairings are both nondegenerate, so row r holds map r's N_y in
+    some order.  Unless every sum is q times an integer in [0, q], raises
+    PowerSumNotRational naming the row (counted from first) and u."""
+    q, p, b = ctx.order, ctx.p, len(T)
     K = _character_kernel(p)
-    H = T
     for _ in range(ctx.m):
-        H = (H.reshape(-1, p * p) @ K).reshape(-1, p, p).transpose(1, 0, 2)
-    H = H.reshape(q, p)
-    val = H[:, 0] - H[:, -1]
-    bad = (H[:, 1:] != H[:, -1:]).any(axis=1) | (val % q != 0) | (val < 0)
+        T = (T.reshape(b, -1, p * p) @ K).reshape(b, -1, p, p).transpose(0, 2, 1, 3)
+    T = T.reshape(b, q, p)
+    val = T[..., 0] - T[..., -1]
+    bad = (T[..., 1:] != T[..., -1:]).any(axis=-1) | (val % q != 0) | (val < 0) | (val > q * q)
     if bad.any():
-        u = int(np.flatnonzero(bad)[0])
-        raise PowerSumNotRational(f"character sum {H[u].tolist()} at u={u} "
-                                  f"is not q = {q} times a fiber size")
+        r, u = np.argwhere(bad)[0].tolist()
+        raise PowerSumNotRational(f"character sum {T[r, u].tolist()} of row {first + r} at "
+                                  f"u={u} is not q = {q} times a fiber size")
     return val // q
 
 
-def _fiber_moments(ctx: Field, T: np.ndarray, J: int) -> list:
-    """[M_1, ..., M_J] as Python ints, M_j = sum_y N_y^j for the map whose
-    Walsh zero table is T: the power sum S_j is q^{j-1} M_j."""
-    counts = np.bincount(_fiber_sizes(ctx, T)).tolist()  # counts[n] = #{y : N_y = n}
-    return [sum(c * n ** j for n, c in enumerate(counts) if c) for j in range(1, J + 1)]
+def fiber_size_rows(ctx: Field, V: np.ndarray) -> np.ndarray:
+    """The blocked kernel: the (B, q) fiber sizes (in _transform's order) of
+    the maps whose value tables are the rows of the (B, q) int64 matrix V,
+    one _zero_tables and one _transform per row block of at most
+    _PASS_ELEMS (map, v, x) entries, or one map."""
+    q = ctx.order
+    if V.ndim != 2 or V.shape[1] != q or (V.size and (V.min() < 0 or V.max() >= q)):
+        raise FieldMismatch(f"value tables over GF({q}) need rows of {q} entries in [0, {q})")
+    N = np.empty(V.shape, dtype=np.int64)
+    for lo, hi in row_blocks(len(V), q * q, _PASS_ELEMS):
+        N[lo:hi] = _transform(ctx, _zero_tables(ctx, V[lo:hi]), lo)
+    return N
+
+
+def _fiber_moments(N: np.ndarray, J: int) -> list:
+    """[M_1, ..., M_J] as Python ints for every row of a fiber-size matrix
+    N, M_j = sum_y N_y^j (so S_j = q^{j-1} M_j): one row_counts gives
+    #{y : N_y = n}, and the sizes n that occur are raised to exact powers."""
+    counts = row_counts(N, N.shape[1] + 1)
+    sizes = np.flatnonzero(counts.any(axis=0)).tolist()
+    powers = np.array([[n ** j for j in range(1, J + 1)] for n in sizes], dtype=object)
+    return (counts[:, sizes].astype(object) @ powers.reshape(len(sizes), J)).tolist()
+
+
+def char_sum_rows(ctx: Field, N: np.ndarray, *gadgets: PhiGadget) -> list:
+    """For each gadget, the char_sum A_0 + sum_j A_j M_j of every map whose
+    fiber sizes are a row of N, as Fractions; the moments are read once."""
+    J = max(len(g.coeffs) - 1 for g in gadgets)
+    if J > _PHI_J_CAP:
+        raise DegreeTooHigh(f"char_sum supports degree <= {_PHI_J_CAP}, got {J}")
+    if any(g.p != ctx.p or g.m != ctx.m for g in gadgets):
+        raise ZeroInput("gadget was built for a different field")
+    moments = _fiber_moments(N, J)
+    return [[Fraction(ints[0] + sum(a * m_j for a, m_j in zip(ints[1:], row)), den)
+             for row in moments] for den, ints in (_scaled(g.coeffs) for g in gadgets)]
 
 
 def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
-    """The exact characterization value A_0 + sum_j A_j p^{m-jm} S_j, where
-    S_j is the j-fold additive-convolution power of v -> W_F(0, v) at v = 0,
-    computed as A_0 + sum_j A_j M_j on the fiber moments.
-
-    Every M_j comes from one character transform of the Walsh zero table
-    (see _fiber_sizes), for every gadget degree validate_phi accepts.  Raises
-    PowerSumNotRational if the transform does not give q times a fiber size,
-    which would mean the table is not a Walsh table."""
+    """The exact characterization value A_0 + sum_j A_j p^{m-jm} S_j, as
+    A_0 + sum_j A_j M_j: the one-row case of fiber_size_rows and
+    char_sum_rows, for every gadget degree validate_phi accepts."""
     ctx, values = value_table(f, ctx)
-    return _char_sum_of_table(ctx, walsh_zero_table(values, ctx), gadget)
+    return char_sum_rows(ctx, fiber_size_rows(ctx, values[None]), gadget)[0][0]
 
 
 def _char_sum_of_table(ctx: Field, T: np.ndarray, gadget: PhiGadget) -> Fraction:
     """char_sum from an already built Walsh zero table T of the map."""
-    J = len(gadget.coeffs) - 1
-    if J > _PHI_J_CAP:
-        raise DegreeTooHigh(f"char_sum supports degree <= {_PHI_J_CAP}, got {J}")
-    if gadget.p != ctx.p or gadget.m != ctx.m:
-        raise ZeroInput("gadget was built for a different field")
-    den, ints = _scaled(gadget.coeffs)
-    return Fraction(ints[0] + sum(a * m_j for a, m_j in zip(ints[1:], _fiber_moments(ctx, T, J))),
-                    den)
+    return char_sum_rows(ctx, _transform(ctx, T[None]), gadget)[0][0]
 
 
 def spectral_verdict(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> bool:

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -227,6 +228,41 @@ def test_walsh_table_smoke(monkeypatch, capsys):
     assert rc == 0, err
     assert "#verdict=1" in out and "#brute=1" in out
     assert len(data_rows(out)) == 9
+
+
+# sha256 of `nto1 walsh` stdout per (field, poly, gadget, k), as the
+# per-map walsh_zero_table and char_sum produced it; the blocked kernel
+# must print the same bytes.
+WALSH_STDOUT_SHA256 = {
+    ("p=3,m=2", "x^2", "phi1", None):
+        "6af7749645ebcce53781fe0d8369293dfe81480b25e261f774f5b5a7c1391aa7",
+    ("p=3,m=2", "x^4 + x", "phi1", None):
+        "baea4815c0861542fa02c678abd8a3dcead4724a4820ed0d06dcb7bf7aee87db",
+    ("p=3,m=2", "x^3 + 2*x", "phi2", None):
+        "bd1e7715c2983f6938d880f2bb2b89b53723ee6814aec6bb26729998e990fe33",
+    ("p=3,m=2", "x^2", "phi2", 2):
+        "c1a8ed1b4eb2bdde1aca5d10535ed9d7d0c12ca38bbcb764715a974e2a9c1b0d",
+    ("p=2,m=3", "x^2 + x", "phi2", None):
+        "0fd5a59e56341f84212adc31805a07035b6dfe17a435dc770e6a79506c48f751",
+    ("p=2,m=3", "x^3", "phi2", None):
+        "42a079c87ab30241d5ffd9b935b3d013c4ab5d68f9ec2ca68988958b13c724ed",
+    ("p=2,m=3", "x^6 + x^5 + 3*x", "phi2", 3):
+        "b60a3efdc1abc3ab4c939b2899228ec62301c6b8348f7537723ed8625faeb277",
+    ("p=5,m=2", "x^2", "phi1", None):
+        "258d82c4558bab8595cbf52be49347d41d4ca5d651bbf94988d5465e5add705c",
+    ("p=5,m=2", "x^5 + 4*x", "phi2", None):
+        "b44fb21c7b406ac936737fd8d967c26e60ecc67fa8125e8a53fe20f0e3dec633",
+    ("p=5,m=2", "7*x^3 + x^2 + 11*x", "phi1", None):
+        "9144cc0dc2367bab1490c168e9faab8326e2bfe00b0f8a3fc61be2d8ca57f5d5",
+}
+
+
+@pytest.mark.parametrize("field,poly,gadget,k", list(WALSH_STDOUT_SHA256))
+def test_walsh_stdout_is_pinned(monkeypatch, capsys, field, poly, gadget, k):
+    args = ["walsh", "--field", field, "--poly=" + poly, "--gadget", gadget]
+    rc, out, err = main_in_process(monkeypatch, capsys, *args, *(["--k", str(k)] if k else []))
+    assert rc == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == WALSH_STDOUT_SHA256[field, poly, gadget, k]
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):

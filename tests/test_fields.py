@@ -422,6 +422,20 @@ def test_add_vec_above_the_log_table_gate_adds_digit_by_digit():
     assert F._exp is None and F._digits is None
 
 
+@pytest.mark.parametrize("p", [1048583, 2 ** 31 - 1])
+def test_prime_field_inv_and_pow_above_the_gate_match_raw_pow(p):
+    """Above the 2^20 gate GF(p) inverts and powers with the built-in pow;
+    the coefficient-list _raw_pow is the reference."""
+    F = Field(p, 1)
+    rng = random.Random(p)
+    for a in [1, 2, p - 1] + [rng.randrange(1, p) for _ in range(40)]:
+        assert F.inv(a) == F._raw_pow(a, p - 2) == pow(a, -1, p)
+        for e in (0, 1, p - 1, -1, rng.randrange(-3 * p, 3 * p)):
+            assert F.pow(a, e) == F._raw_pow(a, e % (p - 1)), (a, e)
+    assert F.pow(0, 5) == 0 and F.pow(0, 0) == 1
+    assert F._exp is None  # no log tables above the gate
+
+
 def test_add_vec_keeps_the_callers_shapes():
     for F in (Field(3, 3), Field(5, 1), Field(2, 4)):
         q = F.order

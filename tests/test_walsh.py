@@ -14,6 +14,7 @@ from nto1 import (
 )
 from nto1.errors import DegreeTooHigh, FieldMismatch, NTo1Error, PowerSumNotRational, ZeroInput
 from nto1.fields import _is_prime
+from nto1.counting import n_to_1_rows, row_counts
 from nto1.verify import _n_to_1_table
 
 walsh_mod = importlib.import_module("nto1.walsh")  # `nto1.walsh` is the function
@@ -187,7 +188,7 @@ def test_power_sums_match_convolution_oracle(p, m):
     for tbl in _tables(ctx, seed=100 * p + m):
         T = walsh_zero_table(tbl, ctx)
         want = _convolution_powers(ctx, T, J)
-        moments = walsh_mod._fiber_moments(ctx, T, J)
+        moments = walsh_mod._fiber_moments(walsh_mod._transform(ctx, T[None]), J)[0]
         for j, (m_j, s_j) in enumerate(zip(moments, want, strict=True), start=1):
             assert m_j * q ** (j - 1) == _rational(s_j), j
         for g in [phi_prime_power(p, m, 1)] + ([phi_two(p, m)] if p != 2 else []):
@@ -202,7 +203,7 @@ def test_power_sums_count_fiber_tuples(p, m):
     J = walsh_mod._PHI_J_CAP
     for tbl in _tables(ctx, seed=200 * p + m):
         N = list(histogram(tbl).values())
-        moments = walsh_mod._fiber_moments(ctx, walsh_zero_table(tbl, ctx), J)
+        moments = walsh_mod._fiber_moments(walsh_mod.fiber_size_rows(ctx, tbl[None]), J)[0]
         assert moments == [sum(n ** j for n in N) for j in range(1, J + 1)]
 
 
@@ -305,3 +306,87 @@ def test_char_sum_of_a_built_table_equals_char_sum():
         assert walsh_mod._char_sum_of_table(F, T, gadget) == char_sum(f, gadget)
     with pytest.raises(ZeroInput):
         walsh_mod._char_sum_of_table(F9, walsh_zero_table(Poly.x(F9)), phi_two(5, 2))
+
+
+KERNEL_FIELDS = [(7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
+
+
+def _corpus(ctx, seed, rounds):
+    """rounds x (random, 2-to-1, p-to-1) value tables over ctx, as one matrix."""
+    return np.stack([t for r in range(rounds) for t in _tables(ctx, seed + r)])
+
+
+def _gadgets(p, m):
+    return [phi_prime_power(p, m, 1)] + ([phi_two(p, m)] if p != 2 else [])
+
+
+@pytest.mark.parametrize("p,m", KERNEL_FIELDS)
+def test_fiber_size_rows_match_brute_force_and_convolution(p, m):
+    """The blocked kernel on a corpus of 21 maps (a ragged last block when
+    q^2 > 195): each row's sizes are the map's fiber sizes, the moments of
+    the first three rows are the additive_convolution power sums, and both
+    gadgets' verdicts are n_to_1_rows' and the one-row char_sum's."""
+    ctx = Field(p, m)
+    q = ctx.order
+    V = _corpus(ctx, 400 * p + m, 7)
+    N = walsh_mod.fiber_size_rows(ctx, V)
+    assert N.shape == V.shape
+    assert np.array_equal(np.sort(N, axis=1), np.sort(row_counts(V, q), axis=1))
+    for row, moments in zip(V[:3], walsh_mod._fiber_moments(N[:3], 3)):
+        want = _convolution_powers(ctx, walsh_zero_table(row, ctx), 3)
+        assert [m_j * q ** (j - 1) for j, m_j in enumerate(moments, 1)] == [_rational(s) for s in want]
+    gadgets = _gadgets(p, m)
+    for g, sums in zip(gadgets, walsh_mod.char_sum_rows(ctx, N, *gadgets)):
+        spectral = [s == g.bound for s in sums]
+        assert spectral == n_to_1_rows(V, q, g.n).tolist()
+        assert spectral == [is_n_to_1(row, None, g.n) for row in V]
+        assert sums == [char_sum(row, g, ctx) for row in V]
+        kind = 1 if g.n == 2 else 2  # the constructed n-to-1 maps of each round
+        assert all(spectral[kind::3])
+
+
+def test_fiber_size_rows_one_row_and_a_ragged_last_block(monkeypatch):
+    """B = 1 is walsh_zero_table's transform; B = 123 over GF(9) runs blocks
+    of 50, 50 and 23 maps, each one _zero_tables of walsh_zero_table's rows."""
+    real, blocks = walsh_mod._zero_tables, []
+
+    def spy(ctx, V):
+        blocks.append(len(V))
+        return real(ctx, V)
+
+    V = _corpus(F9, 7, 41)
+    one = walsh_mod.fiber_size_rows(F9, V[:1])
+    assert np.array_equal(one, walsh_mod._transform(F9, walsh_zero_table(V[0], F9)[None]))
+    monkeypatch.setattr(walsh_mod, "_zero_tables", spy)
+    N = walsh_mod.fiber_size_rows(F9, V)
+    assert blocks == [50, 50, 23]
+    assert np.array_equal(real(F9, V), np.stack([walsh_zero_table(row, F9) for row in V]))
+    assert np.array_equal(N, np.concatenate([walsh_mod.fiber_size_rows(F9, V[i:i + 1])
+                                             for i in range(len(V))]))
+
+
+def test_fiber_size_rows_at_the_domain_cap_with_a_degree_eight_gadget():
+    """Two maps at q = 2^12, one block each of 2^12 one-v passes, against
+    sum_y phi(N_y) for X^2 (X-2)^6."""
+    F = Field(2, 12)
+    q = F.order
+    g = _gadget([0, 0] + [2] * 6, 2, 2, 12)
+    V = np.stack([_n_to_1_table(F, 2, random.Random(9)),
+                  np.random.default_rng(9).integers(0, q, q)])
+    N = walsh_mod.fiber_size_rows(F, V)
+    assert np.array_equal(np.sort(N, axis=1), np.sort(row_counts(V, q), axis=1))
+    sums = walsh_mod.char_sum_rows(F, N, g)[0]
+    assert sums == [sum(n * n * (n - 2) ** 6 for n in row) for row in N.tolist()]
+    assert [s == g.bound for s in sums] == [True, False]
+
+
+def test_non_walsh_table_names_its_row_and_u():
+    V = _corpus(F9, 3, 1)
+    T = walsh_mod._zero_tables(F9, V)
+    T[1, 0] = [0, 9, 0]  # W(0, 0) = 9 omega: every sum of row 1 is off by 9 omega - 9
+    with pytest.raises(PowerSumNotRational, match=r"^character sum \[.*\] of row 11 at u=0 is not q = 9"):
+        walsh_mod._transform(F9, T, first=10)
+    assert np.array_equal(walsh_mod._transform(F9, T[[0, 2]]),
+                          walsh_mod.fiber_size_rows(F9, V[[0, 2]]))
+    with pytest.raises(FieldMismatch):
+        walsh_mod.fiber_size_rows(F9, np.full((2, 9), 9))
