@@ -107,11 +107,11 @@ def _decide(counts, size: int):
     return 0, None, True
 
 
-def row_blocks(count: int, width: int, elems: int = _BLOCK_ELEMS):
+def row_blocks(count: int, width: int):
     """Lazily, consecutive (lo, hi) ranges covering range(count), each of
-    at most elems // width rows (at least one), so a batch of rows of this
-    width stays near elems entries, 2^14 unless given."""
-    step = max(1, elems // width)
+    at most _BLOCK_ELEMS // width rows (at least one), so a batch of rows
+    of this width stays near 2^14 entries."""
+    step = max(1, _BLOCK_ELEMS // width)
     return ((lo, min(lo + step, count)) for lo in range(0, count, step))
 
 

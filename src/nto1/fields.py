@@ -214,10 +214,13 @@ def _is_irreducible(f, p) -> bool:
     r = [0, 1]
     for _ in range(m // 2):
         r = _p_pow(r, p, f, p)
-        diff = list(r) + [0] * (2 - len(r))
+        diff = list(r)
+        while len(diff) < 2:
+            diff.append(0)
         diff[1] = (diff[1] - 1) % p
         _p_trim(diff)
-        if len(_p_gcd(f, diff, p)) > 1:
+        g = _p_gcd(f, diff, p)
+        if len(g) - 1 >= 1:
             return False
     return True
 
@@ -227,7 +230,12 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
     # i.e. c_0 is the most significant digit of the counter.  For m > 1 the
     # candidates with c_0 = 0 are multiples of x, so the counter starts past them.
     for k in range(p ** (m - 1) if m > 1 else 0, p ** m):
-        coeffs = [k // p ** i % p for i in reversed(range(m))] + [1]
+        rev = []
+        t = k
+        for _ in range(m):
+            rev.append(t % p)
+            t //= p
+        coeffs = rev[::-1] + [1]
         if _is_irreducible(coeffs, p):
             return coeffs
     raise ReducibleModulus(f"no irreducible of degree {m} over GF({p})")  # pragma: no cover

@@ -197,9 +197,8 @@ def _n_to_1_table(ctx, n, rng):
 
 def run_walsh(seed=SEED):
     """Spectral verdicts at n=2 and n=p against brute force on a mixed
-    corpus of 500 maps per field, held as one (500, q) value matrix and
-    decided in row blocks of about 2^14 (map, v, x) entries: per block,
-    one fiber_size_rows read by both gadgets and n_to_1_rows at 2 and p."""
+    corpus of 500 maps per field, held as one (500, q) value matrix: one
+    fiber_size_rows read by both gadgets, and n_to_1_rows at 2 and p."""
     rng = random.Random(seed)
     rows, witness = [], None
     kinds = ["random"] * 170 + ["two"] * 165 + ["p"] * 165
@@ -210,15 +209,14 @@ def run_walsh(seed=SEED):
         for i, kind in enumerate(kinds):
             V[i] = ([rng.randrange(q) for _ in range(q)] if kind == "random"
                     else _n_to_1_table(ctx, 2 if kind == "two" else p, rng))
-        for lo, hi in row_blocks(len(kinds), q * q):
-            sums = char_sum_rows(ctx, fiber_size_rows(ctx, V[lo:hi]), *gadgets)
-            spectral = [[s == g.bound for s in col] for g, col in zip(gadgets, sums)]
-            brute = [n_to_1_rows(V[lo:hi], q, g.n).tolist() for g in gadgets]
-            for i, v2, vp, t2, tp in zip(range(lo, hi), *spectral, *brute):
-                rows.append((q, i, kinds[i], int(v2), int(t2), int(vp), int(tp)))
-                if (v2 != t2 or vp != tp) and witness is None:
-                    witness = (f"GF({q}) map {i} ({kinds[i]}): "
-                               f"phi1 {v2} vs {t2}, phi2 {vp} vs {tp}")
+        sums = char_sum_rows(ctx, fiber_size_rows(ctx, V), *gadgets)
+        spectral = [[s == g.bound for s in col] for g, col in zip(gadgets, sums)]
+        brute = [n_to_1_rows(V, q, g.n).tolist() for g in gadgets]
+        for i, (v2, vp, t2, tp) in enumerate(zip(*spectral, *brute)):
+            rows.append((q, i, kinds[i], int(v2), int(t2), int(vp), int(tp)))
+            if (v2 != t2 or vp != tp) and witness is None:
+                witness = (f"GF({q}) map {i} ({kinds[i]}): "
+                           f"phi1 {v2} vs {t2}, phi2 {vp} vs {tp}")
     return RunResult(witness, rows, "q,i,kind,phi1,brute2,phi2,brutep")
 
 

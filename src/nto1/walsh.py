@@ -12,11 +12,10 @@ convolution of T: v -> W_F(0, v).  By the orthogonality of additive
 characters, sum_v W_F(0, v) omega^{-tr(yv)} = q N_y with N_y = |f^{-1}(y)|,
 so S_j = q^{j-1} M_j with the fiber moments M_j = sum_y N_y^j.  The paper's
 char sum A_0 + sum_j A_j p^{m-jm} S_j is therefore A_0 + sum_j A_j M_j.
-`fiber_size_rows` is the one blocked kernel: a (B, q) matrix of value
-tables in, the (B, q) fiber sizes out, through per block one trace-exponent
-gather, one bincount for every (map, v) count vector, the m batched
-character-kernel matmuls and the rationality check.  `walsh_zero_table`,
-`char_sum` and `spectral_verdict` are its one-row case.
+`fiber_size_rows` is the one blocked kernel, value tables in and fiber
+sizes out; per block one trace-exponent gather, one bincount for every
+(map, v), the m batched character-kernel matmuls and the rationality
+check.  `walsh_zero_table`, `char_sum` and `spectral_verdict` are its one-row case.
 `additive_convolution`, which builds the whole convolution table, is kept
 as the reference the tests compare against.
 """
@@ -31,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .counting import _BLOCK_ELEMS, row_blocks, row_counts
+from .counting import row_blocks, row_counts
 from .errors import (
     DegreeTooHigh, DomainTooLarge, FieldMismatch, PowerSumNotRational, ZeroInput,
 )
@@ -39,9 +38,6 @@ from .fields import Field
 from .polys import value_table
 
 _WALSH_DOMAIN_CAP = 2 ** 12
-# (map, v, x) entries per block of the spectral kernel: a pass holds two
-# int64 arrays of this size, so a quarter block keeps each at 32 KB
-_PASS_ELEMS = _BLOCK_ELEMS // 4
 _PHI_J_CAP = 8
 _PHI_DEN_CAP = 2 ** 31
 
@@ -98,8 +94,9 @@ def validate_phi(g: PhiGadget):
     that makes the char sum decide n-to-1: phi(0) = phi(n) = 0; with
     t = q mod n > 0, phi(t) = 1; phi(X) > bound at every other X.
     Returns (ok, violating_X)."""
-    if (len(g.coeffs) - 1 > _PHI_J_CAP
-            or any(Fraction(c).denominator > _PHI_DEN_CAP for c in g.coeffs)):
+    if len(g.coeffs) - 1 > _PHI_J_CAP:
+        return False, None
+    if any(Fraction(c).denominator > _PHI_DEN_CAP for c in g.coeffs):
         return False, None
     q = g.order
     t = q % g.n
@@ -136,7 +133,7 @@ def walsh_zero_table(f, ctx: Optional[Field] = None) -> np.ndarray:
     """All W_F(0, v) as a (q, p) matrix of count vectors (row v counts
     omega^0..omega^{p-1}): the one-row case of fiber_size_rows' tables."""
     ctx, values = value_table(f, ctx)
-    return _zero_tables(ctx, values[None])[0]
+    return next(_zero_tables(ctx, values[None]))[2][0]
 
 
 def additive_convolution(ctx: Field, U: np.ndarray, T: np.ndarray) -> np.ndarray:
@@ -163,40 +160,38 @@ def _character_kernel(p: int) -> np.ndarray:
     return K
 
 
-def _zero_tables(ctx: Field, V: np.ndarray) -> np.ndarray:
-    """(b, q, p) Walsh zero tables of the maps whose value tables are the
-    rows of V: T[r, v] counts tr(v V[r, x]) over x, read as tr_exp[lg[v] +
-    lg[V[r, x]]] from lg = log (2n at 0, n = q - 1) and tr_exp[k] =
-    tr(beta^k) (0 from 2n), built per call and never memoised.  A pass
-    gathers at most _PASS_ELEMS (r, v, x) entries and bincounts them."""
-    b, q = V.shape
+def _zero_tables(ctx: Field, V: np.ndarray):
+    """Yield (lo, hi, T) per row_blocks block of V's rows (about 2^14 (map,
+    v, x) entries, or one map whose v then run in passes of that size), T
+    their (hi - lo, q, p) Walsh zero tables: T[r, v] counts tr(v V[r, x]) =
+    tr_exp[lg[v] + lg[V[r, x]]] over x, from lg = log (2n at 0, n = q - 1)
+    and tr_exp[k] = tr(beta^k) (0 from 2n), built per call, never memoised."""
+    q, p, n = ctx.order, ctx.p, ctx.order - 1
     if q > _WALSH_DOMAIN_CAP:
         raise DomainTooLarge(f"field order {q} exceeds 2^12")
-    p, n = ctx.p, q - 1
     ctx._ensure_tables()
     lg = np.where(ctx._log < 0, 2 * n, ctx._log)
     tr_exp = np.zeros(4 * n + 1, dtype=np.int64)
     tr_exp[:2 * n] = ctx.trace_to_prime_table()[ctx._exp]
-    lv = lg[V][:, None, :]
-    T = np.empty((b, q, p), dtype=np.int64)
-    step = max(1, _PASS_ELEMS // (b * q))
-    for lo in range(0, q, step):
-        k = min(step, q - lo)
-        expo = tr_exp[lg[lo:lo + k, None] + lv]
-        # row (r, v) of the pass counts its exponents in its own p bins
-        expo += p * np.arange(b * k, dtype=np.int64).reshape(b, k, 1)
-        T[:, lo:lo + k] = np.bincount(expo.ravel(), minlength=b * k * p).reshape(b, k, p)
-    return T
+    for lo, hi in row_blocks(len(V), q * q):
+        b = hi - lo
+        T = np.empty((b, q, p), dtype=np.int64)
+        for vlo, vhi in row_blocks(q, b * q):
+            k = vhi - vlo
+            table = tr_exp[lg + lg[vlo:vhi, None]].T + p * np.arange(k)  # [y, v]: tr(v y) + p v
+            key = table[V[lo:hi]]
+            key += p * k * np.arange(b)[:, None, None]  # so (r, v) counts in its own p bins
+            T[:, vlo:vhi] = np.bincount(key.ravel(), minlength=b * k * p).reshape(b, k, p)
+        yield lo, hi, T
 
 
 def _transform(ctx: Field, T: np.ndarray, first: int = 0) -> np.ndarray:
     """N with q N[r, u] = sum_v T[r, v] omega^{<u, v>} over the base-p digit
-    pairing, for a (b, q, p) stack of Walsh zero tables: m batched int64
-    matmuls of the (b, q/p, p^2) stack with the kernel that pairs the last
-    digit and moves it to the front; counts stay at most q^2.  Digit and
-    trace pairings are both nondegenerate, so row r holds map r's N_y in
-    some order.  Unless every sum is q times an integer in [0, q], raises
-    PowerSumNotRational naming the row (counted from first) and u."""
+    pairing for a (b, q, p) stack of Walsh zero tables, by m int64 matmuls
+    of the (b, q/p, p^2) stack with the kernel that pairs the last digit and
+    moves it to the front (counts at most q^2); row r holds map r's N_y in
+    some order.  Raises PowerSumNotRational naming the row (from first) and
+    u unless every sum is q times an integer in [0, q]."""
     q, p, b = ctx.order, ctx.p, len(T)
     K = _character_kernel(p)
     for _ in range(ctx.m):
@@ -212,40 +207,39 @@ def _transform(ctx: Field, T: np.ndarray, first: int = 0) -> np.ndarray:
 
 
 def fiber_size_rows(ctx: Field, V: np.ndarray) -> np.ndarray:
-    """The blocked kernel: the (B, q) fiber sizes (in _transform's order) of
-    the maps whose value tables are the rows of the (B, q) int64 matrix V,
-    one _zero_tables and one _transform per row block of at most
-    _PASS_ELEMS (map, v, x) entries, or one map."""
+    """The blocked kernel: the (B, q) fiber sizes, in _transform's order, of
+    the maps whose value tables are the rows of V, per _zero_tables block."""
     q = ctx.order
     if V.ndim != 2 or V.shape[1] != q or (V.size and (V.min() < 0 or V.max() >= q)):
         raise FieldMismatch(f"value tables over GF({q}) need rows of {q} entries in [0, {q})")
     N = np.empty(V.shape, dtype=np.int64)
-    for lo, hi in row_blocks(len(V), q * q, _PASS_ELEMS):
-        N[lo:hi] = _transform(ctx, _zero_tables(ctx, V[lo:hi]), lo)
+    for lo, hi, T in _zero_tables(ctx, V):
+        N[lo:hi] = _transform(ctx, T, lo)
     return N
 
 
-def _fiber_moments(N: np.ndarray, J: int) -> list:
-    """[M_1, ..., M_J] as Python ints for every row of a fiber-size matrix
-    N, M_j = sum_y N_y^j (so S_j = q^{j-1} M_j): one row_counts gives
-    #{y : N_y = n}, and the sizes n that occur are raised to exact powers."""
+def _fiber_moments(N: np.ndarray, J: int) -> np.ndarray:
+    """(B, J) object array of the moments M_j = sum_y N_y^j (S_j / q^{j-1})
+    as Python ints for every row of N: one row_counts gives #{y : N_y = n},
+    and the sizes n that occur are raised to exact powers."""
     counts = row_counts(N, N.shape[1] + 1)
     sizes = np.flatnonzero(counts.any(axis=0)).tolist()
     powers = np.array([[n ** j for j in range(1, J + 1)] for n in sizes], dtype=object)
-    return (counts[:, sizes].astype(object) @ powers.reshape(len(sizes), J)).tolist()
+    return counts[:, sizes].astype(object) @ powers.reshape(len(sizes), J)
 
 
 def char_sum_rows(ctx: Field, N: np.ndarray, *gadgets: PhiGadget) -> list:
-    """For each gadget, the char_sum A_0 + sum_j A_j M_j of every map whose
-    fiber sizes are a row of N, as Fractions; the moments are read once."""
+    """For each gadget, the char_sum A_0 + sum_j A_j M_j of every row of N
+    as Fractions, from one object matmul of the moments, read once."""
     J = max(len(g.coeffs) - 1 for g in gadgets)
     if J > _PHI_J_CAP:
         raise DegreeTooHigh(f"char_sum supports degree <= {_PHI_J_CAP}, got {J}")
     if any(g.p != ctx.p or g.m != ctx.m for g in gadgets):
         raise ZeroInput("gadget was built for a different field")
     moments = _fiber_moments(N, J)
-    return [[Fraction(ints[0] + sum(a * m_j for a, m_j in zip(ints[1:], row)), den)
-             for row in moments] for den, ints in (_scaled(g.coeffs) for g in gadgets)]
+    scaled = [(den, a[0] + moments[:, :len(a) - 1] @ np.array(a[1:], dtype=object))
+              for den, a in (_scaled(g.coeffs) for g in gadgets)]
+    return [[Fraction(s, den) for s in sums.tolist()] for den, sums in scaled]
 
 
 def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:

@@ -204,7 +204,7 @@ def test_power_sums_count_fiber_tuples(p, m):
     for tbl in _tables(ctx, seed=200 * p + m):
         N = list(histogram(tbl).values())
         moments = walsh_mod._fiber_moments(walsh_mod.fiber_size_rows(ctx, tbl[None]), J)[0]
-        assert moments == [sum(n ** j for n in N) for j in range(1, J + 1)]
+        assert list(moments) == [sum(n ** j for n in N) for j in range(1, J + 1)]
 
 
 def test_char_sum_at_the_domain_cap():
@@ -346,27 +346,26 @@ def test_fiber_size_rows_match_brute_force_and_convolution(p, m):
 
 
 def test_fiber_size_rows_one_row_and_a_ragged_last_block(monkeypatch):
-    """B = 1 is walsh_zero_table's transform; B = 123 over GF(9) runs blocks
-    of 50, 50 and 23 maps, each one _zero_tables of walsh_zero_table's rows."""
-    real, blocks = walsh_mod._zero_tables, []
-
-    def spy(ctx, V):
-        blocks.append(len(V))
-        return real(ctx, V)
-
-    V = _corpus(F9, 7, 41)
+    """B = 1 is walsh_zero_table's transform; B = 450 over GF(9) runs blocks
+    of 202, 202 and 46 maps (2^14 // 81 = 202) whose tables are
+    walsh_zero_table's, and reads the field's trace table once."""
+    V = _corpus(F9, 7, 150)
     one = walsh_mod.fiber_size_rows(F9, V[:1])
     assert np.array_equal(one, walsh_mod._transform(F9, walsh_zero_table(V[0], F9)[None]))
-    monkeypatch.setattr(walsh_mod, "_zero_tables", spy)
+    blocks = list(walsh_mod._zero_tables(F9, V))
+    assert [(lo, hi) for lo, hi, _ in blocks] == [(0, 202), (202, 404), (404, 450)]
+    assert np.array_equal(np.concatenate([T for _, _, T in blocks]),
+                          np.stack([walsh_zero_table(row, F9) for row in V]))
+    reads, real = [], Field.trace_to_prime_table
+    monkeypatch.setattr(Field, "trace_to_prime_table", lambda self: reads.append(self) or real(self))
     N = walsh_mod.fiber_size_rows(F9, V)
-    assert blocks == [50, 50, 23]
-    assert np.array_equal(real(F9, V), np.stack([walsh_zero_table(row, F9) for row in V]))
+    assert reads == [F9]
     assert np.array_equal(N, np.concatenate([walsh_mod.fiber_size_rows(F9, V[i:i + 1])
                                              for i in range(len(V))]))
 
 
 def test_fiber_size_rows_at_the_domain_cap_with_a_degree_eight_gadget():
-    """Two maps at q = 2^12, one block each of 2^12 one-v passes, against
+    """Two maps at q = 2^12, one block each of 2^10 four-v passes, against
     sum_y phi(N_y) for X^2 (X-2)^6."""
     F = Field(2, 12)
     q = F.order
@@ -382,7 +381,7 @@ def test_fiber_size_rows_at_the_domain_cap_with_a_degree_eight_gadget():
 
 def test_non_walsh_table_names_its_row_and_u():
     V = _corpus(F9, 3, 1)
-    T = walsh_mod._zero_tables(F9, V)
+    T = next(walsh_mod._zero_tables(F9, V))[2]
     T[1, 0] = [0, 9, 0]  # W(0, 0) = 9 omega: every sum of row 1 is off by 9 omega - 9
     with pytest.raises(PowerSumNotRational, match=r"^character sum \[.*\] of row 11 at u=0 is not q = 9"):
         walsh_mod._transform(F9, T, first=10)
