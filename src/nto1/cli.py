@@ -59,26 +59,52 @@ def _parse_int(text, what):
         raise UsageError(f"{what}: {text!r} is not an integer")
 
 def _parse_digits(text, p, what):
-    """Base-p digits c0:c1:...; a digit outside [0, p) is refused, not
-    reduced mod p as Field does for library callers."""
-    digits = [_parse_int(c, what) for c in text.split(":")]
+    """Base-p digits c0:c1:..., or a list of ints as read from JSON; a
+    digit outside [0, p) is refused, not reduced mod p as Field does for
+    library callers."""
+    digits = text if isinstance(text, list) else [_parse_int(c, what) for c in text.split(":")]
     for d in digits:
         if not 0 <= d < p:
             raise UsageError(f"{what}: digit {d} is outside [0, {p})")
     return digits
 
+def _refuse_unknown_keys(kv, keys, what):
+    unknown = sorted(kv.keys() - set(keys))
+    if unknown:
+        raise UsageError(f"{what}: unknown key {unknown[0]!r}; "
+                         f"the keys are {', '.join(keys[:-1])} and {keys[-1]}")
+
+def _spec_field(path):
+    """The field of a --spec file, checked as --field is: a JSON object
+    with int p and m, digit lists in [0, p) for modulus and beta when
+    given, and no other key."""
+    what = f"--spec {path}"
+    try:
+        with open(path) as fh:
+            spec = json.load(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise UsageError(f"{what}: {e}")
+    if not isinstance(spec, dict):
+        raise UsageError(f"{what}: a field spec is a JSON object with keys p, m, modulus and beta")
+    _refuse_unknown_keys(spec, ("p", "m", "modulus", "beta"), what)
+    for key in ("p", "m"):
+        if key not in spec:
+            raise UsageError(f"{what}: missing key {key!r}")
+        if type(spec[key]) is not int:
+            raise UsageError(f"{what}: {key} must be an integer, got {json.dumps(spec[key])}")
+    for key in ("modulus", "beta"):
+        if key in spec:
+            if not (isinstance(spec[key], list) and all(type(c) is int for c in spec[key])):
+                raise UsageError(f"{what}: {key} must be a list of digits, got {json.dumps(spec[key])}")
+            _parse_digits(spec[key], spec["p"], f"{what} {key}")
+    return field_from_spec(spec)
+
 def _build_field(args):
     if getattr(args, "spec", None):
-        try:
-            with open(args.spec) as fh:
-                return field_from_spec(json.load(fh))
-        except (OSError, json.JSONDecodeError) as e:
-            raise UsageError(f"--spec {args.spec}: {e}")
+        return _spec_field(args.spec)
     if getattr(args, "field", None):
         kv = _parse_kv(args.field, "--field")
-        unknown = sorted(kv.keys() - {"p", "m", "modulus"})
-        if unknown:
-            raise UsageError(f"--field: unknown key {unknown[0]!r}; the keys are p, m and modulus")
+        _refuse_unknown_keys(kv, ("p", "m", "modulus"), "--field")
         if "p" not in kv or "m" not in kv:
             raise UsageError("--field needs p=<prime>,m=<degree>")
         p = _parse_int(kv["p"], "--field p")

@@ -16,6 +16,7 @@ value (condition3 below).
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 import numpy as np
@@ -234,14 +235,16 @@ def transfer(d: DiagramSpec, report: FiberReport = None) -> TransferVerdict:
 def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
     """Draw a random diagram satisfying every hypothesis of the theorem.
 
-    Construction: pick g's fiber profile over Sbar first, then pick the
-    lambar-fiber sizes, balance them so a compatible lam partition exists,
-    and wire f as a random bijection fiber-by-fiber.  The g profile is drawn
-    from four shapes: strictly n-to-1, n-to-1 with a singleton exception
-    (condition3 holds), n-to-1 with a fat exceptional fiber (condition3
-    fails), and irregular.  At n = 1 (permutations) no exceptional fiber
-    size 1 <= t < n exists, so only strict and irregular are drawn.
-    ValueError when n < 1, or when no draw fits in max_set points.
+    First the datum: g's fiber sizes over its image, the shuffled Sbar
+    (whose first points are that image) and the lambar-fiber sizes d,
+    balanced so that a compatible lam partition exists.  Then the wiring,
+    by scatters: S = range(k), and f maps each lam-fiber bijectively onto
+    a shuffled copy of its lambar-fiber.  g is strictly n-to-1, n-to-1
+    with a singleton exception (condition3 holds) or a fat one (condition3
+    fails; neither exists at n = 1), or irregular.  The order of the rng
+    calls is part of the contract: the agwcore2 rows and `nto1 diagram
+    --random` depend on it.  ValueError when n < 1, or when no draw fits
+    in max_set points.
     """
     if n is None:
         n = rng.choice([2, 2, 3, 3, 4, 5])
@@ -250,93 +253,59 @@ def random_diagram(rng, n=None, max_set=100) -> DiagramSpec:
     mode = rng.choice(["strict", "exc1", "excfat", "irregular"] if n > 1 else ["strict", "irregular"])
 
     for _ in range(200):
-        # g fiber sizes over the image; #S = sum of sizes
-        if mode == "strict":
-            im = rng.randrange(1, 5)
-            sizes = [n] * im
-        elif mode in ("exc1", "excfat"):
-            im = rng.randrange(1, 4)
-            t = rng.randrange(1, n)
-            sizes = [n] * im + [t]
-        else:
-            im = rng.randrange(2, 5)
-            sizes = [rng.randrange(1, n + 2) for _ in range(im)]
-        k = sum(sizes)
+        # datum: g's fiber sizes over its image; #S = k is their sum, and
         # every point of Sbar gets a lambar-fiber of size >= 1, so #A >= k
+        if mode == "strict":
+            sizes = [n] * rng.randrange(1, 5)
+        elif mode == "irregular":
+            sizes = [rng.randrange(1, n + 2) for _ in range(rng.randrange(2, 5))]
+        else:
+            sizes = [n] * rng.randrange(1, 4) + [rng.randrange(1, n)]
+        k = sum(sizes)
         if k < 2 or k > max_set:
             continue
-
         Sbar = list(range(k))
         rng.shuffle(Sbar)
-        image = Sbar[:len(sizes)]
-        nonimage = Sbar[len(sizes):]
-
-        # lambar-fiber sizes d[sb] >= 1; sizes over the image are free,
-        # except the exceptional value in the two exception modes
-        d_sizes = [0] * k
+        image, rest = Sbar[:len(sizes)], Sbar[len(sizes):]
+        d = [1] * k
         for sb in image:
-            d_sizes[sb] = rng.randrange(1, 4)
-        if mode == "exc1":
-            d_sizes[image[-1]] = 1
-        elif mode == "excfat":
-            # keep #A = #S (mod n): t*(d0 - 1) must vanish mod n
-            d_sizes[image[-1]] = 1 + n
-
-        # balance: sum over Sbar of d = #A = sum over image of size*d,
-        # so the non-image fibers must absorb sum (size-1)*d
-        need = sum((sz - 1) * d_sizes[sb] for sb, sz in zip(image, sizes))
-        if need < len(nonimage):
+            d[sb] = rng.randrange(1, 4)
+        if mode in ("exc1", "excfat"):  # excfat keeps #A = #S (mod n): t*(d0 - 1) = 0
+            d[image[-1]] = 1 if mode == "exc1" else 1 + n
+        # balance: #A = sum over image of size*d, so the fibers off the
+        # image, each of size >= 1, must absorb sum (size-1)*d
+        need = sum((sz - 1) * d[sb] for sb, sz in zip(image, sizes))
+        if need < len(rest) or (need and not rest):
             continue
-        alloc = [1] * len(nonimage)
-        for _ in range(need - len(nonimage)):
-            if not alloc:
-                break
-            alloc[rng.randrange(len(alloc))] += 1
-        if sum(alloc) != need:
-            continue
-        for sb, c in zip(nonimage, alloc):
-            d_sizes[sb] = c
-
-        total_A = sum(d_sizes)
+        for _ in range(need - len(rest)):
+            d[rest[rng.randrange(len(rest))]] += 1
+        total_A = sum(d)
         if total_A > max_set or (total_A - k) % n != 0:
             continue
 
-        # S mirrors Sbar's labels; g sends each block of S onto its image value
-        S = list(range(k))
-        g = [0] * k
-        pool = list(S)
+        # wiring: g sends a shuffled run of sizes[i] points of S onto image[i]
+        g = np.zeros(k, dtype=np.int64)
+        pool = list(range(k))
         rng.shuffle(pool)
-        pos = 0
-        for sb, sz in zip(image, sizes):
-            for s in pool[pos:pos + sz]:
-                g[s] = sb
-            pos += sz
-
-        # partition A into consecutive lambar-fibers, in Sbar order
+        g[pool] = np.repeat(image, sizes)
+        # the lambar-fibers are consecutive runs of the shuffled A in Sbar
+        # order, so lambar-fiber sb is A[end[sb] - d[sb]:end[sb]]
         A = list(range(total_A))
         rng.shuffle(A)
-        lambar = np.zeros(total_A, dtype=np.int64)
-        lambar[A] = np.repeat(Sbar, [d_sizes[sb] for sb in Sbar])
-        blocks = [None] * k
-        pos = 0
-        for sb in Sbar:
-            blocks[sb] = A[pos:pos + d_sizes[sb]]
-            pos += d_sizes[sb]
-
-        # every s gets a lam-fiber of size d_sizes[g(s)], the next run of
-        # cursor, and f maps it bijectively onto blocks[g(s)]; by the
-        # balance these sizes sum to total_A, so the runs use up A exactly
+        lam, lambar, f = np.zeros((3, total_A), dtype=np.int64)
+        lambar[A] = np.repeat(Sbar, [d[sb] for sb in Sbar])
+        end = dict(zip(Sbar, accumulate(d[sb] for sb in Sbar)))
+        # each s gets a lam-fiber of size d[g(s)], the next run of cursor,
+        # and f maps it onto lambar-fiber g(s); by the balance these runs
+        # use up A exactly
         cursor = list(A)
         rng.shuffle(cursor)
         targets = []
-        for s in S:
-            block = list(blocks[g[s]])
+        for sb in g.tolist():
+            block = A[end[sb] - d[sb]:end[sb]]
             rng.shuffle(block)
             targets += block
-        lam = np.zeros(total_A, dtype=np.int64)
-        lam[cursor] = np.repeat(S, [d_sizes[g[s]] for s in S])
-        f = np.zeros(total_A, dtype=np.int64)
+        lam[cursor] = np.repeat(np.arange(k), np.array(d)[g])
         f[cursor] = targets
-        return DiagramSpec(A=A, S=S, Sbar=Sbar, f=f, g=g,
-                           lam=lam, lambar=lambar, n=n)
+        return DiagramSpec(A, range(k), Sbar, f, g, lam, lambar, n)
     raise ValueError(f"no random diagram with n={n} and at most max_set={max_set} points in 200 draws")

@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from nto1 import Field, Poly, cli, verify
+from nto1 import Field, Poly, cli, field_from_spec, verify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -203,6 +203,39 @@ def test_spec_and_field_exclude_each_other(monkeypatch, capsys, tmp_path):
     rc, out, err = main_in_process(monkeypatch, capsys, "classify", "--field", "p=5,m=1",
                                    "--spec", str(path), "--poly", "x^2")
     assert rc == 2 and not out and "argument --spec: not allowed with argument --field" in err, err
+
+
+# malformed --spec files and the message each exits 2 with, after "--spec <path>"
+_BAD_SPECS = {
+    "beta_int.json": ('{"p":13,"m":1,"beta":6}', ": beta must be a list of digits, got 6"),
+    "no_m.json": ('{"p":13}', ": missing key 'm'"),
+    "list.json": ("[13,1]", ": a field spec is a JSON object with keys p, m, modulus and beta"),
+    "modulus_int.json": ('{"p":13,"m":1,"modulus":5}', ": modulus must be a list of digits, got 5"),
+    "p_float.json": ('{"p":13.5,"m":1}', ": p must be an integer, got 13.5"),
+    "digit_7.json": ('{"p":5,"m":2,"modulus":[7,0,1]}', " modulus: digit 7 is outside [0, 5)"),
+    "key_q.json": ('{"p":13,"m":1,"q":9}', ": unknown key 'q'; the keys are p, m, modulus and beta"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BAD_SPECS))
+def test_malformed_spec_files_exit_2(monkeypatch, capsys, tmp_path, name):
+    """--spec is checked as --field is: no traceback, no silent int() or
+    mod-p reduction, no ignored key."""
+    text, msg = _BAD_SPECS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    got = main_in_process(monkeypatch, capsys, "field", "--spec", str(path))
+    assert got == (2, "", f"nto1: --spec {path}{msg}\n")
+
+
+@pytest.mark.parametrize("spec", [Field(3, 2).spec_dict(), Field(5, 2).spec_dict(),
+                                  {"p": 5, "m": 2, "modulus": [2, 0, 1]}, {"p": 7, "m": 1}])
+def test_valid_spec_files_resolve_as_before(monkeypatch, capsys, tmp_path, spec):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(spec))
+    rc, out, err = main_in_process(monkeypatch, capsys, "field", "--spec", str(path))
+    assert (rc, err) == (0, "")
+    assert json.loads(out) == field_from_spec(spec).spec_dict()
 
 
 def test_lowdeg_cubic_over_gf2_exits_1(monkeypatch, capsys):
@@ -492,6 +525,18 @@ def test_byte_determinism(monkeypatch, capsys):
     assert c.stdout == d_out and c.returncode == 0
 
 
+@pytest.mark.parametrize("args,digest", [
+    (("--seed", "3"), "4fee0ec29e6fe107caaac66387cdbdd15cfbe3de7e329d40b6a917a5ecd652c6"),
+    (("--seed", "5"), "81abb214a773a2bfa7a6d36ad5c84ddc09ff61185de7843fe6f9ecc1f234bc78"),
+    (("--seed", "3", "--n", "3"), "43149f04cb3f0420c873311ad9b99ef8a021cbfa795bfc403675ff555a80c92f"),
+    (("--seed", "5", "--n", "3"), "2b659ec66ab63950f71f513db3e5396673c8b2359e169ce93893f734236716bc"),
+])
+def test_diagram_random_stdout_is_pinned(monkeypatch, capsys, args, digest):
+    rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--random", *args)
+    assert (rc, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_diagram_roundtrip(monkeypatch, capsys, tmp_path):
     rc, out, err = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "3",
                                    "--n", "2")
@@ -543,7 +588,8 @@ _FIELDS = ("p=2,m=1", "p=2,m=3", "p=2,m=4", "p=2,m=6", "p=3,m=2", "p=3,m=3", "p=
            "p=x,m=1", "p=3,m=0", "q=9", "")
 _INTS = ("-2", "0", "1", "2", "3", "5", "x", "1.5")
 _OPTIONS = {  # per command: (flag, values); a value None is a bare flag
-    "field": (("--field", _FIELDS), ("--spec", ("missing.json", "spec.json", "bad.json")),
+    "field": (("--field", _FIELDS),
+              ("--spec", ("missing.json", "spec.json", "bad.json", *sorted(_BAD_SPECS))),
               ("--element", ("0", "5", "1:1", "1:9", "x", "999", "-1"))),
     "classify": (("--field", _FIELDS), ("--poly", ("x^3", "x^2 + 1", "2*x - x^4", "x^-1", "-", "y")),
                  ("--table", ("0,1", "1,1,0,0,1,1,0,0,1", "a,b")), ("--nightly", (None,))),
@@ -580,6 +626,8 @@ def test_cli_fuzz_ends_in_an_exit_code(monkeypatch, capsys, tmp_path, data):
     if not (tmp_path / "square.json").exists():
         (tmp_path / "spec.json").write_text(json.dumps(Field(3, 2).spec_dict()))
         (tmp_path / "bad.json").write_text("{")
+        for name, (text, _) in _BAD_SPECS.items():
+            (tmp_path / name).write_text(text)
         _, out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "5")
         (tmp_path / "square.json").write_text(json.dumps(json.loads(out)["spec"]))
     command = data.draw(st.sampled_from(sorted(_OPTIONS)))

@@ -1,5 +1,6 @@
 """Commutative-square verification and the n-to-1 transfer."""
 
+import hashlib
 import json
 import random
 
@@ -156,3 +157,35 @@ def test_condition3_failure_blocks_backward_inference():
         if v.g_n_to_1 and v.condition3 is False and not v.f_n_to_1:
             gap += 1
     assert gap == 94
+
+
+def _square_digest(seeds, draws, **kw):
+    """sha256 of successive draws at each seed: every square's sorted-key
+    JSON, or its refusal message, then the generator state after it."""
+    h = hashlib.sha256()
+    for seed in seeds:
+        rng = random.Random(seed)
+        for _ in range(draws):
+            try:
+                blob = json.dumps(random_diagram(rng, **kw).to_json_dict(), sort_keys=True)
+            except ValueError as e:
+                blob = str(e)
+            h.update(blob.encode() + repr(rng.getstate()).encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seeds,draws,kw,digest", [
+    ([20260817], 200, {"max_set": 100},
+     "8fc1a04ae44431d5b8bcad220dad2ce53753a47a1c2f6399eb92bd3c970900e4"),
+    ([7], 200, {"max_set": 100},
+     "8dafb474c2f6e65fec9e17890976d29e29ad48bc2e6b068b190eec947ebd1b78"),
+    (range(1, 7), 20, {"n": 1},
+     "36c664200a01b57aff02aa4fad709f4de22597664e1e6cb4ad02990a0476cdde"),
+    (range(10), 5, {"n": 7, "max_set": 10},  # 9 of these 50 draws are refusals
+     "12793edfda436e11b3bdab92338ad02a488dcae559518664be6ac261508a7a8a"),
+])
+def test_random_squares_are_pinned(seeds, draws, kw, digest):
+    """The squares themselves and the draw order behind them: the transfer
+    rows above do not change when a square is relabelled, these do."""
+    assert _square_digest(seeds, draws, **kw) == digest
+
