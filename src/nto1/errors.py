@@ -13,6 +13,10 @@ class ReducibleModulus(NTo1Error):
     pass
 
 
+class NotPrimitive(NTo1Error):
+    """A supplied beta does not generate the unit group of its field."""
+
+
 class DegreeMismatch(NTo1Error):
     pass
 

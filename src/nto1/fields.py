@@ -11,13 +11,13 @@ element beta, when not supplied, is found by ascending search, so two
 constructions with the same (p, m, modulus) are identical in every detail.
 
 Construction data is memoised for the life of the process, in one
-module-level table filled under one lock: the default modulus per (p, m);
-the default beta per (p, m, modulus); the log/exp tables and the Zech
-table per (p, m, modulus, beta); the packed digit table per (p, m); every
-SubfieldEmbed's embedding table per modulus and beta of both fields.
-Every Field(...) call still returns a new object, but objects with the
-same key share that data, and shared arrays are read-only, as are the
-cached trace tables.
+module-level table filled under one lock: the factors of q - 1 and the
+default modulus per (p, m); the default beta per (p, m, modulus); the
+log/exp tables and the Zech table per (p, m, modulus, beta); the packed
+digit table per (p, m); every SubfieldEmbed's embedding table per modulus
+and beta of both fields.  Every Field(...) call still returns a new
+object, but objects with the same key share that data, and shared arrays
+are read-only, as are the cached trace tables.
 
 Vector addition never walks digits below the log-table gate: p = 2 adds
 by XOR, GF(p) adds residues, and odd p with m > 1 adds in the log domain
@@ -27,8 +27,8 @@ is exp[log a + Z[(log b - log a) mod n]] for n = q - 1.
 A ring embedding of GF(q_sub) is a power map on discrete logs, so
 SubfieldEmbed reads it off the big field's exp table: it needs the log
 tables of both fields (FieldTooLarge above the 2^20 gate), and its
-section is a reverse lookup.  The absolute trace table is the trace table
-of the embedding of GF(p), so one vectorised trace loop serves both.
+section is a reverse lookup.  The absolute trace is the embedded GF(p)'s,
+so one trace loop of Frobenius-table gathers serves both.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .errors import (
     FieldMismatch,
     FieldTooLarge,
     NotPrime,
+    NotPrimitive,
     ReducibleModulus,
     TraceOutsideField,
     ZeroInput,
@@ -54,8 +55,10 @@ _PRIME_CAP = 2 ** 31
 # trial divisors stop here, so every n below 2^48 factors
 _TRIAL_BOUND = 2 ** 24
 _LOG_TABLE_CAP = 2 ** 20
+_TABLE_ROWS = 4096  # rows per block of a table doubling step: caps its transient arrays
 
 # Process-wide construction memo; keys by their first entry:
+#   ("factors", p, m)                         prime factors of q - 1
 #   ("modulus", p, m)                         default modulus
 #   ("beta", p, m, modulus)                   default primitive element
 #   ("tables", p, m, modulus, beta)           (log, exp), read-only
@@ -244,8 +247,8 @@ def _smallest_irreducible(p: int, m: int) -> list[int]:
 class Field:
     """GF(p^m) with integer-coded elements and exact table-driven arithmetic.
 
-    modulus and beta, when given, are coefficient lists (low-to-high), as
-    in spec_dict(); beta must be primitive.
+    modulus, when given, is a coefficient list (low-to-high), as in
+    spec_dict(); beta is one too, or an element code, and must be primitive.
     """
 
     def __init__(self, p: int, m: int, modulus=None, beta=None):
@@ -256,6 +259,10 @@ class Field:
         self.p = p
         self.m = m
         self.order = p ** m
+        try:  # first, so a q - 1 out of reach is refused before any modulus search
+            factors = _memo(("factors", p, m), lambda: _prime_factors(self.order - 1))
+        except FieldTooLarge as e:
+            raise FieldTooLarge(f"GF({p}^{m}), q = {self.order}: {e}") from None
         if modulus is None:
             modulus = _memo(("modulus", p, m), lambda: _smallest_irreducible(p, m))
         else:
@@ -266,15 +273,12 @@ class Field:
                 raise ReducibleModulus(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = tuple(modulus)
         self._pow_p = tuple(p ** i for i in range(m))
-        try:  # both branches factor q - 1; name q if that fails
-            if beta is None:
-                self.beta = _memo(("beta", p, m, self.modulus), self._find_primitive)
-            else:
-                self.beta = self.element(beta)
-                if not self._is_primitive(self.beta, _prime_factors(self.order - 1)):
-                    raise ReducibleModulus("supplied beta is not primitive")
-        except FieldTooLarge as e:
-            raise FieldTooLarge(f"GF({p}^{m}), q = {self.order}: {e}") from None
+        if beta is None:
+            self.beta = _memo(("beta", p, m, self.modulus), lambda: self._find_primitive(factors))
+        else:
+            self.beta = int(beta) if isinstance(beta, (int, np.integer)) else self.element(beta)
+            if not self._is_primitive(self.beta, factors):
+                raise NotPrimitive(f"beta = {beta!r} is not a primitive element of GF({p}^{m})")
         self._lock = threading.RLock()
         self._exp = None
         self._log = None
@@ -296,15 +300,12 @@ class Field:
     def _is_primitive(self, a: int, factors) -> bool:
         """factors: the prime factors of q - 1."""
         n = self.order - 1
-        return a != 0 and all(self._raw_pow(a, n // r) != 1 for r in factors)
+        return 0 < a < self.order and all(self._raw_pow(a, n // r) != 1 for r in factors)
 
-    def _find_primitive(self) -> int:
-        factors = _prime_factors(self.order - 1)
+    def _find_primitive(self, factors) -> int:
         # for m > 1 no constant is primitive: GF(p)* has order p - 1 < q - 1
-        for cand in range(1 if self.m == 1 else self.p, self.order):
-            if self._is_primitive(cand, factors):
-                return cand
-        raise ReducibleModulus("no primitive element found")  # pragma: no cover
+        start = 1 if self.m == 1 else self.p
+        return next(c for c in range(start, self.order) if self._is_primitive(c, factors))
 
     # -- element codec ---------------------------------------------------
 
@@ -353,9 +354,9 @@ class Field:
         Multiplying by beta^k is GF(p)-linear on digit vectors: the m x m
         matrix M_k whose row i holds the digits of x^i * beta^k.  So
         exp[k:2k] = digits(exp[:k]) @ M_k mod p, and M_2k = M_k @ M_k mod p;
-        doubling k fills the table in log2(q) steps.  Entries are below p
-        and a product sums m terms, so it stays under m*(p-1)^2 <= 2^40
-        < 2^63 for every q <= 2^20, the log-table gate.
+        doubling k fills the table in log2(q) steps, each in blocks of
+        _TABLE_ROWS rows, so no transient grows with q.  A product still sums
+        m terms below p: m*(p-1)^2 <= 2^40 < 2^63 for every q <= 2^20.
         """
         p, n = self.p, self.order - 1
         pows = np.asarray(self._pow_p, dtype=np.int64)
@@ -364,12 +365,12 @@ class Field:
         exp = np.empty(2 * n, dtype=np.int64)
         exp[0] = 1
         k = 1
-        while k < n:
-            t = min(k, n - k)
-            digits = (exp[:t, None] // pows) % p
-            exp[k:k + t] = ((digits @ step) % p) @ pows
+        while k < n:  # exp[k:min(2k, n)] from exp[:k], one block of rows at a time
+            for lo in range(0, min(k, n - k), _TABLE_ROWS):
+                digits = (exp[lo:min(lo + _TABLE_ROWS, k, n - k), None] // pows) % p
+                exp[k + lo:k + lo + len(digits)] = ((digits @ step) % p) @ pows
             step = (step @ step) % p
-            k += t
+            k *= 2
         exp[n:] = exp[:n]
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp[:n]] = np.arange(n, dtype=np.int64)
@@ -566,7 +567,7 @@ class Field:
         zech = self._zech_table()
         log = self._log
         la = log[a]
-        z = zech[(log[b] - la) % (self.order - 1)]
+        z = zech.take(log[b] - la, mode="wrap")  # the difference mod n = len(zech), in the gather
         s = np.where(z < 0, 0, self._exp[la + z])  # z = -1 where b = -a
         return np.where(b == 0, a, np.where(a == 0, b, s))
 
@@ -743,13 +744,13 @@ class SubfieldEmbed:
         return self.project(t)
 
     def trace_table(self) -> np.ndarray:
-        """Vectorized trace of every big-field element, as subfield indices; read-only."""
+        """Trace of every element, as subfield indices; read-only.  Steps gather y = frob[y] = y^{q_sub}."""
         if self._tr_table is None:
             big = self.big
-            t = big.elements_array()
-            y = big.elements_array()
+            t = y = big.elements_array()
+            frob = big.pow_vec(t, self.q_sub) if self.rel_degree > 1 else None
             for _ in range(self.rel_degree - 1):
-                y = big.pow_vec(y, self.q_sub)
+                y = frob[y]
                 t = big.add_vec(t, y)
             # the section: a q-entry inverse of the embedding, -1 off its image
             section = np.full(big.order, -1, dtype=np.int64)

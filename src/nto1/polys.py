@@ -323,23 +323,23 @@ def _eval_terms(ctx: Field, consts: list, exps: list, coeffs) -> np.ndarray:
             units ^= t
         else:
             if terms == cap:
-                acc = packed[_unpack(ctx, acc, width)]
+                acc = packed[_unpack(ctx, acc, width, terms)]
                 terms = 1
             acc += packed[t]
             terms += 1
     if digits:
-        units[:] = _unpack(ctx, acc, width)
+        units[:] = _unpack(ctx, acc, width, terms)
     return out
 
 
-def _unpack(ctx: Field, acc: np.ndarray, width: int) -> np.ndarray:
-    """Field elements from packed digit sums: bit field i, reduced mod p,
-    is digit i."""
-    p, mask = ctx.p, (1 << width) - 1
-    out = acc & mask
-    out %= p
-    for i, pi in enumerate(ctx._pow_p[1:], 1):
-        out += ((acc >> (width * i)) & mask) % p * pi
+def _unpack(ctx: Field, acc: np.ndarray, width: int, terms: int) -> np.ndarray:
+    """Field elements from packed sums of terms digit vectors: bit field i,
+    at most terms * (p - 1), reduced mod p by a gather, is digit i."""
+    mask = (1 << width) - 1
+    residue = np.arange(terms * (ctx.p - 1) + 1, dtype=np.int64) % ctx.p
+    out = np.zeros_like(acc)
+    for i, pi in enumerate(ctx._pow_p):
+        out += (residue * pi).take((acc >> (width * i)) & mask)
     return out
 
 

@@ -8,14 +8,14 @@ import sys
 import time
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from nto1 import Field, Poly, cli, field_from_spec, verify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, timeout=600):
     env = os.environ.copy()
     env.pop("NTO1_NIGHTLY", None)
     # the child imports nto1 from this checkout, installed or not
@@ -23,7 +23,7 @@ def run_cli(*args, env_extra=None):
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "nto1.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=600)
+                          capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def main_in_process(monkeypatch, capsys, *args):
@@ -226,6 +226,13 @@ def test_malformed_spec_files_exit_2(monkeypatch, capsys, tmp_path, name):
     path.write_text(text)
     got = main_in_process(monkeypatch, capsys, "field", "--spec", str(path))
     assert got == (2, "", f"nto1: --spec {path}{msg}\n")
+
+
+def test_spec_file_with_a_beta_that_is_not_primitive_exit_2(monkeypatch, capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text('{"p":13,"m":1,"beta":[3]}')  # 3 has order 3 mod 13
+    assert main_in_process(monkeypatch, capsys, "field", "--spec", str(path)) == (
+        2, "", "nto1: beta = [3] is not a primitive element of GF(13^1)\n")
 
 
 @pytest.mark.parametrize("spec", [Field(3, 2).spec_dict(), Field(5, 2).spec_dict(),
@@ -465,6 +472,14 @@ def test_field_with_unfactorable_unit_order_exit_2(monkeypatch, capsys):
     assert err.startswith("nto1: GF(2^61), q = 2305843009213693952: cannot factor "), err
 
 
+def test_field_whose_modulus_search_would_not_end_exit_2():
+    """GF(2^500): q - 1 is factored, and refused, before the degree-500
+    modulus search; in a child, so a search that never ends fails the test."""
+    r = run_cli("field", "--field", "p=2,m=500", timeout=60)
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr.startswith(f"nto1: GF(2^500), q = {2 ** 500}: cannot factor "), r.stderr
+
+
 def test_sweeps_are_gated_on_the_cases_they_enumerate(monkeypatch, capsys):
     # q^2 cases from q = 243 (cubic pairs (a, b)) and q = 97 (two-branch value pairs)
     msg = "nto1: {} over {} elements exceeds the gate 8192; pass --nightly or set NTO1_NIGHTLY=1\n"
@@ -615,34 +630,49 @@ _HEADS["sweep"] = _HEADS["construct"]
 _LIKELY = {"--field", "--poly", "--degree", "--random", "--q1", "--delta", "--r", "--values"}
 
 
-@settings(max_examples=100, deadline=None, database=None, derandomize=True,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_cli_fuzz_ends_in_an_exit_code(monkeypatch, capsys, tmp_path, data):
-    """Random argv over all eight commands, small fields and malformed
-    values: every run returns 0 to 3 or is argparse's exit 2, and every
-    exit 2 says why on stderr.  tmp_path is one directory for all examples."""
+def test_cli_fuzz_ends_in_an_exit_code(monkeypatch, capsys, tmp_path):
+    """Each command with each value of each of its flags, then random argv
+    over all eight commands, small fields and malformed values: every run
+    returns 0 to 3 or is argparse's exit 2, and every exit 2 says why on
+    stderr.  tmp_path is one directory for every run."""
     monkeypatch.chdir(tmp_path)
-    if not (tmp_path / "square.json").exists():
-        (tmp_path / "spec.json").write_text(json.dumps(Field(3, 2).spec_dict()))
-        (tmp_path / "bad.json").write_text("{")
-        for name, (text, _) in _BAD_SPECS.items():
-            (tmp_path / name).write_text(text)
-        _, out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "5")
-        (tmp_path / "square.json").write_text(json.dumps(json.loads(out)["spec"]))
-    command = data.draw(st.sampled_from(sorted(_OPTIONS)))
-    argv = [command]
-    if command in _HEADS:
-        head = data.draw(st.sampled_from(_HEADS[command]))
-        argv += [head] if head else []
-    for flag, values in _OPTIONS[command]:
-        if data.draw(st.integers(0, 2)) < (2 if flag in _LIKELY else 1):
-            value = data.draw(st.sampled_from(values))
-            argv += [flag] if value is None else [flag, value]
-    rc, out, err = main_in_process(monkeypatch, capsys, *argv)
-    assert rc in (0, 1, 2, 3), (argv, rc)
-    if rc == 2:
-        assert err.strip(), argv
+    (tmp_path / "spec.json").write_text(json.dumps(Field(3, 2).spec_dict()))
+    (tmp_path / "bad.json").write_text("{")
+    for name, (text, _) in _BAD_SPECS.items():
+        (tmp_path / name).write_text(text)
+    _, out, _ = main_in_process(monkeypatch, capsys, "diagram", "--random", "--seed", "5")
+    (tmp_path / "square.json").write_text(json.dumps(json.loads(out)["spec"]))
+
+    def ends_in_an_exit_code(argv):
+        rc, out, err = main_in_process(monkeypatch, capsys, *argv)
+        assert rc in (0, 1, 2, 3), (argv, rc)
+        if rc == 2:
+            assert err.strip(), argv
+
+    # every value once, alone after the command's first head word: the draws
+    # below reach a value only by chance, field --spec <file> without --field
+    # (the two are exclusive) about once in 700 draws
+    for command, options in sorted(_OPTIONS.items()):
+        head = _HEADS.get(command, (None,))[0]
+        for flag, values in options:
+            for value in values:
+                ends_in_an_exit_code([command, *[w for w in (head, flag, value) if w is not None]])
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def random_argv(data):
+        command = data.draw(st.sampled_from(sorted(_OPTIONS)))
+        argv = [command]
+        if command in _HEADS:
+            head = data.draw(st.sampled_from(_HEADS[command]))
+            argv += [head] if head else []
+        for flag, values in _OPTIONS[command]:
+            if data.draw(st.integers(0, 2)) < (2 if flag in _LIKELY else 1):
+                value = data.draw(st.sampled_from(values))
+                argv += [flag] if value is None else [flag, value]
+        ends_in_an_exit_code(argv)
+
+    random_argv()
 
 
 _PARSE_FIELDS = [Field(2, 1), Field(7, 1), Field(3, 2), Field(2, 4), Field(5, 2)]

@@ -1,5 +1,6 @@
 """Field arithmetic, the element codec, and subfield embeddings."""
 
+import hashlib
 import json
 import os
 import random
@@ -14,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nto1 import Field, Poly, SubfieldEmbed, field_from_spec, fields
-from nto1.errors import FieldMismatch, FieldTooLarge, NotPrime, ReducibleModulus
+from nto1.errors import FieldMismatch, FieldTooLarge, NotPrime, NotPrimitive, ReducibleModulus
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 F9 = Field(3, 2)
 F16 = Field(2, 4)
 F25 = Field(5, 2)
@@ -135,6 +137,9 @@ def test_unfactorable_unit_order_is_field_too_large():
         fields._prime_factors(2 ** 61 - 1)
     with pytest.raises(FieldTooLarge, match=r"GF\(2\^61\), q = 2305843009213693952"):
         Field(2, 61)
+    # q - 1 is factored before the modulus search, which would not end at degree 500
+    with pytest.raises(FieldTooLarge, match=rf"GF\(2\^500\), q = {2 ** 500}: cannot factor "):
+        Field(2, 500)
 
 
 def test_pow_and_frobenius():
@@ -188,8 +193,22 @@ def test_spec_roundtrip():
     G = field_from_spec(spec)
     assert G.modulus == F25.modulus
     assert G.beta == F25.beta
-    with pytest.raises(ReducibleModulus):
+    with pytest.raises(NotPrimitive, match=r"beta = \[1, 0\] is not a primitive element of GF\(5\^2\)"):
         field_from_spec({"p": 5, "m": 2, "beta": [1, 0]})  # 1 is not primitive
+
+
+def test_beta_is_a_coefficient_list_or_an_element_code():
+    # 6 has order 12 mod 13; 3 has order 3
+    assert [Field(13, 1, beta=b).beta for b in (6, [6], np.int64(6))] == [6, 6, 6]
+    F = Field(3, 2)
+    beta = F.pow(F.beta, 5)  # gcd(5, 8) = 1: primitive, not the default
+    assert Field(3, 2, beta=beta) == Field(3, 2, beta=list(F.coeffs(beta))) != F
+    # a non-primitive beta, as a code (out of range included) or as a list, is refused by name
+    for p, m, bad in ((13, 1, 3), (13, 1, 0), (13, 1, 13), (13, 1, -1), (13, 1, [3]),
+                      (3, 2, 3), (3, 2, [0, 1])):  # x has order 4 in GF(9)* modulo x^2 + 1
+        with pytest.raises(NotPrimitive) as err:
+            Field(p, m, beta=bad)
+        assert str(err.value) == f"beta = {bad!r} is not a primitive element of GF({p}^{m})"
 
 
 def _scalar_tables(F):
@@ -226,6 +245,71 @@ def test_vectorised_tables_match_scalar_chain_up_to_4096():
 @pytest.mark.parametrize("p,m", [(2, 16), (3, 10)])
 def test_vectorised_tables_match_scalar_chain_large(p, m):
     _assert_tables_match_scalar(Field(p, m))
+
+
+_PEAK_SCRIPT = """
+import sys, tracemalloc
+from nto1 import Field, fields
+p, m, case = int(sys.argv[1]), int(sys.argv[2]), sys.argv[3]
+F = Field(p, m)
+if case == "trace":
+    F._ensure_tables()
+tracemalloc.start()
+kept = F.trace_to_prime_table().nbytes if case == "trace" else (F._ensure_tables(), F._exp.nbytes + F._log.nbytes)[1]
+print(tracemalloc.get_traced_memory()[1] - kept, fields._TABLE_ROWS)
+"""
+
+
+@pytest.mark.parametrize("p,m,case", [(2, 16, "tables"), (3, 10, "tables"), (2, 16, "trace")])
+def test_table_builds_peak_is_bounded_above_what_they_keep(p, m, case):
+    # a fresh interpreter per case: tables are memoised for the life of the process
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    r = subprocess.run([sys.executable, "-c", _PEAK_SCRIPT, str(p), str(m), case],
+                       capture_output=True, text=True, env=env, timeout=60)
+    assert r.returncode == 0, r.stderr
+    excess, rows = map(int, r.stdout.split())
+    q = p ** m
+    if case == "tables":
+        # a doubling step holds a few rows x m int64 digit arrays per block, and the
+        # log table's q-entry index once: 12.1 MB at GF(2^16) when a step ran whole
+        bound = 4 * rows * m * 8 + q * 8
+    else:
+        # the trace holds a fixed count of q-entry arrays (t, y, Frobenius table,
+        # add_vec's operands, the section), however many Frobenius steps it takes
+        bound = 6 * q * 8
+    assert excess <= bound, (excess, bound)
+
+
+def _subfield_degrees(m):
+    return [k for k in range(1, m + 1) if m % k == 0]
+
+
+@pytest.mark.parametrize("p,m,k", [(p, m, k) for p, m in ((2, 12), (3, 6), (5, 4))
+                                   for k in _subfield_degrees(m)])
+def test_trace_table_is_the_scalar_trace_on_every_element(monkeypatch, p, m, k):
+    emb = SubfieldEmbed(Field(p, m), Field(p, k))
+    calls = []
+    pow_vec = Field.pow_vec
+    monkeypatch.setattr(Field, "pow_vec", lambda self, a, e: calls.append(e) or pow_vec(self, a, e))
+    tt = emb.trace_table()
+    # one Frobenius table when there is a step to take, none at rel_degree 1
+    assert calls == ([emb.q_sub] if emb.rel_degree > 1 else [])
+    assert tt.tolist() == [emb.trace(x) for x in emb.big.elements()]
+
+
+_TRACE_DIGESTS = {  # sha256 of the int64 bytes, as the pow_vec-per-step loop built them
+    (2, 16, 1): "24609ba80e14a8cff82f3803239ee11785b9d99df793c4c7a549d77db35e5aac",
+    (2, 16, 8): "caef0835ef58f4893f4cbfe3fb18010b70e92f975bdd175d1fcb8f86d17959de",
+    (3, 10, 1): "26f8d4e5bc0fade62e064797353ab4c0f2e922ef04d0b533f1a5241c338d8f06",
+    (3, 10, 5): "e03f0d3bb1850384ac8fbd0890d0e47482374853ce2c5bf2234c0dea41dcade5",
+}
+
+
+@pytest.mark.parametrize("p,m,k", sorted(_TRACE_DIGESTS))
+def test_large_trace_tables_are_pinned(p, m, k):
+    F = Field(p, m)
+    tt = F.trace_to_prime_table() if k == 1 else SubfieldEmbed(F, Field(p, k)).trace_table()
+    assert hashlib.sha256(tt.tobytes()).hexdigest() == _TRACE_DIGESTS[p, m, k]
 
 
 def test_shared_tables_are_read_only():
