@@ -34,8 +34,8 @@ from .lowdeg import (
 from .polys import LinearizedPoly, Poly, eval_rows, is_additive
 from .verify import RUNNERS, RunResult, run
 from .walsh import (
-    PhiGadget, additive_convolution, char_sum, phi_prime_power,
-    phi_two, spectral_verdict, validate_phi, walsh, walsh_zero_table,
+    PhiGadget, additive_convolution, char_sum, phi, spectral_verdict,
+    validate_phi, walsh, walsh_zero_table,
 )
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .families import (
 from .fields import Field, SubfieldEmbed, _prime_factors, exact_log, field_from_spec
 from .lowdeg import quartic_3to1_search
 from .polys import Poly
-from .walsh import _char_sum_of_table, phi_prime_power, phi_two, walsh_zero_table
+from .walsh import char_sum, phi, walsh_zero_table
 from . import verify
 
 _GATE = 1 << 13
@@ -233,13 +233,9 @@ def cmd_walsh(args):
     ctx = _build_field(args)
     _gate(ctx.order, args)
     f = _parse_map(ctx, args)
-    if args.gadget == "phi1":
-        _refuse("walsh --gadget phi1", args, "k")
-        gadget = phi_two(ctx.p, ctx.m)
-    else:
-        gadget = phi_prime_power(ctx.p, ctx.m, 1 if args.k is None else args.k)
+    gadget = phi(args.n, ctx.p, ctx.m)
     table = walsh_zero_table(f, ctx)
-    cs = _char_sum_of_table(ctx, table, gadget)
+    cs = char_sum(f, gadget, ctx)
     verdict = cs == gadget.bound
     brute = is_n_to_1(f, None, gadget.n)
     rows = [(_elem_str(ctx, v),) + tuple(int(c) for c in table[v])
@@ -472,9 +468,7 @@ def build_parser():
     source = p.add_mutually_exclusive_group()
     source.add_argument("--poly")
     source.add_argument("--table")
-    p.add_argument("--gadget", choices=("phi1", "phi2"), default="phi1",
-                   help="phi1: n=2 (q odd); phi2: n=p^k")
-    p.add_argument("--k", type=int, help="exponent for phi2 (n=p^k)")
+    p.add_argument("--n", type=int, default=2, help="the n tested: n | q, or n = 2 (default)")
     p.set_defaults(fn=cmd_walsh)
 
     p = sub.add_parser("lowdeg", help="cubic criterion sweep or quartic 3-to-1 search")

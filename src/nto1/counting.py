@@ -57,13 +57,13 @@ class NTo1Report:
 
 def _counts(f, domain):
     """(bincount, size) of an int64 value table, or of a polynomial's
-    eval_all(), read on domain (an index array) when given.  A negative
-    entry is a FieldMismatch, caught from bincount at no extra pass."""
+    eval_all(), read on domain (indices; an empty one as int64) when given.
+    A negative entry is a FieldMismatch, caught from bincount at no extra pass."""
     if isinstance(f, Poly):
         f = f.eval_all()
     if not (isinstance(f, np.ndarray) and f.dtype.kind in "iu"):
         raise TypeError(f"unsupported map object {type(f)!r}; maps are integer value tables")
-    vals = f if domain is None else f[np.asarray(domain)]
+    vals = f if domain is None else f[np.asarray(domain) if len(domain) else np.empty(0, np.int64)]
     if vals.size > _DOMAIN_CAP:
         raise DomainTooLarge(f"domain size {vals.size} exceeds 2^22")
     try:

@@ -546,6 +546,8 @@ def random_piecewise(ctx, rng):
     dividing the root group order, a balanced target plan, free levels."""
     q = ctx.order
     divs = [d for d in range(1, q) if (q - 1) % d == 0 and (q - 1) // d > 1]
+    if not divs:  # q = 2: no root group of order > 1
+        raise ValueError(f"a piecewise spec needs q >= 3, got q={q}")
     s = rng.choice(divs)
     ell = (q - 1) // s
     n = rng.choice([d for d in range(2, ell + 1) if ell % d == 0])

@@ -32,7 +32,7 @@ from .lowdeg import cubic_char3_is3to1, cubic_charne3_is3to1, quartic_3to1_searc
 from .polys import (
     LinearizedPoly, Poly, affine_rows, eval_coeff_rows, eval_rows, linearized_ranks,
 )
-from .walsh import char_sum_rows, fiber_size_rows, phi_prime_power, phi_two
+from .walsh import char_sum_rows, fiber_size_rows, phi
 
 SEED = 20260817
 
@@ -204,7 +204,7 @@ def run_walsh(seed=SEED):
     kinds = ["random"] * 170 + ["two"] * 165 + ["p"] * 165
     for p, m, q in ((3, 2, 9), (5, 2, 25), (3, 3, 27)):
         ctx = Field(p, m)
-        gadgets = (phi_two(p, m), phi_prime_power(p, m, 1))
+        gadgets = (phi(2, p, m), phi(p, p, m))
         V = np.empty((len(kinds), q), dtype=np.int64)
         for i, kind in enumerate(kinds):
             V[i] = ([rng.randrange(q) for _ in range(q)] if kind == "random"

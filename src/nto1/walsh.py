@@ -11,7 +11,8 @@ The spectral test needs the power sums S_j at v = 0 of the j-fold additive
 convolution of T: v -> W_F(0, v).  By the orthogonality of additive
 characters, sum_v W_F(0, v) omega^{-tr(yv)} = q N_y with N_y = |f^{-1}(y)|,
 so S_j = q^{j-1} M_j with the fiber moments M_j = sum_y N_y^j.  The paper's
-char sum A_0 + sum_j A_j p^{m-jm} S_j is therefore A_0 + sum_j A_j M_j.
+char sum A_0 + sum_j A_j p^{m-jm} S_j is therefore A_0 + sum_j A_j M_j;
+its gadget is `phi(n, p, m)`, X(X - n)^2, for n | q or n = 2 with q odd.
 `fiber_size_rows` is the one blocked kernel, value tables in and fiber
 sizes out; per block one trace-exponent gather, one bincount for every
 (map, v), the m batched character-kernel matmuls and the rationality
@@ -74,19 +75,13 @@ def _scaled(coeffs: tuple) -> tuple:
     return den, tuple(int(Fraction(c) * den) for c in coeffs)
 
 
-def phi_two(p: int, m: int) -> PhiGadget:
-    """X(X-2)^2, the 2-to-1 pattern for odd q."""
-    if p == 2:
-        raise ZeroInput("nondivisor mode needs n=2 coprime to q")
-    return PhiGadget(coeffs=(Fraction(0), Fraction(4), Fraction(-4), Fraction(1)), n=2, p=p, m=m)
-
-
-def phi_prime_power(p: int, m: int, k: int = 1) -> PhiGadget:
-    """X(X-p^k)^2, the p^k-to-1 pattern when p^k divides q."""
-    if not 1 <= k <= m:
-        raise ZeroInput(f"need 1 <= k <= m, got k={k}")
-    pk = p ** k
-    return PhiGadget(coeffs=(Fraction(0), Fraction(pk * pk), Fraction(-2 * pk), Fraction(1)), n=pk, p=p, m=m)
+def phi(n: int, p: int, m: int) -> PhiGadget:
+    """X(X-n)^2, the n-to-1 pattern over GF(p^m) when n divides q (bound 0)
+    or n = 2 with q odd (bound 1); any other n is refused."""
+    g = PhiGadget(coeffs=(Fraction(0), Fraction(n * n), Fraction(-2 * n), Fraction(1)), n=n, p=p, m=m)
+    if n != 2 and g.order % n:
+        raise ZeroInput(f"phi needs n | q or n = 2, got n={n}, q={g.order}")
+    return g
 
 
 def validate_phi(g: PhiGadget):
@@ -248,11 +243,6 @@ def char_sum(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> Fraction:
     char_sum_rows, for every gadget degree validate_phi accepts."""
     ctx, values = value_table(f, ctx)
     return char_sum_rows(ctx, fiber_size_rows(ctx, values[None]), gadget)[0][0]
-
-
-def _char_sum_of_table(ctx: Field, T: np.ndarray, gadget: PhiGadget) -> Fraction:
-    """char_sum from an already built Walsh zero table T of the map."""
-    return char_sum_rows(ctx, _transform(ctx, T[None]), gadget)[0][0]
 
 
 def spectral_verdict(f, gadget: PhiGadget, ctx: Optional[Field] = None) -> bool:

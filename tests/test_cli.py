@@ -10,7 +10,7 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nto1 import Field, Poly, cli, field_from_spec, verify
+from nto1 import Field, Poly, cli, field_from_spec, is_n_to_1, verify
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -173,10 +173,8 @@ def test_tower_family_without_a_subfield_names_q1(monkeypatch, capsys, args):
      "nto1: --field: unknown key 'foo'; the keys are p, m and modulus\n"),
     (("verify-theorem", "de3p3", "--field", "p=3,m=2,n=3"),
      "nto1: --field: unknown key 'n'; the keys are p, m and modulus\n"),
-    (("walsh", "--field", "p=3,m=2", "--poly", "x^2", "--k", "2"),
-     "nto1: walsh --gadget phi1 takes no --k\n"),
-    (("walsh", "--field", "p=3,m=2", "--poly", "x^2", "--gadget", "phi2", "--k", "0"),
-     "nto1: need 1 <= k <= m, got k=0\n"),
+    (("walsh", "--field", "p=3,m=2", "--poly", "x^2", "--n", "4"),
+     "nto1: phi needs n | q or n = 2, got n=4, q=9\n"),
 ])
 def test_options_a_command_never_reads_exit_2(monkeypatch, capsys, args, msg):
     assert main_in_process(monkeypatch, capsys, *args) == (2, "", msg)
@@ -270,39 +268,54 @@ def test_walsh_table_smoke(monkeypatch, capsys):
     assert len(data_rows(out)) == 9
 
 
-# sha256 of `nto1 walsh` stdout per (field, poly, gadget, k), as the
-# per-map walsh_zero_table and char_sum produced it; the blocked kernel
-# must print the same bytes.
+# sha256 of `nto1 walsh` stdout per (field, poly, n), as the per-map
+# walsh_zero_table and char_sum produced it; the blocked kernel must
+# print the same bytes.
 WALSH_STDOUT_SHA256 = {
-    ("p=3,m=2", "x^2", "phi1", None):
+    ("p=3,m=2", "x^2", 2):
         "6af7749645ebcce53781fe0d8369293dfe81480b25e261f774f5b5a7c1391aa7",
-    ("p=3,m=2", "x^4 + x", "phi1", None):
+    ("p=3,m=2", "x^4 + x", 2):
         "baea4815c0861542fa02c678abd8a3dcead4724a4820ed0d06dcb7bf7aee87db",
-    ("p=3,m=2", "x^3 + 2*x", "phi2", None):
+    ("p=3,m=2", "x^3 + 2*x", 3):
         "bd1e7715c2983f6938d880f2bb2b89b53723ee6814aec6bb26729998e990fe33",
-    ("p=3,m=2", "x^2", "phi2", 2):
+    ("p=3,m=2", "x^2", 9):
         "c1a8ed1b4eb2bdde1aca5d10535ed9d7d0c12ca38bbcb764715a974e2a9c1b0d",
-    ("p=2,m=3", "x^2 + x", "phi2", None):
+    ("p=2,m=3", "x^2 + x", 2):
         "0fd5a59e56341f84212adc31805a07035b6dfe17a435dc770e6a79506c48f751",
-    ("p=2,m=3", "x^3", "phi2", None):
+    ("p=2,m=3", "x^3", 2):
         "42a079c87ab30241d5ffd9b935b3d013c4ab5d68f9ec2ca68988958b13c724ed",
-    ("p=2,m=3", "x^6 + x^5 + 3*x", "phi2", 3):
+    ("p=2,m=3", "x^6 + x^5 + 3*x", 8):
         "b60a3efdc1abc3ab4c939b2899228ec62301c6b8348f7537723ed8625faeb277",
-    ("p=5,m=2", "x^2", "phi1", None):
+    ("p=5,m=2", "x^2", 2):
         "258d82c4558bab8595cbf52be49347d41d4ca5d651bbf94988d5465e5add705c",
-    ("p=5,m=2", "x^5 + 4*x", "phi2", None):
+    ("p=5,m=2", "x^5 + 4*x", 5):
         "b44fb21c7b406ac936737fd8d967c26e60ecc67fa8125e8a53fe20f0e3dec633",
-    ("p=5,m=2", "7*x^3 + x^2 + 11*x", "phi1", None):
+    ("p=5,m=2", "7*x^3 + x^2 + 11*x", 2):
         "9144cc0dc2367bab1490c168e9faab8326e2bfe00b0f8a3fc61be2d8ca57f5d5",
 }
 
 
-@pytest.mark.parametrize("field,poly,gadget,k", list(WALSH_STDOUT_SHA256))
-def test_walsh_stdout_is_pinned(monkeypatch, capsys, field, poly, gadget, k):
-    args = ["walsh", "--field", field, "--poly=" + poly, "--gadget", gadget]
-    rc, out, err = main_in_process(monkeypatch, capsys, *args, *(["--k", str(k)] if k else []))
+@pytest.mark.parametrize("field,poly,n", list(WALSH_STDOUT_SHA256))
+def test_walsh_stdout_is_pinned(monkeypatch, capsys, field, poly, n):
+    args = ["walsh", "--field", field, "--poly=" + poly]
+    rc, out, err = main_in_process(monkeypatch, capsys, *args, "--n", str(n))
     assert rc == 0, err
-    assert hashlib.sha256(out.encode()).hexdigest() == WALSH_STDOUT_SHA256[field, poly, gadget, k]
+    assert hashlib.sha256(out.encode()).hexdigest() == WALSH_STDOUT_SHA256[field, poly, n]
+    if n == 2:  # the default
+        assert main_in_process(monkeypatch, capsys, *args) == (rc, out, err)
+
+
+@pytest.mark.parametrize("p,m,poly,terms", [(3, 2, "x^5", [(5, 1)]), (3, 2, "x^2", [(2, 1)]),
+                                             (2, 3, "x^3", [(3, 1)]), (2, 3, "x^2 + x", [(2, 1), (1, 1)])])
+def test_walsh_at_n_1_is_the_permutation_test(monkeypatch, capsys, p, m, poly, terms):
+    perm = is_n_to_1(Poly(Field(p, m), terms), None, 1)
+    assert perm == (poly in ("x^5", "x^3"))  # gcd(d, q - 1) = 1
+    rc, out, err = main_in_process(monkeypatch, capsys, "walsh", "--field", f"p={p},m={m}",
+                                   "--poly", poly, "--n", "1")
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"#schema=walsh.v1:v,{','.join(f'c{j}' for j in range(p))}\n#n=1\n#char_sum=")
+    assert f"#bound=0/1\n#verdict={int(perm)}\n#brute={int(perm)}\n" in out
+    assert ("#char_sum=0/1\n" in out) == perm
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):
@@ -609,7 +622,7 @@ _OPTIONS = {  # per command: (flag, values); a value None is a bare flag
     "classify": (("--field", _FIELDS), ("--poly", ("x^3", "x^2 + 1", "2*x - x^4", "x^-1", "-", "y")),
                  ("--table", ("0,1", "1,1,0,0,1,1,0,0,1", "a,b")), ("--nightly", (None,))),
     "walsh": (("--field", _FIELDS), ("--poly", ("x^2", "x^3 + x", "x^")), ("--table", ("0,1", "z")),
-              ("--gadget", ("phi1", "phi2", "phi3")), ("--k", _INTS)),
+              ("--n", _INTS)),
     "lowdeg": (("--field", _FIELDS), ("--degree", ("3", "4", "5", "x"))),
     "diagram": (("--in", ("missing.json", "square.json", "bad.json")), ("--random", (None,)),
                 ("--n", _INTS), ("--max-set", _INTS + ("40",)), ("--seed", _INTS)),

@@ -72,6 +72,18 @@ def test_is_n_to_1_reads_the_definition_literally():
     assert is_n_to_1(np.arange(5), dom, 1)
 
 
+def test_an_empty_list_domain_reads_as_an_empty_index_array():
+    # np.asarray([]) is float64, once an untyped IndexError as an index
+    f = np.arange(7)
+    empty = np.array([], dtype=np.int64)
+    for domain in ([], (), range(0)):
+        with pytest.raises(ZeroInput, match="^empty domain$"):
+            classify(f, domain)
+        for n in (1, 2, 7):
+            assert is_n_to_1(f, domain, n) == is_n_to_1(f, empty, n)
+        assert histogram(f, domain) == histogram(f, empty) == {}
+
+
 def test_classify_names_one_n():
     assert classify(Poly(F7, [(3, 1)])).n == 3
     assert classify(table([2, 2, 3])).n == 0  # irregular: not n-to-1 for any n

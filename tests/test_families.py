@@ -348,6 +348,15 @@ def test_piecewise_lands_on_the_plan():
                 assert inst.g[ctx.pow(omega, i)] == ctx.pow(omega, a)
 
 
+def test_random_piecewise_over_gf2_is_refused_before_any_draw():
+    # GF(2)* has no root group of order > 1, once a bare IndexError from rng.choice([])
+    rng = random.Random(12)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^a piecewise spec needs q >= 3, got q=2$"):
+        random_piecewise(Field(2, 1), rng)
+    assert rng.getstate() == state
+
+
 def test_piecewise_off_plan_is_a_typed_error(monkeypatch):
     build = families.build_coset_power
 

@@ -9,8 +9,8 @@ import pytest
 
 from nto1 import (
     Field, LinearizedPoly, PhiGadget, Poly, SubfieldEmbed, additive_convolution,
-    char_sum, histogram, is_n_to_1, phi_prime_power, phi_two,
-    spectral_verdict, validate_phi, walsh, walsh_zero_table,
+    char_sum, histogram, is_n_to_1, phi, spectral_verdict, validate_phi, walsh,
+    walsh_zero_table,
 )
 from nto1.errors import DegreeTooHigh, FieldMismatch, NTo1Error, PowerSumNotRational, ZeroInput
 from nto1.fields import _is_prime
@@ -24,29 +24,55 @@ F9 = Field(3, 2)
 F25 = Field(5, 2)
 
 
+def _hand_phi(n, p, m):
+    """X(X-n)^2 = X^3 - 2n X^2 + n^2 X as a PhiGadget, built by hand."""
+    return PhiGadget((Fraction(0), Fraction(n * n), Fraction(-2 * n), Fraction(1)), n, p, m)
+
+
 def test_gadgets_validate():
-    assert validate_phi(phi_two(3, 2)) == (True, None)
-    assert validate_phi(phi_two(5, 2)) == (True, None)
-    assert validate_phi(phi_prime_power(3, 2, 1)) == (True, None)
-    assert validate_phi(phi_prime_power(3, 2, 2)) == (True, None)
-    assert validate_phi(phi_prime_power(2, 4, 2)) == (True, None)
-    with pytest.raises(ZeroInput):
-        phi_two(2, 4)  # n = 2 divides q
-    with pytest.raises(ZeroInput):
-        phi_prime_power(3, 2, 3)
+    assert validate_phi(phi(2, 3, 2)) == (True, None)
+    assert validate_phi(phi(2, 5, 2)) == (True, None)
+    assert validate_phi(phi(3, 3, 2)) == (True, None)
+    assert validate_phi(phi(9, 3, 2)) == (True, None)
+    assert validate_phi(phi(4, 2, 4)) == (True, None)
+    # n = 2 dividing q is the divisor gadget, bound 0
+    assert phi(2, 2, 4) == _hand_phi(2, 2, 4) and phi(2, 2, 4).bound == 0
+    with pytest.raises(ZeroInput, match=r"^phi needs n \| q or n = 2, got n=27, q=9$"):
+        phi(27, 3, 2)
+
+
+def test_phi_is_defined_exactly_where_its_pattern_validates():
+    """At every prime power q <= 128 and 1 <= n <= q + 1, phi(n, p, m)
+    succeeds, with the hand-built gadget, exactly when validate_phi
+    accepts X(X-n)^2 at n; every refusal is a ZeroInput naming n and q."""
+    built = 0
+    for p in filter(_is_prime, range(2, 129)):
+        m = 1
+        while p ** m <= 128:
+            q = p ** m
+            for n in range(1, q + 2):
+                g = _hand_phi(n, p, m)
+                if validate_phi(g)[0]:
+                    assert phi(n, p, m) == g
+                    built += 1
+                else:
+                    with pytest.raises(ZeroInput, match=f", got n={n}, q={q}$"):
+                        phi(n, p, m)
+            m += 1
+    assert built == 157  # the m + 1 divisors p^k of each q = p^m, and n = 2 at each odd q
 
 
 def test_every_builtin_gadget_validates_with_its_derived_bound():
-    """phi_two (odd q) and phi_prime_power(p, m, k), 1 <= k <= m, at every
+    """phi(2, p, m) (odd q) and phi(p^k, p, m), 1 <= k <= m, at every
     prime power q <= 4096: validate_phi accepts each, and the bound is 0
     exactly when n | q."""
     checked = 0
     for p in filter(_is_prime, range(2, 4097)):
         m = 1
         while p ** m <= 4096:
-            gadgets = [phi_prime_power(p, m, k) for k in range(1, m + 1)]
+            gadgets = [phi(p ** k, p, m) for k in range(1, m + 1)]
             if p != 2:
-                gadgets.append(phi_two(p, m))
+                gadgets.append(phi(2, p, m))
             for g in gadgets:
                 assert validate_phi(g) == (True, None), g
                 assert g.bound == (0 if p ** m % g.n == 0 else 1), g
@@ -58,7 +84,7 @@ def test_every_builtin_gadget_validates_with_its_derived_bound():
 def test_a_gadget_is_judged_against_its_own_n():
     """The bound follows n: X(X-5)^2 over GF(5) relabelled n = 3 has bound 1,
     and validate_phi then asks phi(5 mod 3) = 1, which fails at X = 2."""
-    g = PhiGadget(phi_prime_power(5, 1).coeffs, 3, 5, 1)
+    g = PhiGadget(phi(5, 5, 1).coeffs, 3, 5, 1)
     assert g.bound == 1
     assert validate_phi(g) == (False, 2)
 
@@ -68,6 +94,8 @@ def test_a_gadget_needs_n_at_least_1(n):
     # n = 0 once divided by zero in bound; n = -2 passed with bound 1
     with pytest.raises(ZeroInput, match=f"^a gadget needs n >= 1, got n={n}$"):
         PhiGadget((Fraction(0), Fraction(1)), n, 3, 2)
+    with pytest.raises(ZeroInput, match=f"^a gadget needs n >= 1, got n={n}$"):
+        phi(n, 3, 2)  # refused before any q % n
 
 
 def test_zero_table_shape_and_trivial_row():
@@ -98,7 +126,7 @@ def test_cached_trace_tables_are_read_only():
 
 def test_two_to_one_verdict():
     f = Poly(F7, [(2, 1)])  # gcd(2, 6) = 2
-    g = phi_two(7, 1)
+    g = phi(2, 7, 1)
     assert spectral_verdict(f, g, F7) is True
     assert char_sum(f, g, F7) == g.bound == Fraction(1)
     # the identity is 1-to-1, not 2-to-1
@@ -107,7 +135,7 @@ def test_two_to_one_verdict():
 
 def test_p_to_one_verdict():
     L = LinearizedPoly(F9, 3, [F9.neg(1), 1])  # x^3 - x, kernel GF(3)
-    g = phi_prime_power(3, 2, 1)
+    g = phi(3, 3, 2)
     assert spectral_verdict(L, g, F9) is True
     assert char_sum(L, g, F9) == Fraction(0)
     assert spectral_verdict(Poly.x(F9), g, F9) is False
@@ -115,14 +143,14 @@ def test_p_to_one_verdict():
 
 def test_char_sum_is_exact_fraction():
     f = Poly(F25, [(2, 1), (1, 3)])
-    cs = char_sum(f, phi_two(5, 2), F25)
+    cs = char_sum(f, phi(2, 5, 2), F25)
     assert isinstance(cs, Fraction)
 
 
 def test_spectral_matches_brute_on_random_tables():
     rng = random.Random(11)
-    g2 = phi_two(5, 1)
-    gp = phi_prime_power(5, 1, 1)
+    g2 = phi(2, 5, 1)
+    gp = phi(5, 5, 1)
     F5 = Field(5, 1)
     dom = tuple(F5.elements())
     for _ in range(25):
@@ -191,7 +219,7 @@ def test_power_sums_match_convolution_oracle(p, m):
         moments = walsh_mod._fiber_moments(walsh_mod._transform(ctx, T[None]), J)[0]
         for j, (m_j, s_j) in enumerate(zip(moments, want, strict=True), start=1):
             assert m_j * q ** (j - 1) == _rational(s_j), j
-        for g in [phi_prime_power(p, m, 1)] + ([phi_two(p, m)] if p != 2 else []):
+        for g in [phi(p, p, m)] + ([phi(2, p, m)] if p != 2 else []):
             assert char_sum(tbl, g, ctx) == _char_sum_from(g, want[:3])
 
 
@@ -213,7 +241,7 @@ def test_char_sum_at_the_domain_cap():
     tbl = np.random.default_rng(3).integers(0, q, q)
     N = np.asarray(list(histogram(tbl).values()), dtype=np.int64)
     brute = [np.array([q ** (j - 1) * int((N ** j).sum()), 0]) for j in (1, 2, 3)]
-    g = phi_prime_power(2, 12, 1)
+    g = phi(2, 2, 12)
     assert char_sum(tbl, g, F) == _char_sum_from(g, brute)
 
 
@@ -244,16 +272,16 @@ def test_non_rational_power_sum_is_a_typed_error():
     T = walsh_zero_table(Poly.x(F9))
     T[0] = [0, 9, 0]  # W(0, 0) = 9 omega is no Walsh value: every sum is 9 omega
     with pytest.raises(PowerSumNotRational):
-        walsh_mod._char_sum_of_table(F9, T, phi_two(3, 2))
+        walsh_mod._transform(F9, T[None])
     F8 = Field(2, 3)
     T = walsh_zero_table(Poly.x(F8))
     T[0] = [0, 8]  # W(0, 0) = -8: every sum is -8, rational but not 8 N with N >= 0
     with pytest.raises(PowerSumNotRational):
-        walsh_mod._char_sum_of_table(F8, T, phi_prime_power(2, 3, 1))
+        walsh_mod._transform(F8, T[None])
     T = walsh_zero_table(Poly.x(F8))
     T[1] = [3, 5]  # W(0, 1) = -2: every sum is 8 + 2 or 8 - 2, no multiple of 8
     with pytest.raises(PowerSumNotRational):
-        walsh_mod._char_sum_of_table(F8, T, phi_prime_power(2, 3, 1))
+        walsh_mod._transform(F8, T[None])
 
 
 def test_degree_six_nondivisor_gadget():
@@ -290,22 +318,17 @@ BAD_TABLES = {
 @pytest.mark.parametrize("kind", sorted(BAD_TABLES))
 def test_raw_tables_are_validated(kind):
     tbl = BAD_TABLES[kind]
-    for call in (lambda: char_sum(tbl, phi_two(3, 2), F9),
-                 lambda: spectral_verdict(tbl, phi_two(3, 2), F9),
+    for call in (lambda: char_sum(tbl, phi(2, 3, 2), F9),
+                 lambda: spectral_verdict(tbl, phi(2, 3, 2), F9),
                  lambda: walsh_zero_table(tbl, F9),
                  lambda: walsh(tbl, 0, 1, F9)):
         with pytest.raises(FieldMismatch):
             call()
 
 
-def test_char_sum_of_a_built_table_equals_char_sum():
-    rng = random.Random(5)
-    for F, gadget in ((F9, phi_two(3, 2)), (F9, phi_prime_power(3, 2, 1)), (F25, phi_two(5, 2))):
-        f = Poly(F, [(rng.randrange(1, 3 * F.order), rng.randrange(F.order)) for _ in range(3)])
-        T = walsh_zero_table(f)
-        assert walsh_mod._char_sum_of_table(F, T, gadget) == char_sum(f, gadget)
-    with pytest.raises(ZeroInput):
-        walsh_mod._char_sum_of_table(F9, walsh_zero_table(Poly.x(F9)), phi_two(5, 2))
+def test_char_sum_refuses_a_gadget_of_another_field():
+    with pytest.raises(ZeroInput, match="^gadget was built for a different field$"):
+        char_sum(Poly.x(F9), phi(2, 5, 2), F9)
 
 
 KERNEL_FIELDS = [(7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3)]
@@ -317,7 +340,7 @@ def _corpus(ctx, seed, rounds):
 
 
 def _gadgets(p, m):
-    return [phi_prime_power(p, m, 1)] + ([phi_two(p, m)] if p != 2 else [])
+    return [phi(p, p, m)] + ([phi(2, p, m)] if p != 2 else [])
 
 
 @pytest.mark.parametrize("p,m", KERNEL_FIELDS)
