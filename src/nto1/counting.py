@@ -116,13 +116,16 @@ def row_blocks(count: int, width: int):
 
 
 def row_counts(V: np.ndarray, q: int) -> np.ndarray:
-    """(rows, q) fiber-count matrix of a (rows, size) value matrix with
-    entries in [0, q), from one bincount of V + row * q."""
+    """(rows, q) fiber-count matrix of a 2-D integer (rows, size) value
+    matrix with entries in [0, q), from one bincount of V + row * q."""
+    if V.ndim != 2 or V.dtype.kind not in "iu":
+        raise FieldMismatch(f"a value matrix is 2-D integer, not shape {V.shape} dtype {V.dtype}")
     rows = len(V)
     if V.size and (V.min() < 0 or V.max() >= q):
         raise FieldMismatch(f"value matrix entries must lie in [0, {q})")
     offset = q * np.arange(rows, dtype=np.int64)[:, None]
-    return np.bincount((V + offset).ravel(), minlength=rows * q).reshape(rows, q)
+    key = V.astype(np.int64, copy=False) + offset  # uint64 + int64 would be float64
+    return np.bincount(key.ravel(), minlength=rows * q).reshape(rows, q)
 
 
 def _fits(counts, size: int, n: int):
@@ -141,9 +144,10 @@ def _fits(counts, size: int, n: int):
 def n_to_1_rows(V: np.ndarray, q: int, n: int) -> np.ndarray:
     """is_n_to_1 at n for every row of a (rows, size) value matrix with
     entries in [0, q), from one row_counts: a boolean per row."""
+    counts = row_counts(V, q)
     if n < 1:
         return np.zeros(len(V), dtype=bool)
-    return _fits(row_counts(V, q), V.shape[1], n)
+    return _fits(counts, V.shape[1], n)
 
 
 def classify_rows(V: np.ndarray, q: int) -> list:
@@ -155,10 +159,10 @@ def classify_rows(V: np.ndarray, q: int) -> list:
     (n, exception, irregular) per row with exception = (value, t) or
     None, n = 0 when irregular, as classify reports them; raises
     ExceptionCountMismatch exactly where _decide does."""
+    counts = row_counts(V, q)
     size = V.shape[1]
     if size == 0:
         raise ZeroInput("empty domain")
-    counts = row_counts(V, q)
     big = counts.max(axis=1)
     hit = counts > 0
     small = np.where(hit, counts, size + 1).min(axis=1)

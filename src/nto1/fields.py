@@ -17,7 +17,7 @@ log/exp tables and the Zech table per (p, m, modulus, beta); the packed
 digit table per (p, m); every SubfieldEmbed's embedding table per modulus
 and beta of both fields.  Every Field(...) call still returns a new
 object, but objects with the same key share that data, and shared arrays
-are read-only, as are the cached trace tables.
+are read-only.  Trace tables are built per call, read-only, and never kept.
 
 Vector addition never walks digits below the log-table gate: p = 2 adds
 by XOR, GF(p) adds residues, and odd p with m > 1 adds in the log domain
@@ -67,8 +67,7 @@ _TABLE_ROWS = 4096  # rows per block of a table doubling step: caps its transien
 #   ("embed", p, m, modulus, beta, k, sub_modulus, sub_beta)
 #                                             embedding table, read-only
 # A build may re-enter the memo (an embedding needs both fields' tables),
-# hence the RLock.  No build takes a Field's own lock, so locks are
-# only ever taken in the order Field._lock, then _MEMO_LOCK.
+# hence the RLock.
 _MEMO: dict = {}
 _MEMO_LOCK = threading.RLock()
 
@@ -279,12 +278,9 @@ class Field:
             self.beta = int(beta) if isinstance(beta, (int, np.integer)) else self.element(beta)
             if not self._is_primitive(self.beta, factors):
                 raise NotPrimitive(f"beta = {beta!r} is not a primitive element of GF({p}^{m})")
-        self._lock = threading.RLock()
         self._exp = None
         self._log = None
-        self._zech = None
         self._digits = None
-        self._tr_prime = None
 
     # -- construction internals ----------------------------------------
 
@@ -382,17 +378,15 @@ class Field:
         """Z[k] = log(1 + beta^k) for k < n = q - 1, with Z[n/2] = -1 where
         1 + beta^k = 0 (odd p).  Adding 1 changes only digit 0, so
         1 + e = e - e % p + (e + 1) % p needs no digit matrix."""
-        if self._zech is None:
-            self._ensure_tables()
+        self._ensure_tables()
 
-            def build():
-                e = self._exp[: self.order - 1]
-                z = self._log[e - e % self.p + (e + 1) % self.p]
-                z.flags.writeable = False
-                return z
+        def build():
+            e = self._exp[: self.order - 1]
+            z = self._log[e - e % self.p + (e + 1) % self.p]
+            z.flags.writeable = False
+            return z
 
-            self._zech = _memo(("zech", self.p, self.m, self.modulus, self.beta), build)
-        return self._zech
+        return _memo(("zech", self.p, self.m, self.modulus, self.beta), build)
 
     def _packed_digits(self):
         """(packed, width, cap): packed[a] holds the base-p digits of a in
@@ -546,12 +540,10 @@ class Field:
         return np.arange(self.order, dtype=np.int64)
 
     def _digit_matrix(self) -> np.ndarray:
-        if self._digits is None:
-            with self._lock:
-                if self._digits is None:
-                    idx = np.arange(self.order, dtype=np.int64)
-                    cols = [(idx // (self.p ** i)) % self.p for i in range(self.m)]
-                    self._digits = np.stack(cols, axis=1).astype(np.int64)
+        if self._digits is None:  # lock-free, as _ensure_tables: a racing build is equal
+            idx = np.arange(self.order, dtype=np.int64)
+            cols = [(idx // (self.p ** i)) % self.p for i in range(self.m)]
+            self._digits = np.stack(cols, axis=1).astype(np.int64)
         return self._digits
 
     def add_vec(self, a, b):
@@ -627,12 +619,8 @@ class Field:
 
     def trace_to_prime_table(self) -> np.ndarray:
         """Absolute trace of every element, as residues in [0, p): the
-        trace table of GF(p) inside this field.  Built under the lock."""
-        if self._tr_prime is None:
-            with self._lock:
-                if self._tr_prime is None:
-                    self._tr_prime = SubfieldEmbed(self, Field(self.p, 1)).trace_table()
-        return self._tr_prime
+        trace table of GF(p) inside this field, built per call; read-only."""
+        return SubfieldEmbed(self, Field(self.p, 1)).trace_table()
 
     # -- serialization ---------------------------------------------------------
 
@@ -693,7 +681,6 @@ class SubfieldEmbed:
         self.q_sub = sub.order
         self.embed_table = _memo(("embed", big.p, big.m, big.modulus, big.beta,
                                   sub.m, sub.modulus, sub.beta), self._embedding)
-        self._tr_table = None
 
     def _embedding(self):
         big, sub = self.big, self.sub
@@ -744,20 +731,19 @@ class SubfieldEmbed:
         return self.project(t)
 
     def trace_table(self) -> np.ndarray:
-        """Trace of every element, as subfield indices; read-only.  Steps gather y = frob[y] = y^{q_sub}."""
-        if self._tr_table is None:
-            big = self.big
-            t = y = big.elements_array()
-            frob = big.pow_vec(t, self.q_sub) if self.rel_degree > 1 else None
-            for _ in range(self.rel_degree - 1):
-                y = frob[y]
-                t = big.add_vec(t, y)
-            # the section: a q-entry inverse of the embedding, -1 off its image
-            section = np.full(big.order, -1, dtype=np.int64)
-            section[self.embed_table] = np.arange(self.q_sub, dtype=np.int64)
-            t = section[t]
-            if t.min() < 0:
-                raise TraceOutsideField(f"trace table left the embedded GF({self.sub.p}^{self.sub.m})")
-            t.flags.writeable = False
-            self._tr_table = t
-        return self._tr_table
+        """Trace of every element, as subfield indices, built per call; read-only.
+        Steps gather y = frob[y] = y^{q_sub}."""
+        big = self.big
+        t = y = big.elements_array()
+        frob = big.pow_vec(t, self.q_sub) if self.rel_degree > 1 else None
+        for _ in range(self.rel_degree - 1):
+            y = frob[y]
+            t = big.add_vec(t, y)
+        # the section: a q-entry inverse of the embedding, -1 off its image
+        section = np.full(big.order, -1, dtype=np.int64)
+        section[self.embed_table] = np.arange(self.q_sub, dtype=np.int64)
+        t = section[t]
+        if t.min() < 0:
+            raise TraceOutsideField(f"trace table left the embedded GF({self.sub.p}^{self.sub.m})")
+        t.flags.writeable = False
+        return t

@@ -399,7 +399,7 @@ def run_zcriterion(seed=SEED):
         if not inst.ok:
             continue
         made += 1
-        same_verdict = inst.holds() == inst.holds_reduced()
+        vf, vh = inst.holds(), inst.holds_reduced()
         repf, reph = inst.classify(), inst.classify_reduced()
         # the fiber blowup forces: reduced clean => big identical; reduced
         # exceptional or irregular => big irregular (the exception value
@@ -408,13 +408,10 @@ def run_zcriterion(seed=SEED):
             same_class = repf.n == reph.n and repf.exception is None
         else:
             same_class = repf.irregular
-        ok = same_verdict and same_class
-        rows.append((ctx.order, q, k, c, delta, n, int(inst.holds()),
-                     int(inst.holds_reduced()), repf.n, reph.n))
-        if not ok and witness is None:
+        rows.append((ctx.order, q, k, c, delta, n, int(vf), int(vh), repf.n, reph.n))
+        if not (vf == vh and same_class) and witness is None:
             witness = (f"GF({ctx.order}) q={q} k={k} c={c} delta={delta} "
-                       f"n={n}: verdicts {inst.holds()}/{inst.holds_reduced()},"
-                       f" classes {repf.n}/{reph.n}")
+                       f"n={n}: verdicts {vf}/{vh}, classes {repf.n}/{reph.n}")
     return RunResult(witness, rows, "order,q,k,c,delta,n,f_verdict,h_verdict,f_n,h_n")
 
 

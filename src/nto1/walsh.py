@@ -205,8 +205,9 @@ def fiber_size_rows(ctx: Field, V: np.ndarray) -> np.ndarray:
     """The blocked kernel: the (B, q) fiber sizes, in _transform's order, of
     the maps whose value tables are the rows of V, per _zero_tables block."""
     q = ctx.order
-    if V.ndim != 2 or V.shape[1] != q or (V.size and (V.min() < 0 or V.max() >= q)):
-        raise FieldMismatch(f"value tables over GF({q}) need rows of {q} entries in [0, {q})")
+    if (V.ndim != 2 or V.shape[1] != q or V.dtype.kind not in "iu"
+            or (V.size and (V.min() < 0 or V.max() >= q))):
+        raise FieldMismatch(f"value tables over GF({q}) need rows of {q} integer entries in [0, {q})")
     N = np.empty(V.shape, dtype=np.int64)
     for lo, hi, T in _zero_tables(ctx, V):
         N[lo:hi] = _transform(ctx, T, lo)
@@ -225,7 +226,9 @@ def _fiber_moments(N: np.ndarray, J: int) -> np.ndarray:
 
 def char_sum_rows(ctx: Field, N: np.ndarray, *gadgets: PhiGadget) -> list:
     """For each gadget, the char_sum A_0 + sum_j A_j M_j of every row of N
-    as Fractions, from one object matmul of the moments, read once."""
+    as Fractions, from one object matmul of the moments, read once; [] for no gadget."""
+    if not gadgets:
+        return []
     J = max(len(g.coeffs) - 1 for g in gadgets)
     if J > _PHI_J_CAP:
         raise DegreeTooHigh(f"char_sum supports degree <= {_PHI_J_CAP}, got {J}")

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -316,6 +317,41 @@ def test_walsh_at_n_1_is_the_permutation_test(monkeypatch, capsys, p, m, poly, t
     assert out.startswith(f"#schema=walsh.v1:v,{','.join(f'c{j}' for j in range(p))}\n#n=1\n#char_sum=")
     assert f"#bound=0/1\n#verdict={int(perm)}\n#brute={int(perm)}\n" in out
     assert ("#char_sum=0/1\n" in out) == perm
+
+
+def test_walsh_evaluates_the_map_once_and_builds_one_zero_table(monkeypatch, capsys):
+    calls = {"zero_tables": 0, "eval_all": 0}
+
+    def counted(key, fn):
+        def wrapper(*a, **k):
+            calls[key] += 1
+            return fn(*a, **k)
+        return wrapper
+
+    walsh = importlib.import_module("nto1.walsh")  # the package's `walsh` is the function
+    monkeypatch.setattr(walsh, "_zero_tables", counted("zero_tables", walsh._zero_tables))
+    monkeypatch.setattr(Poly, "eval_all", counted("eval_all", Poly.eval_all))
+    rc, out, err = main_in_process(monkeypatch, capsys, "walsh", "--field", "p=2,m=12",
+                                   "--poly", "x^3 + 7*x^5")
+    assert rc in (0, 1) and "#brute=" in out, err
+    assert calls == {"zero_tables": 1, "eval_all": 1}
+
+
+def test_walsh_and_quartic_lowdeg_answer_with_their_cap_past_the_gate(monkeypatch, capsys):
+    """Their library caps (2^12, 343) sit below the gate, so q = 2^14 exits 2
+    with the cap's message whether or not the gate is lifted."""
+    walsh_args = ("walsh", "--field", "p=2,m=14", "--poly", "x^3")
+    lowdeg_args = ("lowdeg", "--degree", "4", "--field", "p=2,m=14")
+    walsh_cap = (2, "", "nto1: field order 16384 exceeds 2^12\n")
+    lowdeg_cap = (2, "", "nto1: quartic search gated at q <= 343\n")
+    assert main_in_process(monkeypatch, capsys, *walsh_args) == walsh_cap
+    assert main_in_process(monkeypatch, capsys, *lowdeg_args) == lowdeg_cap
+    assert main_in_process(monkeypatch, capsys, *lowdeg_args, "--nightly") == lowdeg_cap
+    for args, cap in ((walsh_args, walsh_cap), (lowdeg_args, lowdeg_cap)):
+        r = run_cli(*args, env_extra={"NTO1_NIGHTLY": "1"})
+        assert (r.returncode, r.stdout, r.stderr) == cap
+    rc, out, err = main_in_process(monkeypatch, capsys, *walsh_args, "--nightly")
+    assert (rc, out) == (2, "") and "unrecognized arguments: --nightly" in err
 
 
 def test_usage_errors_exit_2(monkeypatch, capsys):

@@ -591,8 +591,56 @@ def test_vector_addition_is_thread_safe_on_cold_fields(monkeypatch):
         for x, y in zip(results, want):
             assert np.array_equal(x, y)
         assert F._exp is F0._exp and F._log is F0._log
-        assert F._zech is F0._zech is not None
+        assert F._zech_table() is F0._zech_table()
         assert F._packed_digits()[0] is F0._packed_digits()[0]
+
+
+def test_one_field_shared_by_threads_from_a_cold_memo(monkeypatch):
+    """One Field(3, 7) object, eight threads: both trace tables, a Zech
+    addition and eval_all agree with one thread's, each table key is built
+    once, and the object keeps no table of its own beyond log/exp."""
+    rng = np.random.default_rng(41)
+    a, b = rng.integers(0, 3 ** 7, size=(2, 5000))
+    terms = list(zip(rng.choice(np.arange(1, 3 ** 8), 40, replace=False).tolist(),
+                     rng.integers(1, 3 ** 7, 40).tolist()))
+
+    def work(F):
+        return [F.trace_to_prime_table(), SubfieldEmbed(F, Field(3, 1)).trace_table(),
+                F.add_vec(a, b), Poly(F, terms).eval_all()]
+
+    monkeypatch.setattr(fields, "_MEMO", {})
+    want = work(Field(3, 7))
+    builds = []
+    build_tables = fields.Field._build_tables
+
+    def counted(self):
+        builds.append((self.p, self.m, self.modulus, self.beta))
+        return build_tables(self)
+
+    monkeypatch.setattr(fields.Field, "_build_tables", counted)
+    monkeypatch.setattr(fields, "_MEMO", {})
+    F = Field(3, 7)
+    start = threading.Barrier(8, timeout=60)
+
+    def shared(_):
+        start.wait()
+        return work(F)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            got = list(pool.map(shared, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 8
+    for results in got:
+        for x, y in zip(results, want):
+            assert np.array_equal(x, y)
+        assert not results[0].flags.writeable and not results[1].flags.writeable
+    assert sorted(builds) == sorted(set(builds)) and len(builds) == 2  # GF(3^7) and GF(3)
+    assert {k for k, v in vars(F).items() if isinstance(v, np.ndarray)} == {"_log", "_exp"}
+    assert not {"_lock", "_tr_prime", "_zech"} & set(vars(F))
 
 
 def test_odd_addition_builds_no_digit_matrix():

@@ -9,7 +9,7 @@ import pytest
 
 from nto1 import (
     Field, LinearizedPoly, PhiGadget, Poly, SubfieldEmbed, additive_convolution,
-    char_sum, histogram, is_n_to_1, phi, spectral_verdict, validate_phi, walsh,
+    char_sum, classify_rows, histogram, is_n_to_1, phi, spectral_verdict, validate_phi, walsh,
     walsh_zero_table,
 )
 from nto1.errors import DegreeTooHigh, FieldMismatch, NTo1Error, PowerSumNotRational, ZeroInput
@@ -400,6 +400,41 @@ def test_fiber_size_rows_at_the_domain_cap_with_a_degree_eight_gadget():
     sums = walsh_mod.char_sum_rows(F, N, g)[0]
     assert sums == [sum(n * n * (n - 2) ** 6 for n in row) for row in N.tolist()]
     assert [s == g.bound for s in sums] == [True, False]
+
+
+_FLOAT_ROWS = np.zeros((2, 9))  # a float matrix: no bincount or gather may see it
+_FLAT_ROW = np.arange(9)  # a 1-D vector: one value table with no row axis
+_FLOAT_MSG = r"not shape \(2, 9\) dtype float64"
+_FLAT_MSG = r"not shape \(9,\) dtype int64"
+
+
+@pytest.mark.parametrize("call,V,want", [
+    (lambda V: row_counts(V, 9), _FLOAT_ROWS, _FLOAT_MSG),
+    (lambda V: row_counts(V, 9), _FLAT_ROW, _FLAT_MSG),
+    (lambda V: classify_rows(V, 9), _FLOAT_ROWS, _FLOAT_MSG),
+    (lambda V: classify_rows(V, 9), _FLAT_ROW, _FLAT_MSG),
+    (lambda V: n_to_1_rows(V, 9, 3), _FLOAT_ROWS, _FLOAT_MSG),
+    (lambda V: n_to_1_rows(V, 9, 0), _FLAT_ROW, _FLAT_MSG),
+    (lambda V: walsh_mod.fiber_size_rows(F9, V), _FLOAT_ROWS, "rows of 9 integer entries"),
+], ids=["row_counts-float", "row_counts-1d", "classify_rows-float", "classify_rows-1d",
+        "n_to_1_rows-float", "n_to_1_rows-1d", "fiber_size_rows-float"])
+def test_a_malformed_value_matrix_is_a_field_mismatch(call, V, want):
+    """Refused before any bincount or gather, naming the shape and dtype
+    (row_counts) or the integer entries (fiber_size_rows)."""
+    with pytest.raises(FieldMismatch, match=want):
+        call(V)
+
+
+def test_row_counts_reads_unsigned_matrices():
+    """uint64 + the int64 row offset would be float64: the offset sum is int64."""
+    V = np.array([[0, 1, 1, 8], [2, 2, 2, 2]])
+    want = row_counts(V, 9)
+    for dtype in (np.uint8, np.uint64):
+        assert np.array_equal(row_counts(V.astype(dtype), 9), want)
+
+
+def test_char_sum_rows_with_no_gadget_is_empty():
+    assert walsh_mod.char_sum_rows(F9, walsh_mod.fiber_size_rows(F9, _corpus(F9, 2, 1))) == []
 
 
 def test_non_walsh_table_names_its_row_and_u():
