@@ -75,13 +75,12 @@ def _counts(f, domain):
 
 def _histogram_dict(counts, size: int) -> dict:
     """value -> count dict of the nonzero entries of a bincount, in codec
-    order, checked to hold all size preimages."""
+    order, checked on the counts first to hold all size preimages."""
     hit = np.flatnonzero(counts)
-    out = dict(zip(hit.tolist(), counts[hit].tolist()))
-    total = sum(out.values())
+    total = int(counts.sum())
     if total != size:
         raise HistogramLostMass(f"histogram holds {total} preimages for a domain of {size}")
-    return out
+    return dict(zip(hit.tolist(), counts[hit].tolist()))
 
 
 def histogram(f, domain=None) -> dict:

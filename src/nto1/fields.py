@@ -55,7 +55,7 @@ _PRIME_CAP = 2 ** 31
 # trial divisors stop here, so every n below 2^48 factors
 _TRIAL_BOUND = 2 ** 24
 _LOG_TABLE_CAP = 2 ** 20
-_TABLE_ROWS = 4096  # rows per block of a table doubling step: caps its transient arrays
+_TABLE_ROWS = 4096  # rows per block of a table doubling step or log reduction: caps transients
 
 # Process-wide construction memo; keys by their first entry:
 #   ("factors", p, m)                         prime factors of q - 1
@@ -148,6 +148,28 @@ def _packed_headroom(p: int, m: int) -> tuple[int, int]:
     if cap < 2:
         raise FieldTooLarge(f"GF({p}^{m}): {width}-bit digit fields cannot hold a sum of 2 digits")
     return width, cap
+
+
+def _reduce_mod(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n in place (x a contiguous int64 array): one remainder call within a block, else
+    x - (x // n) * n by blocks of _TABLE_ROWS, as floor division by a scalar uses libdivide."""
+    if x.size <= _TABLE_ROWS:
+        return np.remainder(x, n, out=x)
+    flat = x.reshape(-1)
+    for lo in range(0, flat.size, _TABLE_ROWS):
+        flat[lo:lo + _TABLE_ROWS] -= flat[lo:lo + _TABLE_ROWS] // n * n
+    return x
+
+
+def _unpack(ctx, acc: np.ndarray, width: int, terms: int, out=None) -> np.ndarray:
+    """Field elements, into out when given, from packed sums of terms digit vectors
+    (Field._packed_digits): bit field i, at most terms * (p - 1), mod p is digit i."""
+    mask = (1 << width) - 1
+    scaled = np.asarray(ctx._pow_p)[:, None] * (np.arange(terms * (ctx.p - 1) + 1) % ctx.p)
+    out = scaled[0].take(acc & mask, out=out)
+    for i in range(1, ctx.m):
+        out += scaled[i].take((acc >> (width * i)) & mask)
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -344,32 +366,51 @@ class Field:
         self._exp = exp
 
     def _build_tables(self):
-        """(log, exp) with exp[i] = exp[i + n] = beta^i for n = q - 1, and
-        log[0] = -1.
-
-        Multiplying by beta^k is GF(p)-linear on digit vectors: the m x m
-        matrix M_k whose row i holds the digits of x^i * beta^k.  So
-        exp[k:2k] = digits(exp[:k]) @ M_k mod p, and M_2k = M_k @ M_k mod p;
-        doubling k fills the table in log2(q) steps, each in blocks of
-        _TABLE_ROWS rows, so no transient grows with q.  A product still sums
-        m terms below p: m*(p-1)^2 <= 2^40 < 2^63 for every q <= 2^20.
-        """
-        p, n = self.p, self.order - 1
-        pows = np.asarray(self._pow_p, dtype=np.int64)
-        step = np.array([self.coeffs(self._raw_mul(pi, self.beta)) for pi in self._pow_p],
-                        dtype=np.int64)
+        """(log, exp) with exp[i] = exp[i + n] = beta^i for n = q - 1, log[0] = -1.
+        Doubling k fills exp[k:2k] = beta^k * exp[:k] by blocks of _TABLE_ROWS rows,
+        on GF(p) as residue products below p^2.  For m > 1 times beta^k is linear on
+        digits (row i of M_k: x^i * beta^k; M_2k = M_k^2 mod p), so a code's image is
+        the digitwise sum mod p of the images of its low h = ceil(m/2) digits and its
+        other m - h: a step tabulates (chunk digits @ M_k) mod p over the p^h and
+        p^(m-h) chunk values, then two gathers per code: XORed codes for p = 2, else
+        packed digits added (cap >= 2: no carry) and unpacked.  Up to q = _TABLE_ROWS
+        one table, full, maps every code, and composing it with itself doubles k."""
+        p, m, n = self.p, self.m, self.order - 1
         exp = np.empty(2 * n, dtype=np.int64)
         exp[0] = 1
+        if m > 1:
+            h = (m + 1) // 2
+            size = p ** h  # low chunk values; the high chunk's rows follow
+            width = 1 if p == 2 else _packed_headroom(p, m)[0]
+            weights = np.left_shift(1, width * np.arange(m, dtype=np.int64))
+            chunks = np.zeros((size + p ** (m - h), m), dtype=np.int64)  # digits of the chunk values
+            chunks[:size, :h] = np.arange(size, dtype=np.int64)[:, None] // np.asarray(self._pow_p[:h]) % p
+            chunks[size:, h:] = chunks[:p ** (m - h), :m - h]
+            step = np.array([self.coeffs(self._raw_mul(pi, self.beta)) for pi in self._pow_p], np.int64)
+            image = (chunks @ step) % p @ weights
+            def times(src, out=None):  # src * beta^k from image: low chunk images, then high
+                if p == 2:
+                    return np.bitwise_xor(image.take(src & (size - 1)), image[size:].take(src >> h), out=out)
+                acc = image[size:].take(hi := src // size) + image.take(src - hi * size)
+                return _unpack(self, acc, width, 2, out=out)
+            full = times(np.arange(self.order, dtype=np.int64)) if self.order <= _TABLE_ROWS else None
         k = 1
-        while k < n:  # exp[k:min(2k, n)] from exp[:k], one block of rows at a time
-            for lo in range(0, min(k, n - k), _TABLE_ROWS):
-                digits = (exp[lo:min(lo + _TABLE_ROWS, k, n - k), None] // pows) % p
-                exp[k + lo:k + lo + len(digits)] = ((digits @ step) % p) @ pows
-            step = (step @ step) % p
+        while k < n:
+            t = min(k, n - k)
+            if m == 1:
+                _reduce_mod(np.multiply(exp[:t], pow(self.beta, k, p), out=exp[k:k + t]), p)
+            elif full is not None:
+                exp[k:k + t], full = full[exp[:t]], full[full]
+            else:
+                for lo in range(0, t, _TABLE_ROWS):
+                    times(exp[lo:min(lo + _TABLE_ROWS, t)], out=exp[k + lo:k + min(lo + _TABLE_ROWS, t)])
+                step = (step @ step) % p
+                image = (chunks @ step) % p @ weights
             k *= 2
         exp[n:] = exp[:n]
         log = np.full(self.order, -1, dtype=np.int64)
-        log[exp[:n]] = np.arange(n, dtype=np.int64)
+        for lo in range(0, n, _TABLE_ROWS):  # log[exp[i]] = i, a block of i at a time
+            log[exp[lo:min(lo + _TABLE_ROWS, n)]] = np.arange(lo, min(lo + _TABLE_ROWS, n), dtype=np.int64)
         exp.flags.writeable = False
         log.flags.writeable = False
         return log, exp
@@ -465,8 +506,7 @@ class Field:
         if self.order > _LOG_TABLE_CAP:  # GF(p) by the built-in pow, else coefficient lists
             return pow(a, -1, self.p) if self.m == 1 else self._raw_pow(a, self.order - 2)
         self._ensure_tables()
-        n = self.order - 1
-        return int(self._exp[(n - self._log[a]) % n])
+        return int(self._exp[self.order - 1 - self._log[a]])  # an index in [1, n]: exp holds 2n
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -557,11 +597,14 @@ class Field:
         if self.order > _LOG_TABLE_CAP:  # no log tables: digit by digit
             return sum(((a // pi + b // pi) % p) * pi for pi in self._pow_p)
         zech = self._zech_table()
-        log = self._log
-        la = log[a]
-        z = zech.take(log[b] - la, mode="wrap")  # the difference mod n = len(zech), in the gather
-        s = np.where(z < 0, 0, self._exp[la + z])  # z = -1 where b = -a
-        return np.where(b == 0, a, np.where(a == 0, b, s))
+        la, s = self._log[a], np.asarray(self._log[b])  # from here s is the one new array, in place
+        s = np.subtract(s, la, out=s if s.shape == np.broadcast(a, b).shape else None)
+        zech.take(s, mode="wrap", out=s)  # the difference mod n = len(zech), in the gather
+        cancel = s < 0  # z = -1 where b = -a
+        s += la
+        self._exp.take(s, mode="wrap", out=s)  # a take reads each index before it writes there
+        s[cancel] = 0
+        return np.add(a, b, out=s, where=(a == 0) | (b == 0))  # a + 0 = a, 0 + b = b
 
     def neg_vec(self, a):
         a = np.asarray(a, dtype=np.int64)
@@ -585,21 +628,17 @@ class Field:
         if self.m == 1:  # residues below p < 2^31: products stay below 2^62
             return a * b % self.p
         self._ensure_tables()
-        n = self.order - 1
-        mask = (a != 0) & (b != 0)
-        out = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-        la = self._log[a]
-        lb = self._log[b]
-        out[mask] = self._exp[((la + lb) % n)[mask]]
+        out = np.asarray(self._exp[self._log[a] + self._log[b]])  # log sums below 2n, -1 or -2 at a 0
+        out[(a == 0) | (b == 0)] = 0
         return out
 
     def scalar_mul_vec(self, c: int, a):
         return self.mul_vec(self.check(c), a)
 
     def pow_vec(self, a, e: int):
-        """a^e elementwise for e >= 1 (0^e = 0).  Above the log-table gate
-        GF(p) squares and multiplies residues, products below 2^62, on
-        the exponent folded into [1, p - 1]."""
+        """a^e elementwise for e >= 1 (0^e = 0): exp[log a * (e mod n) mod n], the product
+        below n^2 <= 2^40 reduced exactly by floor division (_reduce_mod).  Above the gate
+        GF(p) squares and multiplies residues below 2^62, the exponent folded into [1, p - 1]."""
         if e < 1:
             raise ZeroInput("pow_vec requires e >= 1")
         a = np.asarray(a, dtype=np.int64)
@@ -614,7 +653,7 @@ class Field:
         self._ensure_tables()
         out = np.zeros(a.shape, dtype=np.int64)
         mask = a != 0
-        out[mask] = self._exp[(self._log[a[mask]] * (e % n)) % n]
+        out[mask] = self._exp[_reduce_mod(self._log[a[mask]] * (e % n), n)]
         return out
 
     def trace_to_prime_table(self) -> np.ndarray:

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import (
     DegreeMismatch, DegreeTooHigh, FieldMismatch, SingularSystem, ZeroInput,
 )
-from .fields import Field, exact_log
+from .fields import Field, _reduce_mod, _unpack, exact_log
 
 _DENSE_CAP = 1 << 22
 _SUM_TERMS = (1 << 22) - 1  # this many products below 2^40, plus p, stay below 2^63
@@ -204,17 +204,15 @@ def eval_rows(ctx: Field, polys) -> np.ndarray:
 
     Over GF(p^m), m > 1, each column is one log-domain gather: c*x^e is
     exp[(log x * (e mod n)) mod n + log c] at x != 0 and 0 at x = 0.  exp
-    holds 2n entries, so only the n-long exponent vector is reduced mod n;
-    the product stays below n^2 <= 2^40 at the 2^20 log-table gate.  A
-    row whose coefficient in a column is zero has log c = -1, still a
+    holds 2n entries, so only the n-long exponent vector is reduced mod n.
+    A row whose coefficient in a column is zero has log c = -1, still a
     valid index, and is masked to 0.  Terms are summed by XOR for p = 2.
     For odd p each term is one packed int64 holding its m base-p digits
     in bit fields of width 63 // m (Field._packed_digits), so it costs one
-    gather and one add.  A field gains at most p - 1 per term, so after
-    cap = (2^width - 1) // (p - 1) terms, at least 15 below the 2^20 gate
-    (3^12: width 5; see fields._packed_headroom), the sum is unpacked and
-    packed again before any field can carry into the next.  The values are
-    unpacked once at the end.  A row over another field is a FieldMismatch."""
+    gather and one add; after cap terms (fields._packed_headroom: at least
+    15 below the 2^20 gate) the sum is unpacked and packed again, before
+    any field can carry into the next, and once more at the end.  A row
+    over another field is a FieldMismatch."""
     rows = len(polys)
     consts = [0] * rows
     cols = {}  # exponent -> coefficient of every row
@@ -272,7 +270,8 @@ def _eval_terms(ctx: Field, consts: list, exps: list, coeffs) -> np.ndarray:
     """The evaluation behind eval_rows: consts[t] + sum_j coeffs[j][t] x^exps[j]
     for each row t, as a (len(consts), q) table; exps are distinct ints
     >= 1, and no row of the (len(exps), len(consts)) matrix coeffs, an
-    array or nested lists, is all zero."""
+    array or nested lists, is all zero.  Products log x * (e mod n) < n^2 <=
+    2^40 are reduced by floor division (fields._reduce_mod), exact in int64."""
     q, p = ctx.order, ctx.p
     rows = len(consts)
     out = np.zeros((rows, q), dtype=np.int64)
@@ -294,9 +293,7 @@ def _eval_terms(ctx: Field, consts: list, exps: list, coeffs) -> np.ndarray:
             if summed + hi - lo > _SUM_TERMS:
                 out %= p
                 summed = 0
-            idx = log_x * es[lo:hi, None]
-            idx %= n
-            np.take(exp, idx, out=V[:hi - lo, 1:], mode="clip")  # idx < n; clip skips a buffer
+            np.take(exp, _reduce_mod(log_x * es[lo:hi, None], n), out=V[:hi - lo, 1:], mode="clip")  # clip: no buffer
             out += C[:, lo:hi] @ V[:hi - lo]
             summed += hi - lo
         out %= p
@@ -314,7 +311,7 @@ def _eval_terms(ctx: Field, consts: list, exps: list, coeffs) -> np.ndarray:
         acc = np.repeat(packed[consts], n).reshape(units.shape)
         terms = 1  # the constant counts as one term
     for j, e in enumerate(es):
-        t = exp[(log_x * e) % n + log_c[j]]
+        t = exp[_reduce_mod(log_x * e, n) + log_c[j]]
         if zero is not None:
             t[zero[j]] = 0
         if single:
@@ -329,17 +326,6 @@ def _eval_terms(ctx: Field, consts: list, exps: list, coeffs) -> np.ndarray:
             terms += 1
     if digits:
         units[:] = _unpack(ctx, acc, width, terms)
-    return out
-
-
-def _unpack(ctx: Field, acc: np.ndarray, width: int, terms: int) -> np.ndarray:
-    """Field elements from packed sums of terms digit vectors: bit field i,
-    at most terms * (p - 1), reduced mod p by a gather, is digit i."""
-    mask = (1 << width) - 1
-    residue = np.arange(terms * (ctx.p - 1) + 1, dtype=np.int64) % ctx.p
-    out = np.zeros_like(acc)
-    for i, pi in enumerate(ctx._pow_p):
-        out += (residue * pi).take((acc >> (width * i)) & mask)
     return out
 
 
@@ -419,7 +405,7 @@ def linearized_ranks(Ls) -> list[int]:
         idx = [b for b, L in enumerate(Ls) if L.q_sub == Q]
         coeffs = np.array([Ls[b].l_coeffs for b in idx], dtype=np.int64)
         frob = np.array([pow(Q, j, n) for j in range(coeffs.shape[1])], dtype=np.int64)
-        vals = exp[(log_x * frob) % n + log[coeffs][:, None, :]]  # log 0 = -1: masked next
+        vals = exp[_reduce_mod(log_x * frob, n) + log[coeffs][:, None, :]]  # log 0 = -1: masked next
         vals *= (coeffs != 0)[:, None, :]
         for d, pd in enumerate(ctx._pow_p):
             stack[idx, :, d] = (vals // pd % p).sum(axis=2) % p

@@ -12,8 +12,10 @@ from nto1 import (
     Field, LinearizedPoly, Poly, classify, classify_rows, counting, histogram, is_n_to_1,
     linearized_oracle, monomial_oracle, verify,
 )
-from nto1.counting import _decide, n_to_1_rows, row_blocks
-from nto1.errors import ExceptionCountMismatch, FieldMismatch, NTo1Error, ZeroInput
+from nto1.counting import _decide, _histogram_dict, n_to_1_rows, row_blocks
+from nto1.errors import (
+    ExceptionCountMismatch, FieldMismatch, HistogramLostMass, NTo1Error, ZeroInput,
+)
 
 F7 = Field(7, 1)
 F8 = Field(2, 3)
@@ -350,6 +352,14 @@ def test_equal_verdicts_on_other_histograms_are_unequal_reports():
     a, b = classify(np.array([0, 1, 1, 6, 1, 6, 6])), classify(np.array([0, 1, 1, 5, 1, 5, 5]))
     assert (a.n, a.exception, a.domain_size, a.irregular) == (b.n, b.exception, b.domain_size, b.irregular)
     assert a != b and a == classify(Poly(F7, [(3, 1)]))
+
+
+def test_histogram_dict_checks_its_total_on_the_counts():
+    counts = np.array([2, 0, 3, 0, 0, 1])
+    assert _histogram_dict(counts, 6) == {0: 2, 2: 3, 5: 1}
+    assert list(_histogram_dict(counts, 6)) == [0, 2, 5]  # codec order
+    with pytest.raises(HistogramLostMass, match="histogram holds 6 preimages for a domain of 7"):
+        _histogram_dict(counts, 7)
 
 
 def test_classify_builds_no_histogram_until_it_is_read(monkeypatch):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nto1 import Field, Poly, SubfieldEmbed, field_from_spec, fields
+from nto1 import Field, Poly, SubfieldEmbed, eval_rows, field_from_spec, fields
 from nto1.errors import FieldMismatch, FieldTooLarge, NotPrime, NotPrimitive, ReducibleModulus
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -242,7 +242,7 @@ def test_vectorised_tables_match_scalar_chain_up_to_4096():
             q, m = q * p, m + 1
 
 
-@pytest.mark.parametrize("p,m", [(2, 16), (3, 10)])
+@pytest.mark.parametrize("p,m", [(2, 16), (3, 10), (5, 8), (3, 9)])
 def test_vectorised_tables_match_scalar_chain_large(p, m):
     _assert_tables_match_scalar(Field(p, m))
 
@@ -260,7 +260,8 @@ print(tracemalloc.get_traced_memory()[1] - kept, fields._TABLE_ROWS)
 """
 
 
-@pytest.mark.parametrize("p,m,case", [(2, 16, "tables"), (3, 10, "tables"), (2, 16, "trace")])
+@pytest.mark.parametrize("p,m,case", [(2, 16, "tables"), (3, 10, "tables"), (2, 16, "trace"),
+                                      (3, 10, "trace")])
 def test_table_builds_peak_is_bounded_above_what_they_keep(p, m, case):
     # a fresh interpreter per case: tables are memoised for the life of the process
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
@@ -270,9 +271,11 @@ def test_table_builds_peak_is_bounded_above_what_they_keep(p, m, case):
     excess, rows = map(int, r.stdout.split())
     q = p ** m
     if case == "tables":
-        # a doubling step holds a few rows x m int64 digit arrays per block, and the
-        # log table's q-entry index once: 12.1 MB at GF(2^16) when a step ran whole
-        bound = 4 * rows * m * 8 + q * 8
+        # a doubling step holds a few blocks of rows, plus the digits of the p^h low and
+        # p^(m-h) high chunk values, h = ceil(m/2), m int64s each; the log table fills by
+        # blocks too.  12.1 MB at GF(2^16) when a step ran whole, 1.05 MB with blocks of
+        # rows x m digit arrays
+        bound = 4 * rows * 8 + (p ** -(-m // 2) + p ** (m // 2)) * m * 8
     else:
         # the trace holds a fixed count of q-entry arrays (t, y, Frobenius table,
         # add_vec's operands, the section), however many Frobenius steps it takes
@@ -470,6 +473,41 @@ def test_pow_vec_over_the_largest_prime_below_2_31_needs_no_tables():
         assert got.shape == a.shape
         assert got.ravel().tolist() == [pow(x, e, p) for x in a.ravel().tolist()], e
     assert F._exp is None
+
+
+def test_reduce_mod_is_the_remainder_in_place():
+    rng = np.random.default_rng(5)
+    for n, shape in ((65535, (3 * fields._TABLE_ROWS + 5,)), (1048575, (3, 2 * fields._TABLE_ROWS + 1)),
+                     (7, (0,)), (531440, (5, 7))):
+        x = rng.integers(0, n * n, size=shape, dtype=np.int64)
+        want = x % n
+        assert fields._reduce_mod(x, n) is x
+        assert np.array_equal(x, want), n
+
+
+@pytest.mark.parametrize("p,m", [(2, 20), (3, 12), (1048573, 1)])
+def test_log_domain_exponents_at_the_gate_match_scalar_pow(p, m):
+    F = Field(p, m)
+    q, n = F.order, F.order - 1
+    rng = np.random.default_rng(q)
+    xs = np.concatenate([[0, 1, n], rng.integers(2, q, 200)])
+    exps = [1, n - 1, n, n + 1, 5 * n + 1, 2 ** 63 + 12345]
+    for e in exps:
+        assert F.pow_vec(xs, e).tolist() == [F.pow(x, e) for x in xs.tolist()], e
+    cs = rng.integers(1, q, len(exps)).tolist()
+    rows = [Poly(F, list(zip(exps, cs)) + [(0, 3)]), Poly(F, [(exps[-1], cs[0])])]
+    table = eval_rows(F, rows)
+    for f, vals in zip(rows, table):
+        want = [0] * len(xs)
+        for e, c in f.terms:
+            want = [F.add(w, F.mul(c, F.pow(x, e))) for w, x in zip(want, xs.tolist())]
+        assert vals[xs].tolist() == want, f
+    assert np.array_equal(rows[1].eval_all(), table[1])  # one-row, one-term case
+    # pairs whose logs sum to n or past it, with zeros on either side
+    la = rng.integers(n // 2, n, 300)
+    lb = n - la + rng.integers(0, n // 2, 300)
+    a, b = np.append(F._exp[la], [0, 5, 0]), np.append(F._exp[lb], [5, 0, 0])
+    assert F.mul_vec(a, b).tolist() == [F.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
 
 
 @pytest.mark.parametrize("p,m", [(7, 1), (3, 2), (5, 2), (3, 3), (7, 2)])
